@@ -36,48 +36,13 @@ void Profiler::onSpan(const obs::SpanEvent &Event) {
 
 void Profiler::observe(const bdd::ManagerStats &S) {
   std::lock_guard<std::mutex> G(Lock);
-  if (S.NumThreads > 1) {
-    ParallelSnapshot Snap;
-    Snap.NumThreads = S.NumThreads;
-    Snap.ParallelOps = S.ParallelOps;
-    Snap.TasksForked = S.TasksForked;
-    Snap.TasksStolen = S.TasksStolen;
-    for (const bdd::WorkerStats &W : S.Workers)
-      Snap.Workers.push_back({W.CacheHits, W.CacheLookups, W.TasksForked,
-                              W.TasksExecuted, W.TasksStolen});
-    Parallel = std::move(Snap);
-  }
-  if (S.ReorderRuns > 0) {
-    ReorderSnapshot Snap;
-    Snap.Runs = S.ReorderRuns;
-    Snap.Swaps = S.ReorderSwaps;
-    Snap.BlockMoves = S.ReorderBlockMoves;
-    Snap.NodesBefore = S.ReorderNodesBefore;
-    Snap.NodesAfter = S.ReorderNodesAfter;
-    Snap.Micros = S.ReorderMicros;
-    Reorder = Snap;
-  }
-  if (S.LimitMaxNodes || S.LimitMaxBytes || S.ResourceAborts ||
-      S.ResourceEscalations) {
-    ResourceSnapshot Snap;
-    Snap.Enabled = true;
-    Snap.LimitMaxNodes = S.LimitMaxNodes;
-    Snap.LimitMaxBytes = S.LimitMaxBytes;
-    Snap.NodesPeak = S.NodesPeak;
-    Snap.BytesPeak = S.BytesPeak;
-    Snap.Aborts = S.ResourceAborts;
-    Snap.Recoveries = S.ResourceRecoveries;
-    Snap.Escalations = S.ResourceEscalations;
-    Resource = Snap;
-  }
+  Stats = S;
 }
 
 void Profiler::clear() {
   std::lock_guard<std::mutex> G(Lock);
   Records.clear();
-  Parallel = ParallelSnapshot();
-  Reorder = ReorderSnapshot();
-  Resource = ResourceSnapshot();
+  Stats = bdd::ManagerStats();
 }
 
 std::vector<OpSummary> Profiler::summarize() const {
@@ -159,15 +124,11 @@ std::string Profiler::renderHtml() const {
 
   std::vector<OpSummary> Summaries = summarize();
   std::vector<OpRecord> RecordsCopy;
-  ParallelSnapshot ParallelCopy;
-  ReorderSnapshot ReorderCopy;
-  ResourceSnapshot ResourceCopy;
+  bdd::ManagerStats Counters;
   {
     std::lock_guard<std::mutex> G(Lock);
     RecordsCopy = Records;
-    ParallelCopy = Parallel;
-    ReorderCopy = Reorder;
-    ResourceCopy = Resource;
+    Counters = Stats;
   }
 
   // Overall view.
@@ -187,16 +148,16 @@ std::string Profiler::renderHtml() const {
 
   // Parallel-engine efficiency, when the manager ran multi-core
   // (docs/parallelism.md explains how to read these counters).
-  if (ParallelCopy.NumThreads > 1) {
+  if (Counters.NumThreads > 1) {
     size_t TotalHits = 0, TotalLookups = 0;
-    for (const ParallelSnapshot::Worker &W : ParallelCopy.Workers) {
+    for (const bdd::WorkerStats &W : Counters.Workers) {
       TotalHits += W.CacheHits;
       TotalLookups += W.CacheLookups;
     }
     double StealRatio =
-        ParallelCopy.TasksForked
-            ? 100.0 * static_cast<double>(ParallelCopy.TasksStolen) /
-                  static_cast<double>(ParallelCopy.TasksForked)
+        Counters.TasksForked
+            ? 100.0 * static_cast<double>(Counters.TasksStolen) /
+                  static_cast<double>(Counters.TasksForked)
             : 0.0;
     double HitRate =
         TotalLookups ? 100.0 * static_cast<double>(TotalHits) /
@@ -207,14 +168,13 @@ std::string Profiler::renderHtml() const {
         "<p>%u threads &middot; %zu parallel operations &middot; "
         "%zu tasks forked, %zu stolen (%.1f%%) &middot; "
         "per-thread cache hit rate %.1f%%</p>",
-        ParallelCopy.NumThreads, ParallelCopy.ParallelOps,
-        ParallelCopy.TasksForked, ParallelCopy.TasksStolen, StealRatio,
-        HitRate);
+        Counters.NumThreads, Counters.ParallelOps, Counters.TasksForked,
+        Counters.TasksStolen, StealRatio, HitRate);
     Html += "<table><tr><th>thread</th><th>cache hits</th>"
             "<th>cache lookups</th><th>forked</th><th>executed</th>"
             "<th>stolen</th></tr>";
-    for (size_t I = 0; I != ParallelCopy.Workers.size(); ++I) {
-      const ParallelSnapshot::Worker &W = ParallelCopy.Workers[I];
+    for (size_t I = 0; I != Counters.Workers.size(); ++I) {
+      const bdd::WorkerStats &W = Counters.Workers[I];
       Html += strFormat("<tr><td>%zu</td><td>%zu</td><td>%zu</td>"
                         "<td>%zu</td><td>%zu</td><td>%zu</td></tr>",
                         I, W.CacheHits, W.CacheLookups, W.TasksForked,
@@ -225,32 +185,35 @@ std::string Profiler::renderHtml() const {
 
   // Dynamic variable reordering, when sifting ever ran
   // (docs/reordering.md explains the algorithm and these counters).
-  if (ReorderCopy.Runs > 0) {
+  if (Counters.ReorderRuns > 0) {
     double Shrink =
-        ReorderCopy.NodesBefore
-            ? 100.0 * (1.0 - static_cast<double>(ReorderCopy.NodesAfter) /
-                                 static_cast<double>(ReorderCopy.NodesBefore))
+        Counters.ReorderNodesBefore
+            ? 100.0 *
+                  (1.0 - static_cast<double>(Counters.ReorderNodesAfter) /
+                             static_cast<double>(Counters.ReorderNodesBefore))
             : 0.0;
     Html += strFormat(
         "<h2>Dynamic variable reordering</h2>"
         "<p>%zu sifting passes &middot; %zu block moves, %zu level swaps "
         "&middot; latest pass: %zu &rarr; %zu live nodes (%.1f%% smaller) "
         "&middot; %llu &micro;s total</p>",
-        ReorderCopy.Runs, ReorderCopy.BlockMoves, ReorderCopy.Swaps,
-        ReorderCopy.NodesBefore, ReorderCopy.NodesAfter, Shrink,
-        static_cast<unsigned long long>(ReorderCopy.Micros));
+        Counters.ReorderRuns, Counters.ReorderBlockMoves,
+        Counters.ReorderSwaps, Counters.ReorderNodesBefore,
+        Counters.ReorderNodesAfter, Shrink,
+        static_cast<unsigned long long>(Counters.ReorderMicros));
   }
 
   // Resource governance, when ceilings were configured or tripped
   // (docs/robustness.md explains the governor and these counters).
-  if (ResourceCopy.Enabled) {
+  if (Counters.LimitMaxNodes || Counters.LimitMaxBytes ||
+      Counters.ResourceAborts || Counters.ResourceEscalations) {
     std::string Limits;
-    if (ResourceCopy.LimitMaxNodes)
-      Limits += strFormat("max-nodes %zu", ResourceCopy.LimitMaxNodes);
-    if (ResourceCopy.LimitMaxBytes) {
+    if (Counters.LimitMaxNodes)
+      Limits += strFormat("max-nodes %zu", Counters.LimitMaxNodes);
+    if (Counters.LimitMaxBytes) {
       if (!Limits.empty())
         Limits += ", ";
-      Limits += strFormat("max-bytes %zu", ResourceCopy.LimitMaxBytes);
+      Limits += strFormat("max-bytes %zu", Counters.LimitMaxBytes);
     }
     if (Limits.empty())
       Limits = "none";
@@ -259,9 +222,9 @@ std::string Profiler::renderHtml() const {
         "<p>ceilings: %s &middot; peak %zu nodes / %zu bytes &middot; "
         "%zu aborted operations, %zu recoveries, %zu pressure "
         "escalations</p>",
-        Limits.c_str(), ResourceCopy.NodesPeak, ResourceCopy.BytesPeak,
-        ResourceCopy.Aborts, ResourceCopy.Recoveries,
-        ResourceCopy.Escalations);
+        Limits.c_str(), Counters.NodesPeak, Counters.BytesPeak,
+        Counters.ResourceAborts, Counters.ResourceRecoveries,
+        Counters.ResourceEscalations);
   }
 
   // Detailed view.

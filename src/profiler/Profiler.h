@@ -19,16 +19,17 @@
 /// (src/obs, docs/observability.md), not a recording path of its own:
 /// attach() subscribes it to the process-wide obs::Tracer, every finished
 /// relational span becomes one OpRecord, and one observe() call with the
-/// manager's cumulative counters fills the parallel-efficiency and
-/// reordering sections. Operations are attributed to rel::Site program
-/// points (label + file:line), matching how the paper's profiler links
-/// cost back to Jedd source lines.
+/// manager's cumulative counters fills the parallel-efficiency,
+/// reordering and resource-governance sections. Operations are
+/// attributed to rel::Site program points (label + file:line), matching
+/// how the paper's profiler links cost back to Jedd source lines.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JEDDPP_PROFILER_PROFILER_H
 #define JEDDPP_PROFILER_PROFILER_H
 
+#include "bdd/Bdd.h"
 #include "obs/Obs.h"
 
 #include <cstdint>
@@ -38,10 +39,6 @@
 #include <vector>
 
 namespace jedd {
-
-namespace bdd {
-struct ManagerStats;
-}
 
 namespace prof {
 
@@ -70,52 +67,6 @@ struct OpRecord {
   size_t ResultNodes = 0;
   double ResultTuples = 0.0;
   std::vector<size_t> ResultShape; ///< Nodes per BDD level.
-};
-
-/// Snapshot of a BDD manager's parallel-engine counters, filled by
-/// observe() from bdd::ManagerStats so the report can show parallel
-/// efficiency next to the operation profile. NumThreads == 1 means the
-/// manager ran the serial engine and the section is omitted.
-struct ParallelSnapshot {
-  unsigned NumThreads = 1;
-  size_t ParallelOps = 0;  ///< Top-level ops dispatched to the pool.
-  size_t TasksForked = 0;  ///< Cofactor subproblems forked as tasks.
-  size_t TasksStolen = 0;  ///< Tasks run by a thread other than the forker.
-  struct Worker {
-    size_t CacheHits = 0;     ///< Private computed-cache hits.
-    size_t CacheLookups = 0;  ///< Private computed-cache probes.
-    size_t TasksForked = 0;
-    size_t TasksExecuted = 0;
-    size_t TasksStolen = 0;
-  };
-  std::vector<Worker> Workers; ///< Per-thread breakdown.
-};
-
-/// Snapshot of a BDD manager's dynamic variable-reordering counters
-/// (docs/reordering.md), filled by observe() from bdd::ManagerStats.
-/// Runs == 0 means reordering never fired and the section is omitted.
-struct ReorderSnapshot {
-  size_t Runs = 0;        ///< Completed sifting passes.
-  size_t Swaps = 0;       ///< Adjacent-level swaps performed in total.
-  size_t BlockMoves = 0;  ///< Adjacent-block exchanges in total.
-  size_t NodesBefore = 0; ///< Live nodes entering the latest pass.
-  size_t NodesAfter = 0;  ///< Live nodes leaving the latest pass.
-  uint64_t Micros = 0;    ///< Total time spent reordering.
-};
-
-/// Snapshot of a BDD manager's resource-governor counters
-/// (docs/robustness.md), filled by observe() from bdd::ManagerStats.
-/// Enabled == false means no ceilings were configured and nothing
-/// tripped, so the section is omitted.
-struct ResourceSnapshot {
-  bool Enabled = false;
-  size_t LimitMaxNodes = 0; ///< Node ceiling (0 = unlimited).
-  size_t LimitMaxBytes = 0; ///< Approximate heap-byte ceiling (0 = unlimited).
-  size_t NodesPeak = 0;     ///< High-water allocated-node count.
-  size_t BytesPeak = 0;     ///< High-water approximate heap bytes.
-  size_t Aborts = 0;        ///< Operations aborted by the governor.
-  size_t Recoveries = 0;    ///< Successful GC + cache-flush recoveries.
-  size_t Escalations = 0;   ///< Pressure escalations (forced GC/reorder).
 };
 
 /// Aggregated view of all executions of one (kind, site) operation —
@@ -154,8 +105,9 @@ public:
   /// report renders.
   bool wantsDetail() const override { return true; }
 
-  /// Installs the manager's cumulative parallel-engine and reordering
-  /// counters (call once, after the run; the newest call supersedes).
+  /// Installs the manager's cumulative counters, from which the report
+  /// renders its parallel-engine, reordering and resource-governance
+  /// sections (call once, after the run; the newest call supersedes).
   void observe(const bdd::ManagerStats &Stats);
 
   void clear();
@@ -163,9 +115,8 @@ public:
   /// The collected records. Callers must not race attached emitters.
   const std::vector<OpRecord> &records() const { return Records; }
 
-  const ParallelSnapshot &parallel() const { return Parallel; }
-  const ReorderSnapshot &reorder() const { return Reorder; }
-  const ResourceSnapshot &resource() const { return Resource; }
+  /// The counters installed by the latest observe().
+  const bdd::ManagerStats &stats() const { return Stats; }
 
   /// Per-(kind, site) aggregation, sorted by total time descending.
   std::vector<OpSummary> summarize() const;
@@ -182,9 +133,7 @@ private:
   bool Attached = false;
   mutable std::mutex Lock;
   std::vector<OpRecord> Records;
-  ParallelSnapshot Parallel;
-  ReorderSnapshot Reorder;
-  ResourceSnapshot Resource;
+  bdd::ManagerStats Stats;
 };
 
 } // namespace prof

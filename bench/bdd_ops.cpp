@@ -48,7 +48,7 @@ struct PackFixture {
     return R;
   }
 
-  DomainPack Pack{BitOrder::Interleaved};
+  DomainPack Pack{"AxBxC"};
   SplitMix64 Rng;
   PhysDomId A, B, C;
   Bdd Left, Right;

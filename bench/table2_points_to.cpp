@@ -135,10 +135,10 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\nThe paper reports 0.5%%-4%% overhead for the Jedd "
-              "version (attributed there to JVM residency); our\n"
-              "relational layer's bookkeeping (schema checks, alignment) "
-              "plays the same role. The key shape is that\n"
-              "the overhead is a small constant factor and both versions "
-              "scale together.\n");
+              "version (attributed there to JVM residency). Here\n"
+              "it is larger under the default orders, and it is in the "
+              "Jedd version's renames, not in the\n"
+              "relational layer's own time (EXPERIMENTS.md, Table 2). "
+              "Both versions scale together.\n");
   return 0;
 }

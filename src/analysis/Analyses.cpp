@@ -22,7 +22,8 @@ using soot::Program;
 // AnalysisUniverse
 //===----------------------------------------------------------------------===//
 
-AnalysisUniverse::AnalysisUniverse(const Program &Prog, bdd::BitOrder Order,
+AnalysisUniverse::AnalysisUniverse(const Program &Prog,
+                                   const std::string &OrderSpec,
                                    bdd::ReorderConfig Reorder,
                                    bdd::ResourceLimits Limits)
     : Prog(Prog) {
@@ -73,7 +74,7 @@ AnalysisUniverse::AnalysisUniverse(const Program &Prog, bdd::BitOrder Order,
   F1 = U.addPhysicalDomain("F1", BF);
   C1 = U.addPhysicalDomain("C1", BC);
 
-  U.finalize(Order, 1 << 16, 1 << 18, {}, Reorder);
+  U.finalize(OrderSpec, 1 << 16, 1 << 18, {}, Reorder);
   if (Limits.any())
     U.setResourceLimits(Limits);
 }

@@ -38,11 +38,20 @@ namespace analysis {
 /// use, sized for one program, and owns the universe.
 class AnalysisUniverse {
 public:
-  /// \p Limits installs resource ceilings (node/byte/time budgets and an
-  /// optional cancellation token — docs/robustness.md) on the shared BDD
-  /// manager right after finalize(); the default is ungoverned.
+  /// The default order spec (bdd/DomainPack.h): every physical domain in
+  /// its own group, permuted from declaration order. Chosen by wall time
+  /// over all five Table 2 presets (EXPERIMENTS.md, "Variable order");
+  /// it gives the same tuples as every other order.
+  static constexpr const char *DefaultOrder =
+      "F1_C1_M1_M2_SG1_T1_T2_T3_V1_V2_V3_O1_O2";
+
+  /// \p OrderSpec lays out the physical domains V1 ... C1 below ("" =
+  /// declaration order); a malformed spec throws UsageError. \p Limits
+  /// installs resource ceilings (node/byte/time budgets and an optional
+  /// cancellation token — docs/robustness.md) on the shared BDD manager
+  /// right after finalize(); the default is ungoverned.
   explicit AnalysisUniverse(const soot::Program &Prog,
-                            bdd::BitOrder Order = bdd::BitOrder::Interleaved,
+                            const std::string &OrderSpec = DefaultOrder,
                             bdd::ReorderConfig Reorder = {},
                             bdd::ResourceLimits Limits = {});
 
@@ -229,8 +238,12 @@ public:
 /// a fixed statement set (facts must be complete up front).
 class HandCodedPointsTo {
 public:
+  /// The default order spec: its five domains in the relative order of
+  /// AnalysisUniverse::DefaultOrder, so Table 2 compares like with like.
+  static constexpr const char *DefaultOrder = "F1_V1_V2_O1_O2";
+
   explicit HandCodedPointsTo(const soot::Program &Prog,
-                             bdd::BitOrder Order = bdd::BitOrder::Interleaved);
+                             const std::string &OrderSpec = DefaultOrder);
 
   /// Adds facts: all statements of the program plus \p ExtraAssigns.
   void loadFacts(const std::vector<std::pair<soot::Id, soot::Id>>

@@ -40,8 +40,8 @@ using soot::Program;
 //===----------------------------------------------------------------------===//
 
 HandCodedPointsTo::HandCodedPointsTo(const Program &Prog,
-                                     bdd::BitOrder Order)
-    : Prog(Prog), Pack(Order) {
+                                     const std::string &OrderSpec)
+    : Prog(Prog), Pack(OrderSpec) {
   unsigned BV = bitsForSize(std::max<uint64_t>(Prog.NumVars, 1));
   unsigned BO = bitsForSize(std::max<uint64_t>(Prog.NumSites, 1));
   unsigned BF = bitsForSize(std::max<uint64_t>(Prog.Fields.size(), 1));

@@ -405,6 +405,8 @@ public:
   /// not covered by any block sift as singletons. Reordering permutes
   /// whole blocks and never breaks one apart.
   void setBlocks(std::vector<std::vector<unsigned>> BlockList);
+  /// The blocks as declared by setBlocks.
+  std::vector<std::vector<unsigned>> blocks() const;
 
   ReorderStats reorderStats() const;
 

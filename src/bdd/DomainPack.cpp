@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bdd/DomainPack.h"
+#include "util/Error.h"
 
 #include <algorithm>
 
@@ -19,51 +20,96 @@ PhysDomId DomainPack::addDomain(std::string Name, unsigned Bits) {
   return static_cast<PhysDomId>(Doms.size() - 1);
 }
 
+std::vector<std::vector<PhysDomId>> DomainPack::parseSpec() const {
+  std::vector<std::vector<PhysDomId>> Result;
+  if (Spec.empty()) {
+    for (PhysDomId Dom = 0; Dom != Doms.size(); ++Dom)
+      Result.push_back({Dom});
+    return Result;
+  }
+  auto Fail = [&](const std::string &Why) {
+    throw UsageError("order spec '" + Spec + "' " + Why);
+  };
+  std::vector<bool> Named(Doms.size(), false);
+  Result.emplace_back();
+  size_t Pos = 0;
+  while (true) {
+    // The longest declared name at Pos followed by a separator or the
+    // end, so names may themselves contain 'x' or '_'.
+    PhysDomId Match = 0;
+    size_t Len = 0;
+    for (PhysDomId Dom = 0; Dom != Doms.size(); ++Dom) {
+      const std::string &Name = Doms[Dom].Name;
+      size_t End = Pos + Name.size();
+      if (Name.size() > Len && Spec.compare(Pos, Name.size(), Name) == 0 &&
+          (End == Spec.size() || Spec[End] == 'x' || Spec[End] == '_')) {
+        Match = Dom;
+        Len = Name.size();
+      }
+    }
+    if (Len == 0)
+      Fail("names an unknown domain '" +
+           Spec.substr(Pos, Spec.find_first_of("x_", Pos) - Pos) + "'");
+    if (Named[Match])
+      Fail("names domain '" + Doms[Match].Name + "' twice");
+    Named[Match] = true;
+    Result.back().push_back(Match);
+    Pos += Len;
+    if (Pos == Spec.size())
+      break;
+    if (Spec[Pos++] == '_')
+      Result.emplace_back();
+  }
+  for (PhysDomId Dom = 0; Dom != Doms.size(); ++Dom)
+    if (!Named[Dom])
+      Fail("leaves out domain '" + Doms[Dom].Name + "'");
+  return Result;
+}
+
 void DomainPack::finalize(size_t InitialNodes, size_t CacheSize,
                           ParallelConfig Par, ReorderConfig Reorder) {
   assert(!Mgr && "finalize() may only run once");
   assert(!Doms.empty() && "a pack needs at least one domain");
+  std::vector<std::vector<PhysDomId>> Parsed = parseSpec();
 
   // Reorder blocks: groups of variables that sifting moves as one unit.
   // Each group must occupy contiguous levels, and keeping a group intact
   // keeps every encoding produced by this pack valid across reorders.
   std::vector<std::vector<unsigned>> ReorderBlocks;
   unsigned NextVar = 0;
-  if (Order == BitOrder::Sequential) {
-    // One block per physical domain.
-    for (DomInfo &D : Doms) {
-      D.Vars.resize(D.Bits);
-      for (unsigned B = 0; B != D.Bits; ++B)
-        D.Vars[B] = NextVar++;
-      ReorderBlocks.push_back(D.Vars);
-    }
-  } else {
-    // Interleaved, MSB-aligned: round k hands one variable to every
-    // domain that still has bits left, most significant bits first. Wide
-    // domains therefore start contributing earlier; all domains finish
-    // at the bottom together, which aligns the low-order bits — the
-    // layout BuDDy's interleaved fdd blocks produce and the one the
-    // points-to paper [5] found essential.
+  for (const std::vector<PhysDomId> &Group : Parsed) {
+    // MSB-aligned interleave: round k hands one variable to every domain
+    // of the group that still has bits left, most significant bits
+    // first. Wide domains therefore start contributing earlier; all
+    // domains finish at the bottom together, which aligns the low-order
+    // bits — the layout BuDDy's interleaved fdd blocks produce. A
+    // single-domain group is simply the domain's bits in sequence.
     unsigned MaxBits = 0;
-    for (const DomInfo &D : Doms)
-      MaxBits = std::max(MaxBits, D.Bits);
-    for (DomInfo &D : Doms)
-      D.Vars.resize(D.Bits);
-    // One block per interleave round: the bit-k-of-every-domain groups
-    // are what must stay together for the alignment to survive sifting.
+    for (PhysDomId Dom : Group) {
+      MaxBits = std::max(MaxBits, Doms[Dom].Bits);
+      Doms[Dom].Vars.resize(Doms[Dom].Bits);
+    }
+    std::vector<unsigned> Block;
     for (unsigned Round = 0; Round != MaxBits; ++Round) {
-      std::vector<unsigned> Group;
-      for (DomInfo &D : Doms) {
+      for (PhysDomId Dom : Group) {
         // Domain D participates in the last D.Bits rounds.
+        DomInfo &D = Doms[Dom];
         unsigned Offset = MaxBits - D.Bits;
         if (Round >= Offset) {
           D.Vars[Round - Offset] = NextVar;
-          Group.push_back(NextVar++);
+          Block.push_back(NextVar++);
         }
       }
-      ReorderBlocks.push_back(std::move(Group));
+      // One block per interleave round: the bit-k-of-every-domain groups
+      // are what must stay together for the alignment to survive
+      // sifting. A single domain is one block.
+      if (Group.size() > 1 || Round + 1 == MaxBits) {
+        ReorderBlocks.push_back(std::move(Block));
+        Block.clear();
+      }
     }
   }
+  Groups = std::move(Parsed);
   Mgr = std::make_unique<Manager>(NextVar, InitialNodes, CacheSize, Par);
   Mgr->setBlocks(std::move(ReorderBlocks));
   Mgr->setReorderConfig(Reorder);

@@ -9,9 +9,18 @@
 /// Physical domains (Section 2.1 / 3.2.1): named blocks of BDD variables
 /// that attribute values are encoded into. This plays the role of BuDDy's
 /// finite domain blocks ("fdd"). A DomainPack owns the BDD manager and
-/// decides the global bit order — either sequential (all bits of a domain
-/// adjacent) or interleaved (bit k of every domain adjacent), since the
-/// paper notes the ordering choice strongly affects BDD sizes.
+/// decides the global bit order from an order spec in bddbddb's syntax
+/// (Whaley & Lam, PLDI 2004), since the paper notes the ordering choice
+/// strongly affects BDD sizes (Section 3.3.1):
+///
+///   * `_` separates groups, which are laid out one after another;
+///   * `x` interleaves the domains of one group, MSB-aligned round-robin
+///     (bit k of every domain of the group adjacent);
+///   * every declared domain is named exactly once, except that the
+///     empty spec means declaration order, one domain per group.
+///
+/// So "A_B_C" is the sequential order, "AxBxC" the fully interleaved one
+/// and "A_BxC" places A's bits above the interleaved bits of B and C.
 ///
 /// Values are encoded MSB-first down the variable order; unused high bits
 /// of a wide physical domain holding a small attribute are constrained to
@@ -35,30 +44,28 @@ namespace bdd {
 /// Identifier of a physical domain within a pack.
 using PhysDomId = uint32_t;
 
-/// Global bit-order policy for the variables of all physical domains.
-enum class BitOrder {
-  Sequential,  ///< d0.b0 d0.b1 ... d1.b0 d1.b1 ...
-  Interleaved, ///< MSB-aligned round-robin: d0.b0 d1.b0 ... d0.b1 d1.b1 ...
-};
-
 /// A set of physical domains sharing one BDD manager and variable order.
 /// Usage: declare all domains with addDomain(), call finalize(), then use
 /// the encoding helpers. The pack must outlive every Bdd produced from it.
 class DomainPack {
 public:
-  explicit DomainPack(BitOrder Order = BitOrder::Interleaved)
-      : Order(Order) {}
+  /// \p OrderSpec is parsed by finalize(); "" is declaration order.
+  explicit DomainPack(std::string OrderSpec = "")
+      : Spec(std::move(OrderSpec)) {}
 
   /// Declares a physical domain with \p Bits bits. Must precede
   /// finalize(). Returns the domain's id.
   PhysDomId addDomain(std::string Name, unsigned Bits);
 
-  /// Assigns variable positions and creates the manager. \p Par selects
-  /// the manager's execution engine (serial by default) and \p Reorder
-  /// the dynamic-reordering policy (off by default). Reorder blocks are
-  /// derived from the bit order: whole domains under Sequential, per-bit
-  /// interleave groups under Interleaved — the units sifting may move
-  /// without invalidating any attribute encoding.
+  /// Parses the order spec, assigns variable positions and creates the
+  /// manager. \p Par selects the manager's execution engine (serial by
+  /// default) and \p Reorder the dynamic-reordering policy (off by
+  /// default). Reorder blocks are derived from the spec: one per
+  /// interleave round of a multi-domain group and one per single-domain
+  /// group — the units sifting may move without invalidating any
+  /// attribute encoding. A spec naming an undeclared domain, naming one
+  /// twice or leaving one out throws UsageError and leaves the pack
+  /// unfinalized.
   void finalize(size_t InitialNodes = 1 << 14, size_t CacheSize = 1 << 16,
                 ParallelConfig Par = {}, ReorderConfig Reorder = {});
   bool isFinalized() const { return Mgr != nullptr; }
@@ -68,7 +75,11 @@ public:
     return *Mgr;
   }
 
-  BitOrder order() const { return Order; }
+  /// The parsed groups in level order, each listing its domains in
+  /// interleave order. Valid after finalize().
+  const std::vector<std::vector<PhysDomId>> &orderGroups() const {
+    return Groups;
+  }
   unsigned numDomains() const { return static_cast<unsigned>(Doms.size()); }
   const std::string &name(PhysDomId Dom) const { return Doms[Dom].Name; }
   unsigned bits(PhysDomId Dom) const { return Doms[Dom].Bits; }
@@ -123,7 +134,11 @@ private:
     std::vector<unsigned> Vars; ///< MSB first.
   };
 
-  BitOrder Order;
+  /// Splits Spec into groups of domain ids; throws UsageError.
+  std::vector<std::vector<PhysDomId>> parseSpec() const;
+
+  std::string Spec;
+  std::vector<std::vector<PhysDomId>> Groups;
   std::vector<DomInfo> Doms;
   std::unique_ptr<Manager> Mgr;
 };

@@ -88,6 +88,11 @@ void Manager::setBlocks(std::vector<std::vector<unsigned>> BlockList) {
   Blocks = std::move(BlockList);
 }
 
+std::vector<std::vector<unsigned>> Manager::blocks() const {
+  auto Lock = sharedLock();
+  return Blocks;
+}
+
 ReorderStats Manager::reorderStats() const {
   auto Lock = sharedLock();
   return RStats;

@@ -17,8 +17,8 @@
 ///    loadRelation) — attributes and physical domains are matched by name
 ///    and validated on load, and the node rebuild re-encodes the function
 ///    into the loading manager's variable order, so images survive
-///    bit-order changes (Sequential vs Interleaved) and dynamic
-///    reordering on either side;
+///    order-spec changes (bdd/DomainPack.h) and dynamic reordering on
+///    either side;
 ///  * whole-universe checkpoints (saveCheckpoint / loadCheckpoint):
 ///    a named set of relations sharing one node DAG, tagged with a
 ///    caller-supplied context hash for staleness detection — the unit the
@@ -175,7 +175,8 @@ struct InspectInfo {
   uint64_t ContextHash = 0;
   size_t TotalBytes = 0;
   size_t TotalNodes = 0;        ///< Nodes in the shared DAG section.
-  std::string BitOrder;         ///< "" for bdd-kind images.
+  std::string Order;            ///< Saved layout as an order spec
+                                ///< ("" for bdd-kind images).
   size_t NumVars = 0;           ///< Saved manager's client variables.
   std::vector<std::string> Domains;   ///< "Var: 120 objects".
   std::vector<std::string> PhysDoms;  ///< "V1: 7 bits".

@@ -23,7 +23,7 @@
 // a single bottom-up pass. Loading rebuilds every node with ite() in the
 // *target* manager's variable order, mapping saved variables onto target
 // variables through (physical domain name, bit index) — so images round
-// trip across bit orders and dynamic reordering on either side.
+// trip across order specs and dynamic reordering on either side.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +32,7 @@
 #include "bdd/DomainPack.h"
 #include "io/Binary.h"
 #include "obs/Obs.h"
+#include "util/Error.h"
 #include "util/File.h"
 
 #include <algorithm>
@@ -162,7 +163,7 @@ struct ParsedImage {
   uint32_t NumRelations = 0;
 
   // Relation/checkpoint metadata (empty for bdd-kind images).
-  uint8_t BitOrder = 0;
+  uint8_t OrderByte = 0; ///< 1 = one interleave group, else 0.
   struct Phys {
     std::string Name;
     unsigned Bits = 0;
@@ -226,11 +227,11 @@ Error parseHeader(ByteReader &P, ParsedImage &Out) {
 
 Error parseDomains(ByteReader &P, ParsedImage &Out) {
   uint64_t NumPhys;
-  if (!P.u8(Out.BitOrder) || !P.count(NumPhys, 3))
+  if (!P.u8(Out.OrderByte) || !P.count(NumPhys, 3))
     return err(ErrorCode::Truncated, "domains section is truncated");
-  if (Out.BitOrder > 1)
+  if (Out.OrderByte > 1)
     return err(ErrorCode::BadSection, "unknown bit-order value " +
-                                          std::to_string(Out.BitOrder));
+                                          std::to_string(Out.OrderByte));
   Out.VarPhysBit.assign(Out.NumVars, {NoIndex, 0});
   Out.PhysDoms.resize(static_cast<size_t>(NumPhys));
   for (auto &Phys : Out.PhysDoms) {
@@ -491,7 +492,9 @@ Error saveImage(rel::Universe &U, const std::vector<NamedRelation> &Relations,
 
   std::string Payload;
   ByteWriter W(Payload);
-  W.u8(Pack.order() == bdd::BitOrder::Sequential ? 0 : 1);
+  // The v1 order byte: 1 for one interleave group over every domain, 0
+  // otherwise. Readers take the layout from the per-bit variables below.
+  W.u8(Pack.orderGroups().size() == 1 ? 1 : 0);
   W.varint(U.numPhysDoms());
   for (PhysDomId Phys = 0; Phys != U.numPhysDoms(); ++Phys) {
     W.str(U.physName(Phys));
@@ -695,6 +698,34 @@ Error loadImage(rel::Universe &U, const ParsedImage &P,
   }
   obs::Tracer::instance().counterAdd("io.nodes_read", P.Nodes.size());
   return Error::success();
+}
+
+/// The order spec (bdd/DomainPack.h) whose layout puts every saved bit on
+/// its saved variable, if the image came from a DomainPack. Domains whose
+/// variable ranges overlap share an interleave group; within a group the
+/// last round holds every domain in spec order, so the domains are listed
+/// by the variable of their least significant bit.
+std::string orderSpecOf(const ParsedImage &P) {
+  std::vector<size_t> Doms(P.PhysDoms.size());
+  for (size_t I = 0; I != Doms.size(); ++I)
+    Doms[I] = I;
+  auto Msb = [&](size_t I) { return P.PhysDoms[I].Vars.front(); };
+  auto Lsb = [&](size_t I) { return P.PhysDoms[I].Vars.back(); };
+  std::sort(Doms.begin(), Doms.end(),
+            [&](size_t A, size_t B) { return Msb(A) < Msb(B); });
+  std::string Spec;
+  for (size_t Begin = 0, End; Begin != Doms.size(); Begin = End) {
+    uint32_t GroupLast = Lsb(Doms[Begin]);
+    for (End = Begin + 1; End != Doms.size() && Msb(Doms[End]) < GroupLast;
+         ++End)
+      GroupLast = std::max(GroupLast, Lsb(Doms[End]));
+    std::sort(Doms.begin() + Begin, Doms.begin() + End,
+              [&](size_t A, size_t B) { return Lsb(A) < Lsb(B); });
+    for (size_t I = Begin; I != End; ++I)
+      Spec += (I == 0 ? "" : I == Begin ? "_" : "x") +
+              P.PhysDoms[Doms[I]].Name;
+  }
+  return Spec;
 }
 
 } // namespace
@@ -916,7 +947,7 @@ Error jedd::io::inspectImage(const std::string &Bytes, InspectInfo &Out) {
     return Error::success();
   }
 
-  Out.BitOrder = P.BitOrder == 0 ? "sequential" : "interleaved";
+  Out.Order = orderSpecOf(P);
   for (const ParsedImage::Dom &Dom : P.Doms)
     Out.Domains.push_back(Dom.Name + ": " + std::to_string(Dom.Size) +
                           " objects");
@@ -924,9 +955,10 @@ Error jedd::io::inspectImage(const std::string &Bytes, InspectInfo &Out) {
     Out.PhysDoms.push_back(Phys.Name + ": " + std::to_string(Phys.Bits) +
                            " bits");
 
-  // Reconstruct a scratch universe from the embedded metadata and load
-  // the image into it — per-relation stats come from the live relations,
-  // and a successful inspect doubles as proof the image loads.
+  // Reconstruct a scratch universe with the saved layout from the
+  // embedded metadata and load the image into it — per-relation stats
+  // come from the live relations, and a successful inspect doubles as
+  // proof the image loads.
   rel::Universe U;
   for (const ParsedImage::Dom &Dom : P.Doms)
     U.addDomain(Dom.Name, Dom.Size);
@@ -934,8 +966,19 @@ Error jedd::io::inspectImage(const std::string &Bytes, InspectInfo &Out) {
     U.addAttribute(Attr.Name, Attr.DomIdx);
   for (const ParsedImage::Phys &Phys : P.PhysDoms)
     U.addPhysicalDomain(Phys.Name, Phys.Bits);
-  U.finalize(P.BitOrder == 0 ? bdd::BitOrder::Sequential
-                             : bdd::BitOrder::Interleaved);
+  try {
+    U.finalize(Out.Order);
+  } catch (const UsageError &E) {
+    return err(ErrorCode::BadSection, E.what());
+  }
+  bool SameLayout = U.manager().numVars() == P.NumVars;
+  for (PhysDomId Phys = 0; SameLayout && Phys != U.numPhysDoms(); ++Phys)
+    SameLayout = std::equal(U.pack().vars(Phys).begin(),
+                            U.pack().vars(Phys).end(),
+                            P.PhysDoms[Phys].Vars.begin());
+  if (!SameLayout)
+    return err(ErrorCode::BadSection,
+               "the saved variable layout is not an order spec");
 
   std::vector<NamedRelation> Loaded;
   if (Error E = loadImage(U, P, Loaded); !E.ok())

@@ -11,7 +11,8 @@
 using namespace jedd;
 using namespace jedd::lang;
 
-void CompiledProgram::buildUniverse(rel::Universe &U, bdd::BitOrder Order,
+void CompiledProgram::buildUniverse(rel::Universe &U,
+                                    const std::string &OrderSpec,
                                     size_t InitialNodes,
                                     size_t CacheSize) const {
   const SymbolTable &Symbols = Prog->Symbols;
@@ -23,7 +24,7 @@ void CompiledProgram::buildUniverse(rel::Universe &U, bdd::BitOrder Order,
     U.addAttribute(A.Name, A.Domain);
   for (const auto &P : Symbols.PhysDoms)
     U.addPhysicalDomain(P.Name, P.Bits);
-  U.finalize(Order, InitialNodes, CacheSize);
+  U.finalize(OrderSpec, InitialNodes, CacheSize);
 }
 
 int CompiledProgram::findFunction(const std::string &Name) const {

@@ -46,9 +46,9 @@ public:
   const AssignStats &assignStats() const { return Assigner->stats(); }
 
   /// Registers the program's domains, attributes and physical domains in
-  /// \p U (ids equal the symbol table indices) and finalizes it.
-  void buildUniverse(rel::Universe &U,
-                     bdd::BitOrder Order = bdd::BitOrder::Interleaved,
+  /// \p U (ids equal the symbol table indices) and finalizes it with
+  /// \p OrderSpec ("" = declaration order; see bdd/DomainPack.h).
+  void buildUniverse(rel::Universe &U, const std::string &OrderSpec = "",
                      size_t InitialNodes = 1 << 16,
                      size_t CacheSize = 1 << 18) const;
 

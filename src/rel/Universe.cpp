@@ -45,7 +45,7 @@ PhysDomId Universe::addPhysicalDomain(std::string Name, unsigned Bits) {
   return static_cast<PhysDomId>(PhysNames.size() - 1);
 }
 
-void Universe::finalize(bdd::BitOrder Order, size_t InitialNodes,
+void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes,
                         size_t CacheSize, bdd::ParallelConfig Par,
                         bdd::ReorderConfig Reorder) {
   JEDD_CHECK(!isFinalized(), "finalize() may only run once");
@@ -58,15 +58,16 @@ void Universe::finalize(bdd::BitOrder Order, size_t InitialNodes,
   for (const DomInfo &D : Doms)
     WidestDomain = std::max(WidestDomain, bitsForSize(D.Size));
 
-  PackPtr = std::make_unique<bdd::DomainPack>(Order);
+  auto Pack = std::make_unique<bdd::DomainPack>(OrderSpec);
   for (size_t I = 0; I != PhysNames.size(); ++I) {
     unsigned Bits =
         PhysRequestedBits[I] == 0 ? WidestDomain : PhysRequestedBits[I];
-    PhysDomId Id = PackPtr->addDomain(PhysNames[I], Bits);
+    PhysDomId Id = Pack->addDomain(PhysNames[I], Bits);
     (void)Id;
     assert(Id == I && "pack ids must mirror universe ids");
   }
-  PackPtr->finalize(InitialNodes, CacheSize, Par, Reorder);
+  Pack->finalize(InitialNodes, CacheSize, Par, Reorder);
+  PackPtr = std::move(Pack);
 }
 
 std::string Universe::label(DomainId Dom, uint64_t Value) const {

@@ -15,6 +15,7 @@
 
 #include "analysis/Analyses.h"
 #include "analysis/Checkpoint.h"
+#include "io/Io.h"
 #include "obs/Obs.h"
 #include "soot/Generator.h"
 #include "util/Error.h"
@@ -313,11 +314,18 @@ TEST(BitOrderAblation, ResultsAgreeAcrossOrders) {
   Params.NumClasses = 15;
   Params.Seed = 5;
   Program P = soot::generateProgram(Params);
-  std::vector<std::pair<Id, Id>> Extra = chaAssignEdges(P);
+  std::vector<std::pair<Id, Id>> Extra = onTheFlyAssignEdges(P);
+  ReferenceResults Ref = computeReference(P);
+  std::vector<std::vector<uint64_t>> RefPairs;
+  for (size_t V = 0; V != Ref.PointsTo.size(); ++V)
+    for (Id Site : Ref.PointsTo[V])
+      RefPairs.push_back({V, Site});
+  ASSERT_FALSE(RefPairs.empty());
 
-  std::vector<std::vector<std::vector<uint64_t>>> Results;
-  for (bdd::BitOrder Order :
-       {bdd::BitOrder::Interleaved, bdd::BitOrder::Sequential}) {
+  for (const char *Order :
+       {"V1xV2xV3xO1xO2xT1xT2xT3xSG1xM1xM2xF1xC1", "",
+        AnalysisUniverse::DefaultOrder,
+        "F1_C1_M1xM2_SG1_T1xT2xT3_V1xV2xV3_O1xO2"}) {
     AnalysisUniverse AU(P, Order);
     PointsToAnalysis PTA(AU);
     for (size_t M = 0; M != P.Methods.size(); ++M)
@@ -325,9 +333,8 @@ TEST(BitOrderAblation, ResultsAgreeAcrossOrders) {
     for (auto &[Src, Dst] : Extra)
       PTA.addAssignEdge(Src, Dst);
     PTA.solve();
-    Results.push_back(PTA.Pt.tuples());
+    EXPECT_EQ(PTA.Pt.tuples(), RefPairs) << "order '" << Order << "'";
   }
-  EXPECT_EQ(Results[0], Results[1]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -340,6 +347,35 @@ void wipeCheckpointDir(const std::string &Dir) {
   for (const char *Stage :
        {"hierarchy", "vcr", "callgraph", "sideeffects"})
     std::remove((Dir + "/" + Stage + ".jdd").c_str());
+}
+
+TEST(Checkpoint, InspectReportsLiveNodeCountsUnderDefaultOrder) {
+  soot::GeneratorParams Params;
+  Params.NumClasses = 10;
+  Params.Seed = 21;
+  Program P = soot::generateProgram(Params);
+  AnalysisUniverse AU(P);
+  WholeProgramAnalysis WPA(AU);
+  WPA.run();
+  std::vector<io::NamedRelation> Rels = {{"pt", WPA.PTA.Pt},
+                                         {"fieldpt", WPA.PTA.FieldPt},
+                                         {"cg", WPA.CGB.Cg},
+                                         {"read", WPA.SEA->TotalRead},
+                                         {"write", WPA.SEA->TotalWrite}};
+  std::string Image;
+  ASSERT_TRUE(io::saveCheckpoint(AU.U, Rels, Image, 0).ok());
+
+  io::InspectInfo Info;
+  io::Error E = io::inspectImage(Image, Info);
+  ASSERT_TRUE(E.ok()) << E.toString();
+  EXPECT_EQ(Info.Order, AnalysisUniverse::DefaultOrder);
+  ASSERT_EQ(Info.Relations.size(), Rels.size());
+  for (size_t I = 0; I != Rels.size(); ++I) {
+    EXPECT_EQ(Info.Relations[I].Nodes, Rels[I].Rel.nodeCount())
+        << Rels[I].Name;
+    EXPECT_EQ(Info.Relations[I].Tuples, Rels[I].Rel.sizeExact().toString())
+        << Rels[I].Name;
+  }
 }
 
 TEST(Checkpoint, WarmStartReproducesResultsWithoutRelationalWork) {
@@ -496,7 +532,7 @@ TEST(Checkpoint, ResourceAbortLeavesResumableCheckpoints) {
   bdd::ResourceLimits Limits;
   Limits.MaxNodes = LiveAfterHierarchy + (LiveFinal - LiveAfterHierarchy) / 2;
   {
-    AnalysisUniverse AU(P, bdd::BitOrder::Interleaved, {}, Limits);
+    AnalysisUniverse AU(P, AnalysisUniverse::DefaultOrder, {}, Limits);
     CheckpointedAnalysis Aborted(AU, Dir);
     EXPECT_THROW(Aborted.run(), ResourceExhausted);
 

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bdd/DomainPack.h"
+#include "util/Error.h"
 #include "util/Random.h"
 
 #include <gtest/gtest.h>
@@ -17,29 +18,97 @@ using namespace jedd::bdd;
 
 namespace {
 
+using Blocks = std::vector<std::vector<unsigned>>;
+
 TEST(DomainPack, SequentialLayoutAssignsAdjacentBits) {
-  DomainPack Pack(BitOrder::Sequential);
-  PhysDomId A = Pack.addDomain("A", 3);
-  PhysDomId B = Pack.addDomain("B", 2);
-  Pack.finalize();
-  EXPECT_EQ(Pack.vars(A), (std::vector<unsigned>{0, 1, 2}));
-  EXPECT_EQ(Pack.vars(B), (std::vector<unsigned>{3, 4}));
-  EXPECT_EQ(Pack.manager().numVars(), 5u);
+  // The empty spec (declaration order) and its spelled-out form agree.
+  for (const char *Spec : {"", "A_B"}) {
+    DomainPack Pack(Spec);
+    PhysDomId A = Pack.addDomain("A", 3);
+    PhysDomId B = Pack.addDomain("B", 2);
+    Pack.finalize();
+    EXPECT_EQ(Pack.vars(A), (std::vector<unsigned>{0, 1, 2})) << Spec;
+    EXPECT_EQ(Pack.vars(B), (std::vector<unsigned>{3, 4})) << Spec;
+    EXPECT_EQ(Pack.manager().numVars(), 5u);
+    // One reorder block per domain.
+    EXPECT_EQ(Pack.manager().blocks(), (Blocks{{0, 1, 2}, {3, 4}}));
+  }
 }
 
 TEST(DomainPack, InterleavedLayoutAlignsLowBits) {
-  DomainPack Pack(BitOrder::Interleaved);
+  DomainPack Pack("AxB");
   PhysDomId A = Pack.addDomain("A", 3); // Bits a2 a1 a0 (MSB first).
   PhysDomId B = Pack.addDomain("B", 2);
   Pack.finalize();
   // Round 0: only A (its MSB). Rounds 1,2: A and B.
   EXPECT_EQ(Pack.vars(A), (std::vector<unsigned>{0, 1, 3}));
   EXPECT_EQ(Pack.vars(B), (std::vector<unsigned>{2, 4}));
-  // LSB alignment: the last bit of A and B sit in the same round.
+  // LSB alignment: the last bit of A and B sit in the same round, and
+  // each round is one reorder block.
+  EXPECT_EQ(Pack.manager().blocks(), (Blocks{{0}, {1, 2}, {3, 4}}));
+}
+
+TEST(DomainPack, MixedSpecLaysOutGroupsInSpecOrder) {
+  DomainPack Pack("C_BxA");
+  PhysDomId A = Pack.addDomain("A", 3);
+  PhysDomId B = Pack.addDomain("B", 2);
+  PhysDomId C = Pack.addDomain("C", 2);
+  Pack.finalize();
+  // C's group comes first; then B and A interleave MSB-aligned in spec
+  // order: round 0 only A, rounds 1 and 2 B before A.
+  EXPECT_EQ(Pack.vars(C), (std::vector<unsigned>{0, 1}));
+  EXPECT_EQ(Pack.vars(A), (std::vector<unsigned>{2, 4, 6}));
+  EXPECT_EQ(Pack.vars(B), (std::vector<unsigned>{3, 5}));
+  EXPECT_EQ(Pack.manager().blocks(), (Blocks{{0, 1}, {2}, {3, 4}, {5, 6}}));
+  EXPECT_EQ(Pack.orderGroups(),
+            (std::vector<std::vector<PhysDomId>>{{C}, {B, A}}));
+  // Encodings are layout independent.
+  Bdd Tuple = Pack.encode(A, 5) & Pack.encode(B, 2) & Pack.encode(C, 1);
+  EXPECT_EQ(Pack.manager().nodeCount(Tuple), 7u);
+}
+
+TEST(DomainPack, SpecNamesMayContainSeparators) {
+  DomainPack Pack("Max_1_Ax");
+  PhysDomId Ax = Pack.addDomain("Ax", 1);
+  PhysDomId Max = Pack.addDomain("Max", 1);
+  PhysDomId One = Pack.addDomain("1", 1);
+  Pack.finalize();
+  EXPECT_EQ(Pack.vars(Max), (std::vector<unsigned>{0}));
+  EXPECT_EQ(Pack.vars(One), (std::vector<unsigned>{1}));
+  EXPECT_EQ(Pack.vars(Ax), (std::vector<unsigned>{2}));
+}
+
+/// finalize() must reject \p Spec over domains A and B with a UsageError
+/// whose message contains \p Why, and leave the pack unfinalized.
+void expectBadSpec(const std::string &Spec, const std::string &Why) {
+  DomainPack Pack(Spec);
+  Pack.addDomain("A", 2);
+  Pack.addDomain("B", 2);
+  try {
+    Pack.finalize();
+    ADD_FAILURE() << "spec '" << Spec << "' was accepted";
+  } catch (const UsageError &E) {
+    EXPECT_NE(std::string(E.what()).find(Why), std::string::npos)
+        << E.what();
+  }
+  EXPECT_FALSE(Pack.isFinalized());
+}
+
+TEST(DomainPack, SpecWithUnknownDomainIsRejected) {
+  expectBadSpec("A_B_C", "unknown domain 'C'");
+  expectBadSpec("AxBx", "unknown domain ''");
+}
+
+TEST(DomainPack, SpecNamingADomainTwiceIsRejected) {
+  expectBadSpec("A_BxA", "names domain 'A' twice");
+}
+
+TEST(DomainPack, SpecLeavingOutADomainIsRejected) {
+  expectBadSpec("B", "leaves out domain 'A'");
 }
 
 TEST(DomainPack, EncodeDecodeRoundTrip) {
-  for (BitOrder Order : {BitOrder::Sequential, BitOrder::Interleaved}) {
+  for (const char *Order : {"A_B", "AxB"}) {
     DomainPack Pack(Order);
     PhysDomId A = Pack.addDomain("A", 4);
     PhysDomId B = Pack.addDomain("B", 3);
@@ -65,7 +134,7 @@ TEST(DomainPack, SingleTupleNodeCountEqualsBits) {
   // Paper, Section 3.2.1: "the number of nodes in a BDD for a single
   // tuple always equals the total number of bits in the physical domains
   // used to encode the attributes."
-  DomainPack Pack(BitOrder::Interleaved);
+  DomainPack Pack("AxBxUnused");
   PhysDomId A = Pack.addDomain("A", 5);
   PhysDomId B = Pack.addDomain("B", 7);
   Pack.addDomain("Unused", 4);
@@ -119,7 +188,7 @@ TEST(DomainPack, EqualAcrossWidthsZeroesHighBits) {
 }
 
 TEST(DomainPack, ReplaceMovesValuesBetweenDomains) {
-  for (BitOrder Order : {BitOrder::Sequential, BitOrder::Interleaved}) {
+  for (const char *Order : {"A_B", "AxB"}) {
     DomainPack Pack(Order);
     PhysDomId A = Pack.addDomain("A", 3);
     PhysDomId B = Pack.addDomain("B", 3);
@@ -131,7 +200,7 @@ TEST(DomainPack, ReplaceMovesValuesBetweenDomains) {
 }
 
 TEST(DomainPack, ReplaceSwapsDomains) {
-  for (BitOrder Order : {BitOrder::Sequential, BitOrder::Interleaved}) {
+  for (const char *Order : {"A_B", "AxB"}) {
     DomainPack Pack(Order);
     PhysDomId A = Pack.addDomain("A", 3);
     PhysDomId B = Pack.addDomain("B", 3);
@@ -166,7 +235,7 @@ TEST(DomainPack, ReplaceNarrowingKeepsSmallValues) {
 
 TEST(DomainPack, ReplaceRandomizedRelationRoundTrip) {
   SplitMix64 Rng(2024);
-  DomainPack Pack(BitOrder::Interleaved);
+  DomainPack Pack("AxBxC");
   PhysDomId A = Pack.addDomain("A", 4);
   PhysDomId B = Pack.addDomain("B", 4);
   PhysDomId C = Pack.addDomain("C", 4);

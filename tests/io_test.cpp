@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -74,8 +75,17 @@ Decl randomDecl(SplitMix64 &Rng) {
   return D;
 }
 
-void declare(Universe &U, const Decl &D,
-             bdd::BitOrder Order = bdd::BitOrder::Interleaved,
+/// \p D's physical domains joined by \p Sep in declaration order ("x":
+/// all interleaved) or, with \p Reverse, in reverse order.
+std::string orderOf(const Decl &D, const char *Sep, bool Reverse = false) {
+  std::string Spec;
+  for (size_t I = 0; I != D.PhysDoms.size(); ++I)
+    Spec += (I ? Sep : "") +
+            D.PhysDoms[Reverse ? D.PhysDoms.size() - 1 - I : I].Name;
+  return Spec;
+}
+
+void declare(Universe &U, const Decl &D, const std::string &Order = "",
              bdd::ParallelConfig Par = {}) {
   for (const Decl::Dom &Dom : D.Doms)
     U.addDomain(Dom.Name, Dom.Size);
@@ -122,7 +132,7 @@ std::set<std::vector<uint64_t>> tupleSet(const Relation &R) {
 void expectLoadsEqual(const std::string &Image, const Decl &D,
                       const std::vector<std::set<std::vector<uint64_t>>>
                           &Expected,
-                      bdd::BitOrder Order,
+                      const std::string &Order,
                       bdd::ParallelConfig Par = {}) {
   Universe U;
   declare(U, D, Order, Par);
@@ -262,30 +272,38 @@ TEST(IoRelation, RoundTripAcrossBitOrders) {
   for (uint64_t Seed = 40; Seed <= 45; ++Seed) {
     SplitMix64 Rng(Seed);
     Decl D = randomDecl(Rng);
+    // Interleaved, declaration order ("" spelled out), and a permuted
+    // sequential order — the shape of AnalysisUniverse::DefaultOrder.
+    const std::string Orders[] = {orderOf(D, "x"), "",
+                                  orderOf(D, "_", /*Reverse=*/true)};
+    const std::string Spelled[] = {Orders[0], orderOf(D, "_"), Orders[2]};
+    std::vector<std::unique_ptr<Universe>> Us;
+    Us.push_back(std::make_unique<Universe>());
+    declare(*Us.back(), D, Orders[0]);
+    Relation R = randomRelation(*Us.back(), D, Rng);
+    std::set<std::vector<uint64_t>> Want = tupleSet(R);
 
-    Universe UInter;
-    declare(UInter, D, bdd::BitOrder::Interleaved);
-    Relation R = randomRelation(UInter, D, Rng);
-    std::string Image;
-    ASSERT_TRUE(io::saveRelation(R, Image).ok());
+    // Save under each order and load into the next, round the cycle.
+    for (size_t From = 0; From != std::size(Orders); ++From) {
+      std::string Image;
+      ASSERT_TRUE(io::saveRelation(R, Image).ok());
+      // Inspect rebuilds the saved layout, so it reports the live node
+      // count.
+      io::InspectInfo Info;
+      ASSERT_TRUE(io::inspectImage(Image, Info).ok());
+      EXPECT_EQ(Info.Order, Spelled[From]);
+      ASSERT_EQ(Info.Relations.size(), 1u);
+      EXPECT_EQ(Info.Relations[0].Nodes, R.nodeCount())
+          << "seed " << Seed << ", order '" << Orders[From] << "'";
 
-    // Interleaved image into a sequential universe...
-    Universe USeq;
-    declare(USeq, D, bdd::BitOrder::Sequential);
-    Relation Out;
-    io::Error E = io::loadRelation(USeq, Image, Out);
-    ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
-    EXPECT_EQ(tupleSet(Out), tupleSet(R)) << "seed " << Seed;
-
-    // ... and back again across the opposite boundary.
-    std::string SeqImage;
-    ASSERT_TRUE(io::saveRelation(Out, SeqImage).ok());
-    Universe UBack;
-    declare(UBack, D, bdd::BitOrder::Interleaved);
-    Relation Back;
-    E = io::loadRelation(UBack, SeqImage, Back);
-    ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
-    EXPECT_EQ(tupleSet(Back), tupleSet(R)) << "seed " << Seed;
+      Us.push_back(std::make_unique<Universe>());
+      declare(*Us.back(), D, Orders[(From + 1) % std::size(Orders)]);
+      Relation Out;
+      io::Error E = io::loadRelation(*Us.back(), Image, Out);
+      ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
+      EXPECT_EQ(tupleSet(Out), Want) << "seed " << Seed;
+      R = std::move(Out);
+    }
   }
 }
 
@@ -298,7 +316,7 @@ TEST(IoRelation, RoundTripParallelManagers) {
 
     // Save under the parallel engine, load under the serial one.
     Universe UPar;
-    declare(UPar, D, bdd::BitOrder::Interleaved, Par);
+    declare(UPar, D, orderOf(D, "x"), Par);
     Relation R = randomRelation(UPar, D, Rng);
     std::string Image;
     ASSERT_TRUE(io::saveRelation(R, Image).ok());
@@ -314,7 +332,7 @@ TEST(IoRelation, RoundTripParallelManagers) {
     std::string SerialImage;
     ASSERT_TRUE(io::saveRelation(Out, SerialImage).ok());
     Universe UPar2;
-    declare(UPar2, D, bdd::BitOrder::Interleaved, Par);
+    declare(UPar2, D, orderOf(D, "x"), Par);
     Relation Out2;
     E = io::loadRelation(UPar2, SerialImage, Out2);
     ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
@@ -396,7 +414,7 @@ TEST(IoCheckpoint, SharedDagRoundTrip) {
     // Also across the bit-order and engine boundaries in one go.
     bdd::ParallelConfig Par;
     Par.NumThreads = 2;
-    expectLoadsEqual(Image, D, Want, bdd::BitOrder::Sequential, Par);
+    expectLoadsEqual(Image, D, Want, orderOf(D, "x"), Par);
   }
 }
 
@@ -497,6 +515,7 @@ TEST(IoErrors, MissingAttributeIsTyped) {
 /// checkpoint; regenerate only on a deliberate format-version bump
 /// (see docs/persistence.md).
 void declareGolden(Universe &U) {
+  // The fixture was saved under the interleaved order.
   DomainId Node = U.addDomain("Node", 12);
   DomainId Color = U.addDomain("Color", 3);
   U.addAttribute("src", Node);
@@ -505,7 +524,7 @@ void declareGolden(Universe &U) {
   U.addPhysicalDomain("N1", 4);
   U.addPhysicalDomain("N2", 4);
   U.addPhysicalDomain("C1", 2);
-  U.finalize();
+  U.finalize("N1xN2xC1");
 }
 
 std::vector<NamedRelation> goldenRelations(Universe &U) {
@@ -547,6 +566,28 @@ TEST(IoGolden, FixtureLoadsByteExactly) {
             (std::set<std::vector<uint64_t>>{{0, 0}, {1, 2}}));
   EXPECT_EQ(Loaded[2].Name, "nothing");
   EXPECT_TRUE(Loaded[2].Rel.isEmpty());
+}
+
+TEST(IoGolden, FixtureInspectsWithItsSavedLayout) {
+  std::string Path = std::string(JEDDPP_TESTS_DATA_DIR) + "/golden_v1.jdd";
+  std::string FileBytes;
+  ASSERT_TRUE(readFileToString(Path, FileBytes))
+      << "missing golden fixture " << Path;
+  io::InspectInfo Info;
+  io::Error E = io::inspectImage(FileBytes, Info);
+  ASSERT_TRUE(E.ok()) << E.toString();
+  EXPECT_EQ(Info.Order, "N1xN2xC1");
+  EXPECT_EQ(Info.NumVars, 10u);
+
+  Universe U;
+  declareGolden(U);
+  std::vector<NamedRelation> Live = goldenRelations(U);
+  ASSERT_EQ(Info.Relations.size(), Live.size());
+  for (size_t I = 0; I != Live.size(); ++I) {
+    EXPECT_EQ(Info.Relations[I].Name, Live[I].Name);
+    EXPECT_EQ(Info.Relations[I].Nodes, Live[I].Rel.nodeCount());
+    EXPECT_EQ(Info.Relations[I].Tuples, Live[I].Rel.sizeExact().toString());
+  }
 }
 
 TEST(IoGolden, SerializationReproducesTheFixtureBytes) {

@@ -14,8 +14,15 @@
 ///   jeddanalyze --benchmark NAME    analyze a generated benchmark
 ///   jeddanalyze --generate NAME -o FILE   write a benchmark's facts
 ///   ... [--profile FILE.html] [--trace FILE.json] [--metrics FILE.json]
-///   ... [--sequential] [--checkpoint-dir DIR]
+///   ... [--order SPEC] [--checkpoint-dir DIR]
 ///   ... [--max-nodes N] [--max-mem BYTES] [--time-limit SECONDS]
+///
+/// --order lays out the physical domains V1 V2 V3 O1 O2 T1 T2 T3 SG1 M1
+/// M2 F1 C1 with an order spec in bddbddb syntax (bdd/DomainPack.h): `_`
+/// separates groups laid out one after another, `x` interleaves the
+/// domains of a group, and "" is declaration order. The default is
+/// AnalysisUniverse::DefaultOrder. --sequential is an alias for
+/// --order "".
 ///
 /// With --checkpoint-dir, each analysis stage's relations are saved to
 /// DIR as JDD1 checkpoints; a rerun over the same facts warm-starts from
@@ -46,6 +53,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 using namespace jedd;
@@ -57,11 +65,15 @@ int usage(const char *Argv0) {
                "usage: %s (--facts FILE | --benchmark NAME | "
                "--generate NAME -o FILE)\n"
                "          [--profile FILE.html] [--trace FILE.json]\n"
-               "          [--metrics FILE.json] [--sequential]\n"
+               "          [--metrics FILE.json] [--order SPEC]\n"
                "          [--checkpoint-dir DIR]\n"
                "          [--max-nodes N] [--max-mem BYTES]\n"
-               "          [--time-limit SECONDS]\n",
-               Argv0);
+               "          [--time-limit SECONDS]\n"
+               "  --order SPEC  physical-domain order, default\n"
+               "                %s\n"
+               "                (`_` = next group, `x` = interleave, \"\" =\n"
+               "                declaration order; --sequential = --order \"\")\n",
+               Argv0, analysis::AnalysisUniverse::DefaultOrder);
   return 2;
 }
 
@@ -76,7 +88,7 @@ void onSigInt(int) { CancelRequested.store(true); }
 int main(int argc, char **argv) {
   std::string FactsPath, Benchmark, GenerateName, OutputPath, ProfilePath;
   std::string TracePath, MetricsPath, CheckpointDir;
-  bdd::BitOrder Order = bdd::BitOrder::Interleaved;
+  std::string Order = analysis::AnalysisUniverse::DefaultOrder;
   uint64_t MaxNodes = 0, MaxBytes = 0;
   double TimeLimitSec = 0.0;
 
@@ -104,8 +116,10 @@ int main(int argc, char **argv) {
       MaxBytes = std::strtoull(argv[++I], nullptr, 10);
     else if (Arg == "--time-limit" && I + 1 < argc)
       TimeLimitSec = std::strtod(argv[++I], nullptr);
+    else if (Arg == "--order" && I + 1 < argc)
+      Order = argv[++I];
     else if (Arg == "--sequential")
-      Order = bdd::BitOrder::Sequential;
+      Order.clear();
     else
       return usage(argv[0]);
   }
@@ -165,7 +179,16 @@ int main(int argc, char **argv) {
   Limits.Cancel = &CancelRequested;
   std::signal(SIGINT, onSigInt);
 
-  analysis::AnalysisUniverse AU(Prog, Order, {}, Limits);
+  std::unique_ptr<analysis::AnalysisUniverse> AUPtr;
+  try {
+    AUPtr = std::make_unique<analysis::AnalysisUniverse>(Prog, Order,
+                                                         bdd::ReorderConfig{},
+                                                         Limits);
+  } catch (const UsageError &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 2;
+  }
+  analysis::AnalysisUniverse &AU = *AUPtr;
   prof::Profiler Profiler;
   if (!ProfilePath.empty())
     Profiler.attach();

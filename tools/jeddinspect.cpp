@@ -53,8 +53,8 @@ int inspectOne(const char *Argv0, const std::string &Path, bool Banner) {
   if (Info.ContextHash != 0)
     std::printf("context hash: %016llx\n",
                 (unsigned long long)Info.ContextHash);
-  if (!Info.BitOrder.empty())
-    std::printf("bit order:    %s\n", Info.BitOrder.c_str());
+  if (!Info.Order.empty())
+    std::printf("order:        %s\n", Info.Order.c_str());
   std::printf("variables:    %zu\n", Info.NumVars);
 
   if (!Info.Domains.empty()) {

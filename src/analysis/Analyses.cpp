@@ -193,8 +193,11 @@ bool PointsToAnalysis::solve() {
     Pt |= AssignR.compose(Pt, {AU.Src}, {AU.Src}, JEDD_SITE("pt:copy"))
               .rename(AU.Dst, AU.Src);
 
-    // A points-to view keyed for base lookups: <Src, BaseObj>.
-    Relation PtBase = Pt.rename(AU.Obj, AU.BaseObj);
+    // A points-to view keyed for base lookups: <Src, BaseObj>. BaseObj
+    // sits in O2, where FieldPt keeps it, so pt:load2 need not swap O1/O2.
+    Relation PtBase = Pt.rename(AU.Obj, AU.BaseObj)
+                          .withBindings({{AU.Src, AU.V1}, {AU.BaseObj, AU.O2}},
+                                        JEDD_SITE("pt:base"));
 
     // Stores: fieldPt(baseobj, fld) >= pt(src) for store(src, base, fld),
     // baseobj in pt(base).

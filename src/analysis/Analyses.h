@@ -254,6 +254,8 @@ public:
   std::vector<std::pair<uint64_t, uint64_t>> pointsToPairs();
   double pointsToSize();
 
+  bdd::Manager &manager() { return Pack.manager(); }
+
 private:
   const soot::Program &Prog;
   bdd::DomainPack Pack;

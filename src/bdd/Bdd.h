@@ -229,6 +229,9 @@ struct ManagerStats {
   size_t CacheHits = 0;    ///< Computed-cache hits since creation.
   size_t CacheLookups = 0; ///< Computed-cache probes since creation.
   size_t NodesCreated = 0; ///< makeNode calls that allocated a new node.
+  /// replace() calls whose map inverts the relative order of the moved
+  /// variables, so the result is rebuilt with ITEs instead of relabelled.
+  size_t ReorderingReplaces = 0;
 
   // Parallel-engine counters; all zero / empty for serial managers. The
   // CacheHits/CacheLookups aggregates above include the per-thread caches.
@@ -664,6 +667,7 @@ private:
   // Statistics.
   size_t GcRuns = 0;
   size_t NodesCreated = 0;
+  size_t ReorderingReplaces = 0;
 
   //===--------------------------------------------------------------===//
   // Reordering state (Reorder.cpp)

@@ -529,6 +529,7 @@ ManagerStats Manager::stats() const {
   S.CacheLookups = Cache.lookups();
   S.NodesCreated =
       NodesCreated + NodesCreatedMT.load(std::memory_order_relaxed);
+  S.ReorderingReplaces = ReorderingReplaces;
   S.NumThreads = ParCfg.NumThreads;
   S.ParallelOps = ParallelOpsMT.load(std::memory_order_relaxed);
   S.ReorderRuns = RStats.Runs;
@@ -1030,6 +1031,7 @@ Bdd Manager::replaceImpl(const Bdd &F, const std::vector<int> &Map) {
   // whose targets are free (asserted above); polynomial, unlike the
   // naive conjunction-with-equality encoding, whose transfer BDD is
   // exponential in the block width.
+  ++ReorderingReplaces;
   return Bdd(this, replaceViaIteRec(F.ref(), Map, Tag | 0x80000000u));
 }
 

@@ -194,8 +194,11 @@ TEST(DomainPack, ReplaceMovesValuesBetweenDomains) {
     PhysDomId B = Pack.addDomain("B", 3);
     Pack.finalize();
     Bdd F = Pack.encode(A, 6);
+    size_t Before = Pack.manager().stats().ReorderingReplaces;
     Bdd Moved = Pack.replaceDomains(F, {{A, B}});
     EXPECT_EQ(Moved, Pack.encode(B, 6));
+    // A rename keeps the relative order: relabelled, not rebuilt.
+    EXPECT_EQ(Pack.manager().stats().ReorderingReplaces, Before) << Order;
   }
 }
 
@@ -206,8 +209,11 @@ TEST(DomainPack, ReplaceSwapsDomains) {
     PhysDomId B = Pack.addDomain("B", 3);
     Pack.finalize();
     Bdd F = Pack.encode(A, 2) & Pack.encode(B, 7);
+    size_t Before = Pack.manager().stats().ReorderingReplaces;
     Bdd Swapped = Pack.replaceDomains(F, {{A, B}, {B, A}});
     EXPECT_EQ(Swapped, Pack.encode(A, 7) & Pack.encode(B, 2));
+    // A swap inverts the order of A's and B's bits in either layout.
+    EXPECT_EQ(Pack.manager().stats().ReorderingReplaces, Before + 1) << Order;
   }
 }
 

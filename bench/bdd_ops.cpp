@@ -28,13 +28,11 @@ namespace {
 
 /// A reusable random relation fixture over three interleaved domains.
 struct PackFixture {
-  PackFixture(unsigned Bits, uint64_t Seed, unsigned Tuples,
-              ParallelConfig Par = {})
-      : Rng(Seed) {
+  PackFixture(unsigned Bits, uint64_t Seed, unsigned Tuples) : Rng(Seed) {
     A = Pack.addDomain("A", Bits);
     B = Pack.addDomain("B", Bits);
     C = Pack.addDomain("C", Bits);
-    Pack.finalize(1 << 18, 1 << 18, Par);
+    Pack.finalize(1 << 18, 1 << 18);
     Left = randomRelation(A, B, Tuples);
     Right = randomRelation(B, C, Tuples);
   }
@@ -111,65 +109,6 @@ void BM_SatCount(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SatCount)->Arg(8)->Arg(12)->Arg(16);
-
-//===--------------------------------------------------------------------===//
-// Parallel engine: threads-vs-speedup sweep (docs/parallelism.md)
-//===--------------------------------------------------------------------===//
-// Arg = thread count; compare each row's real time against the /1 row to
-// read the speedup. On a multi-core host the large apply and relProd
-// workloads below reach >=1.5x at 4 threads; on a single-core machine
-// the rows mostly measure the task-pool overhead. Real time (not CPU
-// time of the calling thread) is the honest metric for a fork-join pool,
-// and an explicit gc() between iterations keeps the computed caches cold
-// so every iteration performs the full recursion.
-
-ParallelConfig sweepConfig(int64_t Threads) {
-  ParallelConfig Cfg;
-  Cfg.NumThreads = static_cast<unsigned>(Threads);
-  return Cfg;
-}
-
-void BM_ParallelApplyAnd(benchmark::State &State) {
-  PackFixture F(16, 7, 1500, sweepConfig(State.range(0)));
-  for (auto _ : State) {
-    Bdd R = F.Left & F.Right;
-    benchmark::DoNotOptimize(R.ref());
-    State.PauseTiming();
-    R = Bdd();
-    F.Pack.manager().gc();
-    State.ResumeTiming();
-  }
-}
-BENCHMARK(BM_ParallelApplyAnd)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_ParallelRelProd(benchmark::State &State) {
-  PackFixture F(16, 8, 1500, sweepConfig(State.range(0)));
-  Bdd CubeB = F.Pack.cubeOf({F.B});
-  for (auto _ : State) {
-    Bdd R = F.Pack.manager().relProd(F.Left, F.Right, CubeB);
-    benchmark::DoNotOptimize(R.ref());
-    State.PauseTiming();
-    R = Bdd();
-    F.Pack.manager().gc();
-    State.ResumeTiming();
-  }
-}
-BENCHMARK(BM_ParallelRelProd)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_ParallelExists(benchmark::State &State) {
-  PackFixture F(16, 9, 1500, sweepConfig(State.range(0)));
-  Bdd CubeB = F.Pack.cubeOf({F.B});
-  Bdd Conj = F.Left & F.Right;
-  for (auto _ : State) {
-    Bdd R = F.Pack.manager().exists(Conj, CubeB);
-    benchmark::DoNotOptimize(R.ref());
-    State.PauseTiming();
-    R = Bdd();
-    F.Pack.manager().gc();
-    State.ResumeTiming();
-  }
-}
-BENCHMARK(BM_ParallelExists)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 //===--------------------------------------------------------------------===//
 // Resource governor: bookkeeping overhead and abort/recovery cost

@@ -74,7 +74,7 @@ AnalysisUniverse::AnalysisUniverse(const Program &Prog,
   F1 = U.addPhysicalDomain("F1", BF);
   C1 = U.addPhysicalDomain("C1", BC);
 
-  U.finalize(OrderSpec, 1 << 16, 1 << 18, {}, Reorder);
+  U.finalize(OrderSpec, 1 << 16, 1 << 18, Reorder);
   if (Limits.any())
     U.setResourceLimits(Limits);
 }

@@ -20,11 +20,9 @@
 /// "free as soon as it is safe" guarantee of Section 4.2 without any
 /// programmer involvement.
 ///
-/// Execution: not, apply, ite, exists and relProd are written once
-/// (Kernel.h) and run in one of two execution contexts. Serial managers
-/// use a context with no forks, locks or atomic RMWs; ParallelConfig
-/// selects the multi-core context of ParallelEngine.h, which forks the
-/// top of each recursion onto a task pool (docs/parallelism.md).
+/// Execution: the manager is single-threaded, like BuDDy and CUDD. The
+/// recursions of not, apply, ite, exists and relProd live in Kernel.h.
+/// Distinct managers share no BDD state, so threads may each own one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +38,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,27 +69,12 @@ enum class Op : uint8_t {
 
 class Kernel;
 class Manager;
-class ParallelEngine;
-
-/// Configuration of the multi-core execution mode (docs/parallelism.md).
-/// With NumThreads == 1 the manager is the classic single-threaded package
-/// and produces bit-for-bit the results it always has. With NumThreads > 1
-/// the same kernel recursions (apply, ite, exists, relProd) run in a
-/// parallel execution context: they fork their top cofactor subproblems
-/// into a work-stealing task pool, the unique table becomes a
-/// sharded-lock concurrent hash table, and every participating thread
-/// gets a private computed cache.
-struct ParallelConfig {
-  /// Worker threads (including the calling thread). 0 means "use the
-  /// hardware concurrency"; 1 selects the serial engine.
-  unsigned NumThreads = 1;
-};
 
 /// Configuration of dynamic variable reordering (docs/reordering.md).
 /// Reordering runs Rudell sifting over whole variable *blocks* (physical
-/// domains or interleaved bit groups, see Manager::setBlocks) at the
-/// exclusive points the parallel engine already uses for GC/rehash, so
-/// every DomainPack attribute encoding stays valid without re-encoding.
+/// domains or interleaved bit groups, see Manager::setBlocks) between
+/// operations, where collections run, so every DomainPack attribute
+/// encoding stays valid without re-encoding.
 struct ReorderConfig {
   /// Trigger a sifting pass automatically when the live node count has
   /// grown by GrowthFactor since the last pass (checked right after a
@@ -209,17 +191,6 @@ private:
   NodeRef Ref = FalseRef;
 };
 
-/// Per-thread counters of the parallel engine; one entry per thread that
-/// has participated in a parallel operation (pool workers first, then any
-/// client threads in registration order).
-struct WorkerStats {
-  size_t CacheHits = 0;     ///< Private computed-cache hits.
-  size_t CacheLookups = 0;  ///< Private computed-cache probes.
-  size_t TasksForked = 0;   ///< Tasks this thread pushed to the pool.
-  size_t TasksExecuted = 0; ///< Tasks this thread ran from the pool.
-  size_t TasksStolen = 0;   ///< Executed tasks forked by another thread.
-};
-
 /// Aggregate statistics exposed for tests and the profiler.
 struct ManagerStats {
   size_t Capacity = 0;     ///< Total node slots.
@@ -232,14 +203,6 @@ struct ManagerStats {
   /// replace() calls whose map inverts the relative order of the moved
   /// variables, so the result is rebuilt with ITEs instead of relabelled.
   size_t ReorderingReplaces = 0;
-
-  // Parallel-engine counters; all zero / empty for serial managers. The
-  // CacheHits/CacheLookups aggregates above include the per-thread caches.
-  unsigned NumThreads = 1;          ///< Configured thread count.
-  size_t ParallelOps = 0;           ///< Top-level ops run on the pool.
-  size_t TasksForked = 0;           ///< Total forked tasks.
-  size_t TasksStolen = 0;           ///< Tasks run by a non-forking thread.
-  std::vector<WorkerStats> Workers; ///< Per-thread breakdown.
 
   // Reordering counters; all zero until the first sifting pass.
   size_t ReorderRuns = 0;
@@ -276,18 +239,13 @@ class Manager {
 public:
   /// Creates a manager with \p NumVars client variables. \p InitialNodes
   /// is the starting node-pool capacity and \p CacheSize the computed
-  /// cache size (rounded up to a power of two). \p Par selects the
-  /// execution engine; the default is the classic serial one.
+  /// cache size (rounded up to a power of two).
   explicit Manager(unsigned NumVars, size_t InitialNodes = 1 << 14,
-                   size_t CacheSize = 1 << 16, ParallelConfig Par = {});
+                   size_t CacheSize = 1 << 16);
   ~Manager();
 
   Manager(const Manager &) = delete;
   Manager &operator=(const Manager &) = delete;
-
-  /// True when the manager runs the multi-core engine (NumThreads > 1).
-  bool isParallel() const { return ParMode; }
-  const ParallelConfig &parallelConfig() const { return ParCfg; }
 
   unsigned numVars() const { return NumVars; }
 
@@ -365,7 +323,12 @@ public:
   /// Enumerates all assignments of \p Vars (sorted by level, which must
   /// cover the support of F) that keep F satisfiable. Each callback
   /// receives one bit per entry of \p Vars. Returning false stops the
-  /// enumeration early.
+  /// enumeration early. The callback may call back into this manager
+  /// (CallGraphBuilder::run inserts call edges from inside
+  /// Relation::iterate): a collection in between never frees F's nodes,
+  /// because the caller's handle keeps them referenced. It must not
+  /// reorder, though: a sifting pass (reorder(), or an automatic one
+  /// under ReorderConfig::Auto) rewrites the nodes being walked.
   void enumerate(const Bdd &F, const std::vector<unsigned> &Vars,
                  const std::function<bool(const std::vector<bool> &)> &Fn);
 
@@ -392,13 +355,12 @@ public:
   // Dynamic variable reordering
   //===--------------------------------------------------------------===//
 
-  /// Runs one block-sifting pass now. In parallel mode this takes the
-  /// exclusive operation lock (same exclusion as GC); all outstanding
-  /// Bdd handles stay valid and keep their semantics.
+  /// Runs one block-sifting pass now. All outstanding Bdd handles stay
+  /// valid and keep their semantics.
   void reorder();
 
-  /// Installs the reordering policy. Auto-triggered passes run at the
-  /// same exclusive points collections do.
+  /// Installs the reordering policy. Auto-triggered passes run between
+  /// operations, right after a collection.
   void setReorderConfig(const ReorderConfig &Cfg);
   ReorderConfig reorderConfig() const;
 
@@ -438,8 +400,7 @@ public:
   /// linked exactly once, in the unique-table chain its (Var, Low, High)
   /// hashes to; no two nodes sharing a triple; and a free list exactly
   /// FreeCount long. Returns "" when all hold, else the first violation.
-  /// Always compiled (not an assert); takes the exclusive lock in
-  /// parallel mode, so call it between operations.
+  /// Always compiled (not an assert).
   std::string checkInvariants() const;
 
   //===--------------------------------------------------------------===//
@@ -475,14 +436,14 @@ private:
 
   static constexpr uint32_t VarTerminal = 0xFFFFFFFFu;
   static constexpr uint32_t VarFree = 0xFFFFFFFEu;
+  /// End of a unique-table chain or of the free list.
   static constexpr uint32_t NoNode = 0xFFFFFFFFu;
 
   /// Node storage as fixed-size chunks with stable addresses. Growth
-  /// appends chunks and never moves existing nodes, which is what lets
-  /// parallel workers keep traversing the pool while another thread
-  /// extends it (the chunk-pointer array is pre-reserved, so push_back
-  /// never reallocates). Indexing costs one extra load over a flat
-  /// vector; serial allocation order is unchanged.
+  /// appends chunks and never moves existing nodes, so a recursion may
+  /// hold a Node reference across a makeNode that grows the pool (the
+  /// chunk-pointer array is pre-reserved, so push_back never
+  /// reallocates). Indexing costs one extra load over a flat vector.
   class NodePool {
   public:
     static constexpr unsigned ChunkShift = 12;
@@ -499,8 +460,7 @@ private:
     }
     size_t size() const { return Cap.load(std::memory_order_relaxed); }
     /// Extends capacity to at least \p NewCap (rounded up to a chunk
-    /// multiple). Existing nodes never move. Caller must serialize
-    /// growth (exclusive lock or the free-list lock).
+    /// multiple). Existing nodes never move.
     void growTo(size_t NewCap);
 
   private:
@@ -525,10 +485,8 @@ private:
     std::atomic<size_t> Value{0};
   };
 
-  /// A direct-mapped computed cache keyed by (tag, a, b, c). The manager
-  /// owns one, used by the serial context and every exclusive operation;
-  /// each parallel worker owns a private one. Single-threaded per
-  /// instance.
+  /// A direct-mapped computed cache keyed by (tag, a, b, c), owned by
+  /// the manager and shared by all its operations.
   class ComputedCache {
   public:
     /// At least \p MinEntries entries, rounded up to a power of two.
@@ -619,42 +577,6 @@ private:
 
   ComputedCache Cache;
 
-  //===--------------------------------------------------------------===//
-  // Parallel-mode state (inert for serial managers)
-  //===--------------------------------------------------------------===//
-
-  ParallelConfig ParCfg;
-  bool ParMode = false;
-
-  /// Readers/writer lock over operations: parallelized ops hold it
-  /// shared, everything that mutates global structures (gc, rehash,
-  /// replace, inspection walks...) holds it exclusive. Serial managers
-  /// never touch it.
-  mutable std::shared_mutex OpLock;
-  /// OpLock held exclusive / shared in parallel mode; an empty guard for
-  /// serial managers.
-  std::unique_lock<std::shared_mutex> exclusiveLock() const {
-    std::unique_lock<std::shared_mutex> L(OpLock, std::defer_lock);
-    if (ParMode)
-      L.lock();
-    return L;
-  }
-  std::shared_lock<std::shared_mutex> sharedLock() const {
-    std::shared_lock<std::shared_mutex> L(OpLock, std::defer_lock);
-    if (ParMode)
-      L.lock();
-    return L;
-  }
-
-  /// Guards FreeHead/FreeCount and pool growth in parallel mode.
-  mutable std::mutex FreeLock;
-  /// Relaxed mirror of FreeCount for the pre-lock GC heuristic.
-  std::atomic<size_t> FreeApprox{0};
-  /// Nodes created by the concurrent makeNode path.
-  std::atomic<size_t> NodesCreatedMT{0};
-  /// Top-level operations executed by the parallel engine.
-  std::atomic<size_t> ParallelOpsMT{0};
-
   std::vector<uint8_t> Marks; ///< GC mark bits, one byte per node.
 
   // Reusable visited-set for the inspection walks (nodeCount, support,
@@ -679,9 +601,8 @@ private:
   /// trigger fires when live nodes exceed Baseline * GrowthFactor.
   size_t ReorderBaseline;
   /// Precomputed live-node threshold arming the automatic trigger, or
-  /// SIZE_MAX when Auto is off. Atomic so the parallel pre-lock
-  /// heuristic (maybeGcShared) can read it without the OpLock.
-  std::atomic<size_t> ReorderTrigger{~size_t(0)};
+  /// SIZE_MAX when Auto is off.
+  size_t ReorderTrigger = ~size_t(0);
   bool InReorder = false;
   /// Sifting units as declared by setBlocks (client variable sets).
   std::vector<std::vector<unsigned>> Blocks;
@@ -704,17 +625,10 @@ private:
                             unsigned WidthY);
 
   /// Registry assigning each distinct replace() map a stable cache-tag
-  /// id. Owned by the manager (not thread-local, not global): tags index
-  /// this manager's computed cache, so two managers — or two threads —
-  /// must never derive the same tag from different maps.
+  /// id. Owned by the manager (not global): tags index this manager's
+  /// computed cache, so two managers must never derive the same tag from
+  /// different maps.
   std::map<std::vector<int>, uint32_t> ReplaceMapIds;
-  std::mutex ReplaceMapLock;
-
-#ifndef NDEBUG
-  /// True when the manager's cache and every per-thread cache hold no
-  /// valid entry; asserted after collections and reorders.
-  bool cachesEmptyImpl() const;
-#endif
 
   uint32_t varOf(NodeRef N) const { return Nodes[N].Var; }
   bool isTerminal(NodeRef N) const { return N <= TrueRef; }
@@ -724,31 +638,21 @@ private:
   void rehash();
   void markRec(NodeRef N);
 
-  // Unlocked cores of the public entry points. In serial mode the public
-  // functions call these directly; in parallel mode they wrap them in the
-  // appropriate OpLock scope. Internal code must always call the Impl
-  // form, never the locking public one (the lock is not reentrant).
+  // Cores of the public entry points, without their governor wrapping
+  // and span bookkeeping. Internal code calls these.
   void gcImpl();
   void gcIfNeededImpl();
-  size_t liveNodeCountImpl();
   std::vector<unsigned> supportImpl(NodeRef Root) const;
   Bdd replaceImpl(const Bdd &F, const std::vector<int> &Map);
 
-  /// Pre-lock GC policy for parallelized ops: when the free ratio looks
-  /// low, take the exclusive lock and collect before starting.
-  void maybeGcShared();
-
-  /// Runs an operation that needs the exclusive lock (every operation in
-  /// serial mode): lock, between-operations GC check, \p Body, with
-  /// governor recovery on abort.
-  template <typename Fn> auto exclusiveOp(Fn &&Body);
-  /// Runs one kernel recursion as a public operation: \p Rec gets the
-  /// serial context, or in parallel mode the calling thread's worker
-  /// context under the shared lock (the abort sentinel becomes the typed
-  /// error). Records the result-side span arguments.
+  /// Runs a public operation: between-operations GC check, then \p Body,
+  /// with governor recovery on abort.
+  template <typename Fn> auto runOp(Fn &&Body);
+  /// Runs one kernel recursion as a public operation and records the
+  /// result-side span arguments.
   template <typename Fn> Bdd kernelOp(obs::SpanGuard &Span, Fn &&Rec);
 
-  // Recursive cores of the exclusive operations; the kernel (Kernel.h)
+  // Recursive cores of the remaining operations; the kernel (Kernel.h)
   // holds the apply-family ones. These work on raw NodeRefs; intermediate
   // results are protected by the no-GC-during-operations discipline.
   NodeRef replaceRec(NodeRef F, const std::vector<int> &FullMap,
@@ -781,17 +685,12 @@ private:
   bool GovEnabled = false;
   /// Absolute deadline derived from TimeLimitMicros at install time.
   std::chrono::steady_clock::time_point GovDeadlineAt{};
-  /// Pending abort: 0 = none, else ResourceExhausted::Kind + 1. Serial
-  /// code throws directly; parallel workers set this and propagate the
-  /// NoNode sentinel outward — they must never throw across the
-  /// fork/join machinery.
-  std::atomic<uint32_t> GovAbort{0};
-  std::atomic<size_t> GovNodesPeak{0};
-  std::atomic<size_t> GovBytesPeak{0};
-  std::atomic<size_t> GovAborts{0};
-  std::atomic<size_t> GovRecoveries{0};
-  std::atomic<size_t> GovEscalations{0};
-  /// Serial poll divider: deadline/cancel are only consulted every
+  size_t GovNodesPeak = 0;
+  size_t GovBytesPeak = 0;
+  size_t GovAborts = 0;
+  size_t GovRecoveries = 0;
+  size_t GovEscalations = 0;
+  /// Poll divider: deadline/cancel are only consulted every
   /// GovTickMask + 1 node creations.
   uint32_t GovTick = 0;
   static constexpr uint32_t GovTickMask = 1023;
@@ -801,37 +700,31 @@ private:
   // Fault injection (JEDDPP_FAULT_INJECT / setFaultInjection).
   uint64_t FaultSeed = 0;
   uint32_t FaultRate = 0;
-  std::atomic<uint64_t> FaultCounter{0};
+  uint64_t FaultCounter = 0;
 
   size_t usedNodesImpl() const { return Nodes.size() - FreeCount; }
   size_t heapBytesApprox() const;
   /// Records usage peaks; returns the byte figure it computed.
   size_t notePeaks();
   bool faultRoll();
-  /// Builds the typed error for a pending abort kind (Kind + 1 encoding).
-  [[noreturn]] void throwResource(uint32_t KindPlus1);
-  /// Deadline / cancellation / forced-fault trips plus pending parallel
-  /// aborts. Lock-free; throws ResourceExhausted. Safe from a client
-  /// thread before it takes the shared operation lock.
+  /// Builds and throws the typed error of kind \p Kind.
+  [[noreturn]] void throwResource(ResourceExhausted::Kind Kind);
+  /// The cancellation or deadline condition that has tripped, if any.
+  /// Both persist once tripped, which is what lets a truncated reorder
+  /// pass leave the throw to the next operation boundary.
+  std::optional<ResourceExhausted::Kind> governorExpired() const;
+  /// Deadline / cancellation / forced-fault trips. Throws
+  /// ResourceExhausted.
   void governorBoundary();
   /// Escalation ladder + boundary checks at operation entry (called from
-  /// gcIfNeededImpl under serial/exclusive conditions): flush caches →
-  /// GC → forced reorder, then the boundary trips. Throws.
+  /// gcIfNeededImpl): flush caches → GC → forced reorder, then the
+  /// boundary trips. Throws.
   void governorPreOp();
-  /// Serial allocation-level check (ceilings plus periodic deadline /
-  /// cancel poll). Throws; no-op while reordering.
+  /// Allocation-level check (ceilings plus periodic deadline / cancel
+  /// poll). Throws; no-op while reordering.
   void governorCheckAlloc();
-  /// Parallel-side checks; set GovAbort instead of throwing. The alloc
-  /// variant runs under FreeLock in refillLocalFree, the poll variant in
-  /// worker recursions.
-  void govCheckAllocMT() noexcept;
-  void govPollMT() noexcept;
-  bool govAborted() const {
-    return GovAbort.load(std::memory_order_relaxed) != 0;
-  }
-  void govRequestAbort(ResourceExhausted::Kind K) noexcept;
-  /// Post-abort recovery: GC + cache flush under the exclusive lock,
-  /// emits resource.abort/resource.recovery spans, clears GovAbort.
+  /// Post-abort recovery: GC + cache flush, emits
+  /// resource.abort/resource.recovery spans.
   void recoverAfterAbort(const ResourceExhausted &E);
   /// Wraps a public operation body: on ResourceExhausted, recover the
   /// manager to a clean, observably pre-op state, then rethrow.
@@ -844,14 +737,8 @@ private:
     }
   }
 
-  /// The multi-core engine (task pool, worker contexts, concurrent
-  /// makeNode). Declared last so it is destroyed first: workers must
-  /// stop before the pool and tables go away.
-  std::unique_ptr<ParallelEngine> Par;
-
   friend class Bdd;
   friend class Kernel;
-  friend class ParallelEngine;
 };
 
 inline Bdd Bdd::operator&(const Bdd &Other) const {

@@ -7,7 +7,6 @@
 
 #include "bdd/Bdd.h"
 #include "bdd/Kernel.h"
-#include "bdd/ParallelEngine.h"
 #include "obs/Obs.h"
 #include "util/StringUtils.h"
 
@@ -21,44 +20,6 @@ using namespace jedd;
 using namespace jedd::bdd;
 
 namespace {
-
-/// Saturating reference-count access. In parallel mode handle copies and
-/// destructions happen on client threads outside the operation lock, so
-/// the count is accessed atomically; serial managers keep the plain
-/// non-atomic fast path.
-inline void refAdd(uint32_t &Count, bool Atomic) {
-  if (Atomic) {
-    std::atomic_ref<uint32_t> R(Count);
-    if (R.load(std::memory_order_relaxed) != 0xFFFFFFFFu)
-      R.fetch_add(1, std::memory_order_relaxed);
-  } else if (Count != 0xFFFFFFFFu) {
-    ++Count;
-  }
-}
-
-inline void refSub(uint32_t &Count, bool Atomic) {
-  if (Atomic) {
-    std::atomic_ref<uint32_t> R(Count);
-    assert(R.load(std::memory_order_relaxed) > 0 &&
-           "reference count underflow");
-    // Release pairs with the acquire load in the GC mark phase: a slot
-    // may only be swept (and its memory reused) after the drop of its
-    // last handle is visible, which is the classic refcount protocol.
-    if (R.load(std::memory_order_relaxed) != 0xFFFFFFFFu)
-      R.fetch_sub(1, std::memory_order_release);
-  } else {
-    assert(Count > 0 && "reference count underflow");
-    if (Count != 0xFFFFFFFFu)
-      --Count;
-  }
-}
-
-inline uint32_t refLoad(const uint32_t &Count, bool Atomic) {
-  if (Atomic)
-    return std::atomic_ref<const uint32_t>(Count).load(
-        std::memory_order_acquire);
-  return Count;
-}
 
 /// Static span names for apply()'s operators (obs span names must
 /// outlive the event).
@@ -168,10 +129,9 @@ bool Manager::ComputedCache::empty() const {
                      [](const Entry &E) { return E.Tag == InvalidTag; });
 }
 
-Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize,
-                 ParallelConfig ParArg)
+Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize)
     : NumVars(NumVars), TotalVars(2 * NumVars),
-      Cache(std::max<size_t>(CacheSize, 1024)), ParCfg(ParArg) {
+      Cache(std::max<size_t>(CacheSize, 1024)) {
   assert(NumVars > 0 && "a manager needs at least one variable");
   size_t Capacity =
       std::max<size_t>(roundUpPow2(InitialNodes), NodePool::ChunkSize);
@@ -202,11 +162,6 @@ Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize,
     VarToLevel[V] = LevelToVar[V] = V;
   ReorderBaseline = RCfg.MinNodes;
 
-  if (ParCfg.NumThreads == 0)
-    ParCfg.NumThreads = std::max(1u, std::thread::hardware_concurrency());
-  ParMode = ParCfg.NumThreads > 1;
-  FreeApprox.store(FreeCount, std::memory_order_relaxed);
-
   // Fault injection from the environment: "RATE" or "RATE:SEED" (one in
   // RATE governor checkpoints trips). The API (setFaultInjection) takes
   // precedence when called later.
@@ -220,9 +175,6 @@ Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize,
       GovEnabled = true;
     }
   }
-
-  if (ParMode)
-    Par = std::make_unique<ParallelEngine>(*this, ParCfg, CacheSize);
 }
 
 Manager::~Manager() = default;
@@ -267,11 +219,9 @@ void Manager::growPool() {
   if (GovEnabled && !InReorder) {
     size_t Bytes = notePeaks();
     if (Limits.MaxBytes && Bytes >= Limits.MaxBytes)
-      throwResource(
-          static_cast<uint32_t>(ResourceExhausted::Kind::Bytes) + 1);
+      throwResource(ResourceExhausted::Kind::Bytes);
     if (FaultRate && faultRoll())
-      throwResource(
-          static_cast<uint32_t>(ResourceExhausted::Kind::AllocFailed) + 1);
+      throwResource(ResourceExhausted::Kind::AllocFailed);
   }
   size_t OldCapacity = Nodes.size();
   size_t NewCapacity = OldCapacity * 2;
@@ -282,8 +232,7 @@ void Manager::growPool() {
     // The pool/mark vectors are still consistent (growth appends only);
     // the recovery GC run by governed() reclaims whatever the aborted
     // operation allocated so far.
-    throwResource(
-        static_cast<uint32_t>(ResourceExhausted::Kind::AllocFailed) + 1);
+    throwResource(ResourceExhausted::Kind::AllocFailed);
   }
   for (size_t I = NewCapacity; I-- > OldCapacity;) {
     Nodes[I].Var = VarFree;
@@ -291,7 +240,6 @@ void Manager::growPool() {
     FreeHead = static_cast<uint32_t>(I);
     ++FreeCount;
   }
-  FreeApprox.store(FreeCount, std::memory_order_relaxed);
   // During a sifting swap a node may be transiently out of its bucket;
   // rehashing would re-link it by its stale fields and cross-link the
   // chains. Reordering rehashes at its own collection points instead.
@@ -306,8 +254,7 @@ void Manager::rehash() {
     // assign allocates before mutating, so the old bucket array is
     // intact; long chains are a performance problem, not a correctness
     // one. Surface the failure as a governor abort.
-    throwResource(
-        static_cast<uint32_t>(ResourceExhausted::Kind::AllocFailed) + 1);
+    throwResource(ResourceExhausted::Kind::AllocFailed);
   }
   for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N) {
     Node &Nd = Nodes[N];
@@ -330,18 +277,12 @@ void Manager::markRec(NodeRef N) {
 void Manager::gcImpl() {
   obs::SpanGuard Span(obs::Cat::Gc, "collect");
   size_t FreeBefore = FreeCount;
-  // Concurrent growth may have outpaced Marks; GC runs at exclusive
-  // points, so resizing here is safe.
+  // A growPool whose mark-vector resize failed leaves Marks short.
   if (Marks.size() < Nodes.size())
     Marks.resize(Nodes.size(), 0);
-  // Parallel workers hold privately cached free nodes and computed-cache
-  // entries referring to nodes about to be swept; drop both first.
-  if (Par)
-    Par->onGc();
-
   std::fill(Marks.begin(), Marks.end(), 0);
   for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
-    if (Nodes[N].Var < VarFree && refLoad(Nodes[N].RefCount, ParMode) > 0)
+    if (Nodes[N].Var < VarFree && Nodes[N].RefCount > 0)
       markRec(N);
 
   FreeHead = NoNode;
@@ -360,7 +301,6 @@ void Manager::gcImpl() {
   }
   rehash();
   Cache.clear();
-  FreeApprox.store(FreeCount, std::memory_order_relaxed);
   ++GcRuns;
   if (Span.active()) {
     Span.arg("capacity", Nodes.size());
@@ -370,13 +310,10 @@ void Manager::gcImpl() {
     T.counterAdd("gc.runs");
     T.histRecord("gc.freed_nodes", FreeCount - FreeBefore);
   }
-  assert(cachesEmptyImpl() &&
-         "computed caches must be empty after a collection");
+  assert(Cache.empty() && "computed cache must be empty after a collection");
 }
 
 void Manager::gcIfNeededImpl() {
-  if (ParMode && Nodes.size() > 2 * Buckets.size())
-    rehash(); // Deferred from concurrent pool growth.
   if (FreeCount * 8 < Nodes.size()) {
     gcImpl();
     // The automatic reorder trigger is evaluated only right after a
@@ -390,56 +327,38 @@ void Manager::gcIfNeededImpl() {
     governorPreOp();
 }
 
-void Manager::maybeGcShared() {
-  if (GovEnabled)
-    governorBoundary(); // Lock-free trips, before taking any lock.
-  size_t FreeA = FreeApprox.load(std::memory_order_relaxed);
-  size_t Cap = Nodes.size();
-  size_t LiveA = Cap > FreeA + 2 ? Cap - FreeA - 2 : 0;
-  bool WantGc = FreeA * 8 < Cap;
-  bool WantReorder = LiveA >= ReorderTrigger.load(std::memory_order_relaxed);
-  // Node pressure against the governor ceiling also warrants an
-  // exclusive stop: the escalation ladder (GC, forced reorder) can only
-  // run there.
-  bool WantGov = GovEnabled && Limits.MaxNodes &&
-                 (Cap - FreeA) * 8 >= Limits.MaxNodes * 7;
-  if (!WantGc && !WantReorder && !WantGov)
-    return;
-  std::unique_lock<std::shared_mutex> Lock(OpLock);
-  gcIfNeededImpl(); // Rechecks under the lock; runs a due reorder too.
-  if (reorderDueImpl())
-    reorderImpl(/*Force=*/false);
-}
-
 void Manager::gc() {
-  governed([&] {
-    auto Lock = exclusiveLock();
-    gcImpl();
-  });
+  governed([&] { gcImpl(); });
 }
 
 void Manager::gcIfNeeded() {
-  governed([&] {
-    auto Lock = exclusiveLock();
-    gcIfNeededImpl();
-  });
+  governed([&] { gcIfNeededImpl(); });
 }
 
-void Manager::incRef(NodeRef Ref) { refAdd(Nodes[Ref].RefCount, ParMode); }
-
-void Manager::decRef(NodeRef Ref) { refSub(Nodes[Ref].RefCount, ParMode); }
-
-uint32_t Manager::refCount(NodeRef Ref) const {
-  return refLoad(Nodes[Ref].RefCount, ParMode);
+// Saturating reference counts: a count that reaches the maximum sticks
+// there, keeping its node alive for the manager's lifetime.
+void Manager::incRef(NodeRef Ref) {
+  uint32_t &Count = Nodes[Ref].RefCount;
+  if (Count != 0xFFFFFFFFu)
+    ++Count;
 }
 
-size_t Manager::liveNodeCountImpl() {
+void Manager::decRef(NodeRef Ref) {
+  uint32_t &Count = Nodes[Ref].RefCount;
+  assert(Count > 0 && "reference count underflow");
+  if (Count != 0xFFFFFFFFu)
+    --Count;
+}
+
+uint32_t Manager::refCount(NodeRef Ref) const { return Nodes[Ref].RefCount; }
+
+size_t Manager::liveNodeCount() {
   if (Marks.size() < Nodes.size())
     Marks.resize(Nodes.size(), 0);
   std::fill(Marks.begin(), Marks.end(), 0);
   size_t Live = 0;
   for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
-    if (Nodes[N].Var < VarFree && refLoad(Nodes[N].RefCount, ParMode) > 0)
+    if (Nodes[N].Var < VarFree && Nodes[N].RefCount > 0)
       markRec(N);
   for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
     if (Nodes[N].Var < VarFree && Marks[N])
@@ -447,17 +366,11 @@ size_t Manager::liveNodeCountImpl() {
   return Live;
 }
 
-size_t Manager::liveNodeCount() {
-  auto Lock = exclusiveLock();
-  return liveNodeCountImpl();
-}
-
 std::string Manager::checkInvariants() const {
-  auto Lock = exclusiveLock();
   const uint32_t Size = static_cast<uint32_t>(Nodes.size());
   for (NodeRef T : {FalseRef, TrueRef})
     if (Nodes[T].Var != VarTerminal || Nodes[T].Low != T ||
-        Nodes[T].High != T || refLoad(Nodes[T].RefCount, ParMode) == 0)
+        Nodes[T].High != T || Nodes[T].RefCount == 0)
       return strFormat("terminal %u is corrupted", T);
 
   for (uint32_t N = 2; N != Size; ++N) {
@@ -513,25 +426,15 @@ std::string Manager::checkInvariants() const {
 }
 
 ManagerStats Manager::stats() const {
-  // Shared lock in parallel mode: consistent against GC/rehash but
-  // callable while operations are in flight (counters are then
-  // approximate).
-  auto Lock = sharedLock();
   ManagerStats S;
-  {
-    std::lock_guard<std::mutex> FL(FreeLock);
-    S.Capacity = Nodes.size();
-    S.FreeNodes = FreeCount;
-  }
+  S.Capacity = Nodes.size();
+  S.FreeNodes = FreeCount;
   S.LiveNodes = S.Capacity - S.FreeNodes - 2;
   S.GcRuns = GcRuns;
   S.CacheHits = Cache.hits();
   S.CacheLookups = Cache.lookups();
-  S.NodesCreated =
-      NodesCreated + NodesCreatedMT.load(std::memory_order_relaxed);
+  S.NodesCreated = NodesCreated;
   S.ReorderingReplaces = ReorderingReplaces;
-  S.NumThreads = ParCfg.NumThreads;
-  S.ParallelOps = ParallelOpsMT.load(std::memory_order_relaxed);
   S.ReorderRuns = RStats.Runs;
   S.ReorderSwaps = RStats.Swaps;
   S.ReorderBlockMoves = RStats.BlockMoves;
@@ -540,13 +443,11 @@ ManagerStats Manager::stats() const {
   S.ReorderMicros = RStats.Micros;
   S.LimitMaxNodes = Limits.MaxNodes;
   S.LimitMaxBytes = Limits.MaxBytes;
-  S.NodesPeak = GovNodesPeak.load(std::memory_order_relaxed);
-  S.BytesPeak = GovBytesPeak.load(std::memory_order_relaxed);
-  S.ResourceAborts = GovAborts.load(std::memory_order_relaxed);
-  S.ResourceRecoveries = GovRecoveries.load(std::memory_order_relaxed);
-  S.ResourceEscalations = GovEscalations.load(std::memory_order_relaxed);
-  if (Par)
-    Par->collectStats(S);
+  S.NodesPeak = GovNodesPeak;
+  S.BytesPeak = GovBytesPeak;
+  S.ResourceAborts = GovAborts;
+  S.ResourceRecoveries = GovRecoveries;
+  S.ResourceEscalations = GovEscalations;
   return S;
 }
 
@@ -555,56 +456,41 @@ ManagerStats Manager::stats() const {
 //===----------------------------------------------------------------------===//
 
 void Manager::setResourceLimits(const ResourceLimits &L) {
-  auto Lock = exclusiveLock();
   Limits = L;
   GovDeadlineAt = L.TimeLimitMicros
                       ? std::chrono::steady_clock::now() +
                             std::chrono::microseconds(L.TimeLimitMicros)
                       : std::chrono::steady_clock::time_point{};
   GovEnabled = Limits.any() || FaultRate != 0;
-  GovAbort.store(0, std::memory_order_relaxed);
 }
 
-ResourceLimits Manager::resourceLimits() const {
-  auto Lock = sharedLock();
-  return Limits;
-}
+ResourceLimits Manager::resourceLimits() const { return Limits; }
 
 void Manager::setFaultInjection(uint64_t Seed, uint32_t Rate) {
-  auto Lock = exclusiveLock();
   FaultSeed = Seed;
   FaultRate = Rate;
-  FaultCounter.store(0, std::memory_order_relaxed);
+  FaultCounter = 0;
   GovEnabled = Limits.any() || FaultRate != 0;
 }
 
 size_t Manager::heapBytesApprox() const {
-  // The manager-core footprint; per-thread caches of the parallel engine
-  // are sized once at construction and excluded.
   return Nodes.size() * sizeof(Node) + Buckets.capacity() * sizeof(uint32_t) +
          Cache.bytes() + Marks.capacity() +
          Stamps.capacity() * sizeof(uint32_t);
 }
 
 size_t Manager::notePeaks() {
-  auto Raise = [](std::atomic<size_t> &Peak, size_t Value) {
-    size_t Prev = Peak.load(std::memory_order_relaxed);
-    while (Prev < Value &&
-           !Peak.compare_exchange_weak(Prev, Value, std::memory_order_relaxed))
-      ;
-  };
-  Raise(GovNodesPeak, usedNodesImpl());
+  GovNodesPeak = std::max(GovNodesPeak, usedNodesImpl());
   size_t Bytes = heapBytesApprox();
-  Raise(GovBytesPeak, Bytes);
+  GovBytesPeak = std::max(GovBytesPeak, Bytes);
   return Bytes;
 }
 
 bool Manager::faultRoll() {
-  // splitmix64 finalizer over a shared checkpoint counter: deterministic
-  // for a fixed seed and checkpoint sequence, uniform enough for a
-  // 1-in-Rate trip probability.
-  uint64_t N =
-      FaultCounter.fetch_add(1, std::memory_order_relaxed) + FaultSeed;
+  // splitmix64 finalizer over a checkpoint counter: deterministic for a
+  // fixed seed and checkpoint sequence, uniform enough for a 1-in-Rate
+  // trip probability.
+  uint64_t N = FaultCounter++ + FaultSeed;
   N ^= N >> 30;
   N *= 0xbf58476d1ce4e5b9ULL;
   N ^= N >> 27;
@@ -613,11 +499,10 @@ bool Manager::faultRoll() {
   return N % FaultRate == 0;
 }
 
-void Manager::throwResource(uint32_t KindPlus1) {
+void Manager::throwResource(ResourceExhausted::Kind Kind) {
   using K = ResourceExhausted::Kind;
-  K Kind = KindPlus1 ? static_cast<K>(KindPlus1 - 1) : K::AllocFailed;
-  size_t NP = GovNodesPeak.load(std::memory_order_relaxed);
-  size_t BP = GovBytesPeak.load(std::memory_order_relaxed);
+  size_t NP = GovNodesPeak;
+  size_t BP = GovBytesPeak;
   std::string Msg = "BDD resource limit tripped: ";
   Msg += resourceKindName(Kind);
   if (Kind == K::Nodes)
@@ -629,29 +514,22 @@ void Manager::throwResource(uint32_t KindPlus1) {
   throw ResourceExhausted(Kind, Msg, NP, BP);
 }
 
-void Manager::govRequestAbort(ResourceExhausted::Kind K) noexcept {
-  uint32_t Expected = 0;
-  GovAbort.compare_exchange_strong(Expected, static_cast<uint32_t>(K) + 1,
-                                   std::memory_order_relaxed);
+std::optional<ResourceExhausted::Kind> Manager::governorExpired() const {
+  if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))
+    return ResourceExhausted::Kind::Cancelled;
+  if (Limits.TimeLimitMicros &&
+      std::chrono::steady_clock::now() >= GovDeadlineAt)
+    return ResourceExhausted::Kind::Deadline;
+  return std::nullopt;
 }
 
 void Manager::governorBoundary() {
   if (!GovEnabled || InReorder)
     return;
-  // A leftover abort (set by a parallel worker, or by a truncated
-  // reorder pass) trips the next operation that reaches a boundary.
-  if (uint32_t Pending = GovAbort.load(std::memory_order_acquire))
-    throwResource(Pending);
-  if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))
-    throwResource(static_cast<uint32_t>(ResourceExhausted::Kind::Cancelled) +
-                  1);
-  if (Limits.TimeLimitMicros &&
-      std::chrono::steady_clock::now() >= GovDeadlineAt)
-    throwResource(static_cast<uint32_t>(ResourceExhausted::Kind::Deadline) +
-                  1);
+  if (auto Kind = governorExpired())
+    throwResource(*Kind);
   if (FaultRate && faultRoll())
-    throwResource(
-        static_cast<uint32_t>(ResourceExhausted::Kind::FaultInjected) + 1);
+    throwResource(ResourceExhausted::Kind::FaultInjected);
 }
 
 void Manager::governorPreOp() {
@@ -663,7 +541,7 @@ void Manager::governorPreOp() {
   if (Limits.MaxNodes) {
     size_t Used = usedNodesImpl();
     if (Used * 8 >= Limits.MaxNodes * 7 && !GovReorderEscalated) {
-      GovEscalations.fetch_add(1, std::memory_order_relaxed);
+      ++GovEscalations;
       gcImpl();
       Used = usedNodesImpl();
       if (Used * 8 >= Limits.MaxNodes * 7) {
@@ -683,56 +561,20 @@ void Manager::governorCheckAlloc() {
   notePeaks();
   size_t Used = usedNodesImpl();
   if (Limits.MaxNodes && Used >= Limits.MaxNodes)
-    throwResource(static_cast<uint32_t>(ResourceExhausted::Kind::Nodes) + 1);
+    throwResource(ResourceExhausted::Kind::Nodes);
   if (FaultRate && faultRoll())
-    throwResource(
-        static_cast<uint32_t>(ResourceExhausted::Kind::AllocFailed) + 1);
+    throwResource(ResourceExhausted::Kind::AllocFailed);
   if ((++GovTick & GovTickMask) == 0) {
     size_t Bytes = heapBytesApprox();
     if (Limits.MaxBytes && Bytes >= Limits.MaxBytes)
-      throwResource(static_cast<uint32_t>(ResourceExhausted::Kind::Bytes) +
-                    1);
-    if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))
-      throwResource(
-          static_cast<uint32_t>(ResourceExhausted::Kind::Cancelled) + 1);
-    if (Limits.TimeLimitMicros &&
-        std::chrono::steady_clock::now() >= GovDeadlineAt)
-      throwResource(static_cast<uint32_t>(ResourceExhausted::Kind::Deadline) +
-                    1);
+      throwResource(ResourceExhausted::Kind::Bytes);
+    if (auto Kind = governorExpired())
+      throwResource(*Kind);
   }
 }
 
-void Manager::govCheckAllocMT() noexcept {
-  // Called under FreeLock from the parallel refill path; must not throw —
-  // the abort flag propagates as NoNode through the recursions instead.
-  if (!GovEnabled || InReorder)
-    return;
-  notePeaks();
-  if (Limits.MaxNodes && usedNodesImpl() >= Limits.MaxNodes)
-    govRequestAbort(ResourceExhausted::Kind::Nodes);
-  if (Limits.MaxBytes && heapBytesApprox() >= Limits.MaxBytes)
-    govRequestAbort(ResourceExhausted::Kind::Bytes);
-  if (FaultRate && faultRoll())
-    govRequestAbort(ResourceExhausted::Kind::AllocFailed);
-}
-
-void Manager::govPollMT() noexcept {
-  if (!GovEnabled)
-    return;
-  if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))
-    govRequestAbort(ResourceExhausted::Kind::Cancelled);
-  if (Limits.TimeLimitMicros &&
-      std::chrono::steady_clock::now() >= GovDeadlineAt)
-    govRequestAbort(ResourceExhausted::Kind::Deadline);
-}
-
 void Manager::recoverAfterAbort(const ResourceExhausted &E) {
-  // The throwing path released every lock during unwinding, so the
-  // exclusive lock is free to take here. Concurrent parallel operations
-  // observe the abort flag, finish quickly with the NoNode sentinel and
-  // release their shared locks.
-  auto Lock = exclusiveLock();
-  GovAborts.fetch_add(1, std::memory_order_relaxed);
+  ++GovAborts;
   {
     obs::SpanGuard Span(obs::Cat::Resource, "abort");
     if (Span.active()) {
@@ -752,23 +594,19 @@ void Manager::recoverAfterAbort(const ResourceExhausted &E) {
       Span.arg("live_nodes", Nodes.size() - FreeCount - 2);
       obs::Tracer &T = obs::Tracer::instance();
       T.counterAdd("resource.aborts");
-      T.counterMax("resource.nodes_peak",
-                   GovNodesPeak.load(std::memory_order_relaxed));
-      T.counterMax("resource.bytes_peak",
-                   GovBytesPeak.load(std::memory_order_relaxed));
+      T.counterMax("resource.nodes_peak", GovNodesPeak);
+      T.counterMax("resource.bytes_peak", GovBytesPeak);
     }
   }
-  GovAbort.store(0, std::memory_order_release);
-  GovRecoveries.fetch_add(1, std::memory_order_relaxed);
+  ++GovRecoveries;
 }
 
 //===----------------------------------------------------------------------===//
 // Operation entry points
 //===----------------------------------------------------------------------===//
 
-template <typename Fn> auto Manager::exclusiveOp(Fn &&Body) {
+template <typename Fn> auto Manager::runOp(Fn &&Body) {
   return governed([&] {
-    auto Lock = exclusiveLock();
     gcIfNeededImpl();
     return Body();
   });
@@ -776,31 +614,14 @@ template <typename Fn> auto Manager::exclusiveOp(Fn &&Body) {
 
 template <typename Fn> Bdd Manager::kernelOp(obs::SpanGuard &Span, Fn &&Rec) {
   return governed([&] {
-    if (!ParMode) {
-      size_t Hits0 = Cache.hits(), Lookups0 = Cache.lookups();
-      gcIfNeededImpl();
-      Kernel::SerialCtx C{*this};
-      Bdd Result(this, Rec(C));
-      if (Span.active()) {
-        Span.arg("result_nodes", nodeCount(Result));
-        Span.arg("cache_hits", Cache.hits() - Hits0);
-        Span.arg("cache_lookups", Cache.lookups() - Lookups0);
-      }
-      return Result;
-    }
-    maybeGcShared();
-    std::shared_lock<std::shared_mutex> Lock(OpLock);
-    ParallelOpsMT.fetch_add(1, std::memory_order_relaxed);
-    NodeRef R = Rec(Par->context());
-    // NoNode is the workers' abort sentinel: it indexes nothing, so it
-    // must never reach a Bdd handle. Unwinding releases the shared lock
-    // before governed() takes the exclusive one to recover.
-    if (R == NoNode || govAborted())
-      throwResource(GovAbort.load(std::memory_order_acquire));
-    Bdd Result(this, R);
-    Lock.unlock(); // nodeCount takes the lock itself.
-    if (Span.active())
+    size_t Hits0 = Cache.hits(), Lookups0 = Cache.lookups();
+    gcIfNeededImpl();
+    Bdd Result(this, Rec());
+    if (Span.active()) {
       Span.arg("result_nodes", nodeCount(Result));
+      Span.arg("cache_hits", Cache.hits() - Hits0);
+      Span.arg("cache_lookups", Cache.lookups() - Lookups0);
+    }
     return Result;
   });
 }
@@ -811,37 +632,32 @@ template <typename Fn> Bdd Manager::kernelOp(obs::SpanGuard &Span, Fn &&Rec) {
 
 Bdd Manager::var(unsigned Var) {
   assert(Var < NumVars && "client variable out of range");
-  return exclusiveOp(
+  return runOp(
       [&] { return Bdd(this, makeNode(Var, FalseRef, TrueRef)); });
 }
 
 Bdd Manager::nvar(unsigned Var) {
   assert(Var < NumVars && "client variable out of range");
-  return exclusiveOp(
+  return runOp(
       [&] { return Bdd(this, makeNode(Var, TrueRef, FalseRef)); });
 }
 
 Bdd Manager::apply(Op Operator, const Bdd &F, const Bdd &G) {
   assert(F.manager() == this && G.manager() == this &&
          "operands belong to another manager");
-  // nodeCount takes the manager's own locks, so operand counts are read
-  // before the operation's lock scope and the result count after it.
   obs::SpanGuard Span(obs::Cat::Bdd, applyOpName(Operator));
   if (Span.active()) {
     Span.arg("left_nodes", nodeCount(F));
     Span.arg("right_nodes", nodeCount(G));
   }
-  return kernelOp(Span, [&](auto &C) {
-    return Kernel::applyRec(C, Operator, F.ref(), G.ref(), 0);
+  return kernelOp(Span, [&] {
+    return Kernel::applyRec(*this, Operator, F.ref(), G.ref());
   });
 }
 
 Bdd Manager::bddNot(const Bdd &F) {
   assert(F.manager() == this && "operand belongs to another manager");
-  return exclusiveOp([&] {
-    Kernel::SerialCtx C{*this};
-    return Bdd(this, Kernel::notRec(C, F.ref()));
-  });
+  return runOp([&] { return Bdd(this, Kernel::notRec(*this, F.ref())); });
 }
 
 Bdd Manager::ite(const Bdd &F, const Bdd &G, const Bdd &H) {
@@ -852,8 +668,8 @@ Bdd Manager::ite(const Bdd &F, const Bdd &G, const Bdd &H) {
     Span.arg("left_nodes", nodeCount(F));
     Span.arg("right_nodes", nodeCount(G));
   }
-  return kernelOp(Span, [&](auto &C) {
-    return Kernel::iteRec(C, F.ref(), G.ref(), H.ref(), 0);
+  return kernelOp(Span, [&] {
+    return Kernel::iteRec(*this, F.ref(), G.ref(), H.ref());
   });
 }
 
@@ -863,10 +679,10 @@ Bdd Manager::cube(const std::vector<unsigned> &Vars) {
   for (unsigned V : Sorted)
     assert(V < TotalVars && "cube variable out of range");
 #endif
-  return exclusiveOp([&] {
+  return runOp([&] {
     // The chain must be built in level order (top to bottom), which is
     // no longer the variable-index order once reordering has run. The
-    // sort runs under the lock: a concurrent reorder may move levels.
+    // sort runs after runOp's collection check, which may reorder.
     std::sort(Sorted.begin(), Sorted.end(), [&](unsigned A, unsigned B) {
       return VarToLevel[A] < VarToLevel[B];
     });
@@ -885,8 +701,8 @@ Bdd Manager::exists(const Bdd &F, const Bdd &CubeBdd) {
   obs::SpanGuard Span(obs::Cat::Bdd, "exists");
   if (Span.active())
     Span.arg("left_nodes", nodeCount(F));
-  return kernelOp(Span, [&](auto &C) {
-    return Kernel::existsRec(C, F.ref(), CubeBdd.ref(), 0);
+  return kernelOp(Span, [&] {
+    return Kernel::existsRec(*this, F.ref(), CubeBdd.ref());
   });
 }
 
@@ -898,8 +714,8 @@ Bdd Manager::relProd(const Bdd &F, const Bdd &G, const Bdd &CubeBdd) {
     Span.arg("left_nodes", nodeCount(F));
     Span.arg("right_nodes", nodeCount(G));
   }
-  return kernelOp(Span, [&](auto &C) {
-    return Kernel::relProdRec(C, F.ref(), G.ref(), CubeBdd.ref(), 0);
+  return kernelOp(Span, [&] {
+    return Kernel::relProdRec(*this, F.ref(), G.ref(), CubeBdd.ref());
   });
 }
 
@@ -955,11 +771,7 @@ Bdd Manager::replace(const Bdd &F, const std::vector<int> &Map) {
   if (Span.active())
     Span.arg("left_nodes", nodeCount(F));
   return governed([&] {
-    Bdd Result;
-    {
-      auto Lock = exclusiveLock();
-      Result = replaceImpl(F, Map);
-    }
+    Bdd Result = replaceImpl(F, Map);
     if (Span.active())
       Span.arg("result_nodes", nodeCount(Result));
     return Result;
@@ -999,25 +811,19 @@ Bdd Manager::replaceImpl(const Bdd &F, const std::vector<int> &Map) {
 
   // Cache entries are keyed per distinct map via a registry owned by
   // this manager: the tag indexes this manager's computed cache, so ids
-  // must be consistent across every thread using the manager and must
-  // never collide with another manager's maps. The fast and general
+  // must never collide with another manager's maps. The fast and general
   // paths compute the same canonical result, so they can share entries.
-  uint32_t Tag;
-  {
-    std::lock_guard<std::mutex> RL(ReplaceMapLock);
-    // Tag-space guard: TagReplaceBase + id must stay clear of both the
-    // general-path high bit and the invalid-entry sentinel. Recycling
-    // the registry invalidates any cached results keyed by old ids.
-    if (ReplaceMapIds.size() >= (1u << 20)) {
-      ReplaceMapIds.clear();
-      Cache.clear();
-    }
-    auto [It, Inserted] =
-        ReplaceMapIds.try_emplace(Map,
-                                  static_cast<uint32_t>(ReplaceMapIds.size()));
-    (void)Inserted;
-    Tag = TagReplaceBase + It->second;
+  // Tag-space guard: TagReplaceBase + id must stay clear of both the
+  // general-path high bit and the invalid-entry sentinel. Recycling the
+  // registry invalidates any cached results keyed by old ids.
+  if (ReplaceMapIds.size() >= (1u << 20)) {
+    ReplaceMapIds.clear();
+    Cache.clear();
   }
+  auto [It, Inserted] = ReplaceMapIds.try_emplace(
+      Map, static_cast<uint32_t>(ReplaceMapIds.size()));
+  (void)Inserted;
+  uint32_t Tag = TagReplaceBase + It->second;
   gcIfNeededImpl();
 
   if (isOrderPreserving(Map, Supp))
@@ -1049,8 +855,7 @@ jedd::bdd::NodeRef Manager::replaceViaIteRec(NodeRef F,
   uint32_t Image =
       (Var < Map.size() && Map[Var] >= 0) ? Map[Var] : Var;
   NodeRef Lit = makeNode(Image, FalseRef, TrueRef);
-  Kernel::SerialCtx C{*this};
-  Result = Kernel::iteRec(C, Lit, High, Low, 0);
+  Result = Kernel::iteRec(*this, Lit, High, Low);
   Cache.store(Tag, F, 0, 0, Result);
   return Result;
 }
@@ -1078,7 +883,7 @@ NodeRef Manager::restrictRec(NodeRef F, unsigned Var, bool Value) {
 Bdd Manager::restrict(const Bdd &F, unsigned Var, bool Value) {
   assert(F.manager() == this && "operand belongs to another manager");
   assert(Var < TotalVars && "variable out of range");
-  return exclusiveOp(
+  return runOp(
       [&] { return Bdd(this, restrictRec(F.ref(), Var, Value)); });
 }
 
@@ -1196,15 +1001,11 @@ SatCount Manager::satCountExactImpl(NodeRef Root) {
 
 SatCount Manager::satCountExact(const Bdd &F) {
   assert(F.manager() == this && "operand belongs to another manager");
-  // Exclusive in parallel mode: the recursion reads node fields that GC
-  // and rehash rewrite, and the debug support() walk mutates Stamps.
-  auto Lock = exclusiveLock();
   return satCountExactImpl(F.ref());
 }
 
 double Manager::satCount(const Bdd &F) {
   assert(F.manager() == this && "operand belongs to another manager");
-  auto Lock = exclusiveLock();
   // Wrapper over the exact count; only counts beyond 2^128 - 1 (possible
   // with 128+ variables) fall back to the floating-point recursion.
   SatCount Exact = satCountExactImpl(F.ref());
@@ -1237,7 +1038,6 @@ std::string SatCount::toString() const {
 }
 
 size_t Manager::nodeCount(const Bdd &F) {
-  auto Lock = exclusiveLock();
   uint32_t Stamp = newStamp();
   std::vector<NodeRef> Stack = {F.ref()};
   size_t Count = 0;
@@ -1257,7 +1057,6 @@ size_t Manager::nodeCount(const Bdd &F) {
 void Manager::traverse(
     const Bdd &F, const std::function<void(NodeRef Node, unsigned Var,
                                            NodeRef Low, NodeRef High)> &Fn) {
-  auto Lock = exclusiveLock();
   if (isTerminal(F.ref()))
     return;
   uint32_t Stamp = newStamp();
@@ -1289,7 +1088,6 @@ void Manager::traverse(
 }
 
 std::vector<size_t> Manager::levelShape(const Bdd &F) {
-  auto Lock = exclusiveLock();
   std::vector<size_t> Shape(NumVars, 0);
   uint32_t Stamp = newStamp();
   std::vector<NodeRef> Stack = {F.ref()};
@@ -1309,7 +1107,6 @@ std::vector<size_t> Manager::levelShape(const Bdd &F) {
 
 std::vector<unsigned> Manager::support(const Bdd &F) {
   assert(F.manager() == this && "operand belongs to another manager");
-  auto Lock = exclusiveLock();
   return supportImpl(F.ref());
 }
 
@@ -1337,9 +1134,8 @@ std::vector<unsigned> Manager::supportImpl(NodeRef Root) const {
 void Manager::enumerate(
     const Bdd &F, const std::vector<unsigned> &Vars,
     const std::function<bool(const std::vector<bool> &)> &Fn) {
-  // Exclusive in parallel mode; note the callback runs under the lock and
-  // must not call back into this manager.
-  auto Lock = exclusiveLock();
+  // Fn may call back into this manager (see the declaration): the walk
+  // holds only NodeRefs below F, which stay allocated while F is held.
   assert(std::is_sorted(Vars.begin(), Vars.end(),
                         [&](unsigned A, unsigned B) {
                           return levelOf(A) < levelOf(B);
@@ -1379,9 +1175,6 @@ void Manager::enumerate(
 
 bool Manager::evalAssignment(const Bdd &F,
                              const std::vector<bool> &Assignment) const {
-  // Node fields of reachable nodes are immutable outside GC/rehash, so a
-  // shared lock suffices even while parallel operations run.
-  auto Lock = sharedLock();
   NodeRef N = F.ref();
   while (!isTerminal(N)) {
     assert(Nodes[N].Var < Assignment.size() &&
@@ -1392,7 +1185,6 @@ bool Manager::evalAssignment(const Bdd &F,
 }
 
 std::string Manager::toDot(const Bdd &F) {
-  auto Lock = exclusiveLock();
   std::string Out = "digraph bdd {\n  node [shape=circle];\n";
   Out += "  f0 [shape=box,label=\"0\"];\n  f1 [shape=box,label=\"1\"];\n";
   uint32_t Stamp = newStamp();

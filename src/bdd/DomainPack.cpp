@@ -67,7 +67,7 @@ std::vector<std::vector<PhysDomId>> DomainPack::parseSpec() const {
 }
 
 void DomainPack::finalize(size_t InitialNodes, size_t CacheSize,
-                          ParallelConfig Par, ReorderConfig Reorder) {
+                          ReorderConfig Reorder) {
   assert(!Mgr && "finalize() may only run once");
   assert(!Doms.empty() && "a pack needs at least one domain");
   std::vector<std::vector<PhysDomId>> Parsed = parseSpec();
@@ -110,7 +110,7 @@ void DomainPack::finalize(size_t InitialNodes, size_t CacheSize,
     }
   }
   Groups = std::move(Parsed);
-  Mgr = std::make_unique<Manager>(NextVar, InitialNodes, CacheSize, Par);
+  Mgr = std::make_unique<Manager>(NextVar, InitialNodes, CacheSize);
   Mgr->setBlocks(std::move(ReorderBlocks));
   Mgr->setReorderConfig(Reorder);
 }

@@ -58,8 +58,7 @@ public:
   PhysDomId addDomain(std::string Name, unsigned Bits);
 
   /// Parses the order spec, assigns variable positions and creates the
-  /// manager. \p Par selects the manager's execution engine (serial by
-  /// default) and \p Reorder the dynamic-reordering policy (off by
+  /// manager. \p Reorder is the dynamic-reordering policy (off by
   /// default). Reorder blocks are derived from the spec: one per
   /// interleave round of a multi-domain group and one per single-domain
   /// group — the units sifting may move without invalidating any
@@ -67,7 +66,7 @@ public:
   /// twice or leaving one out throws UsageError and leaves the pack
   /// unfinalized.
   void finalize(size_t InitialNodes = 1 << 14, size_t CacheSize = 1 << 16,
-                ParallelConfig Par = {}, ReorderConfig Reorder = {});
+                ReorderConfig Reorder = {});
   bool isFinalized() const { return Mgr != nullptr; }
 
   Manager &manager() {

@@ -1,4 +1,4 @@
-//===- Kernel.h - The BDD recursions, written once --------------*- C++ -*-===//
+//===- Kernel.h - The BDD recursions ----------------------------*- C++ -*-===//
 //
 // Part of jeddpp, a C++ reproduction of the PLDI 2004 paper
 // "Jedd: A BDD-based Relational Extension of Java".
@@ -8,25 +8,10 @@
 /// \file
 /// The five recursions every relational operation lowers to (Section
 /// 3.2.2): not, the binary apply operators, ite, exists and the and-exists
-/// relational product. Each is written once, as a template over an
-/// execution context, and serves both engines (the distbdd/HermesBDD
-/// shape: one core, serial or multi-core by instantiation):
-///
-///  * Kernel::SerialCtx wraps the manager's computed cache and its
-///    throwing makeNode. Its Parallel flag and aborted() are constexpr
-///    false, so the serial instantiation has no forks, no atomic RMWs,
-///    no shard locks and no sentinel tests. (Its cache counters are
-///    single-writer relaxed load+store pairs: plain moves on x86.)
-///  * ParallelEngine::WorkerCtx wraps a thread's private computed cache,
-///    the sharded concurrent makeNode and the governor poll. Above
-///    ForkCutoffDepth it forks the second cofactor onto the task pool, and
-///    a governor trip unwinds the recursion with the Manager::NoNode
-///    sentinel (workers must never throw across a fork/join).
-///
-/// A context provides: `static constexpr bool Parallel`; `Manager &M`;
-/// `Manager::ComputedCache &Cache`; `bool aborted()`;
-/// `NodeRef makeNode(Var, Low, High)`; and, when Parallel,
-/// `forkJoin(Job, LowFn, Low, High)`.
+/// relational product. Each works on raw NodeRefs over the manager's node
+/// pool, memoizes in Manager::Cache and allocates through
+/// Manager::makeNode, which throws ResourceExhausted when a governor limit
+/// trips (the public entry point then recovers the manager).
 ///
 /// Private to src/bdd.
 ///
@@ -42,55 +27,25 @@
 namespace jedd {
 namespace bdd {
 
-/// Recursion depth up to which the parallel context forks the second
-/// cofactor (at most 2^ForkCutoffDepth tasks per operation); deeper
-/// subproblems run inline.
-constexpr unsigned ForkCutoffDepth = 6;
-
-/// One recursive call as a value, which is what a forked task carries.
-struct Job {
-  enum Kind : uint8_t { Apply, Ite, Exists, RelProd };
-  Kind K;
-  Op Operator; ///< Apply only.
-  NodeRef A, B, C;
-  unsigned Depth;
-};
-
-/// The recursions, as static templates over the context. A friend of
+/// The recursions, as static functions over the manager. A friend of
 /// Manager, for its node pool, order maps and cache tags.
 class Kernel {
 public:
-  struct SerialCtx {
-    static constexpr bool Parallel = false;
-    Manager &M;
-    Manager::ComputedCache &Cache = M.Cache;
-    static constexpr bool aborted() { return false; }
-    NodeRef makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
-      return M.makeNode(Var, Low, High);
-    }
-  };
-
-  template <typename Ctx> static NodeRef notRec(Ctx &C, NodeRef F) {
+  static NodeRef notRec(Manager &M, NodeRef F) {
     if (F == FalseRef)
       return TrueRef;
     if (F == TrueRef)
       return FalseRef;
-    if (C.aborted())
-      return Manager::NoNode;
     NodeRef Result;
-    if (C.Cache.lookup(Manager::TagNot, F, 0, 0, Result))
+    if (M.Cache.lookup(Manager::TagNot, F, 0, 0, Result))
       return Result;
-    const Manager::Node &Nd = C.M.Nodes[F];
-    NodeRef Low = notRec(C, Nd.Low);
-    NodeRef High = notRec(C, Nd.High);
-    return memo(C, Manager::TagNot, F, 0, 0, node(C, Nd.Var, Low, High));
+    const Manager::Node &Nd = M.Nodes[F];
+    NodeRef Low = notRec(M, Nd.Low);
+    NodeRef High = notRec(M, Nd.High);
+    return memo(M, Manager::TagNot, F, 0, 0, M.makeNode(Nd.Var, Low, High));
   }
 
-  template <typename Ctx>
-  static NodeRef applyRec(Ctx &C, Op Operator, NodeRef F, NodeRef G,
-                          unsigned Depth) {
-    if (C.aborted())
-      return Manager::NoNode;
+  static NodeRef applyRec(Manager &M, Op Operator, NodeRef F, NodeRef G) {
     // Terminal rules per operator.
     switch (Operator) {
     case Op::And:
@@ -117,9 +72,9 @@ public:
       if (G == FalseRef)
         return F;
       if (F == TrueRef)
-        return notRec(C, G);
+        return notRec(M, G);
       if (G == TrueRef)
-        return notRec(C, F);
+        return notRec(M, F);
       break;
     case Op::Diff:
       if (F == FalseRef || G == TrueRef || F == G)
@@ -127,7 +82,7 @@ public:
       if (G == FalseRef)
         return F;
       if (F == TrueRef)
-        return notRec(C, G);
+        return notRec(M, G);
       break;
     case Op::Imp:
       if (F == FalseRef || G == TrueRef || F == G)
@@ -135,7 +90,7 @@ public:
       if (F == TrueRef)
         return G;
       if (G == FalseRef)
-        return notRec(C, F);
+        return notRec(M, F);
       break;
     case Op::Biimp:
       if (F == G)
@@ -145,9 +100,9 @@ public:
       if (G == TrueRef)
         return F;
       if (F == FalseRef)
-        return notRec(C, G);
+        return notRec(M, G);
       if (G == FalseRef)
-        return notRec(C, F);
+        return notRec(M, F);
       break;
     }
 
@@ -160,10 +115,9 @@ public:
 
     uint32_t Tag = static_cast<uint32_t>(Operator);
     NodeRef Result;
-    if (C.Cache.lookup(Tag, A, B, 0, Result))
+    if (M.Cache.lookup(Tag, A, B, 0, Result))
       return Result;
 
-    const Manager &M = C.M;
     uint32_t LvlF = M.levelOfNode(F), LvlG = M.levelOfNode(G);
     uint32_t Lvl = std::min(LvlF, LvlG);
     NodeRef F0 = LvlF == Lvl ? M.Nodes[F].Low : F;
@@ -171,19 +125,12 @@ public:
     NodeRef G0 = LvlG == Lvl ? M.Nodes[G].Low : G;
     NodeRef G1 = LvlG == Lvl ? M.Nodes[G].High : G;
 
-    NodeRef Low, High;
-    split(C, forks<Ctx>(Depth) && !(M.isTerminal(F1) && M.isTerminal(G1)),
-          {Job::Apply, Operator, F1, G1, 0, Depth + 1},
-          [&] { return applyRec(C, Operator, F0, G0, Depth + 1); }, Low,
-          High);
-    return memo(C, Tag, A, B, 0, node(C, M.LevelToVar[Lvl], Low, High));
+    NodeRef Low = applyRec(M, Operator, F0, G0);
+    NodeRef High = applyRec(M, Operator, F1, G1);
+    return memo(M, Tag, A, B, 0, M.makeNode(M.LevelToVar[Lvl], Low, High));
   }
 
-  template <typename Ctx>
-  static NodeRef iteRec(Ctx &C, NodeRef F, NodeRef G, NodeRef H,
-                        unsigned Depth) {
-    if (C.aborted())
-      return Manager::NoNode;
+  static NodeRef iteRec(Manager &M, NodeRef F, NodeRef G, NodeRef H) {
     if (F == TrueRef)
       return G;
     if (F == FalseRef)
@@ -193,13 +140,12 @@ public:
     if (G == TrueRef && H == FalseRef)
       return F;
     if (G == FalseRef && H == TrueRef)
-      return notRec(C, F);
+      return notRec(M, F);
 
     NodeRef Result;
-    if (C.Cache.lookup(Manager::TagIte, F, G, H, Result))
+    if (M.Cache.lookup(Manager::TagIte, F, G, H, Result))
       return Result;
 
-    const Manager &M = C.M;
     uint32_t Lvl = std::min({M.levelOfNode(F), M.levelOfNode(G),
                              M.levelOfNode(H)});
     auto Cof = [&](NodeRef N, bool HighBranch) {
@@ -207,25 +153,13 @@ public:
         return N;
       return HighBranch ? M.Nodes[N].High : M.Nodes[N].Low;
     };
-    NodeRef Low, High;
-    split(C, forks<Ctx>(Depth),
-          {Job::Ite, Op::And, Cof(F, true), Cof(G, true), Cof(H, true),
-           Depth + 1},
-          [&] {
-            return iteRec(C, Cof(F, false), Cof(G, false), Cof(H, false),
-                          Depth + 1);
-          },
-          Low, High);
-    return memo(C, Manager::TagIte, F, G, H,
-                node(C, M.LevelToVar[Lvl], Low, High));
+    NodeRef Low = iteRec(M, Cof(F, false), Cof(G, false), Cof(H, false));
+    NodeRef High = iteRec(M, Cof(F, true), Cof(G, true), Cof(H, true));
+    return memo(M, Manager::TagIte, F, G, H,
+                M.makeNode(M.LevelToVar[Lvl], Low, High));
   }
 
-  template <typename Ctx>
-  static NodeRef existsRec(Ctx &C, NodeRef F, NodeRef CubeBdd,
-                           unsigned Depth) {
-    if (C.aborted())
-      return Manager::NoNode;
-    const Manager &M = C.M;
+  static NodeRef existsRec(Manager &M, NodeRef F, NodeRef CubeBdd) {
     if (M.isTerminal(F))
       return F;
     // Skip quantified variables above F's top variable.
@@ -235,40 +169,33 @@ public:
       return F;
 
     NodeRef Result;
-    if (C.Cache.lookup(Manager::TagExists, F, CubeBdd, 0, Result))
+    if (M.Cache.lookup(Manager::TagExists, F, CubeBdd, 0, Result))
       return Result;
 
     uint32_t Var = M.varOf(F);
-    NodeRef FLow = M.Nodes[F].Low, FHigh = M.Nodes[F].High;
-    NodeRef Low, High;
-    split(C, forks<Ctx>(Depth) && !M.isTerminal(FHigh),
-          {Job::Exists, Op::And, FHigh, CubeBdd, 0, Depth + 1},
-          [&] { return existsRec(C, FLow, CubeBdd, Depth + 1); }, Low, High);
-    Result = M.varOf(CubeBdd) == Var ? disjoin(C, Low, High, Depth + 1)
-                                     : node(C, Var, Low, High);
-    return memo(C, Manager::TagExists, F, CubeBdd, 0, Result);
+    NodeRef Low = existsRec(M, M.Nodes[F].Low, CubeBdd);
+    NodeRef High = existsRec(M, M.Nodes[F].High, CubeBdd);
+    Result = M.varOf(CubeBdd) == Var ? applyRec(M, Op::Or, Low, High)
+                                     : M.makeNode(Var, Low, High);
+    return memo(M, Manager::TagExists, F, CubeBdd, 0, Result);
   }
 
-  template <typename Ctx>
-  static NodeRef relProdRec(Ctx &C, NodeRef F, NodeRef G, NodeRef CubeBdd,
-                            unsigned Depth) {
-    if (C.aborted())
-      return Manager::NoNode;
+  static NodeRef relProdRec(Manager &M, NodeRef F, NodeRef G,
+                            NodeRef CubeBdd) {
     if (F == FalseRef || G == FalseRef)
       return FalseRef;
     if (F == TrueRef && G == TrueRef)
       return TrueRef;
 
-    const Manager &M = C.M;
     uint32_t LvlF = M.levelOfNode(F), LvlG = M.levelOfNode(G);
     uint32_t Lvl = std::min(LvlF, LvlG);
     while (!M.isTerminal(CubeBdd) && M.levelOfNode(CubeBdd) < Lvl)
       CubeBdd = M.Nodes[CubeBdd].High;
     if (M.isTerminal(CubeBdd))
-      return applyRec(C, Op::And, F, G, Depth);
+      return applyRec(M, Op::And, F, G);
 
     NodeRef Result;
-    if (C.Cache.lookup(Manager::TagRelProd, F, G, CubeBdd, Result))
+    if (M.Cache.lookup(Manager::TagRelProd, F, G, CubeBdd, Result))
       return Result;
 
     NodeRef F0 = LvlF == Lvl ? M.Nodes[F].Low : F;
@@ -276,99 +203,26 @@ public:
     NodeRef G0 = LvlG == Lvl ? M.Nodes[G].Low : G;
     NodeRef G1 = LvlG == Lvl ? M.Nodes[G].High : G;
 
-    NodeRef Low, High;
     if (M.levelOfNode(CubeBdd) == Lvl) {
       // Quantified level: the result is the OR of the two cofactors.
       NodeRef Next = M.Nodes[CubeBdd].High;
-      auto LowRec = [&] { return relProdRec(C, F0, G0, Next, Depth + 1); };
-      if (forks<Ctx>(Depth)) {
-        // Forking trades the short-circuit below for parallelism.
-        split(C, true, {Job::RelProd, Op::And, F1, G1, Next, Depth + 1},
-              LowRec, Low, High);
-      } else {
-        Low = LowRec();
-        // Short-circuit: x OR true == true (and an abort is final).
-        High = Low == TrueRef || isAbort<Ctx>(Low)
-                   ? Low
-                   : relProdRec(C, F1, G1, Next, Depth + 1);
-      }
-      Result = disjoin(C, Low, High, Depth + 1);
+      NodeRef Low = relProdRec(M, F0, G0, Next);
+      // Short-circuit: x OR true == true.
+      NodeRef High = Low == TrueRef ? Low : relProdRec(M, F1, G1, Next);
+      Result = applyRec(M, Op::Or, Low, High);
     } else {
-      split(C, forks<Ctx>(Depth),
-            {Job::RelProd, Op::And, F1, G1, CubeBdd, Depth + 1},
-            [&] { return relProdRec(C, F0, G0, CubeBdd, Depth + 1); }, Low,
-            High);
-      Result = node(C, M.LevelToVar[Lvl], Low, High);
+      NodeRef Low = relProdRec(M, F0, G0, CubeBdd);
+      NodeRef High = relProdRec(M, F1, G1, CubeBdd);
+      Result = M.makeNode(M.LevelToVar[Lvl], Low, High);
     }
-    return memo(C, Manager::TagRelProd, F, G, CubeBdd, Result);
-  }
-
-  /// Runs a forked (or inlined) Job.
-  template <typename Ctx>
-  [[gnu::always_inline]] static NodeRef run(Ctx &C, const Job &J) {
-    switch (J.K) {
-    case Job::Apply:
-      return applyRec(C, J.Operator, J.A, J.B, J.Depth);
-    case Job::Ite:
-      return iteRec(C, J.A, J.B, J.C, J.Depth);
-    case Job::Exists:
-      return existsRec(C, J.A, J.B, J.Depth);
-    case Job::RelProd:
-      return relProdRec(C, J.A, J.B, J.C, J.Depth);
-    }
-    __builtin_unreachable();
+    return memo(M, Manager::TagRelProd, F, G, CubeBdd, Result);
   }
 
 private:
-  /// True for the abort sentinel; constant false in serial contexts,
-  /// which never produce it.
-  template <typename Ctx> static bool isAbort(NodeRef N) {
-    return Ctx::Parallel && N == Manager::NoNode;
-  }
-
-  template <typename Ctx> static bool forks(unsigned Depth) {
-    return Ctx::Parallel && Depth < ForkCutoffDepth;
-  }
-
-  /// Low = LowRec() and High = run(HighJob), with HighJob forked onto the
-  /// task pool when \p Fork holds (parallel contexts only).
-  template <typename Ctx, typename LowFn>
-  [[gnu::always_inline]] static void split(Ctx &C, bool Fork,
-                                           const Job &HighJob, LowFn &&LowRec,
-                                           NodeRef &Low, NodeRef &High) {
-    if constexpr (Ctx::Parallel) {
-      if (Fork) {
-        C.forkJoin(HighJob, LowRec, Low, High);
-        return;
-      }
-    }
-    Low = LowRec();
-    High = run(C, HighJob);
-  }
-
-  /// The node (Var, Low, High), or the sentinel if either child is one.
-  template <typename Ctx>
-  static NodeRef node(Ctx &C, uint32_t Var, NodeRef Low, NodeRef High) {
-    if (isAbort<Ctx>(Low) || isAbort<Ctx>(High))
-      return Manager::NoNode;
-    return C.makeNode(Var, Low, High);
-  }
-
-  /// Low OR High, or the sentinel if either operand is one.
-  template <typename Ctx>
-  static NodeRef disjoin(Ctx &C, NodeRef Low, NodeRef High, unsigned Depth) {
-    if (isAbort<Ctx>(Low) || isAbort<Ctx>(High))
-      return Manager::NoNode;
-    return applyRec(C, Op::Or, Low, High, Depth);
-  }
-
-  /// Caches \p Result under the key and returns it; the sentinel is
-  /// never cached.
-  template <typename Ctx>
-  static NodeRef memo(Ctx &C, uint32_t Tag, NodeRef A, NodeRef B, NodeRef D,
-                      NodeRef Result) {
-    if (!isAbort<Ctx>(Result))
-      C.Cache.store(Tag, A, B, D, Result);
+  /// Caches \p Result under the key and returns it.
+  static NodeRef memo(Manager &M, uint32_t Tag, NodeRef A, NodeRef B,
+                      NodeRef D, NodeRef Result) {
+    M.Cache.store(Tag, A, B, D, Result);
     return Result;
   }
 };

@@ -28,15 +28,14 @@
 // external roots (sifting creates garbage but frees nothing, so allocated
 // counts would mislead), and the block returns to the best position seen.
 //
-// Everything here runs at the manager's exclusive points — the same
-// exclusion GC and rehash use — and ends with a collection, which flushes
+// Everything here runs between operations, where collections run, and
+// ends with a collection, which flushes
 // the computed caches (their NodeRef keys and the cube-keyed
 // exists/relProd entries are order-dependent) and resets the free list.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bdd/Bdd.h"
-#include "bdd/ParallelEngine.h"
 #include "obs/Obs.h"
 
 #include <algorithm>
@@ -49,25 +48,17 @@ using namespace jedd::bdd;
 // Public API
 //===----------------------------------------------------------------------===//
 
-void Manager::reorder() {
-  auto Lock = exclusiveLock();
-  reorderImpl(/*Force=*/true);
-}
+void Manager::reorder() { reorderImpl(/*Force=*/true); }
 
 void Manager::setReorderConfig(const ReorderConfig &Cfg) {
-  auto Lock = exclusiveLock();
   RCfg = Cfg;
   ReorderBaseline = std::max(RCfg.MinNodes, Nodes.size() - FreeCount - 2);
   updateReorderTrigger();
 }
 
-ReorderConfig Manager::reorderConfig() const {
-  auto Lock = sharedLock();
-  return RCfg;
-}
+ReorderConfig Manager::reorderConfig() const { return RCfg; }
 
 void Manager::setBlocks(std::vector<std::vector<unsigned>> BlockList) {
-  auto Lock = exclusiveLock();
 #ifndef NDEBUG
   std::vector<uint8_t> Seen(NumVars, 0);
   for (const std::vector<unsigned> &B : BlockList) {
@@ -88,25 +79,17 @@ void Manager::setBlocks(std::vector<std::vector<unsigned>> BlockList) {
   Blocks = std::move(BlockList);
 }
 
-std::vector<std::vector<unsigned>> Manager::blocks() const {
-  auto Lock = sharedLock();
-  return Blocks;
-}
+std::vector<std::vector<unsigned>> Manager::blocks() const { return Blocks; }
 
-ReorderStats Manager::reorderStats() const {
-  auto Lock = sharedLock();
-  return RStats;
-}
+ReorderStats Manager::reorderStats() const { return RStats; }
 
 unsigned Manager::levelOfVar(unsigned Var) const {
   assert(Var < TotalVars && "variable out of range");
-  auto Lock = sharedLock();
   return VarToLevel[Var];
 }
 
 unsigned Manager::varAtLevel(unsigned Level) const {
   assert(Level < TotalVars && "level out of range");
-  auto Lock = sharedLock();
   return LevelToVar[Level];
 }
 
@@ -123,14 +106,14 @@ void Manager::updateReorderTrigger() {
     if (V < static_cast<double>(~size_t(0)))
       T = static_cast<size_t>(V);
   }
-  ReorderTrigger.store(T, std::memory_order_relaxed);
+  ReorderTrigger = T;
 }
 
 bool Manager::reorderDueImpl() const {
   if (InReorder)
     return false;
   size_t Live = Nodes.size() - FreeCount - 2;
-  return Live >= ReorderTrigger.load(std::memory_order_relaxed);
+  return Live >= ReorderTrigger;
 }
 
 //===----------------------------------------------------------------------===//
@@ -348,20 +331,17 @@ void Manager::reorderImpl(bool Force) {
   for (size_t Id : SiftOrder) {
     // Governor checkpoint between block sifts — the only points where a
     // pass may stop: every swap is complete, so the truncated pass is a
-    // valid (if less optimal) order. A deadline/cancel trip raises the
-    // abort flag; the next operation boundary turns it into the typed
-    // error. No throw here: mid-reorder unwinding would strand the
-    // table mid-rewrite.
-    if (GovEnabled) {
-      govPollMT();
-      if (govAborted())
-        break;
-    }
+    // valid (if less optimal) order. A deadline/cancel trip persists, so
+    // the next operation boundary turns it into the typed error. No
+    // throw here: mid-reorder unwinding would strand the table
+    // mid-rewrite.
+    if (GovEnabled && governorExpired())
+      break;
     size_t Pos = 0;
     while (Layout[Pos].Id != Id)
       ++Pos;
 
-    size_t Best = liveNodeCountImpl();
+    size_t Best = liveNodeCount();
     size_t BestPos = Pos, Cur = Pos;
     auto LimitOf = [&](size_t B) {
       return static_cast<size_t>(static_cast<double>(B) * RCfg.MaxGrowth) + 2;
@@ -371,7 +351,7 @@ void Manager::reorderImpl(bool Force) {
     while (Cur + 1 < Layout.size()) {
       ExchangeAt(Cur);
       ++Cur;
-      size_t Sz = liveNodeCountImpl();
+      size_t Sz = liveNodeCount();
       if (Sz < Best) {
         Best = Sz;
         BestPos = Cur;
@@ -383,7 +363,7 @@ void Manager::reorderImpl(bool Force) {
     while (Cur > 0) {
       ExchangeAt(Cur - 1);
       --Cur;
-      size_t Sz = liveNodeCountImpl();
+      size_t Sz = liveNodeCount();
       if (Sz < Best) {
         Best = Sz;
         BestPos = Cur;
@@ -428,16 +408,5 @@ void Manager::reorderImpl(bool Force) {
   VarNodes.clear();
   VarNodes.shrink_to_fit();
   InReorder = false;
-  assert(cachesEmptyImpl() &&
-         "computed caches must be empty after reordering");
+  assert(Cache.empty() && "computed cache must be empty after reordering");
 }
-
-//===----------------------------------------------------------------------===//
-// Debug verification
-//===----------------------------------------------------------------------===//
-
-#ifndef NDEBUG
-bool Manager::cachesEmptyImpl() const {
-  return Cache.empty() && (!Par || Par->cachesEmpty());
-}
-#endif

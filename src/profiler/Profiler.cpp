@@ -146,43 +146,6 @@ std::string Profiler::renderHtml() const {
                       S.MaxResultNodes);
   Html += "</table>";
 
-  // Parallel-engine efficiency, when the manager ran multi-core
-  // (docs/parallelism.md explains how to read these counters).
-  if (Counters.NumThreads > 1) {
-    size_t TotalHits = 0, TotalLookups = 0;
-    for (const bdd::WorkerStats &W : Counters.Workers) {
-      TotalHits += W.CacheHits;
-      TotalLookups += W.CacheLookups;
-    }
-    double StealRatio =
-        Counters.TasksForked
-            ? 100.0 * static_cast<double>(Counters.TasksStolen) /
-                  static_cast<double>(Counters.TasksForked)
-            : 0.0;
-    double HitRate =
-        TotalLookups ? 100.0 * static_cast<double>(TotalHits) /
-                           static_cast<double>(TotalLookups)
-                     : 0.0;
-    Html += strFormat(
-        "<h2>Parallel execution</h2>"
-        "<p>%u threads &middot; %zu parallel operations &middot; "
-        "%zu tasks forked, %zu stolen (%.1f%%) &middot; "
-        "per-thread cache hit rate %.1f%%</p>",
-        Counters.NumThreads, Counters.ParallelOps, Counters.TasksForked,
-        Counters.TasksStolen, StealRatio, HitRate);
-    Html += "<table><tr><th>thread</th><th>cache hits</th>"
-            "<th>cache lookups</th><th>forked</th><th>executed</th>"
-            "<th>stolen</th></tr>";
-    for (size_t I = 0; I != Counters.Workers.size(); ++I) {
-      const bdd::WorkerStats &W = Counters.Workers[I];
-      Html += strFormat("<tr><td>%zu</td><td>%zu</td><td>%zu</td>"
-                        "<td>%zu</td><td>%zu</td><td>%zu</td></tr>",
-                        I, W.CacheHits, W.CacheLookups, W.TasksForked,
-                        W.TasksExecuted, W.TasksStolen);
-    }
-    Html += "</table>";
-  }
-
   // Dynamic variable reordering, when sifting ever ran
   // (docs/reordering.md explains the algorithm and these counters).
   if (Counters.ReorderRuns > 0) {

@@ -485,10 +485,7 @@ void Relation::iterate(
   std::vector<PhysDomId> Phys = schemaPhysDoms();
   std::vector<unsigned> Vars = U->pack().sortedVars(Phys);
   // Precompute where each column's bits (MSB first) sit in the
-  // enumeration vector. enumerate() runs the callback under the
-  // manager's exclusive lock in parallel mode, so the callback must not
-  // call back into the manager — which DomainPack::decodeValue would,
-  // through levelOfVar().
+  // enumeration vector, so decoding a tuple takes only bit shifts.
   std::vector<std::vector<size_t>> BitIndex(Schema.size());
   for (size_t I = 0; I != Schema.size(); ++I)
     for (unsigned V : U->pack().vars(Schema[I].Phys)) {
@@ -497,7 +494,10 @@ void Relation::iterate(
       BitIndex[I].push_back(static_cast<size_t>(It - Vars.begin()));
     }
   std::vector<uint64_t> Tuple(Schema.size());
-  U->manager().enumerate(Body, Vars, [&](const std::vector<bool> &Bits) {
+  // Fn may call back into the manager, even to modify this relation:
+  // the copy keeps the enumerated BDD referenced until the walk ends.
+  bdd::Bdd Root = Body;
+  U->manager().enumerate(Root, Vars, [&](const std::vector<bool> &Bits) {
     for (size_t I = 0; I != Schema.size(); ++I) {
       uint64_t Value = 0;
       for (size_t Index : BitIndex[I])

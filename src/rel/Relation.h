@@ -150,7 +150,10 @@ public:
   bool contains(const std::vector<uint64_t> &Values) const;
 
   /// Calls \p Fn for every tuple with the values indexed like schema().
-  /// Returning false stops the iteration. Deterministic order.
+  /// Returning false stops the iteration. Deterministic order. \p Fn
+  /// may call back into the universe's manager, even to insert into this
+  /// or another relation, as CallGraphBuilder::run does when it adds call
+  /// edges; it must not reorder variables (Manager::enumerate).
   void iterate(
       const std::function<bool(const std::vector<uint64_t> &)> &Fn) const;
 

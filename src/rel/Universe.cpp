@@ -46,8 +46,7 @@ PhysDomId Universe::addPhysicalDomain(std::string Name, unsigned Bits) {
 }
 
 void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes,
-                        size_t CacheSize, bdd::ParallelConfig Par,
-                        bdd::ReorderConfig Reorder) {
+                        size_t CacheSize, bdd::ReorderConfig Reorder) {
   JEDD_CHECK(!isFinalized(), "finalize() may only run once");
   JEDD_CHECK(!PhysNames.empty(), "at least one physical domain is required");
 
@@ -66,7 +65,7 @@ void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes,
     (void)Id;
     assert(Id == I && "pack ids must mirror universe ids");
   }
-  Pack->finalize(InitialNodes, CacheSize, Par, Reorder);
+  Pack->finalize(InitialNodes, CacheSize, Reorder);
   PackPtr = std::move(Pack);
 }
 

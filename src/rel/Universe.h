@@ -84,13 +84,11 @@ public:
   /// \p OrderSpec names the physical domains in bddbddb syntax (see
   /// bdd/DomainPack.h; "" = declaration order, each domain's bits
   /// adjacent); a malformed spec throws UsageError and leaves the
-  /// universe unfinalized. \p Par opts the manager into the multi-core
-  /// execution engine (docs/parallelism.md); \p Reorder the dynamic
-  /// variable-reordering policy (docs/reordering.md). Both default to
-  /// off.
+  /// universe unfinalized. \p Reorder is the dynamic variable-reordering
+  /// policy (docs/reordering.md), off by default.
   void finalize(const std::string &OrderSpec = "",
                 size_t InitialNodes = 1 << 16, size_t CacheSize = 1 << 18,
-                bdd::ParallelConfig Par = {}, bdd::ReorderConfig Reorder = {});
+                bdd::ReorderConfig Reorder = {});
   bool isFinalized() const { return PackPtr != nullptr; }
 
   //===--------------------------------------------------------------===//

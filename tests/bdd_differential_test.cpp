@@ -6,11 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Differential harness for the BDD package: every random formula is built
-// three ways — in a serial manager, in a parallel manager, and as an
-// explicit truth table — and the three must agree on every assignment.
-// The serial and parallel managers must additionally report identical
-// satCount and nodeCount on every case (canonical BDDs of the same
-// function have the same shape regardless of the engine that built them).
+// twice — in a manager and as an explicit truth table — and the two must
+// agree on every assignment and on the number of satisfying assignments.
+// The manager's pools are small, so growth and collection run mid-stream.
 //
 // The generator is seeded (SplitMix64), so failures reproduce exactly.
 //
@@ -29,30 +27,25 @@ using namespace jedd::bdd;
 
 namespace {
 
-/// One function tracked in all three representations. The truth table is
+/// One function tracked in both representations. The truth table is
 /// indexed by assignment: bit v of the index is the value of variable v.
 struct TrackedFun {
-  Bdd Serial;
-  Bdd Parallel;
+  Bdd Fn;
   std::vector<bool> Table;
 };
 
 class DifferentialHarness {
 public:
-  DifferentialHarness(unsigned NumVars, uint64_t Seed, ParallelConfig ParCfg,
+  DifferentialHarness(unsigned NumVars, uint64_t Seed,
                       bool Reordering = false)
       : V(NumVars), N(size_t(1) << NumVars), Rng(Seed),
         // Small pools so growth and GC trigger mid-run.
-        Ser(NumVars, 1 << 10, 1 << 12),
-        Par(NumVars, 1 << 10, 1 << 12, ParCfg), Reordering(Reordering) {
+        Mgr(NumVars, 1 << 10, 1 << 12), Reordering(Reordering) {
     if (Reordering) {
-      // Auto-sifting in both managers; they sift independently, so their
-      // variable orders (and node counts) are allowed to diverge.
       ReorderConfig RC;
       RC.Auto = true;
       RC.MinNodes = 1 << 8;
-      Ser.setReorderConfig(RC);
-      Par.setReorderConfig(RC);
+      Mgr.setReorderConfig(RC);
     }
     // Seed the pool with all literals and the constants.
     for (unsigned Var = 0; Var != V; ++Var) {
@@ -61,14 +54,14 @@ public:
         T[I] = (I >> Var) & 1;
         NT[I] = !T[I];
       }
-      Pool.push_back({Ser.var(Var), Par.var(Var), std::move(T)});
-      Pool.push_back({Ser.nvar(Var), Par.nvar(Var), std::move(NT)});
+      Pool.push_back({Mgr.var(Var), std::move(T)});
+      Pool.push_back({Mgr.nvar(Var), std::move(NT)});
     }
-    Pool.push_back({Ser.falseBdd(), Par.falseBdd(), std::vector<bool>(N)});
-    Pool.push_back({Ser.trueBdd(), Par.trueBdd(), std::vector<bool>(N, true)});
+    Pool.push_back({Mgr.falseBdd(), std::vector<bool>(N)});
+    Pool.push_back({Mgr.trueBdd(), std::vector<bool>(N, true)});
   }
 
-  /// Performs one random operation, checks the three representations
+  /// Performs one random operation, checks the two representations
   /// against each other, and stores the result in the pool.
   void step() {
     TrackedFun R;
@@ -79,23 +72,20 @@ public:
     case 2: { // Binary apply with a random operator.
       Op Operator = static_cast<Op>(Rng.nextBelow(6));
       const TrackedFun &F = pick(), &G = pick();
-      R.Serial = Ser.apply(Operator, F.Serial, G.Serial);
-      R.Parallel = Par.apply(Operator, F.Parallel, G.Parallel);
+      R.Fn = Mgr.apply(Operator, F.Fn, G.Fn);
       R.Table = applyTable(Operator, F.Table, G.Table);
       break;
     }
     case 3: { // Negation.
       const TrackedFun &F = pick();
-      R.Serial = Ser.bddNot(F.Serial);
-      R.Parallel = Par.bddNot(F.Parallel);
+      R.Fn = Mgr.bddNot(F.Fn);
       R.Table = F.Table;
       R.Table.flip();
       break;
     }
     case 4: { // If-then-else.
       const TrackedFun &F = pick(), &G = pick(), &H = pick();
-      R.Serial = Ser.ite(F.Serial, G.Serial, H.Serial);
-      R.Parallel = Par.ite(F.Parallel, G.Parallel, H.Parallel);
+      R.Fn = Mgr.ite(F.Fn, G.Fn, H.Fn);
       R.Table.resize(N);
       for (size_t I = 0; I != N; ++I)
         R.Table[I] = F.Table[I] ? G.Table[I] : H.Table[I];
@@ -104,16 +94,14 @@ public:
     case 5: { // Existential quantification over a random small cube.
       const TrackedFun &F = pick();
       std::vector<unsigned> Vars = randomVarSet(3);
-      R.Serial = Ser.exists(F.Serial, Ser.cube(Vars));
-      R.Parallel = Par.exists(F.Parallel, Par.cube(Vars));
+      R.Fn = Mgr.exists(F.Fn, Mgr.cube(Vars));
       R.Table = existsTable(F.Table, Vars);
       break;
     }
     case 6: { // Relational product: exists Vars. F AND G.
       const TrackedFun &F = pick(), &G = pick();
       std::vector<unsigned> Vars = randomVarSet(3);
-      R.Serial = Ser.relProd(F.Serial, G.Serial, Ser.cube(Vars));
-      R.Parallel = Par.relProd(F.Parallel, G.Parallel, Par.cube(Vars));
+      R.Fn = Mgr.relProd(F.Fn, G.Fn, Mgr.cube(Vars));
       std::vector<bool> AndT(N);
       for (size_t I = 0; I != N; ++I)
         AndT[I] = F.Table[I] && G.Table[I];
@@ -123,8 +111,7 @@ public:
     case 7: { // Replacement along a random permutation of all variables.
       const TrackedFun &F = pick();
       std::vector<int> Map = randomPermutationMap();
-      R.Serial = Ser.replace(F.Serial, Map);
-      R.Parallel = Par.replace(F.Parallel, Map);
+      R.Fn = Mgr.replace(F.Fn, Map);
       // Renaming v -> Map[v] means the new function reads the value of
       // variable Map[v] wherever the old one read v.
       R.Table.resize(N);
@@ -144,8 +131,7 @@ public:
       const TrackedFun &F = pick();
       unsigned Var = static_cast<unsigned>(Rng.nextBelow(V));
       bool Value = Rng.nextChance(1, 2);
-      R.Serial = Ser.restrict(F.Serial, Var, Value);
-      R.Parallel = Par.restrict(F.Parallel, Var, Value);
+      R.Fn = Mgr.restrict(F.Fn, Var, Value);
       R.Table.resize(N);
       for (size_t I = 0; I != N; ++I) {
         size_t Src = Value ? (I | (size_t(1) << Var))
@@ -160,7 +146,7 @@ public:
     checkStores();
 
     // Replace a random pool slot (beyond the seeded literals) so dropped
-    // handles become garbage and exercise GC in both managers.
+    // handles become garbage and exercise GC.
     size_t Seeded = 2 * size_t(V) + 2;
     if (Pool.size() < Seeded + 16)
       Pool.push_back(std::move(R));
@@ -169,23 +155,18 @@ public:
     ++Cases;
 
     // With reordering on, also force sifting passes at arbitrary points
-    // in the op stream (in addition to any auto-triggered ones), on one
-    // manager at a time so the orders genuinely diverge.
-    if (Reordering && Cases % 41 == 0)
-      Ser.reorder();
-    if (Reordering && Cases % 67 == 0)
-      Par.reorder();
+    // in the op stream (in addition to any auto-triggered ones).
+    if (Reordering && (Cases % 41 == 0 || Cases % 67 == 0))
+      Mgr.reorder();
     checkStores();
   }
 
   size_t casesRun() const { return Cases; }
 
-  /// Final sifting pass on both managers, then every pool function is
-  /// re-verified against its truth table — the reordered managers must
-  /// still agree with the serial baselines on every assignment.
+  /// Final sifting pass, then every pool function is re-verified against
+  /// its truth table on every assignment.
   void reorderAndRecheckAll() {
-    Ser.reorder();
-    Par.reorder();
+    Mgr.reorder();
     checkStores();
     for (const TrackedFun &F : Pool)
       check(F);
@@ -195,8 +176,7 @@ private:
   unsigned V;
   size_t N;
   SplitMix64 Rng;
-  Manager Ser;
-  Manager Par;
+  Manager Mgr;
   bool Reordering;
   std::vector<TrackedFun> Pool;
   size_t Cases = 0;
@@ -278,10 +258,9 @@ private:
     return R;
   }
 
-  /// Structural invariants of both node stores.
+  /// Structural invariants of the node store.
   void checkStores() {
-    ASSERT_EQ(Ser.checkInvariants(), "") << "serial store, case " << Cases;
-    ASSERT_EQ(Par.checkInvariants(), "") << "parallel store, case " << Cases;
+    ASSERT_EQ(Mgr.checkInvariants(), "") << "case " << Cases;
   }
 
   void check(const TrackedFun &R) {
@@ -290,24 +269,15 @@ private:
       for (unsigned Var = 0; Var != V; ++Var)
         Assignment[Var] = (I >> Var) & 1;
       bool Expected = R.Table[I];
-      ASSERT_EQ(Ser.evalAssignment(R.Serial, Assignment), Expected)
-          << "serial disagrees with truth table, case " << Cases
-          << " assignment " << I;
-      ASSERT_EQ(Par.evalAssignment(R.Parallel, Assignment), Expected)
-          << "parallel disagrees with truth table, case " << Cases
-          << " assignment " << I;
+      ASSERT_EQ(Mgr.evalAssignment(R.Fn, Assignment), Expected)
+          << "disagrees with truth table, case " << Cases << " assignment "
+          << I;
     }
-    // Canonicity: same function => same satCount, no matter which engine
-    // built it; satCount is order-independent, so this also holds across
-    // reorders.
-    ASSERT_EQ(Ser.satCount(R.Serial), Par.satCount(R.Parallel))
+    // satCount is order-independent, so this also holds across reorders.
+    ASSERT_EQ(Mgr.satCount(R.Fn),
+              static_cast<double>(
+                  std::count(R.Table.begin(), R.Table.end(), true)))
         << "satCount mismatch, case " << Cases;
-    // Same node count too — but only while both managers share the
-    // variable order; independent sifting legitimately breaks it.
-    if (!Reordering) {
-      ASSERT_EQ(Ser.nodeCount(R.Serial), Par.nodeCount(R.Parallel))
-          << "nodeCount mismatch, case " << Cases;
-    }
   }
 };
 
@@ -328,10 +298,7 @@ class BddDifferential : public ::testing::TestWithParam<RoundSpec> {};
 
 TEST_P(BddDifferential, SerialParallelAndTruthTableAgree) {
   const RoundSpec &Spec = GetParam();
-  // Four threads exercise forking, stealing and the shared unique table.
-  ParallelConfig Cfg;
-  Cfg.NumThreads = 4;
-  DifferentialHarness H(Spec.NumVars, Spec.Seed, Cfg);
+  DifferentialHarness H(Spec.NumVars, Spec.Seed);
   for (unsigned I = 0; I != Spec.Ops; ++I)
     H.step();
   EXPECT_EQ(H.casesRun(), Spec.Ops);
@@ -344,37 +311,21 @@ INSTANTIATE_TEST_SUITE_P(Rounds, BddDifferential, ::testing::ValuesIn(Rounds),
                                   "Seed" + std::to_string(Info.param.Seed);
                          });
 
-// The parallel engine must agree with itself across thread counts too:
-// the 2-thread and hardware-width configurations are checked against the
-// truth table by reusing the harness with different configs.
-TEST(BddDifferential, TwoThreadConfig) {
-  ParallelConfig Cfg;
-  Cfg.NumThreads = 2;
-  DifferentialHarness H(8, 0xB007, Cfg);
-  for (unsigned I = 0; I != 120; ++I)
-    H.step();
-}
-
 // Dynamic variable reordering (docs/reordering.md) must be invisible to
 // clients: the same op stream with auto-sifting enabled — plus forced
 // passes at arbitrary points — still matches the truth table on every
-// assignment and satCount, in both the serial and the parallel manager.
-// Replace permutations (case 7 of the stream) are the sharpest probe
+// assignment and satCount. Replace permutations (case 7 of the stream) are the sharpest probe
 // here, since replace caching is keyed by map tags that must survive the
 // cache flushes reordering performs.
 TEST(BddDifferentialReorder, SerialAndParallelAgreeUnderSifting) {
-  ParallelConfig Cfg;
-  Cfg.NumThreads = 4;
-  DifferentialHarness H(8, 0xD001, Cfg, /*Reordering=*/true);
+  DifferentialHarness H(8, 0xD001, /*Reordering=*/true);
   for (unsigned I = 0; I != 150; ++I)
     H.step();
   H.reorderAndRecheckAll();
 }
 
 TEST(BddDifferentialReorder, TenVarsTwoThreads) {
-  ParallelConfig Cfg;
-  Cfg.NumThreads = 2;
-  DifferentialHarness H(10, 0xD002, Cfg, /*Reordering=*/true);
+  DifferentialHarness H(10, 0xD002, /*Reordering=*/true);
   for (unsigned I = 0; I != 120; ++I)
     H.step();
   H.reorderAndRecheckAll();

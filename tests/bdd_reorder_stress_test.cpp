@@ -1,18 +1,17 @@
-//===- bdd_reorder_stress_test.cpp - Reordering under concurrency ---------===//
+//===- bdd_reorder_stress_test.cpp - Reordering under load ----------------===//
 //
 // Part of jeddpp, a C++ reproduction of the PLDI 2004 paper
 // "Jedd: A BDD-based Relational Extension of Java".
 //
 //===----------------------------------------------------------------------===//
 //
-// Stress test (ctest label: stress) for dynamic variable reordering
-// racing against parallel BDD operations. Sifting runs at the manager's
-// exclusive synchronization point while client threads hammer the shared
-// unique table through the parallel engine; every client tracks truth
-// tables for its functions and verifies them after the storm, so any
-// node corrupted by a swap, a stale computed-cache entry surviving a
-// reorder flush, or a lost unique-table chain segment shows up as a
-// wrong assignment. Run it under TSan via tools/run_sanitized_tests.sh.
+// Stress test (ctest label: stress) for dynamic variable reordering under
+// a long, GC-heavy op stream. Automatic sifting passes fire between the
+// client's operations while four op streams keep their pools live; every
+// stream tracks truth tables for its functions and verifies them at the
+// end, so any node corrupted by a swap, a stale computed-cache entry
+// surviving a reorder flush, or a lost unique-table chain segment shows
+// up as a wrong assignment.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <vector>
 
 using namespace jedd;
@@ -36,8 +32,8 @@ struct LocalFun {
   std::vector<bool> Table;
 };
 
-/// One client thread's op stream: random apply/ite/exists/replace over a
-/// private pool, with truth tables maintained alongside.
+/// One op stream: random apply/ite/exists/replace over a private pool,
+/// with truth tables maintained alongside.
 void clientStream(Manager &M, unsigned V, uint64_t Seed, unsigned Ops,
                   std::vector<LocalFun> &Out) {
   const size_t N = size_t(1) << V;
@@ -89,8 +85,8 @@ void clientStream(Manager &M, unsigned V, uint64_t Seed, unsigned Ops,
       break;
     }
     default: {
-      // Swap two variables — replace() runs at the exclusive point, so
-      // this also interleaves exclusive phases with the reorders.
+      // Swap two variables, interleaving replace's collection checks with
+      // the reorders.
       unsigned X = static_cast<unsigned>(Rng.nextBelow(V));
       unsigned Y = static_cast<unsigned>(Rng.nextBelow(V));
       std::vector<int> Map(V, -1);
@@ -112,7 +108,7 @@ void clientStream(Manager &M, unsigned V, uint64_t Seed, unsigned Ops,
     }
     }
     // The store's structure must hold between any two operations, however
-    // the other clients' operations and the reorders interleave.
+    // the reorders interleave with them.
     EXPECT_EQ(M.checkInvariants(), "") << "client op " << I;
     // Keep a rolling window live so GC has garbage and reorders have a
     // substantial live set.
@@ -140,64 +136,25 @@ void verifyAll(Manager &M, unsigned V, const std::vector<LocalFun> &Funs) {
 
 TEST(BddReorderStress, AutoSiftingUnderParallelLoad) {
   const unsigned V = 10;
-  ParallelConfig Cfg;
-  Cfg.NumThreads = 4;
-  Manager M(V, 1 << 10, 1 << 12, Cfg);
+  Manager M(V, 1 << 10, 1 << 12);
   ReorderConfig RC;
   RC.Auto = true;
   RC.MinNodes = 1 << 8;
   M.setReorderConfig(RC);
 
-  const unsigned Clients = 4;
-  std::vector<std::vector<LocalFun>> Results(Clients);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != Clients; ++T)
-    Threads.emplace_back([&M, T, &Results] {
-      clientStream(M, V, 0xF00D + T, 300, Results[T]);
-    });
-  for (std::thread &T : Threads)
-    T.join();
+  // One client runs the four streams back to back; each stream's pool
+  // stays live, so later streams sift a growing live set.
+  const unsigned Streams = 4;
+  std::vector<std::vector<LocalFun>> Results(Streams);
+  for (unsigned T = 0; T != Streams; ++T)
+    clientStream(M, V, 0xF00D + T, 300, Results[T]);
 
-  for (unsigned T = 0; T != Clients; ++T)
+  for (unsigned T = 0; T != Streams; ++T)
     verifyAll(M, V, Results[T]);
-  // One more forced pass on the quiesced manager, then re-verify.
+  // One more forced pass, then re-verify.
   M.reorder();
   EXPECT_GT(M.reorderStats().Runs, 0u);
-  for (unsigned T = 0; T != Clients; ++T)
-    verifyAll(M, V, Results[T]);
-}
-
-TEST(BddReorderStress, ExplicitReorderRacesClients) {
-  const unsigned V = 9;
-  ParallelConfig Cfg;
-  Cfg.NumThreads = 3;
-  Manager M(V, 1 << 10, 1 << 12, Cfg);
-
-  const unsigned Clients = 3;
-  std::vector<std::vector<LocalFun>> Results(Clients);
-  std::atomic<unsigned> Running{Clients};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != Clients; ++T)
-    Threads.emplace_back([&M, T, &Results, &Running] {
-      clientStream(M, V, 0xBEEF + T, 250, Results[T]);
-      Running.fetch_sub(1);
-    });
-  // Dedicated reorder thread: forced sifting passes while clients run.
-  // The pause between passes lets clients waiting for the exclusive lock
-  // take it; with only a yield the reorderer re-takes the lock before a
-  // woken waiter runs, and under CPU load the clients starve for seconds.
-  std::thread Reorderer([&M, &Running] {
-    do {
-      M.reorder();
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } while (Running.load() != 0);
-  });
-  for (std::thread &T : Threads)
-    T.join();
-  Reorderer.join();
-
-  EXPECT_GT(M.reorderStats().Runs, 0u);
-  for (unsigned T = 0; T != Clients; ++T)
+  for (unsigned T = 0; T != Streams; ++T)
     verifyAll(M, V, Results[T]);
 }
 

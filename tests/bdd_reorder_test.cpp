@@ -175,7 +175,7 @@ TEST(BddReorder, BlocksMoveAsUnits) {
 // process-global: a second thread started counting tags at zero, so its
 // first (different) map aliased the first thread's cache entries and
 // replace() returned results for the wrong map. The registry now lives in
-// the manager, under a mutex.
+// the manager.
 TEST(BddReorderRegistry, DistinctMapsFromTwoThreads) {
   const unsigned V = 4;
   Manager M(V, 1 << 10, 1 << 12);

@@ -8,7 +8,7 @@
 /// \file
 /// Property-based round-trip tests for the JDD1 persistence layer
 /// (src/io): load(save(r)) == r over randomized universes and relations,
-/// under serial, parallel, and reordered managers, across bit orders and
+/// under fresh and reordered managers, across bit orders and
 /// manager boundaries — plus determinism and the golden-format fixture
 /// that pins the v1 byte encoding.
 ///
@@ -37,8 +37,8 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// A universe declaration as plain data, so the same universe can be
-/// built several times (fresh managers, different bit orders, parallel
-/// engines) for cross-manager load tests.
+/// built several times (fresh managers, different bit orders) for
+/// cross-manager load tests.
 struct Decl {
   struct Dom {
     std::string Name;
@@ -85,15 +85,14 @@ std::string orderOf(const Decl &D, const char *Sep, bool Reverse = false) {
   return Spec;
 }
 
-void declare(Universe &U, const Decl &D, const std::string &Order = "",
-             bdd::ParallelConfig Par = {}) {
+void declare(Universe &U, const Decl &D, const std::string &Order = "") {
   for (const Decl::Dom &Dom : D.Doms)
     U.addDomain(Dom.Name, Dom.Size);
   for (const Decl::Attr &A : D.Attrs)
     U.addAttribute(A.Name, static_cast<DomainId>(A.Dom));
   for (const Decl::Phys &P : D.PhysDoms)
     U.addPhysicalDomain(P.Name, P.Bits);
-  U.finalize(Order, 1 << 14, 1 << 14, Par);
+  U.finalize(Order, 1 << 14, 1 << 14);
 }
 
 /// A random relation over a random attribute subset of \p D: each
@@ -128,14 +127,13 @@ std::set<std::vector<uint64_t>> tupleSet(const Relation &R) {
 }
 
 /// Checks that \p Image loads into a universe declared from \p D with
-/// the given manager configuration and matches the original tuple sets.
+/// the given order and matches the original tuple sets.
 void expectLoadsEqual(const std::string &Image, const Decl &D,
                       const std::vector<std::set<std::vector<uint64_t>>>
                           &Expected,
-                      const std::string &Order,
-                      bdd::ParallelConfig Par = {}) {
+                      const std::string &Order) {
   Universe U;
-  declare(U, D, Order, Par);
+  declare(U, D, Order);
   std::vector<NamedRelation> Loaded;
   io::Error E = io::loadCheckpoint(U, Image, Loaded);
   ASSERT_TRUE(E.ok()) << E.toString();
@@ -307,39 +305,6 @@ TEST(IoRelation, RoundTripAcrossBitOrders) {
   }
 }
 
-TEST(IoRelation, RoundTripParallelManagers) {
-  bdd::ParallelConfig Par;
-  Par.NumThreads = 4;
-  for (uint64_t Seed = 60; Seed <= 63; ++Seed) {
-    SplitMix64 Rng(Seed);
-    Decl D = randomDecl(Rng);
-
-    // Save under the parallel engine, load under the serial one.
-    Universe UPar;
-    declare(UPar, D, orderOf(D, "x"), Par);
-    Relation R = randomRelation(UPar, D, Rng);
-    std::string Image;
-    ASSERT_TRUE(io::saveRelation(R, Image).ok());
-
-    Universe USerial;
-    declare(USerial, D);
-    Relation Out;
-    io::Error E = io::loadRelation(USerial, Image, Out);
-    ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
-    EXPECT_EQ(tupleSet(Out), tupleSet(R)) << "seed " << Seed;
-
-    // And the other direction.
-    std::string SerialImage;
-    ASSERT_TRUE(io::saveRelation(Out, SerialImage).ok());
-    Universe UPar2;
-    declare(UPar2, D, orderOf(D, "x"), Par);
-    Relation Out2;
-    E = io::loadRelation(UPar2, SerialImage, Out2);
-    ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
-    EXPECT_EQ(tupleSet(Out2), tupleSet(R)) << "seed " << Seed;
-  }
-}
-
 TEST(IoRelation, RoundTripAfterReordering) {
   for (uint64_t Seed = 80; Seed <= 83; ++Seed) {
     SplitMix64 Rng(Seed);
@@ -411,10 +376,8 @@ TEST(IoCheckpoint, SharedDagRoundTrip) {
       EXPECT_EQ(tupleSet(Loaded[I].Rel), Want[I]) << "seed " << Seed;
     }
 
-    // Also across the bit-order and engine boundaries in one go.
-    bdd::ParallelConfig Par;
-    Par.NumThreads = 2;
-    expectLoadsEqual(Image, D, Want, orderOf(D, "x"), Par);
+    // Also across the bit-order boundary.
+    expectLoadsEqual(Image, D, Want, orderOf(D, "x"));
   }
 }
 

@@ -5,15 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Stress test (ctest label: stress) for the observability layer under
-// the parallel engine: client threads hammer a shared manager through
-// the multi-core apply/ite/exists/replace paths while tracing buffers
-// spans, a subscriber consumes every event synchronously, forced
-// reordering passes interleave, and one thread toggles tracing on and
-// off. Each client tracks truth tables and verifies them afterwards, so
-// instrumentation that perturbs an operation (or reads node counts
-// under the wrong lock) shows up as a wrong assignment, a deadlock, or
-// a TSan report via tools/run_sanitized_tests.sh.
+// Stress test (ctest label: stress) for the process-wide tracer under
+// concurrent emitters: client threads, each owning its own manager, run
+// apply/ite/exists streams with forced reordering passes in between
+// while tracing buffers spans, a subscriber consumes every event
+// synchronously, and one more thread toggles tracing on and off. Each
+// client tracks truth tables and verifies them afterwards, so
+// instrumentation that perturbs an operation shows up as a wrong
+// assignment, and a race in the tracer's per-thread buffers or its
+// subscriber list as a TSan report via tools/run_sanitized_tests.sh.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +24,8 @@
 #include "util/Random.h"
 
 #include <atomic>
-#include <chrono>
 #include <gtest/gtest.h>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -40,7 +40,8 @@ struct LocalFun {
 };
 
 /// One client thread's op stream with truth tables kept alongside (the
-/// same oracle as bdd_reorder_stress_test).
+/// same oracle as bdd_reorder_stress_test) and a forced sifting pass
+/// every 50 operations.
 void clientStream(Manager &M, unsigned V, uint64_t Seed, unsigned Ops,
                   std::vector<LocalFun> &Out) {
   const size_t N = size_t(1) << V;
@@ -96,6 +97,8 @@ void clientStream(Manager &M, unsigned V, uint64_t Seed, unsigned Ops,
       Pool.push_back(std::move(R));
     else
       Pool[V + Rng.nextBelow(24)] = std::move(R);
+    if (I % 50 == 49)
+      M.reorder();
   }
   Out = std::move(Pool);
 }
@@ -129,36 +132,25 @@ TEST(ObsStress, TracingUnderParallelLoadAndReordering) {
   T.clear();
 
   const unsigned V = 9;
-  ParallelConfig Cfg;
-  Cfg.NumThreads = 3;
-  Manager M(V, 1 << 10, 1 << 12, Cfg);
+  const unsigned Clients = 3;
+  std::vector<std::unique_ptr<Manager>> Managers;
+  for (unsigned C = 0; C != Clients; ++C)
+    Managers.push_back(std::make_unique<Manager>(V, 1 << 10, 1 << 12));
 
   CountingSubscriber Sub;
   T.subscribe(&Sub);
   T.setTracing(true);
 
-  const unsigned Clients = 3;
   std::vector<std::vector<LocalFun>> Results(Clients);
   std::atomic<unsigned> Running{Clients};
   std::vector<std::thread> Threads;
   for (unsigned C = 0; C != Clients; ++C)
-    Threads.emplace_back([&M, C, &Results, &Running] {
-      clientStream(M, V, 0xD00D + C, 250, Results[C]);
+    Threads.emplace_back([&Managers, C, &Results, &Running] {
+      clientStream(*Managers[C], V, 0xD00D + C, 250, Results[C]);
       Running.fetch_sub(1);
     });
-  // Forced sifting passes race the clients (reorder spans come from the
-  // exclusive point while op spans stream from the shared one)...
-  // The pause between passes lets clients waiting for the exclusive lock
-  // take it; with only a yield the reorderer re-takes the lock before a
-  // woken waiter runs, and under CPU load the clients starve.
-  std::thread Reorderer([&M, &Running] {
-    do {
-      M.reorder();
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } while (Running.load() != 0);
-  });
-  // ...and tracing toggles while everyone emits, so the fast path flips
-  // between the buffering, subscriber-only, and begin/finish states.
+  // Tracing toggles while everyone emits, so the fast path flips between
+  // the buffering, subscriber-only, and begin/finish states.
   std::thread Toggler([&T, &Running] {
     bool On = false;
     do {
@@ -169,18 +161,18 @@ TEST(ObsStress, TracingUnderParallelLoadAndReordering) {
   });
   for (std::thread &Client : Threads)
     Client.join();
-  Reorderer.join();
   Toggler.join();
   T.setTracing(false);
   T.unsubscribe(&Sub);
 
   // The computation survived being observed.
   for (unsigned C = 0; C != Clients; ++C)
-    verifyAll(M, V, Results[C]);
+    verifyAll(*Managers[C], V, Results[C]);
 
   // The subscriber saw every span, including reorder passes.
   EXPECT_GT(Sub.Spans.load(), 0u);
-  EXPECT_GT(M.reorderStats().Runs, 0u);
+  for (unsigned C = 0; C != Clients; ++C)
+    EXPECT_GT(Managers[C]->reorderStats().Runs, 0u);
 
   // Whatever subset got buffered forms a parseable Chrome trace.
   JsonValue Doc;

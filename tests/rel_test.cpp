@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -74,6 +75,41 @@ TEST_F(RelTest, InsertContainsIterate) {
   // Duplicate insertion is idempotent (relations are sets).
   R.insert({3, 5});
   EXPECT_DOUBLE_EQ(R.size(), 3.0);
+}
+
+TEST_F(RelTest, IterateCallbackMayCallBackIntoTheManager) {
+  Relation Edges = U.empty({{Src, P0}, {Dst, P1}});
+  for (uint64_t I = 0; I != 16; ++I)
+    Edges.insert({I, (I * 5 + 3) % 16});
+  std::vector<std::vector<uint64_t>> Want;
+  for (const std::vector<uint64_t> &T : Edges.tuples())
+    Want.push_back({T[1], T[0]});
+  std::sort(Want.begin(), Want.end());
+
+  // Like CallGraphBuilder::run: insert into another relation of the same
+  // universe from inside the callback, with a collection midway.
+  Relation Reversed = U.empty({{Src, P2}, {Dst, P3}});
+  size_t Seen = 0;
+  Edges.iterate([&](const std::vector<uint64_t> &T) {
+    Reversed.insert({T[1], T[0]});
+    if (++Seen == 8)
+      U.manager().gc();
+    return true;
+  });
+  EXPECT_EQ(Seen, 16u);
+  EXPECT_EQ(Reversed.tuples(), Want);
+
+  // Inserting into the iterated relation itself walks the tuples it had
+  // when the iteration started.
+  Relation Sym = Edges;
+  Seen = 0;
+  Sym.iterate([&](const std::vector<uint64_t> &T) {
+    Sym.insert({T[1], T[0]});
+    ++Seen;
+    return true;
+  });
+  EXPECT_EQ(Seen, 16u);
+  EXPECT_EQ(Sym, Edges | Reversed.withBindings({{Src, P0}, {Dst, P1}}));
 }
 
 TEST_F(RelTest, TupleFactoryKeepsDeclarationOrder) {

@@ -155,9 +155,12 @@ PointsToAnalysis::PointsToAnalysis(AnalysisUniverse &AU) : AU(AU) {
   FieldPt = AU.U.empty(
       {{AU.BaseObj, AU.O2}, {AU.Fld, AU.F1}, {AU.Obj, AU.O1}});
   AllocR = AU.U.empty({{AU.Src, AU.V1}, {AU.Obj, AU.O1}});
-  AssignR = AU.U.empty({{AU.Src, AU.V1}, {AU.Dst, AU.V2}});
+  // AssignR and LoadR keep their source/base variable in V2 and their
+  // destination in V1, so solve()'s compositions quantify V2 and leave
+  // results in Pt's layout.
+  AssignR = AU.U.empty({{AU.Src, AU.V2}, {AU.Dst, AU.V1}});
   LoadR = AU.U.empty(
-      {{AU.Base, AU.V1}, {AU.Fld, AU.F1}, {AU.Dst, AU.V2}});
+      {{AU.Base, AU.V2}, {AU.Fld, AU.F1}, {AU.Dst, AU.V1}});
   StoreR = AU.U.empty(
       {{AU.Src, AU.V1}, {AU.Base, AU.V2}, {AU.Fld, AU.F1}});
 }
@@ -189,14 +192,21 @@ bool PointsToAnalysis::solve() {
     Relation OldPt = Pt;
     Relation OldFieldPt = FieldPt;
 
-    // Copy edges: pt(dst) >= pt(src).
+    // The layout rule: compositions quantify V2 (pt:store1 quantifies
+    // V1, pt:load2 O2 and F1), and their results land in Pt's (V1, O1)
+    // or FieldPt's (O2, F1, O1) layout. So the only replaces are two of
+    // Pt: pt:copy's alignment and the pt:base view.
+
+    // Copy edges: pt(dst) >= pt(src). Pt's Src moves to V2 to meet
+    // AssignR's.
     Pt |= AssignR.compose(Pt, {AU.Src}, {AU.Src}, JEDD_SITE("pt:copy"))
               .rename(AU.Dst, AU.Src);
 
-    // A points-to view keyed for base lookups: <Src, BaseObj>. BaseObj
-    // sits in O2, where FieldPt keeps it, so pt:load2 need not swap O1/O2.
+    // A points-to view keyed for base lookups: <Src V2, BaseObj O2>, so
+    // pt:store2 and pt:load1 compare it in place and pt:load2 finds
+    // BaseObj in O2, where FieldPt keeps it.
     Relation PtBase = Pt.rename(AU.Obj, AU.BaseObj)
-                          .withBindings({{AU.Src, AU.V1}, {AU.BaseObj, AU.O2}},
+                          .withBindings({{AU.Src, AU.V2}, {AU.BaseObj, AU.O2}},
                                         JEDD_SITE("pt:base"));
 
     // Stores: fieldPt(baseobj, fld) >= pt(src) for store(src, base, fld),

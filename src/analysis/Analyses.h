@@ -43,7 +43,7 @@ public:
   /// over all five Table 2 presets (EXPERIMENTS.md, "Variable order");
   /// it gives the same tuples as every other order.
   static constexpr const char *DefaultOrder =
-      "F1_C1_M1_M2_SG1_T1_T2_T3_V1_V2_V3_O1_O2";
+      "F1_C1_SG1_T1_T2_T3_M1_M2_V1_V2_V3_O1_O2";
 
   /// \p OrderSpec lays out the physical domains V1 ... C1 below ("" =
   /// declaration order); a malformed spec throws UsageError. \p Limits

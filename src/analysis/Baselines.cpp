@@ -62,21 +62,24 @@ HandCodedPointsTo::HandCodedPointsTo(const Program &Prog,
 
 void HandCodedPointsTo::loadFacts(
     const std::vector<std::pair<Id, Id>> &ExtraAssigns) {
-  // Physical domain conventions, maintained by hand:
+  // Physical domain conventions, maintained by hand. The rule: solve()'s
+  // relProds quantify V2 (except the store's first, on V1, and the load's
+  // second, on O2 and F1), and their results land in Pt's or FieldPt's
+  // layout, so the only replaces are the two of Pt.
   //   Alloc, Pt:  (V1 var, O1 obj)
-  //   Assign:     (V1 src, V2 dst)
-  //   Load:       (V1 base, F1 fld, V2 dst)
+  //   Assign:     (V2 src, V1 dst)
+  //   Load:       (V2 base, F1 fld, V1 dst)
   //   Store:      (V1 src, V2 base, F1 fld)
   //   FieldPt:    (O2 baseobj, F1 fld, O1 obj)
   for (const soot::AllocStmt &S : Prog.Allocs)
     Alloc = Alloc | (Pack.encode(V1, S.Var) & Pack.encode(O1, S.Site));
   for (const soot::AssignStmt &S : Prog.Assigns)
-    Assign = Assign | (Pack.encode(V1, S.Src) & Pack.encode(V2, S.Dst));
+    Assign = Assign | (Pack.encode(V2, S.Src) & Pack.encode(V1, S.Dst));
   for (auto &[Src, Dst] : ExtraAssigns)
-    Assign = Assign | (Pack.encode(V1, Src) & Pack.encode(V2, Dst));
+    Assign = Assign | (Pack.encode(V2, Src) & Pack.encode(V1, Dst));
   for (const soot::LoadStmt &S : Prog.Loads)
-    Load = Load | (Pack.encode(V1, S.Base) & Pack.encode(F1, S.Field) &
-                   Pack.encode(V2, S.Dst));
+    Load = Load | (Pack.encode(V2, S.Base) & Pack.encode(F1, S.Field) &
+                   Pack.encode(V1, S.Dst));
   for (const soot::StoreStmt &S : Prog.Stores)
     Store = Store | (Pack.encode(V1, S.Src) & Pack.encode(V2, S.Base) &
                      Pack.encode(F1, S.Field));
@@ -96,10 +99,11 @@ void HandCodedPointsTo::solve() {
     bdd::Bdd OldPt = Pt;
     bdd::Bdd OldFieldPt = FieldPt;
 
-    // Copy edges: exists V1. Assign(V1,V2) & Pt(V1,O1) -> (V2,O1), then
-    // replace V2 back to V1.
-    bdd::Bdd Copied = Mgr.relProd(Assign, Pt, CubeV1);
-    Pt = Pt | Pack.replaceDomains(Copied, {{V2, V1}});
+    // Copy edges: exists V2. Assign(V2,V1) & Pt moved to (V2,O1) ->
+    // (V1,O1), Pt's layout.
+    bdd::Bdd Copied = Mgr.relProd(Assign, Pack.replaceDomains(Pt, {{V1, V2}}),
+                                  CubeV2);
+    Pt = Pt | Copied;
 
     // Points-to of base variables, moved into (V2 base, O2 baseobj).
     bdd::Bdd PtBase = Pack.replaceDomains(Pt, {{V1, V2}, {O1, O2}});
@@ -109,14 +113,11 @@ void HandCodedPointsTo::solve() {
     bdd::Bdd StoreObjs = Mgr.relProd(Store, Pt, CubeV1);
     FieldPt = FieldPt | Mgr.relProd(StoreObjs, PtBase, CubeV2);
 
-    // Loads: base objects first. Load is (V1 base, F1, V2 dst); move
-    // base to V2 to meet PtBase... instead move PtBase onto V1:
-    bdd::Bdd PtBaseV1 = Pack.replaceDomains(PtBase, {{V2, V1}});
-    bdd::Bdd LoadBases = Mgr.relProd(Load, PtBaseV1, CubeV1);
-    // (F1, V2 dst, O2 baseobj) & FieldPt(O2, F1, O1) exists O2,F1.
-    bdd::Bdd Loaded = Mgr.relProd(LoadBases, FieldPt, CubeO2F1);
-    // (V2 dst, O1 obj) -> rename dst into V1.
-    Pt = Pt | Pack.replaceDomains(Loaded, {{V2, V1}});
+    // Loads: exists V2. Load(V2,F1,V1) & PtBase(V2,O2) -> (F1, V1 dst,
+    // O2 baseobj); then & FieldPt(O2,F1,O1) exists O2,F1 -> (V1,O1), Pt's
+    // layout.
+    bdd::Bdd LoadBases = Mgr.relProd(Load, PtBase, CubeV2);
+    Pt = Pt | Mgr.relProd(LoadBases, FieldPt, CubeO2F1);
 
     if (Pt == OldPt && FieldPt == OldFieldPt)
       break;

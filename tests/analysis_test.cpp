@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string_view>
 
 using namespace jedd;
@@ -337,11 +338,72 @@ TEST(BitOrderAblation, ResultsAgreeAcrossOrders) {
     PTA.solve();
     EXPECT_EQ(PTA.Pt.tuples(), RefPairs) << "order '" << Order << "'";
     // Under the default order every replace on the fixpoint path keeps
-    // the variable order: PtBase holds BaseObj in O2, as FieldPt does, so
-    // pt:load2 never swaps O1 and O2 through the ITE rebuild.
+    // the variable order: the only two move Pt's V1 to V2 (pt:copy) and
+    // its (V1, O1) to (V2, O2) (pt:base), and V2 lies above O1 and O2,
+    // so neither goes through the ITE rebuild.
     if (std::string_view(Order) == AnalysisUniverse::DefaultOrder)
       EXPECT_EQ(AU.U.manager().stats().ReorderingReplaces, Before);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Physical-domain layout of the points-to fixpoint
+//===----------------------------------------------------------------------===//
+
+/// Counts relational spans by name and site label, and BDD spans by name.
+struct SpanCounter : obs::SpanSubscriber {
+  std::map<std::string, unsigned> Rel, Bdd;
+  void onSpan(const obs::SpanEvent &E) override {
+    if (E.Category == obs::Cat::Rel)
+      ++Rel[std::string(E.Name) + "@" + E.SiteLabel];
+    else if (E.Category == obs::Cat::Bdd)
+      ++Bdd[E.Name];
+  }
+};
+
+TEST(FixpointLayout, OnlyPtIsReplaced) {
+  soot::GeneratorParams Params;
+  Params.NumClasses = 15;
+  Params.Seed = 5;
+  Program P = soot::generateProgram(Params);
+  std::vector<std::pair<Id, Id>> Extra = onTheFlyAssignEdges(P);
+  obs::Tracer &T = obs::Tracer::instance();
+
+  // The relational version: compositions quantify V2 and land in Pt's
+  // or FieldPt's layout, so each iteration replaces Pt twice, for
+  // pt:copy's alignment and for the pt:base view, and nothing else.
+  AnalysisUniverse AU(P);
+  PointsToAnalysis PTA(AU);
+  for (size_t M = 0; M != P.Methods.size(); ++M)
+    PTA.addMethodFacts(static_cast<Id>(M));
+  for (auto &[Src, Dst] : Extra)
+    PTA.addAssignEdge(Src, Dst);
+  SpanCounter Jedd;
+  T.subscribe(&Jedd);
+  PTA.solve();
+  T.unsubscribe(&Jedd);
+  unsigned Iterations = Jedd.Rel["compose@pt:copy"];
+  ASSERT_GE(Iterations, 2u);
+  unsigned Replaces = 0;
+  for (auto &[Key, Count] : Jedd.Rel)
+    if (Key.rfind("replace@", 0) == 0) {
+      EXPECT_TRUE(Key == "replace@pt:copy" || Key == "replace@pt:base")
+          << Key;
+      Replaces += Count;
+    }
+  EXPECT_EQ(Jedd.Rel["replace@pt:copy"], Iterations);
+  EXPECT_EQ(Replaces, 2 * Iterations);
+
+  // The hand-coded version keeps the same layout: 2 replaces per 5
+  // relational products.
+  HandCodedPointsTo Hand(P);
+  Hand.loadFacts(Extra);
+  SpanCounter HandSpans;
+  T.subscribe(&HandSpans);
+  Hand.solve();
+  T.unsubscribe(&HandSpans);
+  ASSERT_GE(HandSpans.Bdd["relProd"], 10u);
+  EXPECT_EQ(5 * HandSpans.Bdd["replace"], 2 * HandSpans.Bdd["relProd"]);
 }
 
 //===----------------------------------------------------------------------===//

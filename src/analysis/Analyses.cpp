@@ -24,7 +24,6 @@ using soot::Program;
 
 AnalysisUniverse::AnalysisUniverse(const Program &Prog,
                                    const std::string &OrderSpec,
-                                   bdd::ReorderConfig Reorder,
                                    bdd::ResourceLimits Limits)
     : Prog(Prog) {
   auto Sz = [](size_t N) { return std::max<uint64_t>(N, 1); };
@@ -74,7 +73,7 @@ AnalysisUniverse::AnalysisUniverse(const Program &Prog,
   F1 = U.addPhysicalDomain("F1", BF);
   C1 = U.addPhysicalDomain("C1", BC);
 
-  U.finalize(OrderSpec, 1 << 16, 1 << 18, Reorder);
+  U.finalize(OrderSpec, 1 << 16, 1 << 18);
   if (Limits.any())
     U.setResourceLimits(Limits);
 }

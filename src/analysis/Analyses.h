@@ -52,7 +52,6 @@ public:
   /// right after finalize(); the default is ungoverned.
   explicit AnalysisUniverse(const soot::Program &Prog,
                             const std::string &OrderSpec = DefaultOrder,
-                            bdd::ReorderConfig Reorder = {},
                             bdd::ResourceLimits Limits = {});
 
   rel::Universe U;

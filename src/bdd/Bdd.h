@@ -70,25 +70,6 @@ enum class Op : uint8_t {
 class Kernel;
 class Manager;
 
-/// Configuration of dynamic variable reordering (docs/reordering.md).
-/// Reordering runs Rudell sifting over whole variable *blocks* (physical
-/// domains or interleaved bit groups, see Manager::setBlocks) between
-/// operations, where collections run, so every DomainPack attribute
-/// encoding stays valid without re-encoding.
-struct ReorderConfig {
-  /// Trigger a sifting pass automatically when the live node count has
-  /// grown by GrowthFactor since the last pass (checked right after a
-  /// collection, so garbage never inflates the trigger).
-  bool Auto = false;
-  /// Growth ratio of live nodes that arms the automatic trigger.
-  double GrowthFactor = 2.0;
-  /// Automatic passes never run below this many live nodes.
-  size_t MinNodes = 1 << 12;
-  /// A block stops sifting in one direction once the total live size
-  /// exceeds MaxGrowth times the best size seen for this block.
-  double MaxGrowth = 1.2;
-};
-
 /// Resource-governor limits (docs/robustness.md). All zero/null means
 /// ungoverned — the historical grow-until-OOM behavior. When a limit
 /// trips mid-operation the operation unwinds via jedd::ResourceExhausted,
@@ -112,18 +93,6 @@ struct ResourceLimits {
   bool any() const {
     return MaxNodes || MaxBytes || TimeLimitMicros || Cancel;
   }
-};
-
-/// Counters of the reordering machinery, surfaced in the profiler's
-/// reorder section. NodesBefore/NodesAfter describe the last pass;
-/// the rest accumulate over the manager's lifetime.
-struct ReorderStats {
-  size_t Runs = 0;       ///< Completed sifting passes.
-  size_t Swaps = 0;      ///< Adjacent-level swaps performed.
-  size_t BlockMoves = 0; ///< Adjacent-block exchanges performed.
-  size_t NodesBefore = 0; ///< Live nodes entering the last pass.
-  size_t NodesAfter = 0;  ///< Live nodes leaving the last pass.
-  uint64_t Micros = 0;    ///< Total wall time spent reordering.
 };
 
 /// An exact 128-bit satisfying-assignment count. Counts above 2^128 - 1
@@ -204,14 +173,6 @@ struct ManagerStats {
   /// variables, so the result is rebuilt with ITEs instead of relabelled.
   size_t ReorderingReplaces = 0;
 
-  // Reordering counters; all zero until the first sifting pass.
-  size_t ReorderRuns = 0;
-  size_t ReorderSwaps = 0;
-  size_t ReorderBlockMoves = 0;
-  size_t ReorderNodesBefore = 0;
-  size_t ReorderNodesAfter = 0;
-  uint64_t ReorderMicros = 0;
-
   // Resource-governor state (docs/robustness.md); limits echo the
   // configured ResourceLimits, peaks/aborts accumulate over the
   // manager's lifetime.
@@ -221,15 +182,13 @@ struct ManagerStats {
   size_t BytesPeak = 0;           ///< Peak approximate heap bytes.
   size_t ResourceAborts = 0;      ///< Operations aborted by the governor.
   size_t ResourceRecoveries = 0;  ///< Completed post-abort recoveries.
-  size_t ResourceEscalations = 0; ///< Pressure escalations (gc/reorder).
+  size_t ResourceEscalations = 0; ///< Pressure escalations (flush + gc).
 };
 
 /// The BDD manager: node pool, unique table, computed cache, and all
-/// operations. One manager owns one global variable order. Variables are
-/// stable identifiers; their position in the order is a *level*
-/// (0 = topmost) looked up through a var<->level indirection, which is
-/// what lets dynamic reordering move variables without touching client
-/// code or stored encodings. The initial order is the identity.
+/// operations. One manager owns one static variable order: a variable's
+/// index is its level (0 = topmost). Clients choose the order by how they
+/// number variables, which DomainPack does from an order spec.
 ///
 /// The variable space is split in two halves: "real" variables
 /// [0, numVars()) that clients use, and a hidden scratch region used by
@@ -320,15 +279,13 @@ public:
   /// The set of variables F depends on, sorted ascending.
   std::vector<unsigned> support(const Bdd &F);
 
-  /// Enumerates all assignments of \p Vars (sorted by level, which must
+  /// Enumerates all assignments of \p Vars (sorted ascending, which must
   /// cover the support of F) that keep F satisfiable. Each callback
   /// receives one bit per entry of \p Vars. Returning false stops the
   /// enumeration early. The callback may call back into this manager
   /// (CallGraphBuilder::run inserts call edges from inside
   /// Relation::iterate): a collection in between never frees F's nodes,
-  /// because the caller's handle keeps them referenced. It must not
-  /// reorder, though: a sifting pass (reorder(), or an automatic one
-  /// under ReorderConfig::Auto) rewrites the nodes being walked.
+  /// because the caller's handle keeps them referenced.
   void enumerate(const Bdd &F, const std::vector<unsigned> &Vars,
                  const std::function<bool(const std::vector<bool> &)> &Fn);
 
@@ -350,35 +307,6 @@ public:
 
   /// Graphviz dump for debugging.
   std::string toDot(const Bdd &F);
-
-  //===--------------------------------------------------------------===//
-  // Dynamic variable reordering
-  //===--------------------------------------------------------------===//
-
-  /// Runs one block-sifting pass now. All outstanding Bdd handles stay
-  /// valid and keep their semantics.
-  void reorder();
-
-  /// Installs the reordering policy. Auto-triggered passes run between
-  /// operations, right after a collection.
-  void setReorderConfig(const ReorderConfig &Cfg);
-  ReorderConfig reorderConfig() const;
-
-  /// Declares the units sifting moves: each block is a set of client
-  /// variables currently occupying contiguous levels (a physical domain,
-  /// or one interleaved bit group). Blocks must be disjoint; variables
-  /// not covered by any block sift as singletons. Reordering permutes
-  /// whole blocks and never breaks one apart.
-  void setBlocks(std::vector<std::vector<unsigned>> BlockList);
-  /// The blocks as declared by setBlocks.
-  std::vector<std::vector<unsigned>> blocks() const;
-
-  ReorderStats reorderStats() const;
-
-  /// Current level of a client variable / variable at a level. Identity
-  /// until the first reorder.
-  unsigned levelOfVar(unsigned Var) const;
-  unsigned varAtLevel(unsigned Level) const;
 
   //===--------------------------------------------------------------===//
   // Memory management
@@ -427,7 +355,9 @@ public:
 
 private:
   struct Node {
-    uint32_t Var;  ///< Level; VarTerminal for constants, VarFree if free.
+    uint32_t Var;  ///< Variable (= level); VarTerminal for constants,
+                   ///< VarFree if free. Both sentinels sort below every
+                   ///< variable.
     NodeRef Low;   ///< Also next-free chain for free nodes.
     NodeRef High;
     uint32_t Next; ///< Unique-table chain.
@@ -553,22 +483,7 @@ private:
   }
 
   unsigned NumVars;
-  unsigned TotalVars; ///< NumVars real + NumVars scratch.
-
-  /// The var<->level indirection. Nodes store the stable variable index;
-  /// every recursion compares positions through these maps, and sifting
-  /// reorders by permuting them (CUDD's scheme — "stays" nodes need no
-  /// rewriting on a swap). Scratch variables are pinned below all client
-  /// levels and never move.
-  std::vector<uint32_t> VarToLevel;
-  std::vector<uint32_t> LevelToVar;
-
-  /// Level of a variable; terminal/free sentinels map to themselves so
-  /// they still compare below ("deeper than") every proper variable.
-  uint32_t levelOf(uint32_t Var) const {
-    return Var >= TotalVars ? Var : VarToLevel[Var];
-  }
-  uint32_t levelOfNode(NodeRef N) const { return levelOf(Nodes[N].Var); }
+  unsigned TotalVars; ///< NumVars real + NumVars scratch, scratch below.
 
   NodePool Nodes;
   std::vector<uint32_t> Buckets; ///< Unique table heads; size power of 2.
@@ -590,39 +505,6 @@ private:
   size_t GcRuns = 0;
   size_t NodesCreated = 0;
   size_t ReorderingReplaces = 0;
-
-  //===--------------------------------------------------------------===//
-  // Reordering state (Reorder.cpp)
-  //===--------------------------------------------------------------===//
-
-  ReorderConfig RCfg;
-  ReorderStats RStats;
-  /// Live node count after the last pass (or MinNodes); the automatic
-  /// trigger fires when live nodes exceed Baseline * GrowthFactor.
-  size_t ReorderBaseline;
-  /// Precomputed live-node threshold arming the automatic trigger, or
-  /// SIZE_MAX when Auto is off.
-  size_t ReorderTrigger = ~size_t(0);
-  bool InReorder = false;
-  /// Sifting units as declared by setBlocks (client variable sets).
-  std::vector<std::vector<unsigned>> Blocks;
-  /// Per-variable node lists, maintained only while a pass runs.
-  std::vector<std::vector<NodeRef>> VarNodes;
-
-  void updateReorderTrigger();
-  bool reorderDueImpl() const;
-  void reorderImpl(bool Force);
-  void buildVarNodesImpl();
-  /// Unique-table maintenance for in-place node rewrites.
-  void bucketRemove(NodeRef N);
-  void bucketInsert(NodeRef N);
-  /// Exchanges the variables at \p Level and \p Level + 1 in place;
-  /// externally referenced nodes keep their NodeRef and semantics.
-  void swapAdjacentLevels(unsigned Level);
-  /// Exchanges the adjacent blocks of \p WidthX and \p WidthY variables
-  /// starting at \p StartLevel (WidthX * WidthY adjacent swaps).
-  void swapAdjacentBlocksAt(unsigned StartLevel, unsigned WidthX,
-                            unsigned WidthY);
 
   /// Registry assigning each distinct replace() map a stable cache-tag
   /// id. Owned by the manager (not global): tags index this manager's
@@ -694,9 +576,10 @@ private:
   /// GovTickMask + 1 node creations.
   uint32_t GovTick = 0;
   static constexpr uint32_t GovTickMask = 1023;
-  /// One forced reorder per pressure episode; re-armed when usage drops
-  /// below half the ceiling.
-  bool GovReorderEscalated = false;
+  /// Set when flush + GC left usage above 7/8 of the ceiling, so the
+  /// ladder does not rerun on every operation of that pressure episode;
+  /// re-armed when usage drops below half the ceiling.
+  bool GovEscalated = false;
   // Fault injection (JEDDPP_FAULT_INJECT / setFaultInjection).
   uint64_t FaultSeed = 0;
   uint32_t FaultRate = 0;
@@ -710,18 +593,16 @@ private:
   /// Builds and throws the typed error of kind \p Kind.
   [[noreturn]] void throwResource(ResourceExhausted::Kind Kind);
   /// The cancellation or deadline condition that has tripped, if any.
-  /// Both persist once tripped, which is what lets a truncated reorder
-  /// pass leave the throw to the next operation boundary.
   std::optional<ResourceExhausted::Kind> governorExpired() const;
   /// Deadline / cancellation / forced-fault trips. Throws
   /// ResourceExhausted.
   void governorBoundary();
   /// Escalation ladder + boundary checks at operation entry (called from
-  /// gcIfNeededImpl): flush caches → GC → forced reorder, then the
-  /// boundary trips. Throws.
+  /// gcIfNeededImpl): flush caches → GC, then the boundary trips.
+  /// Throws.
   void governorPreOp();
   /// Allocation-level check (ceilings plus periodic deadline / cancel
-  /// poll). Throws; no-op while reordering.
+  /// poll). Throws.
   void governorCheckAlloc();
   /// Post-abort recovery: GC + cache flush, emits
   /// resource.abort/resource.recovery spans.

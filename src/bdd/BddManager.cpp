@@ -154,14 +154,6 @@ Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize)
     ++FreeCount;
   }
 
-  // Identity order; reordering permutes these maps later. Scratch
-  // variables [NumVars, TotalVars) keep their levels forever.
-  VarToLevel.resize(TotalVars);
-  LevelToVar.resize(TotalVars);
-  for (unsigned V = 0; V != TotalVars; ++V)
-    VarToLevel[V] = LevelToVar[V] = V;
-  ReorderBaseline = RCfg.MinNodes;
-
   // Fault injection from the environment: "RATE" or "RATE:SEED" (one in
   // RATE governor checkpoints trips). The API (setFaultInjection) takes
   // precedence when called later.
@@ -181,7 +173,7 @@ Manager::~Manager() = default;
 
 NodeRef Manager::makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
   assert(Var < TotalVars && "variable out of range");
-  assert(levelOfNode(Low) > levelOf(Var) && levelOfNode(High) > levelOf(Var) &&
+  assert(varOf(Low) > Var && varOf(High) > Var &&
          "children must be below the new node in the order");
   if (Low == High)
     return Low;
@@ -192,10 +184,8 @@ NodeRef Manager::makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
       return N;
 
   // Governor checkpoint at the allocation level (ceilings, periodic
-  // deadline/cancel poll, injected allocation failures). Disabled while
-  // sifting: a throw mid-swap would corrupt the table, so reordering
-  // polls at its own block boundaries instead.
-  if (GovEnabled && !InReorder)
+  // deadline/cancel poll, injected allocation failures).
+  if (GovEnabled)
     governorCheckAlloc();
 
   if (FreeHead == NoNode) {
@@ -216,7 +206,7 @@ void Manager::growPool() {
   // Growing (rather than collecting) is the only safe response while a
   // recursive operation is in flight: unreferenced intermediate results
   // must survive. See the class comment.
-  if (GovEnabled && !InReorder) {
+  if (GovEnabled) {
     size_t Bytes = notePeaks();
     if (Limits.MaxBytes && Bytes >= Limits.MaxBytes)
       throwResource(ResourceExhausted::Kind::Bytes);
@@ -240,10 +230,7 @@ void Manager::growPool() {
     FreeHead = static_cast<uint32_t>(I);
     ++FreeCount;
   }
-  // During a sifting swap a node may be transiently out of its bucket;
-  // rehashing would re-link it by its stale fields and cross-link the
-  // chains. Reordering rehashes at its own collection points instead.
-  if (!InReorder && Nodes.size() > 2 * Buckets.size())
+  if (Nodes.size() > 2 * Buckets.size())
     rehash();
 }
 
@@ -314,16 +301,9 @@ void Manager::gcImpl() {
 }
 
 void Manager::gcIfNeededImpl() {
-  if (FreeCount * 8 < Nodes.size()) {
+  if (FreeCount * 8 < Nodes.size())
     gcImpl();
-    // The automatic reorder trigger is evaluated only right after a
-    // collection: live == allocated here, so garbage never inflates the
-    // growth measurement, and this point sits between operations where
-    // no recursion holds raw NodeRefs into unprotected intermediates.
-    if (reorderDueImpl())
-      reorderImpl(/*Force=*/false);
-  }
-  if (GovEnabled && !InReorder)
+  if (GovEnabled)
     governorPreOp();
 }
 
@@ -384,9 +364,9 @@ std::string Manager::checkInvariants() const {
     for (NodeRef Child : {Nd.Low, Nd.High}) {
       if (Child >= Size || Nodes[Child].Var == VarFree)
         return strFormat("node %u has dangling child %u", N, Child);
-      if (levelOfNode(Child) <= levelOf(Nd.Var))
+      if (varOf(Child) <= Nd.Var)
         return strFormat("node %u (level %u) has child %u at level %u", N,
-                         levelOf(Nd.Var), Child, levelOfNode(Child));
+                         Nd.Var, Child, varOf(Child));
     }
   }
 
@@ -435,12 +415,6 @@ ManagerStats Manager::stats() const {
   S.CacheLookups = Cache.lookups();
   S.NodesCreated = NodesCreated;
   S.ReorderingReplaces = ReorderingReplaces;
-  S.ReorderRuns = RStats.Runs;
-  S.ReorderSwaps = RStats.Swaps;
-  S.ReorderBlockMoves = RStats.BlockMoves;
-  S.ReorderNodesBefore = RStats.NodesBefore;
-  S.ReorderNodesAfter = RStats.NodesAfter;
-  S.ReorderMicros = RStats.Micros;
   S.LimitMaxNodes = Limits.MaxNodes;
   S.LimitMaxBytes = Limits.MaxBytes;
   S.NodesPeak = GovNodesPeak;
@@ -524,7 +498,7 @@ std::optional<ResourceExhausted::Kind> Manager::governorExpired() const {
 }
 
 void Manager::governorBoundary() {
-  if (!GovEnabled || InReorder)
+  if (!GovEnabled)
     return;
   if (auto Kind = governorExpired())
     throwResource(*Kind);
@@ -533,26 +507,22 @@ void Manager::governorBoundary() {
 }
 
 void Manager::governorPreOp() {
-  // Escalation ladder under node pressure (flush caches → GC → forced
-  // reorder): gcImpl covers the first two rungs, a single forced sifting
-  // pass per episode the third. If usage still sits above 7/8 of the
-  // ceiling afterwards the ladder is exhausted; the operation proceeds
-  // and aborts at the allocation that crosses the ceiling.
+  // Escalation ladder under node pressure (flush caches → GC → abort):
+  // gcImpl covers the first two rungs, once per episode. If usage still
+  // sits above 7/8 of the ceiling afterwards the ladder is exhausted; the
+  // operation proceeds and aborts at the allocation that crosses the
+  // ceiling.
   if (Limits.MaxNodes) {
     size_t Used = usedNodesImpl();
-    if (Used * 8 >= Limits.MaxNodes * 7 && !GovReorderEscalated) {
+    if (Used * 8 >= Limits.MaxNodes * 7 && !GovEscalated) {
       ++GovEscalations;
       gcImpl();
       Used = usedNodesImpl();
-      if (Used * 8 >= Limits.MaxNodes * 7) {
-        reorderImpl(/*Force=*/true);
-        Used = usedNodesImpl();
-      }
       if (Used * 8 >= Limits.MaxNodes * 7)
-        GovReorderEscalated = true; // Ladder exhausted for this episode.
+        GovEscalated = true; // Ladder exhausted for this episode.
     }
     if (Used * 2 < Limits.MaxNodes)
-      GovReorderEscalated = false;
+      GovEscalated = false;
   }
   governorBoundary();
 }
@@ -679,13 +649,8 @@ Bdd Manager::cube(const std::vector<unsigned> &Vars) {
   for (unsigned V : Sorted)
     assert(V < TotalVars && "cube variable out of range");
 #endif
+  std::sort(Sorted.begin(), Sorted.end());
   return runOp([&] {
-    // The chain must be built in level order (top to bottom), which is
-    // no longer the variable-index order once reordering has run. The
-    // sort runs after runOp's collection check, which may reorder.
-    std::sort(Sorted.begin(), Sorted.end(), [&](unsigned A, unsigned B) {
-      return VarToLevel[A] < VarToLevel[B];
-    });
     assert(std::adjacent_find(Sorted.begin(), Sorted.end()) == Sorted.end() &&
            "duplicate variable in cube");
     NodeRef Result = TrueRef;
@@ -725,23 +690,17 @@ Bdd Manager::relProd(const Bdd &F, const Bdd &G, const Bdd &CubeBdd) {
 
 bool Manager::isOrderPreserving(const std::vector<int> &Map,
                                 const std::vector<unsigned> &Support) const {
-  // "Order" means the current level order, not variable indices: the
-  // single-recursion fast path relabels nodes in place, which is sound
-  // exactly when the images' levels are strictly increasing down the
-  // support's level order.
-  std::vector<unsigned> ByLevel(Support);
-  std::sort(ByLevel.begin(), ByLevel.end(), [&](unsigned A, unsigned B) {
-    return levelOf(A) < levelOf(B);
-  });
-  uint32_t LastImageLevel = 0;
+  // The single-recursion fast path relabels nodes in place, which is
+  // sound exactly when the images are strictly increasing down the
+  // support (sorted ascending, so in order).
+  uint32_t LastImage = 0;
   bool First = true;
-  for (unsigned V : ByLevel) {
+  for (unsigned V : Support) {
     unsigned Image =
         (V < Map.size() && Map[V] >= 0) ? static_cast<unsigned>(Map[V]) : V;
-    uint32_t Lvl = levelOf(Image);
-    if (!First && Lvl <= LastImageLevel)
+    if (!First && Image <= LastImage)
       return false;
-    LastImageLevel = Lvl;
+    LastImage = Image;
     First = false;
   }
   return true;
@@ -865,7 +824,7 @@ jedd::bdd::NodeRef Manager::replaceViaIteRec(NodeRef F,
 //===----------------------------------------------------------------------===//
 
 NodeRef Manager::restrictRec(NodeRef F, unsigned Var, bool Value) {
-  if (isTerminal(F) || levelOfNode(F) > levelOf(Var))
+  if (isTerminal(F) || varOf(F) > Var)
     return F;
   uint32_t Tag = Value ? TagRestrict1 : TagRestrict0;
   if (varOf(F) == Var)
@@ -912,13 +871,12 @@ double Manager::satCountRec(NodeRef F,
     return It->second;
   const Node &Nd = Nodes[F];
   auto LevelOfN = [&](NodeRef N) {
-    return isTerminal(N) ? NumVars : levelOfNode(N);
+    return isTerminal(N) ? NumVars : varOf(N);
   };
-  uint32_t Lvl = levelOf(Nd.Var);
   double Low = satCountRec(Nd.Low, Memo) *
-               std::pow(2.0, LevelOfN(Nd.Low) - Lvl - 1);
+               std::pow(2.0, LevelOfN(Nd.Low) - Nd.Var - 1);
   double High = satCountRec(Nd.High, Memo) *
-                std::pow(2.0, LevelOfN(Nd.High) - Lvl - 1);
+                std::pow(2.0, LevelOfN(Nd.High) - Nd.Var - 1);
   double Result = Low + High;
   Memo.emplace(F, Result);
   return Result;
@@ -968,15 +926,14 @@ Manager::satCountExactRec(NodeRef F,
     return It->second;
   const Node &Nd = Nodes[F];
   auto LevelOfN = [&](NodeRef N) {
-    return isTerminal(N) ? NumVars : levelOfNode(N);
+    return isTerminal(N) ? NumVars : varOf(N);
   };
-  uint32_t Lvl = levelOf(Nd.Var);
   unsigned __int128 Low =
       shiftSat(satCountExactRec(Nd.Low, Memo, Saturated),
-               LevelOfN(Nd.Low) - Lvl - 1, Saturated);
+               LevelOfN(Nd.Low) - Nd.Var - 1, Saturated);
   unsigned __int128 High =
       shiftSat(satCountExactRec(Nd.High, Memo, Saturated),
-               LevelOfN(Nd.High) - Lvl - 1, Saturated);
+               LevelOfN(Nd.High) - Nd.Var - 1, Saturated);
   unsigned __int128 Result = addSat(Low, High, Saturated);
   Memo.emplace(F, Result);
   return Result;
@@ -989,7 +946,7 @@ SatCount Manager::satCountExactImpl(NodeRef Root) {
 #endif
   std::unordered_map<NodeRef, unsigned __int128> Memo;
   bool Saturated = false;
-  unsigned TopLevel = isTerminal(Root) ? NumVars : levelOfNode(Root);
+  unsigned TopLevel = isTerminal(Root) ? NumVars : varOf(Root);
   unsigned __int128 Count =
       shiftSat(satCountExactRec(Root, Memo, Saturated), TopLevel, Saturated);
   SatCount Result;
@@ -1013,7 +970,7 @@ double Manager::satCount(const Bdd &F) {
     return Exact.toDouble();
   std::unordered_map<NodeRef, double> Memo;
   NodeRef Root = F.ref();
-  unsigned TopLevel = isTerminal(Root) ? NumVars : levelOfNode(Root);
+  unsigned TopLevel = isTerminal(Root) ? NumVars : varOf(Root);
   return satCountRec(Root, Memo) * std::pow(2.0, TopLevel);
 }
 
@@ -1097,8 +1054,8 @@ std::vector<size_t> Manager::levelShape(const Bdd &F) {
     if (isTerminal(N) || Stamps[N] == Stamp)
       continue;
     Stamps[N] = Stamp;
-    if (levelOfNode(N) < NumVars)
-      ++Shape[levelOfNode(N)];
+    if (varOf(N) < NumVars)
+      ++Shape[varOf(N)];
     Stack.push_back(Nodes[N].Low);
     Stack.push_back(Nodes[N].High);
   }
@@ -1136,11 +1093,8 @@ void Manager::enumerate(
     const std::function<bool(const std::vector<bool> &)> &Fn) {
   // Fn may call back into this manager (see the declaration): the walk
   // holds only NodeRefs below F, which stay allocated while F is held.
-  assert(std::is_sorted(Vars.begin(), Vars.end(),
-                        [&](unsigned A, unsigned B) {
-                          return levelOf(A) < levelOf(B);
-                        }) &&
-         "enumeration variables must be sorted by level");
+  assert(std::is_sorted(Vars.begin(), Vars.end()) &&
+         "enumeration variables must be sorted");
 #ifndef NDEBUG
   for (unsigned V : supportImpl(F.ref()))
     assert(std::find(Vars.begin(), Vars.end(), V) != Vars.end() &&

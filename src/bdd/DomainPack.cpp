@@ -66,16 +66,11 @@ std::vector<std::vector<PhysDomId>> DomainPack::parseSpec() const {
   return Result;
 }
 
-void DomainPack::finalize(size_t InitialNodes, size_t CacheSize,
-                          ReorderConfig Reorder) {
+void DomainPack::finalize(size_t InitialNodes, size_t CacheSize) {
   assert(!Mgr && "finalize() may only run once");
   assert(!Doms.empty() && "a pack needs at least one domain");
   std::vector<std::vector<PhysDomId>> Parsed = parseSpec();
 
-  // Reorder blocks: groups of variables that sifting moves as one unit.
-  // Each group must occupy contiguous levels, and keeping a group intact
-  // keeps every encoding produced by this pack valid across reorders.
-  std::vector<std::vector<unsigned>> ReorderBlocks;
   unsigned NextVar = 0;
   for (const std::vector<PhysDomId> &Group : Parsed) {
     // MSB-aligned interleave: round k hands one variable to every domain
@@ -89,30 +84,18 @@ void DomainPack::finalize(size_t InitialNodes, size_t CacheSize,
       MaxBits = std::max(MaxBits, Doms[Dom].Bits);
       Doms[Dom].Vars.resize(Doms[Dom].Bits);
     }
-    std::vector<unsigned> Block;
     for (unsigned Round = 0; Round != MaxBits; ++Round) {
       for (PhysDomId Dom : Group) {
         // Domain D participates in the last D.Bits rounds.
         DomInfo &D = Doms[Dom];
         unsigned Offset = MaxBits - D.Bits;
-        if (Round >= Offset) {
-          D.Vars[Round - Offset] = NextVar;
-          Block.push_back(NextVar++);
-        }
-      }
-      // One block per interleave round: the bit-k-of-every-domain groups
-      // are what must stay together for the alignment to survive
-      // sifting. A single domain is one block.
-      if (Group.size() > 1 || Round + 1 == MaxBits) {
-        ReorderBlocks.push_back(std::move(Block));
-        Block.clear();
+        if (Round >= Offset)
+          D.Vars[Round - Offset] = NextVar++;
       }
     }
   }
   Groups = std::move(Parsed);
   Mgr = std::make_unique<Manager>(NextVar, InitialNodes, CacheSize);
-  Mgr->setBlocks(std::move(ReorderBlocks));
-  Mgr->setReorderConfig(Reorder);
 }
 
 Bdd DomainPack::encode(PhysDomId Dom, uint64_t Value) {
@@ -224,10 +207,7 @@ DomainPack::sortedVars(const std::vector<PhysDomId> &DomList) {
   std::vector<unsigned> Vars;
   for (PhysDomId Dom : DomList)
     Vars.insert(Vars.end(), Doms[Dom].Vars.begin(), Doms[Dom].Vars.end());
-  // Level order, which reordering may have decoupled from index order.
-  std::sort(Vars.begin(), Vars.end(), [&](unsigned A, unsigned B) {
-    return Mgr->levelOfVar(A) < Mgr->levelOfVar(B);
-  });
+  std::sort(Vars.begin(), Vars.end());
   return Vars;
 }
 
@@ -239,9 +219,9 @@ uint64_t DomainPack::decodeValue(PhysDomId Dom,
   const DomInfo &D = Doms[Dom];
   uint64_t Value = 0;
   for (unsigned B = 0; B != D.Bits; ++B) {
-    // Vars is level-sorted, not index-sorted, so search linearly.
-    auto It = std::find(Vars.begin(), Vars.end(), D.Vars[B]);
-    assert(It != Vars.end() && "domain not part of the enumerated set");
+    auto It = std::lower_bound(Vars.begin(), Vars.end(), D.Vars[B]);
+    assert(It != Vars.end() && *It == D.Vars[B] &&
+           "domain not part of the enumerated set");
     size_t Index = static_cast<size_t>(It - Vars.begin());
     Value = (Value << 1) | (Bits[Index] ? 1 : 0);
   }

@@ -58,15 +58,10 @@ public:
   PhysDomId addDomain(std::string Name, unsigned Bits);
 
   /// Parses the order spec, assigns variable positions and creates the
-  /// manager. \p Reorder is the dynamic-reordering policy (off by
-  /// default). Reorder blocks are derived from the spec: one per
-  /// interleave round of a multi-domain group and one per single-domain
-  /// group — the units sifting may move without invalidating any
-  /// attribute encoding. A spec naming an undeclared domain, naming one
-  /// twice or leaving one out throws UsageError and leaves the pack
-  /// unfinalized.
-  void finalize(size_t InitialNodes = 1 << 14, size_t CacheSize = 1 << 16,
-                ReorderConfig Reorder = {});
+  /// manager, whose order stays fixed from then on. A spec naming an
+  /// undeclared domain, naming one twice or leaving one out throws
+  /// UsageError and leaves the pack unfinalized.
+  void finalize(size_t InitialNodes = 1 << 14, size_t CacheSize = 1 << 16);
   bool isFinalized() const { return Mgr != nullptr; }
 
   Manager &manager() {
@@ -89,7 +84,7 @@ public:
     assert(Bit < Doms[Dom].Bits && "bit index out of range");
     return Doms[Dom].Vars[Bit];
   }
-  /// All variables of \p Dom, MSB first (not sorted by level).
+  /// All variables of \p Dom, MSB first, which is also level order.
   const std::vector<unsigned> &vars(PhysDomId Dom) const {
     return Doms[Dom].Vars;
   }

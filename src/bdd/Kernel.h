@@ -28,7 +28,9 @@ namespace jedd {
 namespace bdd {
 
 /// The recursions, as static functions over the manager. A friend of
-/// Manager, for its node pool, order maps and cache tags.
+/// Manager, for its node pool and cache tags. A node's Var is its level,
+/// and the terminals' sentinel Var sorts below every variable, so the
+/// recursions compare Vars directly.
 class Kernel {
 public:
   static NodeRef notRec(Manager &M, NodeRef F) {
@@ -118,16 +120,16 @@ public:
     if (M.Cache.lookup(Tag, A, B, 0, Result))
       return Result;
 
-    uint32_t LvlF = M.levelOfNode(F), LvlG = M.levelOfNode(G);
-    uint32_t Lvl = std::min(LvlF, LvlG);
-    NodeRef F0 = LvlF == Lvl ? M.Nodes[F].Low : F;
-    NodeRef F1 = LvlF == Lvl ? M.Nodes[F].High : F;
-    NodeRef G0 = LvlG == Lvl ? M.Nodes[G].Low : G;
-    NodeRef G1 = LvlG == Lvl ? M.Nodes[G].High : G;
+    uint32_t VarF = M.varOf(F), VarG = M.varOf(G);
+    uint32_t Var = std::min(VarF, VarG);
+    NodeRef F0 = VarF == Var ? M.Nodes[F].Low : F;
+    NodeRef F1 = VarF == Var ? M.Nodes[F].High : F;
+    NodeRef G0 = VarG == Var ? M.Nodes[G].Low : G;
+    NodeRef G1 = VarG == Var ? M.Nodes[G].High : G;
 
     NodeRef Low = applyRec(M, Operator, F0, G0);
     NodeRef High = applyRec(M, Operator, F1, G1);
-    return memo(M, Tag, A, B, 0, M.makeNode(M.LevelToVar[Lvl], Low, High));
+    return memo(M, Tag, A, B, 0, M.makeNode(Var, Low, High));
   }
 
   static NodeRef iteRec(Manager &M, NodeRef F, NodeRef G, NodeRef H) {
@@ -146,24 +148,22 @@ public:
     if (M.Cache.lookup(Manager::TagIte, F, G, H, Result))
       return Result;
 
-    uint32_t Lvl = std::min({M.levelOfNode(F), M.levelOfNode(G),
-                             M.levelOfNode(H)});
+    uint32_t Var = std::min({M.varOf(F), M.varOf(G), M.varOf(H)});
     auto Cof = [&](NodeRef N, bool HighBranch) {
-      if (M.levelOfNode(N) != Lvl)
+      if (M.varOf(N) != Var)
         return N;
       return HighBranch ? M.Nodes[N].High : M.Nodes[N].Low;
     };
     NodeRef Low = iteRec(M, Cof(F, false), Cof(G, false), Cof(H, false));
     NodeRef High = iteRec(M, Cof(F, true), Cof(G, true), Cof(H, true));
-    return memo(M, Manager::TagIte, F, G, H,
-                M.makeNode(M.LevelToVar[Lvl], Low, High));
+    return memo(M, Manager::TagIte, F, G, H, M.makeNode(Var, Low, High));
   }
 
   static NodeRef existsRec(Manager &M, NodeRef F, NodeRef CubeBdd) {
     if (M.isTerminal(F))
       return F;
     // Skip quantified variables above F's top variable.
-    while (!M.isTerminal(CubeBdd) && M.levelOfNode(CubeBdd) < M.levelOfNode(F))
+    while (!M.isTerminal(CubeBdd) && M.varOf(CubeBdd) < M.varOf(F))
       CubeBdd = M.Nodes[CubeBdd].High;
     if (M.isTerminal(CubeBdd))
       return F;
@@ -187,9 +187,9 @@ public:
     if (F == TrueRef && G == TrueRef)
       return TrueRef;
 
-    uint32_t LvlF = M.levelOfNode(F), LvlG = M.levelOfNode(G);
-    uint32_t Lvl = std::min(LvlF, LvlG);
-    while (!M.isTerminal(CubeBdd) && M.levelOfNode(CubeBdd) < Lvl)
+    uint32_t VarF = M.varOf(F), VarG = M.varOf(G);
+    uint32_t Var = std::min(VarF, VarG);
+    while (!M.isTerminal(CubeBdd) && M.varOf(CubeBdd) < Var)
       CubeBdd = M.Nodes[CubeBdd].High;
     if (M.isTerminal(CubeBdd))
       return applyRec(M, Op::And, F, G);
@@ -198,12 +198,12 @@ public:
     if (M.Cache.lookup(Manager::TagRelProd, F, G, CubeBdd, Result))
       return Result;
 
-    NodeRef F0 = LvlF == Lvl ? M.Nodes[F].Low : F;
-    NodeRef F1 = LvlF == Lvl ? M.Nodes[F].High : F;
-    NodeRef G0 = LvlG == Lvl ? M.Nodes[G].Low : G;
-    NodeRef G1 = LvlG == Lvl ? M.Nodes[G].High : G;
+    NodeRef F0 = VarF == Var ? M.Nodes[F].Low : F;
+    NodeRef F1 = VarF == Var ? M.Nodes[F].High : F;
+    NodeRef G0 = VarG == Var ? M.Nodes[G].Low : G;
+    NodeRef G1 = VarG == Var ? M.Nodes[G].High : G;
 
-    if (M.levelOfNode(CubeBdd) == Lvl) {
+    if (M.varOf(CubeBdd) == Var) {
       // Quantified level: the result is the OR of the two cofactors.
       NodeRef Next = M.Nodes[CubeBdd].High;
       NodeRef Low = relProdRec(M, F0, G0, Next);
@@ -213,7 +213,7 @@ public:
     } else {
       NodeRef Low = relProdRec(M, F0, G0, CubeBdd);
       NodeRef High = relProdRec(M, F1, G1, CubeBdd);
-      Result = M.makeNode(M.LevelToVar[Lvl], Low, High);
+      Result = M.makeNode(Var, Low, High);
     }
     return memo(M, Manager::TagRelProd, F, G, CubeBdd, Result);
   }

@@ -17,8 +17,7 @@
 ///    loadRelation) — attributes and physical domains are matched by name
 ///    and validated on load, and the node rebuild re-encodes the function
 ///    into the loading manager's variable order, so images survive
-///    order-spec changes (bdd/DomainPack.h) and dynamic reordering on
-///    either side;
+///    order-spec changes (bdd/DomainPack.h) between save and load;
 ///  * whole-universe checkpoints (saveCheckpoint / loadCheckpoint):
 ///    a named set of relations sharing one node DAG, tagged with a
 ///    caller-supplied context hash for staleness detection — the unit the
@@ -105,9 +104,9 @@ Error saveBdd(bdd::Manager &M, const bdd::Bdd &F, std::string &Out);
 
 /// Loads a bdd-kind image into \p M. The image's variables are mapped
 /// one-to-one onto \p M's client variables, which must cover them; the
-/// function is rebuilt in \p M's current variable order, so a manager
-/// that has been reordered (or orders variables differently) receives an
-/// equivalent, correctly re-encoded BDD.
+/// function is rebuilt in \p M's variable order, so a manager that orders
+/// variables differently receives an equivalent, correctly re-encoded
+/// BDD.
 Error loadBdd(bdd::Manager &M, const std::string &Bytes, bdd::Bdd &Out);
 
 //===----------------------------------------------------------------------===//
@@ -120,8 +119,7 @@ Error saveRelation(const rel::Relation &R, std::string &Out);
 /// Loads a relation-kind image into \p U. Attributes, their domains, and
 /// the physical-domain assignment are matched by name and validated
 /// (sizes and widths must agree); the body is re-encoded variable by
-/// variable into \p U's layout, so images load across bit orders and
-/// reorderings.
+/// variable into \p U's layout, so images load across bit orders.
 Error loadRelation(rel::Universe &U, const std::string &Bytes,
                    rel::Relation &Out);
 

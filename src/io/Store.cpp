@@ -23,7 +23,7 @@
 // a single bottom-up pass. Loading rebuilds every node with ite() in the
 // *target* manager's variable order, mapping saved variables onto target
 // variables through (physical domain name, bit index) — so images round
-// trip across order specs and dynamic reordering on either side.
+// trip across order specs.
 //
 //===----------------------------------------------------------------------===//
 

@@ -29,8 +29,6 @@ const char *catName(Cat C) {
     return "bdd";
   case Cat::Gc:
     return "gc";
-  case Cat::Reorder:
-    return "reorder";
   case Cat::Sat:
     return "sat";
   case Cat::Io:

@@ -10,10 +10,9 @@
 /// subsystem reports into one process-wide event stream: the relational
 /// runtime emits a span per operation (join/compose/replace/project...),
 /// the BDD kernel per top-level apply/ite/exists/relProd/replace, and the
-/// garbage collector, the reordering machinery and the SAT solver per
-/// pass/solve. Spans carry scalar arguments (operand/result node counts,
-/// cache counters) plus wall time; named counters and log2 histograms
-/// accumulate alongside.
+/// garbage collector and the SAT solver per pass/solve. Spans carry
+/// scalar arguments (operand/result node counts, cache counters) plus
+/// wall time; named counters and log2 histograms accumulate alongside.
 ///
 /// Two sinks consume the stream:
 ///
@@ -49,7 +48,7 @@ namespace obs {
 
 /// Event categories; the Chrome-trace "cat" field and the prefix of the
 /// aggregated metrics key ("rel.join", "bdd.and", "gc.collect", ...).
-enum class Cat : uint8_t { Rel, Bdd, Gc, Reorder, Sat, Io, Resource };
+enum class Cat : uint8_t { Rel, Bdd, Gc, Sat, Io, Resource };
 
 const char *catName(Cat C);
 

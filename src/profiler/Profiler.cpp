@@ -17,8 +17,8 @@ using namespace jedd;
 using namespace jedd::prof;
 
 void Profiler::onSpan(const obs::SpanEvent &Event) {
-  // The profiler models the relational layer (Section 4.3); kernel, GC,
-  // reorder and SAT spans belong to the trace/metrics sinks.
+  // The profiler models the relational layer (Section 4.3); kernel, GC
+  // and SAT spans belong to the trace/metrics sinks.
   if (Event.Category != obs::Cat::Rel)
     return;
   OpRecord R;
@@ -145,26 +145,6 @@ std::string Profiler::renderHtml() const {
                       static_cast<unsigned long long>(S.TotalMicros),
                       S.MaxResultNodes);
   Html += "</table>";
-
-  // Dynamic variable reordering, when sifting ever ran
-  // (docs/reordering.md explains the algorithm and these counters).
-  if (Counters.ReorderRuns > 0) {
-    double Shrink =
-        Counters.ReorderNodesBefore
-            ? 100.0 *
-                  (1.0 - static_cast<double>(Counters.ReorderNodesAfter) /
-                             static_cast<double>(Counters.ReorderNodesBefore))
-            : 0.0;
-    Html += strFormat(
-        "<h2>Dynamic variable reordering</h2>"
-        "<p>%zu sifting passes &middot; %zu block moves, %zu level swaps "
-        "&middot; latest pass: %zu &rarr; %zu live nodes (%.1f%% smaller) "
-        "&middot; %llu &micro;s total</p>",
-        Counters.ReorderRuns, Counters.ReorderBlockMoves,
-        Counters.ReorderSwaps, Counters.ReorderNodesBefore,
-        Counters.ReorderNodesAfter, Shrink,
-        static_cast<unsigned long long>(Counters.ReorderMicros));
-  }
 
   // Resource governance, when ceilings were configured or tripped
   // (docs/robustness.md explains the governor and these counters).

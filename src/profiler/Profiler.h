@@ -19,8 +19,7 @@
 /// (src/obs, docs/observability.md), not a recording path of its own:
 /// attach() subscribes it to the process-wide obs::Tracer, every finished
 /// relational span becomes one OpRecord, and one observe() call with the
-/// manager's cumulative counters fills the reordering and
-/// resource-governance sections. Operations are
+/// manager's cumulative counters fills the resource-governance section. Operations are
 /// attributed to rel::Site program points (label + file:line), matching
 /// how the paper's profiler links cost back to Jedd source lines.
 ///
@@ -106,7 +105,8 @@ public:
   bool wantsDetail() const override { return true; }
 
   /// Installs the manager's cumulative counters, from which the report
-  /// renders its reordering and resource-governance sections (call once, after the run; the newest call supersedes).
+  /// renders its resource-governance section (call once, after the run;
+  /// the newest call supersedes).
   void observe(const bdd::ManagerStats &Stats);
 
   void clear();

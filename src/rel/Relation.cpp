@@ -21,9 +21,7 @@ namespace {
 /// Scoped observability span for one relational operation
 /// (docs/observability.md). With the obs layer inactive this is one
 /// relaxed atomic load per operation; node counts, tuple counts and
-/// shapes are computed only when something is listening (nodeCount and
-/// levelShape take the manager's own locks, so they must run outside any
-/// operation — which is the case here, in the relational layer).
+/// shapes are computed only when something is listening.
 class OpSpan {
 public:
   OpSpan(Universe *U, const char *Kind, const Site &At)

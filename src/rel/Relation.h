@@ -153,7 +153,7 @@ public:
   /// Returning false stops the iteration. Deterministic order. \p Fn
   /// may call back into the universe's manager, even to insert into this
   /// or another relation, as CallGraphBuilder::run does when it adds call
-  /// edges; it must not reorder variables (Manager::enumerate).
+  /// edges.
   void iterate(
       const std::function<bool(const std::vector<uint64_t> &)> &Fn) const;
 

@@ -46,7 +46,7 @@ PhysDomId Universe::addPhysicalDomain(std::string Name, unsigned Bits) {
 }
 
 void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes,
-                        size_t CacheSize, bdd::ReorderConfig Reorder) {
+                        size_t CacheSize) {
   JEDD_CHECK(!isFinalized(), "finalize() may only run once");
   JEDD_CHECK(!PhysNames.empty(), "at least one physical domain is required");
 
@@ -65,7 +65,7 @@ void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes,
     (void)Id;
     assert(Id == I && "pack ids must mirror universe ids");
   }
-  Pack->finalize(InitialNodes, CacheSize, Reorder);
+  Pack->finalize(InitialNodes, CacheSize);
   PackPtr = std::move(Pack);
 }
 

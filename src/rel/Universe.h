@@ -84,11 +84,9 @@ public:
   /// \p OrderSpec names the physical domains in bddbddb syntax (see
   /// bdd/DomainPack.h; "" = declaration order, each domain's bits
   /// adjacent); a malformed spec throws UsageError and leaves the
-  /// universe unfinalized. \p Reorder is the dynamic variable-reordering
-  /// policy (docs/reordering.md), off by default.
+  /// universe unfinalized.
   void finalize(const std::string &OrderSpec = "",
-                size_t InitialNodes = 1 << 16, size_t CacheSize = 1 << 18,
-                bdd::ReorderConfig Reorder = {});
+                size_t InitialNodes = 1 << 16, size_t CacheSize = 1 << 18);
   bool isFinalized() const { return PackPtr != nullptr; }
 
   //===--------------------------------------------------------------===//

@@ -579,8 +579,8 @@ TEST(Checkpoint, ResourceAbortLeavesResumableCheckpoints) {
   // Reference run; also measures the live-node footprint after the
   // (small) hierarchy stage and at the end, so the abort budget can be
   // picked between the two: enough for the early stages, and below the
-  // live working set of the later ones — which no amount of GC or
-  // reordering can squeeze under the ceiling, so the abort is certain.
+  // live working set of the later ones — which no amount of GC can
+  // squeeze under the ceiling, so the abort is certain.
   size_t LiveAfterHierarchy, LiveFinal;
   bdd::SatCount PtSize, CgSize, WriteSize;
   std::set<Id> Reachable;
@@ -601,7 +601,7 @@ TEST(Checkpoint, ResourceAbortLeavesResumableCheckpoints) {
   bdd::ResourceLimits Limits;
   Limits.MaxNodes = LiveAfterHierarchy + (LiveFinal - LiveAfterHierarchy) / 2;
   {
-    AnalysisUniverse AU(P, AnalysisUniverse::DefaultOrder, {}, Limits);
+    AnalysisUniverse AU(P, AnalysisUniverse::DefaultOrder, Limits);
     CheckpointedAnalysis Aborted(AU, Dir);
     EXPECT_THROW(Aborted.run(), ResourceExhausted);
 

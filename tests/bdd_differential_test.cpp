@@ -36,17 +36,10 @@ struct TrackedFun {
 
 class DifferentialHarness {
 public:
-  DifferentialHarness(unsigned NumVars, uint64_t Seed,
-                      bool Reordering = false)
+  DifferentialHarness(unsigned NumVars, uint64_t Seed)
       : V(NumVars), N(size_t(1) << NumVars), Rng(Seed),
         // Small pools so growth and GC trigger mid-run.
-        Mgr(NumVars, 1 << 10, 1 << 12), Reordering(Reordering) {
-    if (Reordering) {
-      ReorderConfig RC;
-      RC.Auto = true;
-      RC.MinNodes = 1 << 8;
-      Mgr.setReorderConfig(RC);
-    }
+        Mgr(NumVars, 1 << 10, 1 << 12) {
     // Seed the pool with all literals and the constants.
     for (unsigned Var = 0; Var != V; ++Var) {
       std::vector<bool> T(N), NT(N);
@@ -153,31 +146,16 @@ public:
     else
       Pool[Seeded + Rng.nextBelow(16)] = std::move(R);
     ++Cases;
-
-    // With reordering on, also force sifting passes at arbitrary points
-    // in the op stream (in addition to any auto-triggered ones).
-    if (Reordering && (Cases % 41 == 0 || Cases % 67 == 0))
-      Mgr.reorder();
     checkStores();
   }
 
   size_t casesRun() const { return Cases; }
-
-  /// Final sifting pass, then every pool function is re-verified against
-  /// its truth table on every assignment.
-  void reorderAndRecheckAll() {
-    Mgr.reorder();
-    checkStores();
-    for (const TrackedFun &F : Pool)
-      check(F);
-  }
 
 private:
   unsigned V;
   size_t N;
   SplitMix64 Rng;
   Manager Mgr;
-  bool Reordering;
   std::vector<TrackedFun> Pool;
   size_t Cases = 0;
 
@@ -273,7 +251,6 @@ private:
           << "disagrees with truth table, case " << Cases << " assignment "
           << I;
     }
-    // satCount is order-independent, so this also holds across reorders.
     ASSERT_EQ(Mgr.satCount(R.Fn),
               static_cast<double>(
                   std::count(R.Table.begin(), R.Table.end(), true)))
@@ -296,7 +273,7 @@ const RoundSpec Rounds[] = {
 
 class BddDifferential : public ::testing::TestWithParam<RoundSpec> {};
 
-TEST_P(BddDifferential, SerialParallelAndTruthTableAgree) {
+TEST_P(BddDifferential, KernelAndTruthTableAgree) {
   const RoundSpec &Spec = GetParam();
   DifferentialHarness H(Spec.NumVars, Spec.Seed);
   for (unsigned I = 0; I != Spec.Ops; ++I)
@@ -310,25 +287,5 @@ INSTANTIATE_TEST_SUITE_P(Rounds, BddDifferential, ::testing::ValuesIn(Rounds),
                                   std::to_string(Info.param.NumVars) +
                                   "Seed" + std::to_string(Info.param.Seed);
                          });
-
-// Dynamic variable reordering (docs/reordering.md) must be invisible to
-// clients: the same op stream with auto-sifting enabled — plus forced
-// passes at arbitrary points — still matches the truth table on every
-// assignment and satCount. Replace permutations (case 7 of the stream) are the sharpest probe
-// here, since replace caching is keyed by map tags that must survive the
-// cache flushes reordering performs.
-TEST(BddDifferentialReorder, SerialAndParallelAgreeUnderSifting) {
-  DifferentialHarness H(8, 0xD001, /*Reordering=*/true);
-  for (unsigned I = 0; I != 150; ++I)
-    H.step();
-  H.reorderAndRecheckAll();
-}
-
-TEST(BddDifferentialReorder, TenVarsTwoThreads) {
-  DifferentialHarness H(10, 0xD002, /*Reordering=*/true);
-  for (unsigned I = 0; I != 120; ++I)
-    H.step();
-  H.reorderAndRecheckAll();
-}
 
 } // namespace

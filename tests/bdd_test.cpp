@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 using namespace jedd;
 using namespace jedd::bdd;
@@ -453,5 +455,125 @@ TEST_P(BddDifferentialTest, RandomExpressionMatchesTruthTable) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BddDifferentialTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15, 16));
+
+//===----------------------------------------------------------------------===//
+// Replace-map registry (regression)
+//===----------------------------------------------------------------------===//
+
+// The replace() computed cache keys entries by a tag derived from the
+// variable map. The registry assigning tags used to be thread-local and
+// process-global: a second thread started counting tags at zero, so its
+// first (different) map aliased the first thread's cache entries and
+// replace() returned results for the wrong map. The registry now lives in
+// the manager.
+TEST(BddReplaceRegistry, DistinctMapsFromTwoThreads) {
+  const unsigned V = 4;
+  Manager M(V, 1 << 10, 1 << 12);
+  Bdd F = M.bddAnd(M.var(0), M.var(1));
+
+  std::vector<int> Map1(V, -1), Map2(V, -1);
+  Map1[0] = 2; // v0 -> v2
+  Map2[0] = 3; // v0 -> v3
+
+  Bdd R1, R2;
+  // Sequential threads: the old bug needed no race, only two threads
+  // with fresh thread-local registries hitting the same shared cache.
+  std::thread T1([&] { R1 = M.replace(F, Map1); });
+  T1.join();
+  std::thread T2([&] { R2 = M.replace(F, Map2); });
+  T2.join();
+
+  EXPECT_EQ(R1, M.bddAnd(M.var(2), M.var(1)));
+  EXPECT_EQ(R2, M.bddAnd(M.var(3), M.var(1)))
+      << "second thread's map aliased the first thread's cache tag";
+  EXPECT_NE(R1, R2);
+}
+
+TEST(BddReplaceRegistry, SameMapTwoManagers) {
+  const unsigned V = 4;
+  Manager M1(V, 1 << 10, 1 << 12);
+  Manager M2(V, 1 << 10, 1 << 12);
+  std::vector<int> Map(V, -1);
+  Map[0] = 2;
+  Map[2] = 0;
+
+  Bdd F1 = M1.bddOr(M1.var(0), M1.bddAnd(M1.var(2), M1.var(3)));
+  Bdd F2 = M2.bddOr(M2.var(0), M2.bddAnd(M2.var(2), M2.var(3)));
+  Bdd R1 = M1.replace(F1, Map);
+  Bdd R2 = M2.replace(F2, Map);
+  EXPECT_EQ(R1, M1.bddOr(M1.var(2), M1.bddAnd(M1.var(0), M1.var(3))));
+  EXPECT_EQ(R2, M2.bddOr(M2.var(2), M2.bddAnd(M2.var(0), M2.var(3))));
+}
+
+TEST(BddReplaceRegistry, DistinctMapsSameThread) {
+  const unsigned V = 6;
+  Manager M(V, 1 << 10, 1 << 12);
+  Bdd F = M.bddAnd(M.var(0), M.bddOr(M.var(1), M.var(2)));
+
+  // Many distinct maps in a row must all get distinct tags.
+  for (unsigned To = 3; To != 6; ++To) {
+    std::vector<int> Map(V, -1);
+    Map[0] = static_cast<int>(To);
+    Bdd R = M.replace(F, Map);
+    EXPECT_EQ(R, M.bddAnd(M.var(To), M.bddOr(M.var(1), M.var(2))))
+        << "map v0->v" << To;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Exact satCount
+//===----------------------------------------------------------------------===//
+
+TEST(BddSatCountExact, CountBeyondDoublePrecision) {
+  // 2^55 + 1 over 56 variables: a double rounds this to 2^55.
+  const unsigned V = 56;
+  Manager M(V, 1 << 10, 1 << 12);
+  Bdd AllOnes = M.trueBdd();
+  for (unsigned Var = 0; Var != V; ++Var)
+    AllOnes = M.bddAnd(AllOnes, M.var(Var));
+  Bdd F = M.bddOr(M.nvar(0), AllOnes);
+
+  SatCount C = M.satCountExact(F);
+  EXPECT_TRUE(C.isExact());
+  EXPECT_EQ(C.Hi, 0u);
+  EXPECT_EQ(C.Lo, (uint64_t(1) << 55) + 1);
+  EXPECT_EQ(C.toString(), "36028797018963969");
+  // The double wrapper rounds to the nearest representable value.
+  EXPECT_EQ(M.satCount(F), std::ldexp(1.0, 55));
+}
+
+TEST(BddSatCountExact, WideUniverse) {
+  // 2^70 assignments: overflows uint64_t, exercises the Hi word.
+  const unsigned V = 70;
+  Manager M(V, 1 << 10, 1 << 12);
+  SatCount C = M.satCountExact(M.trueBdd());
+  EXPECT_TRUE(C.isExact());
+  EXPECT_EQ(C.Hi, uint64_t(1) << 6);
+  EXPECT_EQ(C.Lo, 0u);
+  EXPECT_EQ(C.toString(), "1180591620717411303424");
+  EXPECT_EQ(C.toDouble(), std::ldexp(1.0, 70));
+
+  EXPECT_EQ(M.satCountExact(M.falseBdd()).toString(), "0");
+  SatCount One = M.satCountExact(M.falseBdd());
+  EXPECT_EQ(One, (SatCount{0, 0, false}));
+}
+
+TEST(BddSatCountExact, SaturatesBeyond128Bits) {
+  const unsigned V = 130;
+  Manager M(V, 1 << 10, 1 << 12);
+  SatCount C = M.satCountExact(M.trueBdd());
+  EXPECT_TRUE(C.Saturated);
+  EXPECT_EQ(C.toString(), ">=2^128");
+  // The double wrapper falls back to the floating recursion.
+  EXPECT_EQ(M.satCount(M.trueBdd()), std::ldexp(1.0, 130));
+  // A function below the saturation line in the same manager is exact.
+  Bdd Narrow = M.trueBdd();
+  for (unsigned Var = 0; Var != 10; ++Var)
+    Narrow = M.bddAnd(Narrow, M.var(Var));
+  SatCount N = M.satCountExact(Narrow);
+  EXPECT_TRUE(N.isExact());
+  EXPECT_EQ(N.Hi, uint64_t(1) << (130 - 10 - 64));
+  EXPECT_EQ(N.Lo, 0u);
+}
 
 } // namespace

@@ -18,8 +18,6 @@ using namespace jedd::bdd;
 
 namespace {
 
-using Blocks = std::vector<std::vector<unsigned>>;
-
 TEST(DomainPack, SequentialLayoutAssignsAdjacentBits) {
   // The empty spec (declaration order) and its spelled-out form agree.
   for (const char *Spec : {"", "A_B"}) {
@@ -30,8 +28,6 @@ TEST(DomainPack, SequentialLayoutAssignsAdjacentBits) {
     EXPECT_EQ(Pack.vars(A), (std::vector<unsigned>{0, 1, 2})) << Spec;
     EXPECT_EQ(Pack.vars(B), (std::vector<unsigned>{3, 4})) << Spec;
     EXPECT_EQ(Pack.manager().numVars(), 5u);
-    // One reorder block per domain.
-    EXPECT_EQ(Pack.manager().blocks(), (Blocks{{0, 1, 2}, {3, 4}}));
   }
 }
 
@@ -43,9 +39,7 @@ TEST(DomainPack, InterleavedLayoutAlignsLowBits) {
   // Round 0: only A (its MSB). Rounds 1,2: A and B.
   EXPECT_EQ(Pack.vars(A), (std::vector<unsigned>{0, 1, 3}));
   EXPECT_EQ(Pack.vars(B), (std::vector<unsigned>{2, 4}));
-  // LSB alignment: the last bit of A and B sit in the same round, and
-  // each round is one reorder block.
-  EXPECT_EQ(Pack.manager().blocks(), (Blocks{{0}, {1, 2}, {3, 4}}));
+  // LSB alignment: the last bit of A and B sit in the same round.
 }
 
 TEST(DomainPack, MixedSpecLaysOutGroupsInSpecOrder) {
@@ -59,7 +53,6 @@ TEST(DomainPack, MixedSpecLaysOutGroupsInSpecOrder) {
   EXPECT_EQ(Pack.vars(C), (std::vector<unsigned>{0, 1}));
   EXPECT_EQ(Pack.vars(A), (std::vector<unsigned>{2, 4, 6}));
   EXPECT_EQ(Pack.vars(B), (std::vector<unsigned>{3, 5}));
-  EXPECT_EQ(Pack.manager().blocks(), (Blocks{{0, 1}, {2}, {3, 4}, {5, 6}}));
   EXPECT_EQ(Pack.orderGroups(),
             (std::vector<std::vector<PhysDomId>>{{C}, {B, A}}));
   // Encodings are layout independent.

@@ -8,9 +8,8 @@
 /// \file
 /// Property-based round-trip tests for the JDD1 persistence layer
 /// (src/io): load(save(r)) == r over randomized universes and relations,
-/// under fresh and reordered managers, across bit orders and
-/// manager boundaries — plus determinism and the golden-format fixture
-/// that pins the v1 byte encoding.
+/// across bit orders and manager boundaries — plus determinism and the
+/// golden-format fixture that pins the v1 byte encoding.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -302,40 +301,6 @@ TEST(IoRelation, RoundTripAcrossBitOrders) {
       EXPECT_EQ(tupleSet(Out), Want) << "seed " << Seed;
       R = std::move(Out);
     }
-  }
-}
-
-TEST(IoRelation, RoundTripAfterReordering) {
-  for (uint64_t Seed = 80; Seed <= 83; ++Seed) {
-    SplitMix64 Rng(Seed);
-    Decl D = randomDecl(Rng);
-    Universe U;
-    declare(U, D);
-    Relation R = randomRelation(U, D, Rng);
-    std::set<std::vector<uint64_t>> Want = tupleSet(R);
-
-    std::string PreImage;
-    ASSERT_TRUE(io::saveRelation(R, PreImage).ok());
-
-    // Sift the manager: variable positions move, the image must not
-    // care on either side.
-    U.manager().reorder();
-    std::string PostImage;
-    ASSERT_TRUE(io::saveRelation(R, PostImage).ok());
-
-    // A pre-reorder image loads into the reordered manager...
-    Relation FromPre;
-    io::Error E = io::loadRelation(U, PreImage, FromPre);
-    ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
-    EXPECT_TRUE(FromPre == R) << "seed " << Seed;
-
-    // ... and a post-reorder image into a never-reordered manager.
-    Universe UFresh;
-    declare(UFresh, D);
-    Relation FromPost;
-    E = io::loadRelation(UFresh, PostImage, FromPost);
-    ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
-    EXPECT_EQ(tupleSet(FromPost), Want) << "seed " << Seed;
   }
 }
 

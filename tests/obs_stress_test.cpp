@@ -7,9 +7,9 @@
 //
 // Stress test (ctest label: stress) for the process-wide tracer under
 // concurrent emitters: client threads, each owning its own manager, run
-// apply/ite/exists streams with forced reordering passes in between
-// while tracing buffers spans, a subscriber consumes every event
-// synchronously, and one more thread toggles tracing on and off. Each
+// apply/ite/exists streams while tracing buffers spans, a subscriber
+// consumes every event synchronously, and one more thread toggles
+// tracing on and off. Each
 // client tracks truth tables and verifies them afterwards, so
 // instrumentation that perturbs an operation shows up as a wrong
 // assignment, and a race in the tracer's per-thread buffers or its
@@ -40,8 +40,7 @@ struct LocalFun {
 };
 
 /// One client thread's op stream with truth tables kept alongside (the
-/// same oracle as bdd_reorder_stress_test) and a forced sifting pass
-/// every 50 operations.
+/// same oracle as bdd_differential_test).
 void clientStream(Manager &M, unsigned V, uint64_t Seed, unsigned Ops,
                   std::vector<LocalFun> &Out) {
   const size_t N = size_t(1) << V;
@@ -97,8 +96,6 @@ void clientStream(Manager &M, unsigned V, uint64_t Seed, unsigned Ops,
       Pool.push_back(std::move(R));
     else
       Pool[V + Rng.nextBelow(24)] = std::move(R);
-    if (I % 50 == 49)
-      M.reorder();
   }
   Out = std::move(Pool);
 }
@@ -126,7 +123,7 @@ struct CountingSubscriber : obs::SpanSubscriber {
   bool wantsDetail() const override { return true; }
 };
 
-TEST(ObsStress, TracingUnderParallelLoadAndReordering) {
+TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
   obs::Tracer &T = obs::Tracer::instance();
   T.setTracing(false);
   T.clear();
@@ -169,10 +166,8 @@ TEST(ObsStress, TracingUnderParallelLoadAndReordering) {
   for (unsigned C = 0; C != Clients; ++C)
     verifyAll(*Managers[C], V, Results[C]);
 
-  // The subscriber saw every span, including reorder passes.
+  // The subscriber saw spans while tracing was on.
   EXPECT_GT(Sub.Spans.load(), 0u);
-  for (unsigned C = 0; C != Clients; ++C)
-    EXPECT_GT(Managers[C]->reorderStats().Runs, 0u);
 
   // Whatever subset got buffered forms a parseable Chrome trace.
   JsonValue Doc;

@@ -119,28 +119,8 @@ TEST(Profiler, RecordCarriesOperandAndSiteDetail) {
   EXPECT_EQ(R.ResultTuples, 34.0);
 }
 
-TEST(Profiler, ObserveFillsReorderSnapshot) {
-  Profiler P;
+TEST(Profiler, RendersResourceSection) {
   bdd::ManagerStats S;
-  S.ReorderRuns = 3;
-  S.ReorderSwaps = 120;
-  S.ReorderNodesBefore = 500;
-  S.ReorderNodesAfter = 400;
-  P.observe(S);
-  EXPECT_EQ(P.stats().ReorderRuns, 3u);
-  EXPECT_EQ(P.stats().ReorderSwaps, 120u);
-  std::string Html = P.renderHtml();
-  EXPECT_NE(Html.find("reorder", 0), std::string::npos);
-}
-
-TEST(Profiler, RendersParallelReorderAndResourceSections) {
-  bdd::ManagerStats S;
-  S.ReorderRuns = 2;
-  S.ReorderSwaps = 90;
-  S.ReorderBlockMoves = 12;
-  S.ReorderNodesBefore = 1000;
-  S.ReorderNodesAfter = 750;
-  S.ReorderMicros = 345;
   S.LimitMaxNodes = 5000;
   S.NodesPeak = 4800;
   S.BytesPeak = 123456;
@@ -150,11 +130,6 @@ TEST(Profiler, RendersParallelReorderAndResourceSections) {
   Profiler P;
   P.observe(S);
   std::string Html = P.renderHtml();
-  EXPECT_NE(Html.find("<h2>Dynamic variable reordering</h2><p>2 sifting "
-                      "passes &middot; 12 block moves, 90 level swaps "
-                      "&middot; latest pass: 1000 &rarr; 750 live nodes "
-                      "(25.0% smaller) &middot; 345 &micro;s total</p>"),
-            std::string::npos);
   EXPECT_NE(Html.find("<h2>Resource governance</h2><p>ceilings: max-nodes "
                       "5000 &middot; peak 4800 nodes / 123456 bytes "
                       "&middot; 1 aborted operations, 1 recoveries, 2 "

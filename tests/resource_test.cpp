@@ -72,7 +72,7 @@ TEST(ResourceGovernor, NodeCeilingAbortsAndRecovers) {
   Bdd G = randomDense(M, Rng, V, 40);
 
   // A ceiling far below the operands' own size: the escalation ladder
-  // (gc, then reorder) cannot free enough, so the op must abort.
+  // (cache flush and gc) cannot free enough, so the op must abort.
   ResourceLimits L;
   L.MaxNodes = 128;
   M.setResourceLimits(L);
@@ -126,8 +126,7 @@ TEST(ResourceGovernor, AbortLeavesPreOpStateIntact) {
   EXPECT_EQ(M.checkInvariants(), "");
 
   // Pre-existing handles are untouched by the abort + recovery GC: same
-  // semantics, same counts. (Node counts may change — the escalation
-  // ladder is allowed to reorder — but never meanings.)
+  // semantics, same counts.
   EXPECT_EQ(tableOf(M, F, V), TF);
   EXPECT_EQ(tableOf(M, G, V), TG);
   EXPECT_DOUBLE_EQ(M.satCount(F), CF);
@@ -218,35 +217,6 @@ TEST(ResourceGovernor, CancellationTokenAborts) {
   Cancel.store(false);
   Bdd R = F ^ G;
   EXPECT_FALSE(R.isFalse());
-}
-
-TEST(ResourceGovernor, CancelDuringReorderIsRecoverable) {
-  constexpr unsigned V = 12;
-  Manager M(V, 1 << 10, 1 << 12);
-  SplitMix64 Rng(6);
-  Bdd F = randomDense(M, Rng, V, 40);
-  std::vector<bool> TF = tableOf(M, F, V);
-
-  std::atomic<bool> Cancel{false};
-  ResourceLimits L;
-  L.Cancel = &Cancel;
-  M.setResourceLimits(L);
-
-  // Reordering is not an abortable operation — a truncated pass would
-  // corrupt nothing, but it must honour cancellation by stopping early
-  // and returning normally.
-  Bdd G = M.var(0) ^ M.var(1);
-  Cancel.store(true);
-  M.reorder();
-  EXPECT_EQ(M.checkInvariants(), "");
-  // The cancellation stays tripped, so the next operation aborts...
-  EXPECT_THROW((void)(F ^ G), ResourceExhausted);
-  Cancel.store(false);
-
-  // ...and once the token is cleared the manager works normally.
-  Bdd R = F & F;
-  EXPECT_TRUE(R == F);
-  EXPECT_EQ(tableOf(M, F, V), TF);
 }
 
 // The fault-injection differential of docs/robustness.md: a governed

@@ -181,9 +181,7 @@ int main(int argc, char **argv) {
 
   std::unique_ptr<analysis::AnalysisUniverse> AUPtr;
   try {
-    AUPtr = std::make_unique<analysis::AnalysisUniverse>(Prog, Order,
-                                                         bdd::ReorderConfig{},
-                                                         Limits);
+    AUPtr = std::make_unique<analysis::AnalysisUniverse>(Prog, Order, Limits);
   } catch (const UsageError &E) {
     std::fprintf(stderr, "error: %s\n", E.what());
     return 2;

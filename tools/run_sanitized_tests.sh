@@ -4,7 +4,7 @@
 # Part of jeddpp. Configures, builds, and runs the tier-1 suite under the
 # two sanitizer configurations the project supports:
 #
-#   * ThreadSanitizer, running the stress tests (label "stress") plus the
+#   * ThreadSanitizer, running the stress test (label "stress") plus the
 #     BDD differential harness. The BDD manager is single-threaded, so
 #     the races TSan can still find are in the state threads share: the
 #     process-wide obs::Tracer (per-thread span buffers, subscriber list,
@@ -43,9 +43,8 @@ run_thread() {
   cmake -S "$ROOT" -B "$ROOT/build-tsan" -DJEDDPP_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ROOT/build-tsan" -j "$JOBS" \
-        --target bdd_reorder_stress_test obs_stress_test \
-                 bdd_differential_test io_fuzz_test resource_test \
-                 robustness_test
+        --target obs_stress_test bdd_differential_test io_fuzz_test \
+                 resource_test robustness_test
   (cd "$ROOT/build-tsan" && ctest --output-on-failure -L stress)
   TSAN_OPTIONS="halt_on_error=1" \
       "$ROOT/build-tsan/tests/bdd_differential_test"

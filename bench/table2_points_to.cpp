@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 
 using namespace jedd;
 using namespace jedd::analysis;
@@ -113,10 +114,10 @@ int main(int argc, char **argv) {
       auto J0 = std::chrono::steady_clock::now();
       AnalysisUniverse AU(P);
       PointsToAnalysis PTA(AU);
-      for (size_t M = 0; M != P.Methods.size(); ++M)
-        PTA.addMethodFacts(static_cast<soot::Id>(M));
-      for (auto &[Src, Dst] : Extra)
-        PTA.addAssignEdge(Src, Dst);
+      std::vector<soot::Id> Methods(P.Methods.size());
+      std::iota(Methods.begin(), Methods.end(), 0);
+      PTA.addMethodFacts(Methods);
+      PTA.addAssignEdges(Extra);
       Before = AU.U.manager().stats().ReorderingReplaces;
       PTA.solve();
       auto J1 = std::chrono::steady_clock::now();

@@ -28,6 +28,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 
 using namespace jedd;
 using namespace jedd::analysis;
@@ -66,10 +67,10 @@ int main(int argc, char **argv) {
     auto T0 = std::chrono::steady_clock::now();
     AnalysisUniverse AU(P, C.Order);
     PointsToAnalysis PTA(AU);
-    for (size_t M = 0; M != P.Methods.size(); ++M)
-      PTA.addMethodFacts(static_cast<soot::Id>(M));
-    for (auto &[Src, Dst] : Extra)
-      PTA.addAssignEdge(Src, Dst);
+    std::vector<soot::Id> Methods(P.Methods.size());
+    std::iota(Methods.begin(), Methods.end(), 0);
+    PTA.addMethodFacts(Methods);
+    PTA.addAssignEdges(Extra);
     PTA.solve();
     auto T1 = std::chrono::steady_clock::now();
     Sizes[Index] = PTA.Pt.size();

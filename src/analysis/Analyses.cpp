@@ -18,6 +18,24 @@ using soot::Id;
 using soot::NoId;
 using soot::Program;
 
+namespace {
+
+/// Membership test over method ids for one batch of methods.
+class MethodSet {
+public:
+  MethodSet(const Program &P, const std::vector<Id> &Methods)
+      : In(P.Methods.size(), false) {
+    for (Id M : Methods)
+      In[M] = true;
+  }
+  bool contains(Id M) const { return M < In.size() && In[M]; }
+
+private:
+  std::vector<bool> In;
+};
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // AnalysisUniverse
 //===----------------------------------------------------------------------===//
@@ -84,13 +102,17 @@ AnalysisUniverse::AnalysisUniverse(const Program &Prog,
 
 Hierarchy::Hierarchy(AnalysisUniverse &AU) {
   Extend = AU.U.empty({{AU.Sub, AU.T1}, {AU.Sup, AU.T2}});
+  std::vector<uint64_t> Tuples;
   for (size_t K = 1; K != AU.Prog.Klasses.size(); ++K)
-    Extend.insert({K, AU.Prog.Klasses[K].Super});
+    Tuples.insert(Tuples.end(), {K, AU.Prog.Klasses[K].Super});
+  Extend.insertAll(Tuples);
 
   // Reflexive-transitive closure by least fixpoint.
   Subtype = AU.U.empty({{AU.Sub, AU.T1}, {AU.Sup, AU.T2}});
+  Tuples.clear();
   for (size_t K = 0; K != AU.Prog.Klasses.size(); ++K)
-    Subtype.insert({K, K});
+    Tuples.insert(Tuples.end(), {K, K});
+  Subtype.insertAll(Tuples);
   Subtype |= Extend;
   while (true) {
     // subtype(sub, mid) . extend(mid, sup) — one compose per step.
@@ -112,9 +134,11 @@ VirtualCallResolver::VirtualCallResolver(AnalysisUniverse &AU,
     : AU(AU), H(H) {
   DeclaresMethod =
       AU.U.empty({{AU.Typ, AU.T2}, {AU.Sig, AU.SG1}, {AU.Mth, AU.M1}});
+  std::vector<uint64_t> Tuples;
   for (size_t M = 0; M != AU.Prog.Methods.size(); ++M)
-    DeclaresMethod.insert(
-        {AU.Prog.Methods[M].Klass, AU.Prog.Methods[M].Sig, M});
+    Tuples.insert(Tuples.end(),
+                  {AU.Prog.Methods[M].Klass, AU.Prog.Methods[M].Sig, M});
+  DeclaresMethod.insertAll(Tuples);
 }
 
 Relation VirtualCallResolver::resolve(const Relation &ReceiverTypes) const {
@@ -165,23 +189,46 @@ PointsToAnalysis::PointsToAnalysis(AnalysisUniverse &AU) : AU(AU) {
 }
 
 void PointsToAnalysis::addMethodFacts(Id Method) {
+  addMethodFacts(std::vector<Id>{Method});
+}
+
+void PointsToAnalysis::addMethodFacts(const std::vector<Id> &Methods) {
   const Program &P = AU.Prog;
+  MethodSet Batch(P, Methods);
+  auto Owned = [&](Id Var) { return Batch.contains(P.VarMethod[Var]); };
+  // One batch per fact relation.
+  std::vector<uint64_t> Tuples;
   for (const soot::AllocStmt &S : P.Allocs)
-    if (P.VarMethod[S.Var] == Method)
-      AllocR.insert({S.Var, S.Site});
+    if (Owned(S.Var))
+      Tuples.insert(Tuples.end(), {S.Var, S.Site});
+  AllocR.insertAll(Tuples);
+  Tuples.clear();
   for (const soot::AssignStmt &S : P.Assigns)
-    if (P.VarMethod[S.Dst] == Method)
-      AssignR.insert({S.Src, S.Dst});
+    if (Owned(S.Dst))
+      Tuples.insert(Tuples.end(), {S.Src, S.Dst});
+  AssignR.insertAll(Tuples);
+  Tuples.clear();
   for (const soot::LoadStmt &S : P.Loads)
-    if (P.VarMethod[S.Dst] == Method)
-      LoadR.insert({S.Base, S.Field, S.Dst});
+    if (Owned(S.Dst))
+      Tuples.insert(Tuples.end(), {S.Base, S.Field, S.Dst});
+  LoadR.insertAll(Tuples);
+  Tuples.clear();
   for (const soot::StoreStmt &S : P.Stores)
-    if (P.VarMethod[S.Base] == Method)
-      StoreR.insert({S.Src, S.Base, S.Field});
+    if (Owned(S.Base))
+      Tuples.insert(Tuples.end(), {S.Src, S.Base, S.Field});
+  StoreR.insertAll(Tuples);
 }
 
 void PointsToAnalysis::addAssignEdge(Id SrcVar, Id DstVar) {
   AssignR.insert({SrcVar, DstVar});
+}
+
+void PointsToAnalysis::addAssignEdges(
+    const std::vector<std::pair<Id, Id>> &Edges) {
+  std::vector<uint64_t> Tuples;
+  for (auto [SrcVar, DstVar] : Edges)
+    Tuples.insert(Tuples.end(), {SrcVar, DstVar});
+  AssignR.insertAll(Tuples);
 }
 
 bool PointsToAnalysis::solve() {
@@ -240,45 +287,62 @@ CallGraphBuilder::CallGraphBuilder(AnalysisUniverse &AU, Hierarchy &H,
                                    PointsToAnalysis &PTA)
     : AU(AU), H(H), VCR(VCR), PTA(PTA) {
   SiteType = AU.U.empty({{AU.Obj, AU.O1}, {AU.Typ, AU.T1}});
+  std::vector<uint64_t> Tuples;
   for (size_t S = 0; S != AU.Prog.NumSites; ++S)
-    SiteType.insert({S, AU.Prog.SiteType[S]});
+    Tuples.insert(Tuples.end(), {S, AU.Prog.SiteType[S]});
+  SiteType.insertAll(Tuples);
   CallRecvSig = AU.U.empty(
       {{AU.Call, AU.C1}, {AU.Src, AU.V1}, {AU.Sig, AU.SG1}});
   CallerOf = AU.U.empty({{AU.Call, AU.C1}, {AU.Mth, AU.M1}});
   Cg = AU.U.empty({{AU.Call, AU.C1}, {AU.Callee, AU.M2}});
 }
 
-void CallGraphBuilder::makeReachable(Id Method) {
-  if (!Reachable.insert(Method).second)
+void CallGraphBuilder::makeReachable(const std::vector<Id> &Methods) {
+  std::vector<Id> New;
+  for (Id Method : Methods)
+    if (Reachable.insert(Method).second)
+      New.push_back(Method);
+  if (New.empty())
     return;
-  PTA.addMethodFacts(Method);
+  PTA.addMethodFacts(New);
+  MethodSet Batch(AU.Prog, New);
+  std::vector<uint64_t> RecvSigs, Callers;
   for (size_t C = 0; C != AU.Prog.Calls.size(); ++C) {
     const soot::CallSite &Site = AU.Prog.Calls[C];
-    if (Site.Caller != Method)
+    if (!Batch.contains(Site.Caller))
       continue;
-    CallRecvSig.insert({C, Site.RecvVar, Site.Sig});
-    CallerOf.insert({C, Method});
+    RecvSigs.insert(RecvSigs.end(), {C, Site.RecvVar, Site.Sig});
+    Callers.insert(Callers.end(), {C, Site.Caller});
   }
+  CallRecvSig.insertAll(RecvSigs);
+  CallerOf.insertAll(Callers);
 }
 
-void CallGraphBuilder::addCallEdge(Id CallSiteId, Id CalleeId) {
-  if (!ProcessedEdges.insert({CallSiteId, CalleeId}).second)
-    return;
-  makeReachable(CalleeId);
-  const soot::CallSite &Site = AU.Prog.Calls[CallSiteId];
-  const soot::Method &Callee = AU.Prog.Methods[CalleeId];
-  // Interprocedural copy edges: receiver -> this, arguments ->
-  // parameters, return variable -> call result.
-  PTA.addAssignEdge(Site.RecvVar, Callee.ThisVar);
-  for (size_t A = 0;
-       A != std::min(Site.ArgVars.size(), Callee.ParamVars.size()); ++A)
-    PTA.addAssignEdge(Site.ArgVars[A], Callee.ParamVars[A]);
-  if (Site.RetDstVar != NoId && Callee.RetVar != NoId)
-    PTA.addAssignEdge(Callee.RetVar, Site.RetDstVar);
+void CallGraphBuilder::addCallEdges(
+    const std::vector<std::pair<Id, Id>> &Edges) {
+  std::vector<Id> Callees;
+  std::vector<std::pair<Id, Id>> Copies;
+  for (auto [CallSiteId, CalleeId] : Edges) {
+    if (!ProcessedEdges.insert({CallSiteId, CalleeId}).second)
+      continue;
+    Callees.push_back(CalleeId);
+    const soot::CallSite &Site = AU.Prog.Calls[CallSiteId];
+    const soot::Method &Callee = AU.Prog.Methods[CalleeId];
+    // Interprocedural copy edges: receiver -> this, arguments ->
+    // parameters, return variable -> call result.
+    Copies.push_back({Site.RecvVar, Callee.ThisVar});
+    for (size_t A = 0;
+         A != std::min(Site.ArgVars.size(), Callee.ParamVars.size()); ++A)
+      Copies.push_back({Site.ArgVars[A], Callee.ParamVars[A]});
+    if (Site.RetDstVar != NoId && Callee.RetVar != NoId)
+      Copies.push_back({Callee.RetVar, Site.RetDstVar});
+  }
+  makeReachable(Callees);
+  PTA.addAssignEdges(Copies);
 }
 
 void CallGraphBuilder::run() {
-  makeReachable(AU.Prog.EntryMethod);
+  makeReachable({AU.Prog.EntryMethod});
   while (true) {
     ++Rounds;
     PTA.solve();
@@ -297,12 +361,15 @@ void CallGraphBuilder::run() {
     if (NewEdges.isEmpty())
       break;
     Cg |= NewEdges;
-    // Extraction back to Java objects (Section 2.3): iterate the new
-    // edges and register their interprocedural effects.
+    // Extraction back to Java objects (Section 2.3): the new edges'
+    // interprocedural effects go in as one batch per fact relation.
+    std::vector<std::pair<Id, Id>> Edges;
     NewEdges.iterate([&](const std::vector<uint64_t> &Tuple) {
-      addCallEdge(static_cast<Id>(Tuple[0]), static_cast<Id>(Tuple[1]));
+      Edges.push_back(
+          {static_cast<Id>(Tuple[0]), static_cast<Id>(Tuple[1])});
       return true;
     });
+    addCallEdges(Edges);
   }
 }
 
@@ -314,8 +381,10 @@ SideEffectAnalysis::SideEffectAnalysis(AnalysisUniverse &AU,
                                        const PointsToAnalysis &PTA,
                                        const CallGraphBuilder &CGB) {
   VarMethod = AU.U.empty({{AU.Src, AU.V1}, {AU.Mth, AU.M1}});
+  std::vector<uint64_t> Tuples;
   for (size_t V = 0; V != AU.Prog.NumVars; ++V)
-    VarMethod.insert({V, AU.Prog.VarMethod[V]});
+    Tuples.insert(Tuples.end(), {V, AU.Prog.VarMethod[V]});
+  VarMethod.insertAll(Tuples);
 
   Relation PtBase = PTA.Pt.rename(AU.Obj, AU.BaseObj);
 
@@ -341,8 +410,10 @@ SideEffectAnalysis::SideEffectAnalysis(AnalysisUniverse &AU,
       CGB.CallerOf.join(CGB.Cg, {AU.Call}, {AU.Call}, JEDD_SITE("se:edges"))
           .projectTo({AU.Mth, AU.Callee}, JEDD_SITE("se:edges2"));
   Relation Closure = AU.U.empty({{AU.Mth, AU.M1}, {AU.Callee, AU.M2}});
+  Tuples.clear();
   for (size_t M = 0; M != AU.Prog.Methods.size(); ++M)
-    Closure.insert({M, M});
+    Tuples.insert(Tuples.end(), {M, M});
+  Closure.insertAll(Tuples);
   Closure |= MethodEdges;
   while (true) {
     // closure(m, mid) . edges(mid, callee) — compare Callee with Mth.

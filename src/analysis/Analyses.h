@@ -125,8 +125,14 @@ public:
 
   /// Adds the pointer statements of one method to the fact relations.
   void addMethodFacts(soot::Id Method);
+  /// Adds the pointer statements of a batch of methods, one insertAll
+  /// per fact relation.
+  void addMethodFacts(const std::vector<soot::Id> &Methods);
   /// Adds one extra copy edge (used for interprocedural assignments).
   void addAssignEdge(soot::Id SrcVar, soot::Id DstVar);
+  /// Adds a batch of (src, dst) copy edges with one insertAll.
+  void addAssignEdges(
+      const std::vector<std::pair<soot::Id, soot::Id>> &Edges);
 
   /// Propagates to a fixpoint; returns true if anything changed.
   bool solve();
@@ -186,8 +192,13 @@ private:
   std::set<std::pair<soot::Id, soot::Id>> ProcessedEdges;
   unsigned Rounds = 0;
 
-  void makeReachable(soot::Id Method);
-  void addCallEdge(soot::Id CallSiteId, soot::Id Callee);
+  /// Marks methods reachable and adds the facts of the new ones, one
+  /// batch per fact relation.
+  void makeReachable(const std::vector<soot::Id> &Methods);
+  /// Registers one round's new (call site, callee) edges: their callees
+  /// become reachable and their copy edges join AssignR, in batches.
+  void addCallEdges(
+      const std::vector<std::pair<soot::Id, soot::Id>> &Edges);
 };
 
 /// Side-effect analysis: per-method read/write sets over (object, field)

@@ -71,18 +71,28 @@ void HandCodedPointsTo::loadFacts(
   //   Load:       (V2 base, F1 fld, V1 dst)
   //   Store:      (V1 src, V2 base, F1 fld)
   //   FieldPt:    (O2 baseobj, F1 fld, O1 obj)
+  // Each relation's facts are encoded as one batch and united once, as
+  // Relation::insertAll does.
+  std::vector<uint64_t> Tuples;
+  auto Add = [&](bdd::Bdd &Rel, const std::vector<bdd::PhysDomId> &Doms) {
+    Rel = Rel | Pack.encodeTuples(Doms, Tuples.data(),
+                                  Tuples.size() / Doms.size());
+    Tuples.clear();
+  };
   for (const soot::AllocStmt &S : Prog.Allocs)
-    Alloc = Alloc | (Pack.encode(V1, S.Var) & Pack.encode(O1, S.Site));
+    Tuples.insert(Tuples.end(), {S.Var, S.Site});
+  Add(Alloc, {V1, O1});
   for (const soot::AssignStmt &S : Prog.Assigns)
-    Assign = Assign | (Pack.encode(V2, S.Src) & Pack.encode(V1, S.Dst));
+    Tuples.insert(Tuples.end(), {S.Src, S.Dst});
   for (auto &[Src, Dst] : ExtraAssigns)
-    Assign = Assign | (Pack.encode(V2, Src) & Pack.encode(V1, Dst));
+    Tuples.insert(Tuples.end(), {Src, Dst});
+  Add(Assign, {V2, V1});
   for (const soot::LoadStmt &S : Prog.Loads)
-    Load = Load | (Pack.encode(V2, S.Base) & Pack.encode(F1, S.Field) &
-                   Pack.encode(V1, S.Dst));
+    Tuples.insert(Tuples.end(), {S.Base, S.Field, S.Dst});
+  Add(Load, {V2, F1, V1});
   for (const soot::StoreStmt &S : Prog.Stores)
-    Store = Store | (Pack.encode(V1, S.Src) & Pack.encode(V2, S.Base) &
-                     Pack.encode(F1, S.Field));
+    Tuples.insert(Tuples.end(), {S.Src, S.Base, S.Field});
+  Add(Store, {V1, V2, F1});
 }
 
 void HandCodedPointsTo::solve() {
@@ -128,9 +138,11 @@ std::vector<std::pair<uint64_t, uint64_t>>
 HandCodedPointsTo::pointsToPairs() {
   std::vector<std::pair<uint64_t, uint64_t>> Result;
   std::vector<unsigned> Vars = Pack.sortedVars({V1, O1});
+  std::vector<size_t> VarBits = Pack.bitIndex(V1, Vars);
+  std::vector<size_t> ObjBits = Pack.bitIndex(O1, Vars);
   Pack.manager().enumerate(Pt, Vars, [&](const std::vector<bool> &Bits) {
-    Result.push_back({Pack.decodeValue(V1, {V1, O1}, Bits),
-                      Pack.decodeValue(O1, {V1, O1}, Bits)});
+    Result.push_back({bdd::DomainPack::decodeBits(VarBits, Bits),
+                      bdd::DomainPack::decodeBits(ObjBits, Bits)});
     return true;
   });
   std::sort(Result.begin(), Result.end());

@@ -184,8 +184,9 @@ void CheckpointedAnalysis::runStages(bool Persist, uint64_t Hash,
       CGB->run();
       if (Persist) {
         Relation ReachableRel = AU.U.empty({{AU.Mth, AU.M1}});
-        for (soot::Id Method : CGB->reachableMethods())
-          ReachableRel.insert({Method});
+        const std::set<soot::Id> &Methods = CGB->reachableMethods();
+        ReachableRel.insertAll(
+            std::vector<uint64_t>(Methods.begin(), Methods.end()));
         St.Saved = saveStage(
             StageCallGraph, Hash,
             {{"pt", PTA->Pt},

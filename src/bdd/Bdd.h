@@ -235,6 +235,18 @@ public:
   /// of a quantification variable set.
   Bdd cube(const std::vector<unsigned> &Vars);
 
+  /// The set of \p NumRows full assignments to \p Vars (strictly
+  /// ascending, so in level order); variables outside \p Vars stay free.
+  /// The rows are packed bit rows of W = ceil(Vars.size() / 64) words:
+  /// row R is words [R*W, (R+1)*W) of \p Rows, and bit I of a row (word
+  /// I / 64, bit I % 64) is the value of Vars[I]. Built bottom-up in one
+  /// pass: each level partitions the rows on its bit, and only the
+  /// result's nodes are created — no apply, no cache traffic, no sort.
+  /// Duplicate rows merge. This is how relations load tuples
+  /// (DomainPack::encodeTuples, Relation::insertAll).
+  Bdd minterms(const std::vector<unsigned> &Vars, size_t NumRows,
+               std::vector<uint64_t> Rows);
+
   /// Existential quantification of the variables of \p CubeBdd out of F.
   /// This implements relational projection (Section 3.2.2).
   Bdd exists(const Bdd &F, const Bdd &CubeBdd);
@@ -283,7 +295,7 @@ public:
   /// cover the support of F) that keep F satisfiable. Each callback
   /// receives one bit per entry of \p Vars. Returning false stops the
   /// enumeration early. The callback may call back into this manager
-  /// (CallGraphBuilder::run inserts call edges from inside
+  /// (say, to insert each tuple of one relation into another from inside
   /// Relation::iterate): a collection in between never frees F's nodes,
   /// because the caller's handle keeps them referenced.
   void enumerate(const Bdd &F, const std::vector<unsigned> &Vars,
@@ -542,6 +554,10 @@ private:
   NodeRef replaceViaIteRec(NodeRef F, const std::vector<int> &Map,
                            uint32_t Tag);
   NodeRef restrictRec(NodeRef F, unsigned Var, bool Value);
+  /// minterms() over rows [Rows, Rows + NumRows * Words), deciding
+  /// Vars[Depth] and below.
+  NodeRef mintermsRec(const std::vector<unsigned> &Vars, size_t Depth,
+                      uint64_t *Rows, size_t NumRows, size_t Words);
 
   double satCountRec(NodeRef F,
                      std::unordered_map<NodeRef, double> &Memo);

@@ -660,6 +660,57 @@ Bdd Manager::cube(const std::vector<unsigned> &Vars) {
   });
 }
 
+NodeRef Manager::mintermsRec(const std::vector<unsigned> &Vars, size_t Depth,
+                             uint64_t *Rows, size_t NumRows, size_t Words) {
+  if (NumRows == 0)
+    return FalseRef;
+  if (Depth == Vars.size())
+    return TrueRef; // Every row left is this one assignment.
+  const size_t Word = Depth / 64;
+  const uint64_t Mask = uint64_t(1) << (Depth % 64);
+  auto IsSet = [&](size_t Row) {
+    return (Rows[Row * Words + Word] & Mask) != 0;
+  };
+  // Partition: rows with the bit clear first, then rows with it set.
+  size_t Lo = 0, Hi = NumRows;
+  while (true) {
+    while (Lo != Hi && !IsSet(Lo))
+      ++Lo;
+    while (Lo != Hi && IsSet(Hi - 1))
+      --Hi;
+    if (Lo == Hi)
+      break;
+    --Hi;
+    std::swap_ranges(Rows + Lo * Words, Rows + (Lo + 1) * Words,
+                     Rows + Hi * Words);
+    ++Lo;
+  }
+  NodeRef Low = mintermsRec(Vars, Depth + 1, Rows, Lo, Words);
+  NodeRef High =
+      mintermsRec(Vars, Depth + 1, Rows + Lo * Words, NumRows - Lo, Words);
+  return makeNode(Vars[Depth], Low, High);
+}
+
+Bdd Manager::minterms(const std::vector<unsigned> &Vars, size_t NumRows,
+                      std::vector<uint64_t> Rows) {
+  const size_t Words = (Vars.size() + 63) / 64;
+  assert(Rows.size() == NumRows * Words && "rows do not match the variables");
+#ifndef NDEBUG
+  for (size_t I = 0; I != Vars.size(); ++I)
+    assert(Vars[I] < NumVars && (I == 0 || Vars[I - 1] < Vars[I]) &&
+           "minterm variables must be client variables in level order");
+#endif
+  obs::SpanGuard Span(obs::Cat::Bdd, "minterms");
+  if (Span.active())
+    Span.arg("rows", NumRows);
+  return runOp([&] {
+    Bdd Result(this, mintermsRec(Vars, 0, Rows.data(), NumRows, Words));
+    if (Span.active())
+      Span.arg("result_nodes", nodeCount(Result));
+    return Result;
+  });
+}
+
 Bdd Manager::exists(const Bdd &F, const Bdd &CubeBdd) {
   assert(F.manager() == this && CubeBdd.manager() == this &&
          "operands belong to another manager");

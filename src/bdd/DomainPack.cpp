@@ -99,23 +99,32 @@ void DomainPack::finalize(size_t InitialNodes, size_t CacheSize) {
 }
 
 Bdd DomainPack::encode(PhysDomId Dom, uint64_t Value) {
-  const DomInfo &D = Doms[Dom];
-  assert(Value < (1ULL << D.Bits) && "value does not fit the domain");
-  // Build the conjunction bottom-up with raw nodes for efficiency; the
-  // literals of one domain form a chain.
-  std::vector<std::pair<unsigned, bool>> Literals; // (var, bit value)
-  for (unsigned B = 0; B != D.Bits; ++B) {
-    bool BitSet = (Value >> (D.Bits - 1 - B)) & 1; // Vars[0] is the MSB.
-    Literals.push_back({D.Vars[B], BitSet});
+  return encodeTuples({Dom}, &Value, 1);
+}
+
+Bdd DomainPack::encodeTuples(const std::vector<PhysDomId> &DomList,
+                             const uint64_t *Values, size_t NumTuples) {
+  std::vector<unsigned> Vars = sortedVars(DomList);
+  assert(std::adjacent_find(Vars.begin(), Vars.end()) == Vars.end() &&
+         "a domain is listed twice");
+  std::vector<std::vector<size_t>> Index;
+  for (PhysDomId Dom : DomList)
+    Index.push_back(bitIndex(Dom, Vars));
+  // One packed row per tuple: bit I of the row is the value of Vars[I].
+  const size_t Words = (Vars.size() + 63) / 64;
+  std::vector<uint64_t> Rows(NumTuples * Words, 0);
+  for (size_t T = 0; T != NumTuples; ++T) {
+    uint64_t *Row = &Rows[T * Words];
+    for (size_t C = 0; C != DomList.size(); ++C) {
+      uint64_t Value = Values[T * DomList.size() + C];
+      const std::vector<size_t> &Bits = Index[C];
+      assert(Value < size(DomList[C]) && "value does not fit the domain");
+      for (size_t B = 0; B != Bits.size(); ++B)
+        if ((Value >> (Bits.size() - 1 - B)) & 1) // Bits[0] is the MSB.
+          Row[Bits[B] / 64] |= uint64_t(1) << (Bits[B] % 64);
+    }
   }
-  std::sort(Literals.begin(), Literals.end());
-  Bdd Result = Mgr->trueBdd();
-  for (size_t I = Literals.size(); I-- > 0;) {
-    Bdd Lit = Literals[I].second ? Mgr->var(Literals[I].first)
-                                 : Mgr->nvar(Literals[I].first);
-    Result = Mgr->bddAnd(Lit, Result);
-  }
-  return Result;
+  return Mgr->minterms(Vars, NumTuples, std::move(Rows));
 }
 
 Bdd DomainPack::encodeLess(PhysDomId Dom, uint64_t Bound) {
@@ -211,19 +220,16 @@ DomainPack::sortedVars(const std::vector<PhysDomId> &DomList) {
   return Vars;
 }
 
-uint64_t DomainPack::decodeValue(PhysDomId Dom,
-                                 const std::vector<PhysDomId> &DomList,
-                                 const std::vector<bool> &Bits) {
-  std::vector<unsigned> Vars = sortedVars(DomList);
-  assert(Vars.size() == Bits.size() && "bit vector does not match domains");
-  const DomInfo &D = Doms[Dom];
-  uint64_t Value = 0;
-  for (unsigned B = 0; B != D.Bits; ++B) {
-    auto It = std::lower_bound(Vars.begin(), Vars.end(), D.Vars[B]);
-    assert(It != Vars.end() && *It == D.Vars[B] &&
+std::vector<size_t>
+DomainPack::bitIndex(PhysDomId Dom,
+                     const std::vector<unsigned> &SortedVars) const {
+  std::vector<size_t> Index;
+  Index.reserve(Doms[Dom].Bits);
+  for (unsigned Var : Doms[Dom].Vars) {
+    auto It = std::lower_bound(SortedVars.begin(), SortedVars.end(), Var);
+    assert(It != SortedVars.end() && *It == Var &&
            "domain not part of the enumerated set");
-    size_t Index = static_cast<size_t>(It - Vars.begin());
-    Value = (Value << 1) | (Bits[Index] ? 1 : 0);
+    Index.push_back(static_cast<size_t>(It - SortedVars.begin()));
   }
-  return Value;
+  return Index;
 }

@@ -93,6 +93,14 @@ public:
   /// domain constrained).
   Bdd encode(PhysDomId Dom, uint64_t Value);
 
+  /// The set of \p NumTuples tuples over \p DomList (distinct domains),
+  /// all bits of the listed domains constrained and the other domains
+  /// free. \p Values holds the tuples back to back, one value per listed
+  /// domain each, and every value must fit its domain. One
+  /// Manager::minterms pass; encode() is the one-value case.
+  Bdd encodeTuples(const std::vector<PhysDomId> &DomList,
+                   const uint64_t *Values, size_t NumTuples);
+
   /// The BDD encoding value < \p Bound in domain \p Dom. Used to restrict
   /// full relations (1B) to the actual domain sizes.
   Bdd encodeLess(PhysDomId Dom, uint64_t Bound);
@@ -116,10 +124,19 @@ public:
   /// Variables of all listed domains, sorted by level, for enumeration.
   std::vector<unsigned> sortedVars(const std::vector<PhysDomId> &DomList);
 
-  /// Decodes the value of \p Dom from an enumeration bit vector produced
-  /// with sortedVars(\p DomList) ordering.
-  uint64_t decodeValue(PhysDomId Dom, const std::vector<PhysDomId> &DomList,
-                       const std::vector<bool> &Bits);
+  /// Where \p Dom's bits, MSB first, sit in \p SortedVars (a sortedVars()
+  /// result that includes \p Dom). Compute it once per enumeration and
+  /// decode each assignment with decodeBits().
+  std::vector<size_t> bitIndex(PhysDomId Dom,
+                               const std::vector<unsigned> &SortedVars) const;
+  /// The value whose bits, MSB first, sit at \p Index in \p Bits.
+  static uint64_t decodeBits(const std::vector<size_t> &Index,
+                             const std::vector<bool> &Bits) {
+    uint64_t Value = 0;
+    for (size_t I : Index)
+      Value = (Value << 1) | (Bits[I] ? 1 : 0);
+    return Value;
+  }
 
 private:
   struct DomInfo {

@@ -453,27 +453,46 @@ bdd::SatCount Relation::sizeExact() const {
   return {static_cast<uint64_t>(V >> 64), static_cast<uint64_t>(V), false};
 }
 
+bool Relation::fits(size_t Column, uint64_t Value) const {
+  return Value < U->domainSize(U->attributeDomain(Schema[Column].Attr));
+}
+
+void Relation::insertTuples(const uint64_t *Values, size_t NumTuples) {
+  // The whole batch is checked before anything is built, so a bad value
+  // leaves the relation as it was.
+  for (size_t T = 0; T != NumTuples; ++T)
+    for (size_t I = 0; I != Schema.size(); ++I)
+      JEDD_CHECK(fits(I, Values[T * Schema.size() + I]),
+                 "value out of domain range for attribute '" +
+                     U->attributeName(Schema[I].Attr) + "'");
+  if (NumTuples != 0)
+    Body = Body | U->pack().encodeTuples(schemaPhysDoms(), Values, NumTuples);
+}
+
 void Relation::insert(const std::vector<uint64_t> &Values) {
   JEDD_CHECK(U, "operation on an invalid relation");
   JEDD_CHECK(Values.size() == Schema.size(),
              "tuple arity does not match the schema");
-  bdd::Bdd Tuple = U->manager().trueBdd();
-  for (size_t I = 0; I != Schema.size(); ++I) {
-    JEDD_CHECK(Values[I] < U->domainSize(U->attributeDomain(Schema[I].Attr)),
-               "value out of domain range for attribute '" +
-                   U->attributeName(Schema[I].Attr) + "'");
-    Tuple = Tuple & U->pack().encode(Schema[I].Phys, Values[I]);
-  }
-  Body = Body | Tuple;
+  insertTuples(Values.data(), 1);
+}
+
+void Relation::insertAll(const std::vector<uint64_t> &Tuples) {
+  JEDD_CHECK(U, "operation on an invalid relation");
+  JEDD_CHECK(Schema.empty() ? Tuples.empty()
+                            : Tuples.size() % Schema.size() == 0,
+             "tuple list length is not a multiple of the arity");
+  insertTuples(Tuples.data(),
+               Schema.empty() ? 0 : Tuples.size() / Schema.size());
 }
 
 bool Relation::contains(const std::vector<uint64_t> &Values) const {
   JEDD_CHECK(U, "operation on an invalid relation");
   JEDD_CHECK(Values.size() == Schema.size(),
              "tuple arity does not match the schema");
-  bdd::Bdd Tuple = U->manager().trueBdd();
   for (size_t I = 0; I != Schema.size(); ++I)
-    Tuple = Tuple & U->pack().encode(Schema[I].Phys, Values[I]);
+    if (!fits(I, Values[I]))
+      return false;
+  bdd::Bdd Tuple = U->pack().encodeTuples(schemaPhysDoms(), Values.data(), 1);
   return !(Tuple & Body).isFalse();
 }
 
@@ -484,24 +503,16 @@ void Relation::iterate(
   std::vector<unsigned> Vars = U->pack().sortedVars(Phys);
   // Precompute where each column's bits (MSB first) sit in the
   // enumeration vector, so decoding a tuple takes only bit shifts.
-  std::vector<std::vector<size_t>> BitIndex(Schema.size());
-  for (size_t I = 0; I != Schema.size(); ++I)
-    for (unsigned V : U->pack().vars(Schema[I].Phys)) {
-      auto It = std::find(Vars.begin(), Vars.end(), V);
-      assert(It != Vars.end() && "schema domain not in the enumerated set");
-      BitIndex[I].push_back(static_cast<size_t>(It - Vars.begin()));
-    }
+  std::vector<std::vector<size_t>> BitIndex;
+  for (PhysDomId Dom : Phys)
+    BitIndex.push_back(U->pack().bitIndex(Dom, Vars));
   std::vector<uint64_t> Tuple(Schema.size());
   // Fn may call back into the manager, even to modify this relation:
   // the copy keeps the enumerated BDD referenced until the walk ends.
   bdd::Bdd Root = Body;
   U->manager().enumerate(Root, Vars, [&](const std::vector<bool> &Bits) {
-    for (size_t I = 0; I != Schema.size(); ++I) {
-      uint64_t Value = 0;
-      for (size_t Index : BitIndex[I])
-        Value = (Value << 1) | (Bits[Index] ? 1 : 0);
-      Tuple[I] = Value;
-    }
+    for (size_t I = 0; I != Schema.size(); ++I)
+      Tuple[I] = bdd::DomainPack::decodeBits(BitIndex[I], Bits);
     return Fn(Tuple);
   });
 }

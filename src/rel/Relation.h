@@ -21,7 +21,7 @@
 ///   (a=>b c) x              x.copy(a, c) (b keeps a's values)
 ///   x{a} >< y{b}            x.join(y, {a}, {b})
 ///   x{a} <> y{b}            x.compose(y, {a}, {b})
-///   new {o=>a, ...}         Universe::tuple / Relation::insert
+///   new {o=>a, ...}         Universe::tuple / Relation::insert, insertAll
 ///   0B, 1B                  Universe::empty / Universe::full
 ///   iterator                iterate()
 ///   size()                  size()
@@ -144,16 +144,23 @@ public:
   bdd::SatCount sizeExact() const;
   bool isEmpty() const { return Body.isFalse(); }
 
-  /// Adds one tuple (values indexed like schema()).
+  /// Adds one tuple (values indexed like schema()): insertAll of one.
   void insert(const std::vector<uint64_t> &Values);
-  /// Membership test for one tuple.
+  /// Adds a batch of tuples, \p Tuples holding them back to back, each
+  /// indexed like schema(). Every value is checked against its domain
+  /// before anything is built: an out-of-range value throws UsageError
+  /// and leaves the relation unchanged. The batch becomes one BDD
+  /// (DomainPack::encodeTuples), united with the body once.
+  void insertAll(const std::vector<uint64_t> &Tuples);
+  /// Membership test for one tuple; false for values outside their
+  /// domains.
   bool contains(const std::vector<uint64_t> &Values) const;
 
   /// Calls \p Fn for every tuple with the values indexed like schema().
   /// Returning false stops the iteration. Deterministic order. \p Fn
   /// may call back into the universe's manager, even to insert into this
-  /// or another relation, as CallGraphBuilder::run does when it adds call
-  /// edges.
+  /// or another relation; collecting the tuples and inserting them with
+  /// one insertAll afterwards is cheaper.
   void iterate(
       const std::function<bool(const std::vector<uint64_t> &)> &Fn) const;
 
@@ -200,6 +207,11 @@ private:
                            const std::vector<AttributeId> &RightAttrs,
                            std::vector<AttrBinding> &OtherKept,
                            bool DropLeftCompared, Site At) const;
+
+  /// Shared core of insert and insertAll over \p NumTuples tuples.
+  void insertTuples(const uint64_t *Values, size_t NumTuples);
+  /// True if \p Value lies in the domain of column \p Column.
+  bool fits(size_t Column, uint64_t Value) const;
 
   std::vector<PhysDomId> schemaPhysDoms() const;
   /// Total bits of this schema's physical domains.

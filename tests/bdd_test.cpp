@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -574,6 +575,97 @@ TEST(BddSatCountExact, SaturatesBeyond128Bits) {
   EXPECT_TRUE(N.isExact());
   EXPECT_EQ(N.Hi, uint64_t(1) << (130 - 10 - 64));
   EXPECT_EQ(N.Lo, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Minterm sets built bottom-up
+//===----------------------------------------------------------------------===//
+
+/// The OR of one AND-of-literals cube per row, the per-tuple encoding
+/// minterms() replaces.
+Bdd mintermsByCubes(Manager &M, const std::vector<unsigned> &Vars,
+                    const std::vector<std::vector<bool>> &Rows) {
+  Bdd Result = M.falseBdd();
+  for (const std::vector<bool> &Row : Rows) {
+    Bdd Cube = M.trueBdd();
+    for (size_t I = 0; I != Vars.size(); ++I)
+      Cube = Cube & (Row[I] ? M.var(Vars[I]) : M.nvar(Vars[I]));
+    Result = Result | Cube;
+  }
+  return Result;
+}
+
+std::vector<uint64_t> packRows(const std::vector<std::vector<bool>> &Rows,
+                               size_t NumVars) {
+  const size_t Words = (NumVars + 63) / 64;
+  std::vector<uint64_t> Packed(Rows.size() * Words, 0);
+  for (size_t R = 0; R != Rows.size(); ++R)
+    for (size_t I = 0; I != NumVars; ++I)
+      if (Rows[R][I])
+        Packed[R * Words + I / 64] |= uint64_t(1) << (I % 64);
+  return Packed;
+}
+
+TEST(BddMinterms, MatchesOrOfCubesAcrossWordBoundaries) {
+  // 180 manager variables; the minterm variables are a random ascending
+  // subset wider than two words, so rows span three.
+  const unsigned V = 180;
+  Manager M(V, 1 << 10, 1 << 12);
+  SplitMix64 Rng(11);
+  for (int Trial = 0; Trial != 6; ++Trial) {
+    std::vector<unsigned> Vars;
+    for (unsigned Var = 0; Var != V; ++Var)
+      if (Rng.nextBelow(6) != 0)
+        Vars.push_back(Var);
+    ASSERT_GT(Vars.size(), 128u);
+    std::vector<std::vector<bool>> Rows;
+    size_t NumRows = Rng.nextBelow(40);
+    for (size_t R = 0; R != NumRows; ++R) {
+      // Few distinct values per bit, so rows share prefixes and repeat.
+      std::vector<bool> Row(Vars.size());
+      for (size_t I = 0; I != Vars.size(); ++I)
+        Row[I] = I % 17 == 0 ? Rng.nextBelow(2) : (I % 3 == 0);
+      Rows.push_back(Row);
+      if (Rng.nextBelow(4) == 0)
+        Rows.push_back(Row); // A duplicate.
+    }
+    Bdd Built = M.minterms(Vars, Rows.size(), packRows(Rows, Vars.size()));
+    EXPECT_EQ(Built, mintermsByCubes(M, Vars, Rows)) << "trial " << Trial;
+    ASSERT_EQ(M.checkInvariants(), "");
+  }
+}
+
+TEST(BddMinterms, EdgeCases) {
+  Manager M(8);
+  // No rows: the empty set, even over variables.
+  EXPECT_TRUE(M.minterms({1, 4}, 0, {}).isFalse());
+  // Rows over no variables: the one empty assignment, i.e. true.
+  EXPECT_TRUE(M.minterms({}, 3, {}).isTrue());
+  // One row: the cube of its literals.
+  Bdd One = M.minterms({0, 3, 7}, 1, {0b101});
+  EXPECT_EQ(One, M.var(0) & M.nvar(3) & M.var(7));
+  // All 2^k rows over k variables: true again.
+  EXPECT_TRUE(M.minterms({2, 5}, 4, {0, 1, 2, 3}).isTrue());
+}
+
+TEST(BddMinterms, CreatesOnlyTheResultsNodes) {
+  const unsigned V = 24;
+  Manager M(V, 1 << 12, 1 << 12);
+  SplitMix64 Rng(5);
+  std::vector<unsigned> Vars;
+  for (unsigned Var = 0; Var != V; ++Var)
+    Vars.push_back(Var);
+  std::vector<uint64_t> Rows;
+  for (int R = 0; R != 300; ++R)
+    Rows.push_back(Rng.nextBelow(uint64_t(1) << V));
+  size_t Before = M.stats().NodesCreated;
+  Bdd Built = M.minterms(Vars, Rows.size(), Rows);
+  // A fresh manager shares nothing with the result, so every node made
+  // is one of its nodes: no path copies are left behind as garbage.
+  EXPECT_EQ(M.stats().NodesCreated - Before, M.nodeCount(Built));
+  EXPECT_EQ(M.satCount(Built), double(std::set<uint64_t>(Rows.begin(),
+                                                         Rows.end())
+                                          .size()));
 }
 
 } // namespace

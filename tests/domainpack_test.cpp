@@ -110,12 +110,16 @@ TEST(DomainPack, EncodeDecodeRoundTrip) {
 
     Bdd Tuple = Pack.encode(A, 11) & Pack.encode(B, 5);
     EXPECT_DOUBLE_EQ(Mgr.satCount(Tuple), 1.0); // Fully constrained.
+    const uint64_t Values[] = {11, 5};
+    EXPECT_EQ(Pack.encodeTuples({A, B}, Values, 1), Tuple);
 
     std::vector<unsigned> Vars = Pack.sortedVars({A, B});
+    std::vector<size_t> ABits = Pack.bitIndex(A, Vars);
+    std::vector<size_t> BBits = Pack.bitIndex(B, Vars);
     int Seen = 0;
     Mgr.enumerate(Tuple, Vars, [&](const std::vector<bool> &Bits) {
-      EXPECT_EQ(Pack.decodeValue(A, {A, B}, Bits), 11u);
-      EXPECT_EQ(Pack.decodeValue(B, {A, B}, Bits), 5u);
+      EXPECT_EQ(DomainPack::decodeBits(ABits, Bits), 11u);
+      EXPECT_EQ(DomainPack::decodeBits(BBits, Bits), 5u);
       ++Seen;
       return true;
     });

@@ -130,6 +130,9 @@ TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
 
   const unsigned V = 9;
   const unsigned Clients = 3;
+  // Enough ops that the toggler races span emission for about a second
+  // under ThreadSanitizer (about 0.1 s in the plain build).
+  const unsigned OpsPerClient = 2500;
   std::vector<std::unique_ptr<Manager>> Managers;
   for (unsigned C = 0; C != Clients; ++C)
     Managers.push_back(std::make_unique<Manager>(V, 1 << 10, 1 << 12));
@@ -143,7 +146,7 @@ TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
   std::vector<std::thread> Threads;
   for (unsigned C = 0; C != Clients; ++C)
     Threads.emplace_back([&Managers, C, &Results, &Running] {
-      clientStream(*Managers[C], V, 0xD00D + C, 250, Results[C]);
+      clientStream(*Managers[C], V, 0xD00D + C, OpsPerClient, Results[C]);
       Running.fetch_sub(1);
     });
   // Tracing toggles while everyone emits, so the fast path flips between

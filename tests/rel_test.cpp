@@ -640,4 +640,128 @@ TEST_P(RelDifferentialTest, OperationsMatchNaiveSets) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RelDifferentialTest,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
 
+//===----------------------------------------------------------------------===//
+// Bulk insertion (insertAll) against a set model and one-by-one inserts
+//===----------------------------------------------------------------------===//
+
+class InsertAllDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(InsertAllDifferentialTest, MatchesSetModelAndSingleInserts) {
+  SplitMix64 Rng(GetParam());
+  // Three 22-bit columns and a 3-bit one: 69 bits a tuple, so every
+  // packed row spans two words.
+  Universe U;
+  DomainId Big = U.addDomain("Big", uint64_t(1) << 22);
+  DomainId Small = U.addDomain("Small", 5);
+  AttributeId A = U.addAttribute("a", Big);
+  AttributeId B = U.addAttribute("b", Big);
+  AttributeId C = U.addAttribute("c", Big);
+  AttributeId S = U.addAttribute("s", Small);
+  PhysDomId Q0 = U.addPhysicalDomain("Q0");
+  PhysDomId Q1 = U.addPhysicalDomain("Q1");
+  PhysDomId Q2 = U.addPhysicalDomain("Q2");
+  PhysDomId Q3 = U.addPhysicalDomain("Q3");
+  U.finalize(GetParam() % 2 ? "Q0xQ1_Q2_Q3" : "");
+  const std::vector<AttrBinding> Schema = {
+      {A, Q2}, {B, Q0}, {C, Q1}, {S, Q3}};
+
+  // Few values per column, so batches hold duplicates and tuples that
+  // share long prefixes.
+  std::vector<uint64_t> Picks = {0, 1, 7, (uint64_t(1) << 22) - 1, 123456};
+  auto RandomTuple = [&] {
+    return Tuple{Picks[Rng.nextBelow(Picks.size())],
+                 Picks[Rng.nextBelow(Picks.size())],
+                 Picks[Rng.nextBelow(Picks.size())], Rng.nextBelow(5)};
+  };
+
+  Relation Bulk = U.empty(Schema);
+  Relation Single = U.empty(Schema);
+  TupleSet Model;
+  for (int Round = 0; Round != 12; ++Round) {
+    // An empty batch, a one-row batch, then larger ones.
+    size_t Rows = Round == 0 ? 0 : Round == 1 ? 1 : Rng.nextBelow(60);
+    std::vector<uint64_t> Batch;
+    for (size_t R = 0; R != Rows; ++R) {
+      Tuple T = Rng.nextBelow(5) == 0 && !Batch.empty()
+                    ? Tuple(Batch.begin(), Batch.begin() + 4) // Duplicate.
+                    : RandomTuple();
+      Batch.insert(Batch.end(), T.begin(), T.end());
+      Single.insert(T);
+      Model.insert(T);
+    }
+    Bulk.insertAll(Batch);
+
+    std::vector<Tuple> Got = Bulk.tuples();
+    ASSERT_EQ(TupleSet(Got.begin(), Got.end()), Model) << "round " << Round;
+    EXPECT_EQ(Got.size(), Model.size());
+    EXPECT_TRUE(Bulk == Single) << "round " << Round;
+    EXPECT_EQ(Bulk.sizeExact().Lo, Model.size());
+    ASSERT_EQ(U.manager().checkInvariants(), "");
+  }
+  for (const Tuple &T : Model)
+    EXPECT_TRUE(Bulk.contains(T));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InsertAllDifferentialTest,
+                         ::testing::Values(31, 32, 33, 34));
+
+TEST_F(RelTest, InsertAllRejectsBadBatchesWithoutPartialInsert) {
+  Relation R = U.empty({{Src, P0}, {Hue, P1}});
+  R.insertAll({1, 2, 3, 0});
+  Relation Before = R;
+
+  // The bad value is last: nothing of the batch may go in.
+  EXPECT_THROW(R.insertAll({4, 1, 5, 2, 6, 4}), UsageError); // Hue < 4.
+  EXPECT_TRUE(R == Before);
+  EXPECT_EQ(R.tuples(), (std::vector<Tuple>{{1, 2}, {3, 0}}));
+  EXPECT_THROW(R.insert({16, 0}), UsageError); // Src < 16.
+  // A length that is not a multiple of the arity.
+  EXPECT_THROW(R.insertAll({4, 1, 5}), UsageError);
+  EXPECT_TRUE(R == Before);
+
+  // Values outside their domains are never members.
+  EXPECT_FALSE(R.contains({1, 6}));
+  EXPECT_FALSE(R.contains({17, 2}));
+}
+
+TEST_F(RelTest, InsertAllAbortedByTheGovernorLeavesRelationClean) {
+  bdd::Manager &M = U.manager();
+  Relation R = U.empty({{Src, P0}, {Dst, P1}, {Mid, P2}});
+  R.insertAll({1, 2, 3, 4, 5, 6});
+  TupleSet Model = {{1, 2, 3}, {4, 5, 6}};
+
+  SplitMix64 Rng(9);
+  size_t Aborts = 0;
+  for (int Step = 0; Step != 40; ++Step) {
+    std::vector<uint64_t> Batch;
+    TupleSet BatchSet;
+    for (int I = 0; I != 30; ++I) {
+      Tuple T = {Rng.nextBelow(16), Rng.nextBelow(16), Rng.nextBelow(16)};
+      Batch.insert(Batch.end(), T.begin(), T.end());
+      BatchSet.insert(T);
+    }
+    Relation Before = R;
+    // A 1-in-64 roll per allocation and per operation boundary: many
+    // batches abort somewhere in the minterm build or the union.
+    M.setFaultInjection(uint64_t(Step) + 1, 64);
+    try {
+      R.insertAll(Batch);
+    } catch (const ResourceExhausted &) {
+      ++Aborts;
+      M.setFaultInjection(0, 0);
+      ASSERT_EQ(M.checkInvariants(), "") << "step " << Step;
+      ASSERT_TRUE(R == Before) << "step " << Step;
+      // The same batch goes in once injection is off.
+      R.insertAll(Batch);
+    }
+    M.setFaultInjection(0, 0);
+    Model.insert(BatchSet.begin(), BatchSet.end());
+    std::vector<Tuple> Got = R.tuples();
+    ASSERT_EQ(TupleSet(Got.begin(), Got.end()), Model) << "step " << Step;
+  }
+  EXPECT_GT(Aborts, 0u);
+  EXPECT_GE(M.stats().ResourceRecoveries, Aborts);
+  EXPECT_EQ(M.checkInvariants(), "");
+}
+
 } // namespace

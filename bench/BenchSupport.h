@@ -51,8 +51,10 @@ public:
         argv[Out++] = argv[I];
     }
     argc = Out;
-    if (!MetricsPath.empty() || !TracePath.empty())
-      obs::Tracer::instance().setTracing(true);
+    if (!TracePath.empty())
+      obs::Tracer::instance().setLevel(obs::Level::Trace);
+    else if (!MetricsPath.empty())
+      obs::Tracer::instance().setLevel(obs::Level::Metrics);
   }
 
   ~ObsSession() {

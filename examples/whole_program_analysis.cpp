@@ -32,8 +32,8 @@ int main(int argc, char **argv) {
               Prog.Calls.size(), Prog.NumVars, Prog.NumSites);
 
   analysis::AnalysisUniverse AU(Prog);
-  prof::Profiler Profiler;
-  Profiler.attach();
+  // Buffer every span so the report can show each execution.
+  obs::Tracer::instance().setTracing(true);
 
   analysis::WholeProgramAnalysis WPA(AU);
   WPA.run();
@@ -68,11 +68,11 @@ int main(int argc, char **argv) {
                   ? 100.0 * Stats.CacheHits / Stats.CacheLookups
                   : 0.0);
 
+  prof::Profiler Profiler;
   Profiler.observe(Stats);
-  Profiler.detach();
   const char *ReportPath = "jedd-profile.html";
   if (Profiler.writeHtml(ReportPath))
-    std::printf("\nprofiler report (%zu operations recorded): %s\n",
-                Profiler.records().size(), ReportPath);
+    std::printf("\nprofiler report (%zu operation sites): %s\n",
+                Profiler.summarize().size(), ReportPath);
   return 0;
 }

@@ -36,6 +36,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -163,7 +164,9 @@ private:
 /// Aggregate statistics exposed for tests and the profiler.
 struct ManagerStats {
   size_t Capacity = 0;     ///< Total node slots.
-  size_t LiveNodes = 0;    ///< Nodes reachable from referenced roots.
+  /// Allocated slots (capacity - free - 2): the reachable nodes plus the
+  /// garbage not yet collected. liveNodeCount() gives the reachable ones.
+  size_t LiveNodes = 0;
   size_t FreeNodes = 0;    ///< Slots on the free list.
   size_t GcRuns = 0;       ///< Number of completed collections.
   size_t CacheHits = 0;    ///< Computed-cache hits since creation.
@@ -537,14 +540,17 @@ private:
   void gcImpl();
   void gcIfNeededImpl();
   std::vector<unsigned> supportImpl(NodeRef Root) const;
-  Bdd replaceImpl(const Bdd &F, const std::vector<int> &Map);
+  NodeRef replaceImpl(NodeRef F, const std::vector<int> &Map);
 
   /// Runs a public operation: between-operations GC check, then \p Body,
   /// with governor recovery on abort.
   template <typename Fn> auto runOp(Fn &&Body);
-  /// Runs one kernel recursion as a public operation and records the
-  /// result-side span arguments.
-  template <typename Fn> Bdd kernelOp(obs::SpanGuard &Span, Fn &&Rec);
+  /// Runs one kernel recursion as a public operation (runOp) and fills
+  /// its span: the nodes_created and cache deltas, plus the operand and
+  /// result node counts when the span is buffered.
+  template <typename Fn>
+  Bdd kernelOp(obs::SpanGuard &Span,
+               std::initializer_list<const Bdd *> Operands, Fn &&Rec);
 
   // Recursive cores of the remaining operations; the kernel (Kernel.h)
   // holds the apply-family ones. These work on raw NodeRefs; intermediate

@@ -582,18 +582,26 @@ template <typename Fn> auto Manager::runOp(Fn &&Body) {
   });
 }
 
-template <typename Fn> Bdd Manager::kernelOp(obs::SpanGuard &Span, Fn &&Rec) {
-  return governed([&] {
-    size_t Hits0 = Cache.hits(), Lookups0 = Cache.lookups();
-    gcIfNeededImpl();
-    Bdd Result(this, Rec());
-    if (Span.active()) {
-      Span.arg("result_nodes", nodeCount(Result));
-      Span.arg("cache_hits", Cache.hits() - Hits0);
-      Span.arg("cache_lookups", Cache.lookups() - Lookups0);
-    }
-    return Result;
-  });
+template <typename Fn>
+Bdd Manager::kernelOp(obs::SpanGuard &Span,
+                      std::initializer_list<const Bdd *> Operands,
+                      Fn &&Rec) {
+  if (Span.detail()) {
+    assert(Operands.size() <= 2 && "spans name two operands at most");
+    const char *const Keys[] = {"left_nodes", "right_nodes"};
+    const char *const *Key = Keys;
+    for (const Bdd *Operand : Operands)
+      Span.arg(*Key++, nodeCount(*Operand));
+  }
+  size_t Created0 = NodesCreated, Hits0 = Cache.hits(),
+         Lookups0 = Cache.lookups();
+  Bdd Result = runOp([&] { return Bdd(this, Rec()); });
+  Span.arg("nodes_created", NodesCreated - Created0);
+  Span.arg("cache_hits", Cache.hits() - Hits0);
+  Span.arg("cache_lookups", Cache.lookups() - Lookups0);
+  if (Span.detail())
+    Span.arg("result_nodes", nodeCount(Result));
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//
@@ -616,11 +624,7 @@ Bdd Manager::apply(Op Operator, const Bdd &F, const Bdd &G) {
   assert(F.manager() == this && G.manager() == this &&
          "operands belong to another manager");
   obs::SpanGuard Span(obs::Cat::Bdd, applyOpName(Operator));
-  if (Span.active()) {
-    Span.arg("left_nodes", nodeCount(F));
-    Span.arg("right_nodes", nodeCount(G));
-  }
-  return kernelOp(Span, [&] {
+  return kernelOp(Span, {&F, &G}, [&] {
     return Kernel::applyRec(*this, Operator, F.ref(), G.ref());
   });
 }
@@ -634,11 +638,7 @@ Bdd Manager::ite(const Bdd &F, const Bdd &G, const Bdd &H) {
   assert(F.manager() == this && G.manager() == this && H.manager() == this &&
          "operands belong to another manager");
   obs::SpanGuard Span(obs::Cat::Bdd, "ite");
-  if (Span.active()) {
-    Span.arg("left_nodes", nodeCount(F));
-    Span.arg("right_nodes", nodeCount(G));
-  }
-  return kernelOp(Span, [&] {
+  return kernelOp(Span, {&F, &G}, [&] {
     return Kernel::iteRec(*this, F.ref(), G.ref(), H.ref());
   });
 }
@@ -701,13 +701,9 @@ Bdd Manager::minterms(const std::vector<unsigned> &Vars, size_t NumRows,
            "minterm variables must be client variables in level order");
 #endif
   obs::SpanGuard Span(obs::Cat::Bdd, "minterms");
-  if (Span.active())
-    Span.arg("rows", NumRows);
-  return runOp([&] {
-    Bdd Result(this, mintermsRec(Vars, 0, Rows.data(), NumRows, Words));
-    if (Span.active())
-      Span.arg("result_nodes", nodeCount(Result));
-    return Result;
+  Span.arg("rows", NumRows);
+  return kernelOp(Span, {}, [&] {
+    return mintermsRec(Vars, 0, Rows.data(), NumRows, Words);
   });
 }
 
@@ -715,9 +711,7 @@ Bdd Manager::exists(const Bdd &F, const Bdd &CubeBdd) {
   assert(F.manager() == this && CubeBdd.manager() == this &&
          "operands belong to another manager");
   obs::SpanGuard Span(obs::Cat::Bdd, "exists");
-  if (Span.active())
-    Span.arg("left_nodes", nodeCount(F));
-  return kernelOp(Span, [&] {
+  return kernelOp(Span, {&F}, [&] {
     return Kernel::existsRec(*this, F.ref(), CubeBdd.ref());
   });
 }
@@ -726,11 +720,7 @@ Bdd Manager::relProd(const Bdd &F, const Bdd &G, const Bdd &CubeBdd) {
   assert(F.manager() == this && G.manager() == this &&
          CubeBdd.manager() == this && "operands belong to another manager");
   obs::SpanGuard Span(obs::Cat::Bdd, "relProd");
-  if (Span.active()) {
-    Span.arg("left_nodes", nodeCount(F));
-    Span.arg("right_nodes", nodeCount(G));
-  }
-  return kernelOp(Span, [&] {
+  return kernelOp(Span, {&F, &G}, [&] {
     return Kernel::relProdRec(*this, F.ref(), G.ref(), CubeBdd.ref());
   });
 }
@@ -778,18 +768,11 @@ Bdd Manager::replace(const Bdd &F, const std::vector<int> &Map) {
   assert(F.manager() == this && "operand belongs to another manager");
   assert(Map.size() <= NumVars && "replace map covers client variables only");
   obs::SpanGuard Span(obs::Cat::Bdd, "replace");
-  if (Span.active())
-    Span.arg("left_nodes", nodeCount(F));
-  return governed([&] {
-    Bdd Result = replaceImpl(F, Map);
-    if (Span.active())
-      Span.arg("result_nodes", nodeCount(Result));
-    return Result;
-  });
+  return kernelOp(Span, {&F}, [&] { return replaceImpl(F.ref(), Map); });
 }
 
-Bdd Manager::replaceImpl(const Bdd &F, const std::vector<int> &Map) {
-  std::vector<unsigned> Supp = supportImpl(F.ref());
+NodeRef Manager::replaceImpl(NodeRef F, const std::vector<int> &Map) {
+  std::vector<unsigned> Supp = supportImpl(F);
   std::vector<std::pair<unsigned, unsigned>> Moves;
   for (unsigned V : Supp)
     if (V < Map.size() && Map[V] >= 0 && static_cast<unsigned>(Map[V]) != V)
@@ -834,12 +817,11 @@ Bdd Manager::replaceImpl(const Bdd &F, const std::vector<int> &Map) {
       Map, static_cast<uint32_t>(ReplaceMapIds.size()));
   (void)Inserted;
   uint32_t Tag = TagReplaceBase + It->second;
-  gcIfNeededImpl();
 
   if (isOrderPreserving(Map, Supp))
     // A single bottom-up relabeling recursion is sound because relative
     // variable order is unchanged.
-    return Bdd(this, replaceRec(F.ref(), Map, Tag));
+    return replaceRec(F, Map, Tag);
 
   // General path (order-inverting maps, e.g. swaps of interleaved
   // blocks): rebuild bottom-up, inserting each image variable with an
@@ -848,7 +830,7 @@ Bdd Manager::replaceImpl(const Bdd &F, const std::vector<int> &Map) {
   // naive conjunction-with-equality encoding, whose transfer BDD is
   // exponential in the block width.
   ++ReorderingReplaces;
-  return Bdd(this, replaceViaIteRec(F.ref(), Map, Tag | 0x80000000u));
+  return replaceViaIteRec(F, Map, Tag | 0x80000000u);
 }
 
 jedd::bdd::NodeRef Manager::replaceViaIteRec(NodeRef F,

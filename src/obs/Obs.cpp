@@ -46,30 +46,104 @@ uint64_t SpanEvent::argOr(const char *Key, uint64_t Default) const {
   return Default;
 }
 
+void SpanTotals::merge(const SpanTotals &Other) {
+  Count += Other.Count;
+  TotalMicros += Other.TotalMicros;
+  MaxMicros = std::max(MaxMicros, Other.MaxMicros);
+  MaxResultNodes = std::max(MaxResultNodes, Other.MaxResultNodes);
+}
+
 //===----------------------------------------------------------------------===//
 // ThreadBuffer
 //===----------------------------------------------------------------------===//
 
-ThreadBuffer::~ThreadBuffer() {
-  for (std::atomic<SpanEvent *> &Chunk : Chunks)
-    delete[] Chunk.load(std::memory_order_relaxed);
-}
+/// One thread's share of the tracer: its online totals and its trace
+/// buffer. The owning thread appends to the buffer without locks: chunk
+/// pointers are atomic, and each append publishes through one release
+/// store of Count, so a reader that acquires Count sees fully written
+/// events and valid chunk pointers below it. Chunks have stable
+/// addresses; nothing moves after publication. The totals sit behind a
+/// lock that only snapshots contend for.
+class ThreadBuffer {
+public:
+  static constexpr size_t ChunkShift = 8;
+  static constexpr size_t ChunkSize = size_t(1) << ChunkShift;
+  static constexpr size_t MaxChunks = size_t(1) << 12; ///< ~1M spans.
 
-bool ThreadBuffer::push(SpanEvent &&Event) {
-  size_t Index = Count.load(std::memory_order_relaxed);
-  size_t ChunkIdx = Index >> ChunkShift;
-  if (ChunkIdx >= MaxChunks)
-    return false;
-  SpanEvent *Chunk = Chunks[ChunkIdx].load(std::memory_order_relaxed);
-  if (!Chunk) {
-    Chunk = new SpanEvent[ChunkSize];
-    // Release so a reader that later acquires Count also sees the chunk.
-    Chunks[ChunkIdx].store(Chunk, std::memory_order_release);
+  explicit ThreadBuffer(uint32_t Tid) : Tid(Tid) {}
+  ~ThreadBuffer() {
+    for (std::atomic<SpanEvent *> &Chunk : Chunks)
+      delete[] Chunk.load(std::memory_order_relaxed);
   }
-  Chunk[Index & (ChunkSize - 1)] = std::move(Event);
-  Count.store(Index + 1, std::memory_order_release);
-  return true;
-}
+  ThreadBuffer(const ThreadBuffer &) = delete;
+  ThreadBuffer &operator=(const ThreadBuffer &) = delete;
+
+  uint32_t tid() const { return Tid; }
+
+  /// Owning thread only: adds \p Event to this thread's totals.
+  void tally(const SpanEvent &Event) {
+    SpanTotals One{1, Event.DurMicros, Event.DurMicros,
+                   Event.argOr("result_nodes")};
+    std::lock_guard<std::mutex> G(TotalsLock);
+    auto It = Totals.lower_bound(Event);
+    if (It == Totals.end() || SpanKeyLess()(Event, It->first))
+      It = Totals.emplace_hint(It,
+                               SpanKey{Event.Category, Event.Name,
+                                       Event.SiteLabel, Event.SiteFile,
+                                       Event.SiteLine},
+                               SpanTotals());
+    It->second.merge(One);
+  }
+
+  /// Safe from any thread.
+  void mergeTotalsInto(TotalsMap &Out) const {
+    std::lock_guard<std::mutex> G(TotalsLock);
+    for (const auto &[Key, T] : Totals)
+      Out[Key].merge(T);
+  }
+
+  /// Owning thread only. Returns false when the buffer is full (the
+  /// event is dropped; the tracer counts drops).
+  bool push(SpanEvent &&Event) {
+    size_t Index = Count.load(std::memory_order_relaxed);
+    size_t ChunkIdx = Index >> ChunkShift;
+    if (ChunkIdx >= MaxChunks)
+      return false;
+    SpanEvent *Chunk = Chunks[ChunkIdx].load(std::memory_order_relaxed);
+    if (!Chunk) {
+      Chunk = new SpanEvent[ChunkSize];
+      // Release so a reader that later acquires Count also sees the chunk.
+      Chunks[ChunkIdx].store(Chunk, std::memory_order_release);
+    }
+    Chunk[Index & (ChunkSize - 1)] = std::move(Event);
+    Count.store(Index + 1, std::memory_order_release);
+    return true;
+  }
+
+  /// Safe from any thread, concurrently with push().
+  size_t publishedCount() const {
+    return Count.load(std::memory_order_acquire);
+  }
+  const SpanEvent &at(size_t Index) const {
+    return Chunks[Index >> ChunkShift].load(std::memory_order_relaxed)
+        [Index & (ChunkSize - 1)];
+  }
+
+  /// Drops the totals and all published events. Requires quiescence (no
+  /// concurrent push); only Tracer::clear() calls this.
+  void reset() {
+    Count.store(0, std::memory_order_release);
+    std::lock_guard<std::mutex> G(TotalsLock);
+    Totals.clear();
+  }
+
+private:
+  uint32_t Tid;
+  std::array<std::atomic<SpanEvent *>, MaxChunks> Chunks{};
+  std::atomic<size_t> Count{0};
+  mutable std::mutex TotalsLock;
+  TotalsMap Totals;
+};
 
 //===----------------------------------------------------------------------===//
 // Tracer
@@ -145,19 +219,14 @@ struct Tracer::Impl {
   uint32_t NextTid = 0;
 
   mutable std::mutex StateLock;
-  bool Tracing = false;
+  Level Lvl = Level::Off;
   std::vector<SpanSubscriber *> Subscribers;
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, Histogram> Histograms;
 
-  /// Snapshot of every buffer with its published prefix length.
-  std::vector<std::pair<ThreadBuffer *, size_t>> snapshot() const {
+  std::vector<ThreadBuffer *> buffers() const {
     std::lock_guard<std::mutex> G(BufferLock);
-    std::vector<std::pair<ThreadBuffer *, size_t>> Snap;
-    Snap.reserve(Buffers.size());
-    for (ThreadBuffer *B : Buffers)
-      Snap.emplace_back(B, B->publishedCount());
-    return Snap;
+    return Buffers;
   }
 };
 
@@ -189,25 +258,19 @@ ThreadBuffer &Tracer::localBuffer() {
 void Tracer::refreshMask() {
   // Caller holds StateLock.
   uint32_t Mask = 0;
-  if (I->Tracing)
+  if (I->Lvl != Level::Off)
+    Mask |= MetricsBit;
+  if (I->Lvl == Level::Trace)
     Mask |= TraceBit;
   if (!I->Subscribers.empty())
     Mask |= SubscriberBit;
-  for (SpanSubscriber *S : I->Subscribers)
-    if (S->wantsDetail())
-      Mask |= DetailBit;
   ActiveMask.store(Mask, std::memory_order_relaxed);
 }
 
-void Tracer::setTracing(bool Enabled) {
+void Tracer::setLevel(Level L) {
   std::lock_guard<std::mutex> G(I->StateLock);
-  I->Tracing = Enabled;
+  I->Lvl = L;
   refreshMask();
-}
-
-bool Tracer::tracingEnabled() const {
-  std::lock_guard<std::mutex> G(I->StateLock);
-  return I->Tracing;
 }
 
 void Tracer::subscribe(SpanSubscriber *Sub) {
@@ -236,20 +299,19 @@ uint64_t Tracer::nowMicros() const {
 void Tracer::record(SpanEvent &&Event) {
   ThreadBuffer &Buf = localBuffer();
   Event.ThreadId = Buf.tid();
+  Buf.tally(Event);
 
-  // Fan out first: subscribers get the event even when the trace buffer
-  // is full or tracing is off.
-  std::vector<SpanSubscriber *> Subs;
-  bool Tracing;
-  {
-    std::lock_guard<std::mutex> G(I->StateLock);
-    Subs = I->Subscribers;
-    Tracing = I->Tracing;
+  uint32_t Mask = ActiveMask.load(std::memory_order_relaxed);
+  if (Mask & SubscriberBit) {
+    std::vector<SpanSubscriber *> Subs;
+    {
+      std::lock_guard<std::mutex> G(I->StateLock);
+      Subs = I->Subscribers;
+    }
+    for (SpanSubscriber *S : Subs)
+      S->onSpan(Event);
   }
-  for (SpanSubscriber *S : Subs)
-    S->onSpan(Event);
-
-  if (Tracing && !Buf.push(std::move(Event)))
+  if ((Mask & TraceBit) && !Buf.push(std::move(Event)))
     counterAdd("obs.spans_dropped");
 }
 
@@ -269,19 +331,24 @@ void Tracer::histRecord(const char *Name, uint64_t Value) {
   I->Histograms[Name].record(Value);
 }
 
-size_t Tracer::spanCount() const {
-  size_t Total = 0;
-  for (const auto &[Buf, N] : I->snapshot())
-    Total += N;
-  return Total;
+TotalsMap Tracer::totals() const {
+  TotalsMap Out;
+  for (ThreadBuffer *B : I->buffers())
+    B->mergeTotalsInto(Out);
+  return Out;
+}
+
+std::vector<const SpanEvent *> Tracer::spans() const {
+  std::vector<const SpanEvent *> Out;
+  for (ThreadBuffer *B : I->buffers())
+    for (size_t Idx = 0, N = B->publishedCount(); Idx != N; ++Idx)
+      Out.push_back(&B->at(Idx));
+  return Out;
 }
 
 void Tracer::clear() {
-  {
-    std::lock_guard<std::mutex> G(I->BufferLock);
-    for (ThreadBuffer *B : I->Buffers)
-      B->reset();
-  }
+  for (ThreadBuffer *B : I->buffers())
+    B->reset();
   std::lock_guard<std::mutex> G(I->StateLock);
   I->Counters.clear();
   I->Histograms.clear();
@@ -297,52 +364,50 @@ std::string Tracer::chromeTraceJson() const {
   Out += "{\"traceEvents\":[";
   bool First = true;
   char Buf[128];
-  for (const auto &[B, N] : I->snapshot()) {
-    for (size_t Idx = 0; Idx != N; ++Idx) {
-      const SpanEvent &E = B->at(Idx);
-      if (!First)
-        Out += ",\n";
-      First = false;
-      Out += "{\"name\":\"";
-      appendEscaped(Out, E.Name);
-      Out += "\",\"cat\":\"";
-      Out += catName(E.Category);
-      std::snprintf(Buf, sizeof(Buf),
-                    "\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-                    "\"pid\":1,\"tid\":%u,\"args\":{",
-                    static_cast<unsigned long long>(E.StartMicros),
-                    static_cast<unsigned long long>(E.DurMicros),
-                    E.ThreadId);
-      Out += Buf;
-      bool FirstArg = true;
-      if (!E.SiteLabel.empty()) {
-        Out += "\"site\":\"";
-        appendEscaped(Out, E.SiteLabel);
-        Out += '"';
-        FirstArg = false;
-      }
-      if (!E.SiteFile.empty()) {
-        if (!FirstArg)
-          Out += ',';
-        Out += "\"site_loc\":\"";
-        appendEscaped(Out, E.SiteFile);
-        std::snprintf(Buf, sizeof(Buf), ":%u", E.SiteLine);
-        Out += Buf;
-        Out += '"';
-        FirstArg = false;
-      }
-      for (uint8_t A = 0; A != E.NumArgs; ++A) {
-        if (!FirstArg)
-          Out += ',';
-        Out += '"';
-        appendEscaped(Out, E.Args[A].Key);
-        std::snprintf(Buf, sizeof(Buf), "\":%llu",
-                      static_cast<unsigned long long>(E.Args[A].Value));
-        Out += Buf;
-        FirstArg = false;
-      }
-      Out += "}}";
+  for (const SpanEvent *Span : spans()) {
+    const SpanEvent &E = *Span;
+    if (!First)
+      Out += ",\n";
+    First = false;
+    Out += "{\"name\":\"";
+    appendEscaped(Out, E.Name);
+    Out += "\",\"cat\":\"";
+    Out += catName(E.Category);
+    std::snprintf(Buf, sizeof(Buf),
+                  "\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
+                  "\"pid\":1,\"tid\":%u,\"args\":{",
+                  static_cast<unsigned long long>(E.StartMicros),
+                  static_cast<unsigned long long>(E.DurMicros),
+                  E.ThreadId);
+    Out += Buf;
+    bool FirstArg = true;
+    if (!E.SiteLabel.empty()) {
+      Out += "\"site\":\"";
+      appendEscaped(Out, E.SiteLabel);
+      Out += '"';
+      FirstArg = false;
     }
+    if (!E.SiteFile.empty()) {
+      if (!FirstArg)
+        Out += ',';
+      Out += "\"site_loc\":\"";
+      appendEscaped(Out, E.SiteFile);
+      std::snprintf(Buf, sizeof(Buf), ":%u", E.SiteLine);
+      Out += Buf;
+      Out += '"';
+      FirstArg = false;
+    }
+    for (uint8_t A = 0; A != E.NumArgs; ++A) {
+      if (!FirstArg)
+        Out += ',';
+      Out += '"';
+      appendEscaped(Out, E.Args[A].Key);
+      std::snprintf(Buf, sizeof(Buf), "\":%llu",
+                    static_cast<unsigned long long>(E.Args[A].Value));
+      Out += Buf;
+      FirstArg = false;
+    }
+    Out += "}}";
   }
   Out += "],\"displayTimeUnit\":\"ms\"}\n";
   return Out;
@@ -361,21 +426,9 @@ bool Tracer::writeChromeTrace(const std::string &Path) const {
 //===----------------------------------------------------------------------===//
 
 std::string Tracer::metricsJson(const std::string &Name) const {
-  struct SpanAgg {
-    uint64_t Count = 0;
-    uint64_t TotalMicros = 0;
-    uint64_t MaxMicros = 0;
-  };
-  std::map<std::string, SpanAgg> Spans;
-  for (const auto &[B, N] : I->snapshot()) {
-    for (size_t Idx = 0; Idx != N; ++Idx) {
-      const SpanEvent &E = B->at(Idx);
-      SpanAgg &Agg = Spans[std::string(catName(E.Category)) + "." + E.Name];
-      ++Agg.Count;
-      Agg.TotalMicros += E.DurMicros;
-      Agg.MaxMicros = std::max(Agg.MaxMicros, E.DurMicros);
-    }
-  }
+  std::map<std::string, SpanTotals> Spans;
+  for (const auto &[Key, T] : totals())
+    Spans[std::string(catName(Key.Category)) + "." + Key.Name].merge(T);
 
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, Histogram> Histograms;

@@ -10,27 +10,32 @@
 /// subsystem reports into one process-wide event stream: the relational
 /// runtime emits a span per operation (join/compose/replace/project...),
 /// the BDD kernel per top-level apply/ite/exists/relProd/replace, and the
-/// garbage collector and the SAT solver per pass/solve. Spans carry
-/// scalar arguments (operand/result node counts, cache counters) plus
-/// wall time; named counters and log2 histograms accumulate alongside.
+/// garbage collector and the SAT solver per pass/solve. Spans carry wall
+/// time and scalar arguments (O(1) counter deltas such as nodes_created
+/// and cache hits); named counters and log2 histograms accumulate
+/// alongside.
 ///
-/// Two sinks consume the stream:
+/// The tracer keeps one aggregation of the stream: exact online totals
+/// per (category, op, rel::Site), kept per thread and merged at snapshot
+/// time. Everything else reads it:
 ///
-///  * a Chrome-trace JSON file (chrome://tracing, about:tracing, or
-///    https://ui.perfetto.dev) built from per-thread span buffers;
-///  * an aggregated metrics snapshot (counters + histograms + per-span
-///    totals) in plain JSON — the BENCH_<name>.json artifact format.
+///  * the metrics snapshot (counters + histograms + per-span totals) in
+///    plain JSON — the BENCH_<name>.json artifact format;
+///  * prof::Profiler's summary table.
 ///
-/// Push consumers (prof::Profiler) subscribe to finished spans instead of
-/// owning a recording path of their own.
+/// At Level::Trace the tracer also buffers every span, and emitters add
+/// the expensive extras (operand and result node walks, result shapes,
+/// tuple counts). The buffers feed the Chrome-trace JSON file and the
+/// profiler's per-execution rows and shape charts. Push consumers may
+/// subscribe to finished spans as well.
 ///
-/// Overhead contract: with the layer inactive (no tracing, no
+/// Overhead contract: with the layer inactive (level Off, no
 /// subscribers) an instrumented site costs one relaxed atomic load — the
 /// SpanGuard constructor is inlined, reads Tracer::active() and does
-/// nothing else. Active tracing appends to a per-thread buffer that is
-/// written without locks (growth publishes through one release store per
-/// event, so readers may snapshot concurrently). Compiling with
-/// -DJEDDPP_NO_OBS stubs the guard out entirely.
+/// nothing else. Trace buffers are per thread and written without locks
+/// (growth publishes through one release store per event, so readers may
+/// snapshot concurrently). Compiling with -DJEDDPP_NO_OBS stubs the guard
+/// out entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +45,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace jedd {
@@ -51,6 +59,11 @@ namespace obs {
 enum class Cat : uint8_t { Rel, Bdd, Gc, Sat, Io, Resource };
 
 const char *catName(Cat C);
+
+/// What the tracer does with finished spans. Every level above Off keeps
+/// the online totals; Trace also buffers each span with its expensive
+/// extras.
+enum class Level : uint8_t { Off, Metrics, Trace };
 
 /// One finished span, as handed to subscribers and kept in the trace
 /// buffers. Strings are owned copies: emitters may pass transient labels.
@@ -73,8 +86,8 @@ struct SpanEvent {
   std::array<Arg, MaxArgs> Args;
   uint8_t NumArgs = 0;
 
-  /// Expensive extras, filled only when a subscriber wants detail:
-  /// the result's nodes-per-level shape and exact tuple count.
+  /// Expensive extras, filled only at Level::Trace: the result's
+  /// nodes-per-level shape and exact tuple count.
   std::vector<size_t> ResultShape;
   double ResultTuples = -1.0; ///< Negative: not computed.
 
@@ -89,72 +102,72 @@ class SpanSubscriber {
 public:
   virtual ~SpanSubscriber() = default;
   virtual void onSpan(const SpanEvent &Event) = 0;
-  /// Subscribers returning true ask emitters for the expensive extras
-  /// (ResultShape / ResultTuples) the HTML profiler renders.
-  virtual bool wantsDetail() const { return false; }
 };
 
-/// Per-thread span storage. The owning thread appends without locks:
-/// chunk pointers are atomic, and each append publishes through one
-/// release store of Count, so a reader that acquires Count sees fully
-/// written events and valid chunk pointers below it. Chunks have stable
-/// addresses; nothing moves after publication.
-class ThreadBuffer {
-public:
-  static constexpr size_t ChunkShift = 8;
-  static constexpr size_t ChunkSize = size_t(1) << ChunkShift;
-  static constexpr size_t MaxChunks = size_t(1) << 12; ///< ~1M spans.
+/// The key the online totals are kept under: a span's category, op and
+/// rel::Site.
+struct SpanKey {
+  Cat Category = Cat::Bdd;
+  const char *Name = "";
+  std::string SiteLabel, SiteFile;
+  uint32_t SiteLine = 0;
+};
 
-  explicit ThreadBuffer(uint32_t Tid) : Tid(Tid) {}
-  ~ThreadBuffer();
-  ThreadBuffer(const ThreadBuffer &) = delete;
-  ThreadBuffer &operator=(const ThreadBuffer &) = delete;
-
-  uint32_t tid() const { return Tid; }
-
-  /// Owning thread only. Returns false when the buffer is full (the
-  /// event is dropped; the tracer counts drops).
-  bool push(SpanEvent &&Event);
-
-  /// Safe from any thread, concurrently with push().
-  size_t publishedCount() const {
-    return Count.load(std::memory_order_acquire);
+/// Orders SpanKeys, and compares them with SpanEvents directly, so a
+/// span finds its totals without building a key.
+struct SpanKeyLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A &X, const B &Y) const {
+    return fields(X) < fields(Y);
   }
-  const SpanEvent &at(size_t Index) const {
-    return Chunks[Index >> ChunkShift].load(std::memory_order_relaxed)
-        [Index & (ChunkSize - 1)];
-  }
-
-  /// Drops all published events. Requires quiescence (no concurrent
-  /// push); only Tracer::clear() calls this.
-  void reset() { Count.store(0, std::memory_order_release); }
 
 private:
-  uint32_t Tid;
-  std::array<std::atomic<SpanEvent *>, MaxChunks> Chunks{};
-  std::atomic<size_t> Count{0};
+  template <typename T> static auto fields(const T &K) {
+    return std::make_tuple(K.Category, std::string_view(K.Name),
+                           std::string_view(K.SiteLabel),
+                           std::string_view(K.SiteFile), K.SiteLine);
+  }
 };
 
-/// The process-wide event hub: thread buffers, subscribers, counters,
-/// histograms, and the two sinks.
+/// Exact totals of the spans of one key.
+struct SpanTotals {
+  uint64_t Count = 0;
+  uint64_t TotalMicros = 0;
+  uint64_t MaxMicros = 0;
+  /// Largest `result_nodes` argument (0 when no span carried one).
+  uint64_t MaxResultNodes = 0;
+
+  void merge(const SpanTotals &Other);
+};
+
+using TotalsMap = std::map<SpanKey, SpanTotals, SpanKeyLess>;
+
+class ThreadBuffer;
+
+/// The process-wide event hub: the online totals, the trace buffers,
+/// subscribers, counters, histograms, and the sinks.
 class Tracer {
 public:
   static Tracer &instance();
 
   /// Cheapest possible activity test — the inlined guard the
-  /// instrumentation macros compile down to. True when tracing is
-  /// buffering or at least one subscriber is attached.
+  /// instrumentation macros compile down to. True above Level::Off or
+  /// while a subscriber is attached.
   static bool active() {
     return ActiveMask.load(std::memory_order_relaxed) != 0;
   }
-  /// True when some subscriber wants the expensive span extras.
-  static bool detailWanted() {
-    return (ActiveMask.load(std::memory_order_relaxed) & DetailBit) != 0;
+  /// True at Level::Trace: spans are buffered, and emitters add the
+  /// expensive extras (node walks, result shapes, tuple counts).
+  static bool buffering() {
+    return (ActiveMask.load(std::memory_order_relaxed) & TraceBit) != 0;
   }
 
-  /// Enables/disables buffering of spans for the Chrome-trace sink.
-  void setTracing(bool Enabled);
-  bool tracingEnabled() const;
+  void setLevel(Level L);
+  /// Switches between Level::Trace and Level::Off.
+  void setTracing(bool Enabled) {
+    setLevel(Enabled ? Level::Trace : Level::Off);
+  }
 
   void subscribe(SpanSubscriber *Sub);
   void unsubscribe(SpanSubscriber *Sub);
@@ -162,8 +175,8 @@ public:
   /// Microseconds since the tracer epoch (process start, steady clock).
   uint64_t nowMicros() const;
 
-  /// Records one finished span: buffers it (when tracing) and fans it
-  /// out to subscribers. Fills Event.ThreadId.
+  /// Records one finished span: adds it to the totals, fans it out to
+  /// subscribers, and buffers it at Level::Trace. Fills Event.ThreadId.
   void record(SpanEvent &&Event);
 
   /// Named monotonic counter ("gc.runs", "obs.spans_dropped", ...).
@@ -174,27 +187,33 @@ public:
   /// Records one sample into the named log2-bucket histogram.
   void histRecord(const char *Name, uint64_t Value);
 
+  /// The online totals of every span recorded since the last clear(),
+  /// merged over threads. Exact at any run length.
+  TotalsMap totals() const;
+
+  /// The buffered spans, per thread in end order. Consistent while
+  /// threads still emit (a prefix snapshot per thread); valid until
+  /// clear().
+  std::vector<const SpanEvent *> spans() const;
+  size_t spanCount() const { return spans().size(); }
+
   //===--------------------------------------------------------------===//
   // Sinks
   //===--------------------------------------------------------------===//
 
-  /// The buffered spans as a Chrome-trace JSON document. Consistent
-  /// while threads still emit (a prefix snapshot per thread).
+  /// The buffered spans as a Chrome-trace JSON document.
   std::string chromeTraceJson() const;
   bool writeChromeTrace(const std::string &Path) const;
 
   /// Aggregated snapshot: counters, histograms, and per-(cat.name) span
-  /// totals derived from the buffers. \p Name, when non-empty, is
-  /// embedded as the artifact name (the BENCH_<name>.json convention).
+  /// totals. \p Name, when non-empty, is embedded as the artifact name
+  /// (the BENCH_<name>.json convention).
   std::string metricsJson(const std::string &Name = "") const;
   bool writeMetrics(const std::string &Path,
                     const std::string &Name = "") const;
 
-  /// Total spans currently buffered across all threads.
-  size_t spanCount() const;
-
-  /// Drops buffered spans, counters and histograms. Requires quiescence
-  /// (tests and single-threaded drivers only).
+  /// Drops totals, buffered spans, counters and histograms. Requires
+  /// quiescence (tests and single-threaded drivers only).
   void clear();
 
 private:
@@ -203,7 +222,7 @@ private:
   Tracer(const Tracer &) = delete;
   Tracer &operator=(const Tracer &) = delete;
 
-  static constexpr uint32_t TraceBit = 1, SubscriberBit = 2, DetailBit = 4;
+  static constexpr uint32_t MetricsBit = 1, TraceBit = 2, SubscriberBit = 4;
   static std::atomic<uint32_t> ActiveMask;
 
   ThreadBuffer &localBuffer();
@@ -250,8 +269,9 @@ public:
   /// True when the event will be recorded — gate for argument
   /// computation that is not free.
   bool active() const { return Live; }
-  /// True when a subscriber wants ResultShape/ResultTuples.
-  bool detail() const { return Live && Tracer::detailWanted(); }
+  /// True when the span will be buffered, so node walks, shapes and
+  /// tuple counts are worth computing.
+  bool detail() const { return Live && Tracer::buffering(); }
 
   void arg(const char *Key, uint64_t Value) {
     if (Live && event().NumArgs < SpanEvent::MaxArgs)

@@ -11,75 +11,35 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 using namespace jedd;
 using namespace jedd::prof;
 
-void Profiler::onSpan(const obs::SpanEvent &Event) {
-  // The profiler models the relational layer (Section 4.3); kernel, GC
-  // and SAT spans belong to the trace/metrics sinks.
-  if (Event.Category != obs::Cat::Rel)
-    return;
-  OpRecord R;
-  R.OpKind = Event.Name;
-  R.Site = {Event.SiteLabel, Event.SiteFile, Event.SiteLine};
-  R.Micros = Event.DurMicros;
-  R.LeftNodes = static_cast<size_t>(Event.argOr("left_nodes"));
-  R.RightNodes = static_cast<size_t>(Event.argOr("right_nodes"));
-  R.ResultNodes = static_cast<size_t>(Event.argOr("result_nodes"));
-  R.ResultTuples = Event.ResultTuples < 0 ? 0.0 : Event.ResultTuples;
-  R.ResultShape = Event.ResultShape;
-  std::lock_guard<std::mutex> G(Lock);
-  Records.push_back(std::move(R));
-}
-
-void Profiler::observe(const bdd::ManagerStats &S) {
-  std::lock_guard<std::mutex> G(Lock);
-  Stats = S;
-}
-
-void Profiler::clear() {
-  std::lock_guard<std::mutex> G(Lock);
-  Records.clear();
-  Stats = bdd::ManagerStats();
-}
-
 std::vector<OpSummary> Profiler::summarize() const {
-  std::lock_guard<std::mutex> G(Lock);
-  std::map<std::pair<std::string, OpSite>, OpSummary> ByKey;
-  for (const OpRecord &R : Records) {
-    OpSummary &S = ByKey[{R.OpKind, R.Site}];
-    S.OpKind = R.OpKind;
-    S.Site = R.Site;
-    ++S.Count;
-    S.TotalMicros += R.Micros;
-    S.MaxResultNodes = std::max(S.MaxResultNodes, R.ResultNodes);
-  }
   std::vector<OpSummary> Result;
-  Result.reserve(ByKey.size());
-  for (auto &[Key, S] : ByKey)
-    Result.push_back(std::move(S));
-  std::sort(Result.begin(), Result.end(),
-            [](const OpSummary &A, const OpSummary &B) {
-              if (A.TotalMicros != B.TotalMicros)
-                return A.TotalMicros > B.TotalMicros;
-              return std::tie(A.OpKind, A.Site) < std::tie(B.OpKind, B.Site);
-            });
+  for (auto &[Key, Totals] : obs::Tracer::instance().totals())
+    if (Key.Category == obs::Cat::Rel)
+      Result.push_back({Key, Totals});
+  // The totals come sorted by key, so a stable sort breaks ties by kind,
+  // then site.
+  std::stable_sort(Result.begin(), Result.end(),
+                   [](const OpSummary &A, const OpSummary &B) {
+                     return A.Totals.TotalMicros > B.Totals.TotalMicros;
+                   });
   return Result;
 }
 
-/// Renders a site cell: the label, plus a file:line link when the site
-/// carries a source location (the paper's profiler links every summary
-/// row back to the Jedd source line).
-static std::string renderSiteCell(const OpSite &Site) {
-  std::string Cell = escapeHtml(Site.Label);
-  if (!Site.File.empty()) {
-    std::string Loc = strFormat("%s:%u", Site.File.c_str(), Site.Line);
+/// Renders the site cell of a span or a summary key: the label, plus a
+/// file:line link when the site carries a source location (the paper's
+/// profiler links every summary row back to the Jedd source line).
+template <typename SiteT> static std::string renderSiteCell(const SiteT &S) {
+  std::string Cell = escapeHtml(S.SiteLabel);
+  if (!S.SiteFile.empty()) {
+    std::string Loc = strFormat("%s:%u", S.SiteFile.c_str(), S.SiteLine);
     if (!Cell.empty())
       Cell += " ";
     Cell += strFormat("<small><a href=\"%s\">%s</a></small>",
-                      escapeHtml(Site.File).c_str(),
+                      escapeHtml(S.SiteFile).c_str(),
                       escapeHtml(Loc).c_str());
   }
   return Cell;
@@ -122,41 +82,41 @@ std::string Profiler::renderHtml() const {
       "th{background:#eee}td.l,th.l{text-align:left}"
       "</style></head><body><h1>Jedd operation profile</h1>";
 
-  std::vector<OpSummary> Summaries = summarize();
-  std::vector<OpRecord> RecordsCopy;
-  bdd::ManagerStats Counters;
-  {
-    std::lock_guard<std::mutex> G(Lock);
-    RecordsCopy = Records;
-    Counters = Stats;
-  }
+  std::vector<const obs::SpanEvent *> Execs;
+  for (const obs::SpanEvent *E : obs::Tracer::instance().spans())
+    if (E->Category == obs::Cat::Rel)
+      Execs.push_back(E);
+  auto ResultNodes = [](const obs::SpanEvent *E) {
+    return static_cast<unsigned long long>(E->argOr("result_nodes"));
+  };
 
   // Overall view.
   Html += "<h2>Summary by operation</h2><table><tr>"
           "<th class=\"l\">operation</th><th class=\"l\">site</th>"
           "<th>executions</th><th>total time (&micro;s)</th>"
           "<th>max result nodes</th></tr>";
-  for (const OpSummary &S : Summaries)
+  for (const OpSummary &S : summarize())
     Html += strFormat("<tr><td class=\"l\">%s</td><td class=\"l\">%s</td>"
-                      "<td>%llu</td><td>%llu</td><td>%zu</td></tr>",
-                      escapeHtml(S.OpKind).c_str(),
-                      renderSiteCell(S.Site).c_str(),
-                      static_cast<unsigned long long>(S.Count),
-                      static_cast<unsigned long long>(S.TotalMicros),
-                      S.MaxResultNodes);
+                      "<td>%llu</td><td>%llu</td><td>%llu</td></tr>",
+                      escapeHtml(S.Op.Name).c_str(),
+                      renderSiteCell(S.Op).c_str(),
+                      static_cast<unsigned long long>(S.Totals.Count),
+                      static_cast<unsigned long long>(S.Totals.TotalMicros),
+                      static_cast<unsigned long long>(
+                          S.Totals.MaxResultNodes));
   Html += "</table>";
 
   // Resource governance, when ceilings were configured or tripped
   // (docs/robustness.md explains the governor and these counters).
-  if (Counters.LimitMaxNodes || Counters.LimitMaxBytes ||
-      Counters.ResourceAborts || Counters.ResourceEscalations) {
+  if (Stats.LimitMaxNodes || Stats.LimitMaxBytes ||
+      Stats.ResourceAborts || Stats.ResourceEscalations) {
     std::string Limits;
-    if (Counters.LimitMaxNodes)
-      Limits += strFormat("max-nodes %zu", Counters.LimitMaxNodes);
-    if (Counters.LimitMaxBytes) {
+    if (Stats.LimitMaxNodes)
+      Limits += strFormat("max-nodes %zu", Stats.LimitMaxNodes);
+    if (Stats.LimitMaxBytes) {
       if (!Limits.empty())
         Limits += ", ";
-      Limits += strFormat("max-bytes %zu", Counters.LimitMaxBytes);
+      Limits += strFormat("max-bytes %zu", Stats.LimitMaxBytes);
     }
     if (Limits.empty())
       Limits = "none";
@@ -165,9 +125,9 @@ std::string Profiler::renderHtml() const {
         "<p>ceilings: %s &middot; peak %zu nodes / %zu bytes &middot; "
         "%zu aborted operations, %zu recoveries, %zu pressure "
         "escalations</p>",
-        Limits.c_str(), Counters.NodesPeak, Counters.BytesPeak,
-        Counters.ResourceAborts, Counters.ResourceRecoveries,
-        Counters.ResourceEscalations);
+        Limits.c_str(), Stats.NodesPeak, Stats.BytesPeak,
+        Stats.ResourceAborts, Stats.ResourceRecoveries,
+        Stats.ResourceEscalations);
   }
 
   // Detailed view.
@@ -175,33 +135,35 @@ std::string Profiler::renderHtml() const {
           "<th class=\"l\">operation</th><th class=\"l\">site</th>"
           "<th>time (&micro;s)</th><th>operand nodes</th>"
           "<th>result nodes</th><th>result tuples</th></tr>";
-  for (size_t I = 0; I != RecordsCopy.size(); ++I) {
-    const OpRecord &R = RecordsCopy[I];
+  for (size_t I = 0; I != Execs.size(); ++I) {
+    const obs::SpanEvent &E = *Execs[I];
     Html += strFormat(
         "<tr><td>%zu</td><td class=\"l\">%s</td><td class=\"l\">%s</td>"
-        "<td>%llu</td><td>%zu / %zu</td><td>%zu</td><td>%.0f</td></tr>",
-        I, escapeHtml(R.OpKind).c_str(), renderSiteCell(R.Site).c_str(),
-        static_cast<unsigned long long>(R.Micros), R.LeftNodes, R.RightNodes,
-        R.ResultNodes, R.ResultTuples);
+        "<td>%llu</td><td>%llu / %llu</td><td>%llu</td><td>%.0f</td></tr>",
+        I, escapeHtml(E.Name).c_str(), renderSiteCell(E).c_str(),
+        static_cast<unsigned long long>(E.DurMicros),
+        static_cast<unsigned long long>(E.argOr("left_nodes")),
+        static_cast<unsigned long long>(E.argOr("right_nodes")),
+        ResultNodes(&E), std::max(E.ResultTuples, 0.0));
   }
   Html += "</table>";
 
   // Shape charts for the largest executions.
-  std::vector<size_t> Order(RecordsCopy.size());
+  std::vector<size_t> Order(Execs.size());
   for (size_t I = 0; I != Order.size(); ++I)
     Order[I] = I;
-  std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return RecordsCopy[A].ResultNodes > RecordsCopy[B].ResultNodes;
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return ResultNodes(Execs[A]) > ResultNodes(Execs[B]);
   });
   Html += "<h2>Shapes of the largest results</h2>";
   for (size_t K = 0; K != std::min<size_t>(Order.size(), 12); ++K) {
-    const OpRecord &R = RecordsCopy[Order[K]];
-    if (R.ResultNodes == 0)
+    const obs::SpanEvent &E = *Execs[Order[K]];
+    if (ResultNodes(&E) == 0)
       break;
-    Html += strFormat("<h3>#%zu %s at %s — %zu nodes</h3>", Order[K],
-                      escapeHtml(R.OpKind).c_str(),
-                      renderSiteCell(R.Site).c_str(), R.ResultNodes);
-    Html += renderShapeSvg(R.ResultShape);
+    Html += strFormat("<h3>#%zu %s at %s — %llu nodes</h3>", Order[K],
+                      escapeHtml(E.Name).c_str(), renderSiteCell(E).c_str(),
+                      ResultNodes(&E));
+    Html += renderShapeSvg(E.ResultShape);
   }
   Html += "</body></html>\n";
   return Html;

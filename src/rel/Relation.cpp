@@ -20,29 +20,29 @@ namespace {
 
 /// Scoped observability span for one relational operation
 /// (docs/observability.md). With the obs layer inactive this is one
-/// relaxed atomic load per operation; node counts, tuple counts and
-/// shapes are computed only when something is listening.
+/// relaxed atomic load per operation. An active span records the
+/// operation's nodes_created delta; a buffered one also walks the
+/// operands and the result for node counts, its shape and tuple count.
 class OpSpan {
 public:
-  OpSpan(Universe *U, const char *Kind, const Site &At)
-      : U(U), Guard(obs::Cat::Rel, Kind, At.Label, At.File, At.Line) {}
-
-  void operand(const Relation &Left) {
+  OpSpan(Universe *U, const char *Kind, const Site &At, const Relation &Left,
+         const Relation *Right = nullptr)
+      : U(U), Guard(obs::Cat::Rel, Kind, At.Label, At.File, At.Line) {
     if (Guard.active())
+      Created0 = U->manager().stats().NodesCreated;
+    if (Guard.detail()) {
       Guard.arg("left_nodes", Left.nodeCount());
-  }
-  void operands(const Relation &Left, const Relation &Right) {
-    if (Guard.active()) {
-      Guard.arg("left_nodes", Left.nodeCount());
-      Guard.arg("right_nodes", Right.nodeCount());
+      if (Right)
+        Guard.arg("right_nodes", Right->nodeCount());
     }
   }
 
   void finish(const Relation &Result) {
     if (!Guard.active())
       return;
-    Guard.arg("result_nodes", U->manager().nodeCount(Result.body()));
+    Guard.arg("nodes_created", U->manager().stats().NodesCreated - Created0);
     if (Guard.detail()) {
+      Guard.arg("result_nodes", Result.nodeCount());
       Guard.tuples(Result.size());
       Guard.shape(U->manager().levelShape(Result.body()));
     }
@@ -52,6 +52,7 @@ public:
 private:
   Universe *U;
   obs::SpanGuard Guard;
+  size_t Created0 = 0;
 };
 
 } // namespace
@@ -111,8 +112,7 @@ Relation Relation::alignedToThis(const Relation &Other, Site At) const {
   }
   if (Moves.empty())
     return Other;
-  OpSpan Span(U, "replace", At);
-  Span.operand(Other);
+  OpSpan Span(U, "replace", At, Other);
   Relation Result(U, Schema, U->pack().replaceDomains(Other.Body, Moves));
   Span.finish(Result);
   return Result;
@@ -130,8 +130,7 @@ Relation Relation::withBindings(const std::vector<AttrBinding> &Target,
 
 Relation Relation::operator|(const Relation &Other) const {
   Relation Aligned = alignedToThis(Other, Site("union", "", 0));
-  OpSpan Span(U, "union", {});
-  Span.operands(*this, Aligned);
+  OpSpan Span(U, "union", {}, *this, &Aligned);
   Relation Result(U, Schema, Body | Aligned.Body);
   Span.finish(Result);
   return Result;
@@ -139,8 +138,7 @@ Relation Relation::operator|(const Relation &Other) const {
 
 Relation Relation::operator&(const Relation &Other) const {
   Relation Aligned = alignedToThis(Other, Site("intersect", "", 0));
-  OpSpan Span(U, "intersect", {});
-  Span.operands(*this, Aligned);
+  OpSpan Span(U, "intersect", {}, *this, &Aligned);
   Relation Result(U, Schema, Body & Aligned.Body);
   Span.finish(Result);
   return Result;
@@ -148,8 +146,7 @@ Relation Relation::operator&(const Relation &Other) const {
 
 Relation Relation::operator-(const Relation &Other) const {
   Relation Aligned = alignedToThis(Other, Site("difference", "", 0));
-  OpSpan Span(U, "difference", {});
-  Span.operands(*this, Aligned);
+  OpSpan Span(U, "difference", {}, *this, &Aligned);
   Relation Result(U, Schema, Body - Aligned.Body);
   Span.finish(Result);
   return Result;
@@ -190,8 +187,7 @@ Relation Relation::project(const std::vector<AttributeId> &Remove,
   }
   JEDD_CHECK_AT(Quantified.size() == Remove.size(),
                 "projection of an attribute the relation does not have", At);
-  OpSpan Span(U, "project", At);
-  Span.operand(*this);
+  OpSpan Span(U, "project", At, *this);
   Relation Result(U, std::move(NewSchema),
                   U->manager().exists(Body, U->pack().cubeOf(Quantified)));
   Span.finish(Result);
@@ -249,8 +245,7 @@ Relation Relation::copy(AttributeId From, AttributeId NewAttr,
                   "copy target physical domain already used by the relation",
                   At);
 
-  OpSpan Span(U, "copy", At);
-  Span.operand(*this);
+  OpSpan Span(U, "copy", At, *this);
   bdd::Bdd Equal = U->pack().equal(physOf(From), PhysForNew);
   std::vector<AttrBinding> NewSchema = Schema;
   NewSchema.push_back({NewAttr, PhysForNew});
@@ -363,8 +358,7 @@ Relation Relation::prepareForMerge(const Relation &Other,
   }
   if (Moves.empty())
     return Other;
-  OpSpan Span(U, "replace", At);
-  Span.operand(Other);
+  OpSpan Span(U, "replace", At, Other);
   std::vector<AttrBinding> NewSchema;
   for (const AttrBinding &B : Other.Schema) {
     PhysDomId NewPhys = NoPhysDom;
@@ -387,8 +381,7 @@ Relation Relation::join(const Relation &Other,
   Relation Aligned = prepareForMerge(Other, LeftAttrs, RightAttrs, OtherKept,
                                      /*DropLeftCompared=*/false, At);
 
-  OpSpan Span(U, "join", At);
-  Span.operands(*this, Aligned);
+  OpSpan Span(U, "join", At, *this, &Aligned);
   std::vector<AttrBinding> NewSchema = Schema;
   NewSchema.insert(NewSchema.end(), OtherKept.begin(), OtherKept.end());
   Relation Result(U, std::move(NewSchema), Body & Aligned.Body);
@@ -404,8 +397,7 @@ Relation Relation::compose(const Relation &Other,
   Relation Aligned = prepareForMerge(Other, LeftAttrs, RightAttrs, OtherKept,
                                      /*DropLeftCompared=*/true, At);
 
-  OpSpan Span(U, "compose", At);
-  Span.operands(*this, Aligned);
+  OpSpan Span(U, "compose", At, *this, &Aligned);
   // One relational product: AND + exists over the compared physical
   // domains in a single BDD recursion.
   std::vector<PhysDomId> ComparedPhys;

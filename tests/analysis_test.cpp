@@ -350,16 +350,23 @@ TEST(BitOrderAblation, ResultsAgreeAcrossOrders) {
 // Physical-domain layout of the points-to fixpoint
 //===----------------------------------------------------------------------===//
 
-/// Counts relational spans by name and site label, and BDD spans by name.
-struct SpanCounter : obs::SpanSubscriber {
-  std::map<std::string, unsigned> Rel, Bdd;
-  void onSpan(const obs::SpanEvent &E) override {
-    if (E.Category == obs::Cat::Rel)
-      ++Rel[std::string(E.Name) + "@" + E.SiteLabel];
-    else if (E.Category == obs::Cat::Bdd)
-      ++Bdd[E.Name];
-  }
-};
+/// Runs \p Body with the tracer keeping totals, and returns its span
+/// counts in \p Category: relational ones keyed "op@site", others "op".
+template <typename Fn>
+std::map<std::string, uint64_t> spanCounts(obs::Cat Category, Fn &&Body) {
+  obs::Tracer &T = obs::Tracer::instance();
+  T.clear();
+  T.setLevel(obs::Level::Metrics);
+  Body();
+  T.setLevel(obs::Level::Off);
+  std::map<std::string, uint64_t> Counts;
+  for (const auto &[Key, Totals] : T.totals())
+    if (Key.Category == Category)
+      Counts[Category == obs::Cat::Rel ? Key.Name + ("@" + Key.SiteLabel)
+                                       : Key.Name] += Totals.Count;
+  T.clear();
+  return Counts;
+}
 
 TEST(FixpointLayout, OnlyPtIsReplaced) {
   soot::GeneratorParams Params;
@@ -367,7 +374,6 @@ TEST(FixpointLayout, OnlyPtIsReplaced) {
   Params.Seed = 5;
   Program P = soot::generateProgram(Params);
   std::vector<std::pair<Id, Id>> Extra = onTheFlyAssignEdges(P);
-  obs::Tracer &T = obs::Tracer::instance();
 
   // The relational version: compositions quantify V2 and land in Pt's
   // or FieldPt's layout, so each iteration replaces Pt twice, for
@@ -378,32 +384,26 @@ TEST(FixpointLayout, OnlyPtIsReplaced) {
     PTA.addMethodFacts(static_cast<Id>(M));
   for (auto &[Src, Dst] : Extra)
     PTA.addAssignEdge(Src, Dst);
-  SpanCounter Jedd;
-  T.subscribe(&Jedd);
-  PTA.solve();
-  T.unsubscribe(&Jedd);
-  unsigned Iterations = Jedd.Rel["compose@pt:copy"];
+  auto Rel = spanCounts(obs::Cat::Rel, [&] { PTA.solve(); });
+  uint64_t Iterations = Rel["compose@pt:copy"];
   ASSERT_GE(Iterations, 2u);
-  unsigned Replaces = 0;
-  for (auto &[Key, Count] : Jedd.Rel)
+  uint64_t Replaces = 0;
+  for (auto &[Key, Count] : Rel)
     if (Key.rfind("replace@", 0) == 0) {
       EXPECT_TRUE(Key == "replace@pt:copy" || Key == "replace@pt:base")
           << Key;
       Replaces += Count;
     }
-  EXPECT_EQ(Jedd.Rel["replace@pt:copy"], Iterations);
+  EXPECT_EQ(Rel["replace@pt:copy"], Iterations);
   EXPECT_EQ(Replaces, 2 * Iterations);
 
   // The hand-coded version keeps the same layout: 2 replaces per 5
   // relational products.
   HandCodedPointsTo Hand(P);
   Hand.loadFacts(Extra);
-  SpanCounter HandSpans;
-  T.subscribe(&HandSpans);
-  Hand.solve();
-  T.unsubscribe(&HandSpans);
-  ASSERT_GE(HandSpans.Bdd["relProd"], 10u);
-  EXPECT_EQ(5 * HandSpans.Bdd["replace"], 2 * HandSpans.Bdd["relProd"]);
+  auto Bdd = spanCounts(obs::Cat::Bdd, [&] { Hand.solve(); });
+  ASSERT_GE(Bdd["relProd"], 10u);
+  EXPECT_EQ(5 * Bdd["replace"], 2 * Bdd["relProd"]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -587,10 +587,10 @@ TEST(Checkpoint, ResourceAbortLeavesResumableCheckpoints) {
   {
     AnalysisUniverse AU(P);
     Hierarchy H(AU);
-    LiveAfterHierarchy = AU.U.manager().stats().LiveNodes;
+    LiveAfterHierarchy = AU.U.manager().liveNodeCount();
     WholeProgramAnalysis WPA(AU);
     WPA.run();
-    LiveFinal = AU.U.manager().stats().LiveNodes;
+    LiveFinal = AU.U.manager().liveNodeCount();
     PtSize = WPA.PTA.Pt.sizeExact();
     CgSize = WPA.CGB.Cg.sizeExact();
     WriteSize = WPA.SEA->TotalWrite.sizeExact();

@@ -9,11 +9,11 @@
 // concurrent emitters: client threads, each owning its own manager, run
 // apply/ite/exists streams while tracing buffers spans, a subscriber
 // consumes every event synchronously, and one more thread toggles
-// tracing on and off. Each
-// client tracks truth tables and verifies them afterwards, so
-// instrumentation that perturbs an operation shows up as a wrong
-// assignment, and a race in the tracer's per-thread buffers or its
-// subscriber list as a TSan report via tools/run_sanitized_tests.sh.
+// tracing on and off and reads the metrics snapshot. Each client tracks
+// truth tables and verifies them afterwards, so instrumentation that
+// perturbs an operation shows up as a wrong assignment, and a race in
+// the tracer's per-thread totals and buffers or its subscriber list as
+// a TSan report via tools/run_sanitized_tests.sh.
 //
 //===----------------------------------------------------------------------===//
 
@@ -120,7 +120,6 @@ struct CountingSubscriber : obs::SpanSubscriber {
     Spans.fetch_add(1, std::memory_order_relaxed);
     ASSERT_NE(Event.Name, nullptr);
   }
-  bool wantsDetail() const override { return true; }
 };
 
 TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
@@ -150,11 +149,17 @@ TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
       Running.fetch_sub(1);
     });
   // Tracing toggles while everyone emits, so the fast path flips between
-  // the buffering, subscriber-only, and begin/finish states.
-  std::thread Toggler([&T, &Running] {
+  // the buffering, subscriber-only, and begin/finish states; snapshots of
+  // the totals race the emitters too.
+  std::atomic<unsigned> Snapshots{0};
+  std::thread Toggler([&T, &Running, &Snapshots] {
     bool On = false;
     do {
       T.setTracing(On = !On);
+      JsonValue Doc;
+      std::string Error;
+      EXPECT_TRUE(parseJson(T.metricsJson(), Doc, Error)) << Error;
+      Snapshots.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::yield();
     } while (Running.load() != 0);
     T.setTracing(true);
@@ -169,8 +174,14 @@ TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
   for (unsigned C = 0; C != Clients; ++C)
     verifyAll(*Managers[C], V, Results[C]);
 
-  // The subscriber saw spans while tracing was on.
+  // The subscriber saw every span, and the totals counted each of them
+  // once, whatever the toggles and snapshots did.
   EXPECT_GT(Sub.Spans.load(), 0u);
+  EXPECT_GT(Snapshots.load(), 0u);
+  uint64_t Counted = 0;
+  for (const auto &[Key, Totals] : T.totals())
+    Counted += Totals.Count;
+  EXPECT_EQ(Counted, Sub.Spans.load());
 
   // Whatever subset got buffered forms a parseable Chrome trace.
   JsonValue Doc;

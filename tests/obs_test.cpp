@@ -10,7 +10,8 @@
 /// a real relational workload runs with tracing on, the Chrome-trace and
 /// metrics JSON documents are parsed back with util/Json, and their
 /// structure (span nesting, counter values, aggregate invariants) is
-/// asserted. Also checks that tracing changes no analysis result.
+/// asserted. Also checks that tracing changes no analysis result, and
+/// that the metrics stay exact past the trace buffers' capacity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -202,6 +203,52 @@ TEST_F(ObsTest, MetricsRoundTripWithExactCounterValues) {
   EXPECT_GE(Compose->get("count")->Num, 1.0);
   EXPECT_GE(Compose->get("total_micros")->Num,
             Compose->get("max_micros")->Num);
+}
+
+TEST_F(ObsTest, MetricsStayExactPastTheTraceBufferCap) {
+  // One span more than a thread's trace buffer holds (4096 chunks of 256
+  // spans), all recorded on this thread.
+  const uint64_t Cap = uint64_t(1) << 20, Spans = Cap + 1;
+  obs::Tracer &T = obs::Tracer::instance();
+  uint64_t Micros = 0;
+  auto RecordAll = [&] {
+    Micros = 0;
+    for (uint64_t I = 0; I != Spans; ++I) {
+      obs::SpanEvent E;
+      E.Name = "tick";
+      E.Category = obs::Cat::Io;
+      E.DurMicros = I % 3;
+      Micros += E.DurMicros;
+      T.record(std::move(E));
+    }
+  };
+  auto ExpectExactTotals = [&](const JsonValue &Doc) {
+    const JsonValue *Tick = Doc.get("spans")->get("io.tick");
+    ASSERT_NE(Tick, nullptr);
+    EXPECT_EQ(Tick->get("count")->Num, static_cast<double>(Spans));
+    EXPECT_EQ(Tick->get("total_micros")->Num, static_cast<double>(Micros));
+    EXPECT_EQ(Tick->get("max_micros")->Num, 2.0);
+  };
+
+  // Totals only: nothing is buffered, so nothing is dropped.
+  T.setLevel(obs::Level::Metrics);
+  RecordAll();
+  JsonValue Doc = parseOrDie(T.metricsJson());
+  ExpectExactTotals(Doc);
+  EXPECT_EQ(Doc.get("counters")->get("obs.spans_dropped"), nullptr);
+  EXPECT_EQ(T.spanCount(), 0u);
+
+  // Buffering: the buffer keeps the first Cap spans and counts the rest
+  // as dropped, and the totals still count every span.
+  T.clear();
+  T.setTracing(true);
+  RecordAll();
+  Doc = parseOrDie(T.metricsJson());
+  ExpectExactTotals(Doc);
+  EXPECT_EQ(T.spanCount(), Cap);
+  const JsonValue *Dropped = Doc.get("counters")->get("obs.spans_dropped");
+  ASSERT_NE(Dropped, nullptr);
+  EXPECT_EQ(Dropped->Num, static_cast<double>(Spans - Cap));
 }
 
 TEST_F(ObsTest, SubscriberSeesSpansWithoutTracing) {

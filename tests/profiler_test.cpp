@@ -5,9 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The profiler is a consumer of the observability event stream, so these
-// tests feed it synthetic relational spans through the process-wide
-// obs::Tracer rather than calling a recording API directly.
+// The profiler is a view over the observability layer, so these tests
+// feed synthetic relational spans into the process-wide obs::Tracer and
+// render what it holds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +21,22 @@
 #include <cstdio>
 
 using namespace jedd;
-using namespace jedd::prof;
 
 namespace {
+
+/// Every test starts from an empty tracer that buffers spans, as
+/// `jeddanalyze --profile` runs, and leaves it off for the other suites.
+class Profiler : public ::testing::Test {
+protected:
+  void SetUp() override {
+    obs::Tracer::instance().clear();
+    obs::Tracer::instance().setTracing(true);
+  }
+  void TearDown() override {
+    obs::Tracer::instance().setTracing(false);
+    obs::Tracer::instance().clear();
+  }
+};
 
 /// Emits one finished relational span into the tracer, as the relational
 /// layer would after an operation at the given site.
@@ -45,81 +58,76 @@ void emitSpan(const char *Kind, const char *Site, uint64_t Micros,
   obs::Tracer::instance().record(std::move(E));
 }
 
-TEST(Profiler, SummarizesByKindAndSite) {
-  Profiler P;
-  P.attach();
+TEST_F(Profiler, SummarizesByKindAndSite) {
   emitSpan("join", "a", 10, 5);
   emitSpan("join", "a", 30, 9);
   emitSpan("join", "b", 5, 2);
   emitSpan("replace", "a", 100, 1);
-  P.detach();
 
-  auto Summary = P.summarize();
+  auto Summary = prof::Profiler().summarize();
   ASSERT_EQ(Summary.size(), 3u);
   // Sorted by total time descending: replace@a (100), join@a (40),
   // join@b (5).
-  EXPECT_EQ(Summary[0].OpKind, "replace");
-  EXPECT_EQ(Summary[0].TotalMicros, 100u);
-  EXPECT_EQ(Summary[1].OpKind, "join");
-  EXPECT_EQ(Summary[1].Site.Label, "a");
-  EXPECT_EQ(Summary[1].Count, 2u);
-  EXPECT_EQ(Summary[1].TotalMicros, 40u);
-  EXPECT_EQ(Summary[1].MaxResultNodes, 9u);
-  EXPECT_EQ(Summary[2].Site.Label, "b");
+  EXPECT_STREQ(Summary[0].Op.Name, "replace");
+  EXPECT_EQ(Summary[0].Totals.TotalMicros, 100u);
+  EXPECT_STREQ(Summary[1].Op.Name, "join");
+  EXPECT_EQ(Summary[1].Op.SiteLabel, "a");
+  EXPECT_EQ(Summary[1].Totals.Count, 2u);
+  EXPECT_EQ(Summary[1].Totals.TotalMicros, 40u);
+  EXPECT_EQ(Summary[1].Totals.MaxResultNodes, 9u);
+  EXPECT_EQ(Summary[2].Op.SiteLabel, "b");
 }
 
-TEST(Profiler, DeterministicTieBreak) {
-  Profiler P;
-  P.attach();
-  emitSpan("a-op", "z", 10, 1);
+TEST_F(Profiler, DeterministicTieBreak) {
   emitSpan("b-op", "y", 10, 1);
-  P.detach();
-  auto Summary = P.summarize();
+  emitSpan("a-op", "z", 10, 1);
+  auto Summary = prof::Profiler().summarize();
   ASSERT_EQ(Summary.size(), 2u);
-  EXPECT_EQ(Summary[0].OpKind, "a-op"); // Lexicographic on ties.
+  EXPECT_STREQ(Summary[0].Op.Name, "a-op"); // Lexicographic on ties.
 }
 
-TEST(Profiler, IgnoresNonRelationalSpans) {
-  Profiler P;
-  P.attach();
+TEST_F(Profiler, IgnoresNonRelationalSpans) {
   obs::SpanEvent E;
   E.Name = "collect";
   E.Category = obs::Cat::Gc;
   E.DurMicros = 10;
   obs::Tracer::instance().record(std::move(E));
-  P.detach();
-  EXPECT_TRUE(P.records().empty());
+  prof::Profiler P;
+  EXPECT_TRUE(P.summarize().empty());
+  EXPECT_EQ(P.renderHtml().find("collect"), std::string::npos);
 }
 
-TEST(Profiler, DetachStopsRecording) {
-  Profiler P;
-  P.attach();
-  emitSpan("join", "a", 1, 1);
-  P.detach();
-  emitSpan("join", "b", 1, 1);
-  ASSERT_EQ(P.records().size(), 1u);
-  EXPECT_EQ(P.records()[0].Site.Label, "a");
-}
-
-TEST(Profiler, RecordCarriesOperandAndSiteDetail) {
-  Profiler P;
-  P.attach();
+TEST_F(Profiler, RecordCarriesOperandAndSiteDetail) {
   emitSpan("compose", "pt:copy", 42, 17);
-  P.detach();
-  ASSERT_EQ(P.records().size(), 1u);
-  const OpRecord &R = P.records()[0];
-  EXPECT_EQ(R.OpKind, "compose");
-  EXPECT_EQ(R.Site.Label, "pt:copy");
-  EXPECT_EQ(R.Site.File, "demo.jedd");
-  EXPECT_EQ(R.Site.Line, 42u);
-  EXPECT_EQ(R.Micros, 42u);
-  EXPECT_EQ(R.LeftNodes, 4u);
-  EXPECT_EQ(R.RightNodes, 0u);
-  EXPECT_EQ(R.ResultNodes, 17u);
-  EXPECT_EQ(R.ResultTuples, 34.0);
+  prof::Profiler P;
+  auto Summary = P.summarize();
+  ASSERT_EQ(Summary.size(), 1u);
+  EXPECT_STREQ(Summary[0].Op.Name, "compose");
+  EXPECT_EQ(Summary[0].Op.SiteLabel, "pt:copy");
+  EXPECT_EQ(Summary[0].Op.SiteFile, "demo.jedd");
+  EXPECT_EQ(Summary[0].Op.SiteLine, 42u);
+  EXPECT_EQ(Summary[0].Totals.MaxMicros, 42u);
+  // The execution row: time, left / right operand nodes, result nodes
+  // and result tuples of the buffered span.
+  EXPECT_NE(P.renderHtml().find("<td>42</td><td>4 / 0</td><td>17</td>"
+                                "<td>34</td>"),
+            std::string::npos);
 }
 
-TEST(Profiler, RendersResourceSection) {
+TEST_F(Profiler, SummaryNeedsNoBuffering) {
+  obs::Tracer::instance().setLevel(obs::Level::Metrics);
+  emitSpan("join", "a", 10, 5);
+  emitSpan("join", "a", 30, 9);
+  prof::Profiler P;
+  auto Summary = P.summarize();
+  ASSERT_EQ(Summary.size(), 1u);
+  EXPECT_EQ(Summary[0].Totals.Count, 2u);
+  // Without buffered spans the report has no execution rows.
+  EXPECT_EQ(P.renderHtml().find("<td>0</td><td class=\"l\">join"),
+            std::string::npos);
+}
+
+TEST_F(Profiler, RendersResourceSection) {
   bdd::ManagerStats S;
   S.LimitMaxNodes = 5000;
   S.NodesPeak = 4800;
@@ -127,7 +135,7 @@ TEST(Profiler, RendersResourceSection) {
   S.ResourceAborts = 1;
   S.ResourceRecoveries = 1;
   S.ResourceEscalations = 2;
-  Profiler P;
+  prof::Profiler P;
   P.observe(S);
   std::string Html = P.renderHtml();
   EXPECT_NE(Html.find("<h2>Resource governance</h2><p>ceilings: max-nodes "
@@ -137,12 +145,9 @@ TEST(Profiler, RendersResourceSection) {
             std::string::npos);
 }
 
-TEST(Profiler, HtmlContainsAllThreeViews) {
-  Profiler P;
-  P.attach();
+TEST_F(Profiler, HtmlContainsAllThreeViews) {
   emitSpan("compose", "pt:copy", 42, 17);
-  P.detach();
-  std::string Html = P.renderHtml();
+  std::string Html = prof::Profiler().renderHtml();
   // Overall view, detail view, shape charts (Section 4.3).
   EXPECT_NE(Html.find("Summary by operation"), std::string::npos);
   EXPECT_NE(Html.find("Individual executions"), std::string::npos);
@@ -154,21 +159,16 @@ TEST(Profiler, HtmlContainsAllThreeViews) {
   EXPECT_NE(Html.find("<svg"), std::string::npos);
 }
 
-TEST(Profiler, HtmlEscapesSiteLabels) {
-  Profiler P;
-  P.attach();
+TEST_F(Profiler, HtmlEscapesSiteLabels) {
   emitSpan("join", "<script>alert(1)</script>", 1, 1);
-  P.detach();
-  std::string Html = P.renderHtml();
+  std::string Html = prof::Profiler().renderHtml();
   EXPECT_EQ(Html.find("<script>alert"), std::string::npos);
   EXPECT_NE(Html.find("&lt;script&gt;"), std::string::npos);
 }
 
-TEST(Profiler, WritesReportToDisk) {
-  Profiler P;
-  P.attach();
+TEST_F(Profiler, WritesReportToDisk) {
   emitSpan("union", "x", 7, 3);
-  P.detach();
+  prof::Profiler P;
   std::string Path = ::testing::TempDir() + "/jeddpp_profile_test.html";
   ASSERT_TRUE(P.writeHtml(Path));
   std::string Text;
@@ -177,20 +177,22 @@ TEST(Profiler, WritesReportToDisk) {
   std::remove(Path.c_str());
 }
 
-TEST(Profiler, ClearResets) {
-  Profiler P;
-  P.attach();
+TEST_F(Profiler, ClearResets) {
   emitSpan("join", "a", 1, 1);
-  P.detach();
-  EXPECT_EQ(P.records().size(), 1u);
-  P.clear();
-  EXPECT_TRUE(P.records().empty());
+  prof::Profiler P;
+  EXPECT_EQ(P.summarize().size(), 1u);
+  obs::Tracer::instance().clear();
   EXPECT_TRUE(P.summarize().empty());
+  EXPECT_EQ(P.renderHtml().find("join"), std::string::npos);
+  // The profile shows exactly the spans recorded since the last clear.
+  emitSpan("join", "b", 1, 1);
+  auto Summary = P.summarize();
+  ASSERT_EQ(Summary.size(), 1u);
+  EXPECT_EQ(Summary[0].Op.SiteLabel, "b");
 }
 
-TEST(Profiler, EmptyProfileRendersCleanly) {
-  Profiler P;
-  std::string Html = P.renderHtml();
+TEST_F(Profiler, EmptyProfileRendersCleanly) {
+  std::string Html = prof::Profiler().renderHtml();
   EXPECT_NE(Html.find("Jedd operation profile"), std::string::npos);
 }
 

@@ -367,23 +367,26 @@ TEST_F(RelTest, ToStringShowsHeaderAndRows) {
 }
 
 TEST_F(RelTest, ProfilerRecordsOperations) {
-  prof::Profiler Prof;
-  Prof.attach();
+  obs::Tracer &T = obs::Tracer::instance();
+  T.clear();
+  T.setTracing(true);
   Relation A = U.empty({{Src, P0}, {Dst, P1}});
   A.insert({1, 2});
   Relation B = U.empty({{Src, P0}, {Dst, P1}});
   B.insert({3, 4});
   Relation C = (A | B).project({Dst}, JEDD_SITE("test-site"));
   (void)C;
-  Prof.detach();
+  T.setTracing(false);
 
+  prof::Profiler Prof;
   bool SawUnion = false, SawProject = false;
-  for (const auto &R : Prof.records()) {
-    SawUnion |= R.OpKind == "union";
-    if (R.OpKind == "project" && R.Site.Label == "test-site") {
+  for (const prof::OpSummary &S : Prof.summarize()) {
+    SawUnion |= std::string_view(S.Op.Name) == "union";
+    if (std::string_view(S.Op.Name) == "project" &&
+        S.Op.SiteLabel == "test-site") {
       SawProject = true;
-      EXPECT_NE(R.Site.File.find("rel_test.cpp"), std::string::npos);
-      EXPECT_GT(R.Site.Line, 0u);
+      EXPECT_NE(S.Op.SiteFile.find("rel_test.cpp"), std::string::npos);
+      EXPECT_GT(S.Op.SiteLine, 0u);
     }
   }
   EXPECT_TRUE(SawUnion);
@@ -392,6 +395,7 @@ TEST_F(RelTest, ProfilerRecordsOperations) {
   EXPECT_NE(Html.find("test-site"), std::string::npos);
   EXPECT_NE(Html.find("rel_test.cpp"), std::string::npos);
   EXPECT_NE(Html.find("<svg"), std::string::npos);
+  T.clear();
 }
 
 // Exact tuple counting on a universe whose relations span more than 64

@@ -168,9 +168,12 @@ int main(int argc, char **argv) {
     return usage(argv[0]);
   }
 
+  // The profiler's per-execution rows need the buffered spans.
   obs::Tracer &Tracer = obs::Tracer::instance();
-  if (!TracePath.empty() || !MetricsPath.empty())
-    Tracer.setTracing(true);
+  if (!TracePath.empty() || !ProfilePath.empty())
+    Tracer.setLevel(obs::Level::Trace);
+  else if (!MetricsPath.empty())
+    Tracer.setLevel(obs::Level::Metrics);
 
   bdd::ResourceLimits Limits;
   Limits.MaxNodes = MaxNodes;
@@ -187,10 +190,6 @@ int main(int argc, char **argv) {
     return 2;
   }
   analysis::AnalysisUniverse &AU = *AUPtr;
-  prof::Profiler Profiler;
-  if (!ProfilePath.empty())
-    Profiler.attach();
-
   analysis::CheckpointedAnalysis WPA(AU, CheckpointDir);
 
   auto PrintStages = [&](std::FILE *Out) {
@@ -244,14 +243,14 @@ int main(int argc, char **argv) {
   std::printf("transitive reads:   %.0f\n", WPA.SEA->TotalRead.size());
 
   if (!ProfilePath.empty()) {
+    prof::Profiler Profiler;
     Profiler.observe(AU.U.manager().stats());
-    Profiler.detach();
     if (!Profiler.writeHtml(ProfilePath)) {
       std::fprintf(stderr, "error: cannot write %s\n", ProfilePath.c_str());
       return 1;
     }
-    std::printf("profile:            %s (%zu operations)\n",
-                ProfilePath.c_str(), Profiler.records().size());
+    std::printf("profile:            %s (%zu operation sites)\n",
+                ProfilePath.c_str(), Profiler.summarize().size());
   }
   if (!TracePath.empty()) {
     if (!Tracer.writeChromeTrace(TracePath)) {

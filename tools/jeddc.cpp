@@ -113,8 +113,10 @@ int jeddcMain(int argc, char **argv) {
   }
 
   obs::Tracer &Tracer = obs::Tracer::instance();
-  if (!TracePath.empty() || !MetricsPath.empty())
-    Tracer.setTracing(true);
+  if (!TracePath.empty())
+    Tracer.setLevel(obs::Level::Trace);
+  else if (!MetricsPath.empty())
+    Tracer.setLevel(obs::Level::Metrics);
 
   DiagnosticEngine Diags(Inputs.size() == 1 ? Inputs[0] : "<combined>");
   auto Compiled = compileJedd(Source, Diags);

@@ -14,7 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Analyses.h"
+#include "analysis/Checkpoint.h"
 #include "profiler/Profiler.h"
 #include "soot/Generator.h"
 
@@ -35,23 +35,24 @@ int main(int argc, char **argv) {
   // Buffer every span so the report can show each execution.
   obs::Tracer::instance().setTracing(true);
 
-  analysis::WholeProgramAnalysis WPA(AU);
+  // No checkpoint directory: compute every stage, touch no files.
+  analysis::CheckpointedAnalysis WPA(AU, "");
   WPA.run();
 
   std::printf("\n-- Hierarchy --\n");
-  std::printf("subtype pairs:          %.0f\n", WPA.H.Subtype.size());
+  std::printf("subtype pairs:          %.0f\n", WPA.H->Subtype.size());
 
   std::printf("\n-- Points-to --\n");
   std::printf("points-to pairs:        %.0f (%zu BDD nodes)\n",
-              WPA.PTA.Pt.size(), WPA.PTA.Pt.nodeCount());
+              WPA.PTA->Pt.size(), WPA.PTA->Pt.nodeCount());
   std::printf("heap points-to triples: %.0f (%zu BDD nodes)\n",
-              WPA.PTA.FieldPt.size(), WPA.PTA.FieldPt.nodeCount());
+              WPA.PTA->FieldPt.size(), WPA.PTA->FieldPt.nodeCount());
 
   std::printf("\n-- Call graph (on the fly with points-to) --\n");
-  std::printf("call edges:             %.0f\n", WPA.CGB.Cg.size());
+  std::printf("call edges:             %.0f\n", WPA.CGB->Cg.size());
   std::printf("reachable methods:      %zu of %zu\n",
-              WPA.CGB.reachableMethods().size(), Prog.Methods.size());
-  std::printf("pt/cg rounds:           %u\n", WPA.CGB.rounds());
+              WPA.CGB->reachableMethods().size(), Prog.Methods.size());
+  std::printf("pt/cg rounds:           %u\n", WPA.CGB->rounds());
 
   std::printf("\n-- Side effects --\n");
   std::printf("direct writes:          %.0f\n", WPA.SEA->DirectWrite.size());

@@ -434,15 +434,3 @@ SideEffectAnalysis::SideEffectAnalysis(AnalysisUniverse &AU,
       Closure.compose(DirectRead, {AU.Callee}, {AU.Mth},
                       JEDD_SITE("se:totalr"));
 }
-
-//===----------------------------------------------------------------------===//
-// Orchestration
-//===----------------------------------------------------------------------===//
-
-WholeProgramAnalysis::WholeProgramAnalysis(AnalysisUniverse &AU)
-    : AU(AU), H(AU), VCR(AU, H), PTA(AU), CGB(AU, H, VCR, PTA) {}
-
-void WholeProgramAnalysis::run() {
-  CGB.run();
-  SEA = std::make_unique<SideEffectAnalysis>(AU, PTA, CGB);
-}

@@ -222,23 +222,6 @@ public:
   rel::Relation TotalWrite;
 };
 
-/// Orchestrates all five analyses over one program.
-class WholeProgramAnalysis {
-public:
-  explicit WholeProgramAnalysis(
-      AnalysisUniverse &AU);
-
-  void run();
-
-  AnalysisUniverse &AU;
-  Hierarchy H;
-  VirtualCallResolver VCR;
-  PointsToAnalysis PTA;
-  CallGraphBuilder CGB;
-  /// Built by run() after the call graph stabilizes.
-  std::unique_ptr<SideEffectAnalysis> SEA;
-};
-
 //===----------------------------------------------------------------------===//
 // Baselines
 //===----------------------------------------------------------------------===//

@@ -27,7 +27,6 @@
 #include "util/Random.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace jedd;
 using namespace jedd::analysis;
@@ -150,9 +149,7 @@ HandCodedPointsTo::pointsToPairs() {
 }
 
 double HandCodedPointsTo::pointsToSize() {
-  unsigned UnusedBits =
-      Pack.manager().numVars() - Pack.bits(V1) - Pack.bits(O1);
-  return Pack.manager().satCount(Pt) / std::pow(2.0, UnusedBits);
+  return Pack.manager().satCount(Pt, Pack.sortedVars({V1, O1}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,8 +16,9 @@
 /// (and everything after it, since stages feed forward) is recomputed and
 /// its checkpoint rewritten.
 ///
-/// With an empty directory the pipeline is exactly WholeProgramAnalysis:
-/// no files touched, no io spans emitted.
+/// With an empty directory the pipeline just runs the five analyses in
+/// order: no files touched, no io spans emitted. It is the library's one
+/// orchestrator of the analyses.
 ///
 //===----------------------------------------------------------------------===//
 

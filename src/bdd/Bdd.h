@@ -41,7 +41,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace jedd {
@@ -189,14 +188,10 @@ struct ManagerStats {
 };
 
 /// The BDD manager: node pool, unique table, computed cache, and all
-/// operations. One manager owns one static variable order: a variable's
-/// index is its level (0 = topmost). Clients choose the order by how they
-/// number variables, which DomainPack does from an order spec.
-///
-/// The variable space is split in two halves: "real" variables
-/// [0, numVars()) that clients use, and a hidden scratch region used by
-/// replace() to implement arbitrary (even order-inverting) variable
-/// permutations as two relational products.
+/// operations. One manager owns one static variable order over its
+/// variables [0, numVars()): a variable's index is its level (0 =
+/// topmost). Clients choose the order by how they number variables,
+/// which DomainPack does from an order spec.
 class Manager {
 public:
   /// Creates a manager with \p NumVars client variables. \p InitialNodes
@@ -275,15 +270,19 @@ public:
   // Inspection
   //===--------------------------------------------------------------===//
 
-  /// Number of satisfying assignments over all numVars() variables.
-  /// Relations divide out the unused-physical-domain wildcards. Exact up
-  /// to 2^53 (routed through satCountExact); larger counts fall back to
-  /// floating point.
+  /// Number of satisfying assignments over \p Vars (sorted ascending,
+  /// which must cover the support of F, as for enumerate), or over all
+  /// numVars() variables. Relations count over their own physical
+  /// domains' variables (BuDDy's bdd_satcountset). Exact up to 2^53;
+  /// counts past 2^128 come from a floating-point count.
   double satCount(const Bdd &F);
+  double satCount(const Bdd &F, const std::vector<unsigned> &Vars);
 
-  /// Exact satisfying-assignment count over all numVars() variables;
-  /// counts that do not fit 128 bits come back marked saturated.
+  /// Exact satisfying-assignment count over \p Vars (as for satCount)
+  /// or all numVars() variables; counts that do not fit 128 bits come
+  /// back marked saturated.
   SatCount satCountExact(const Bdd &F);
+  SatCount satCountExact(const Bdd &F, const std::vector<unsigned> &Vars);
 
   /// Number of internal nodes (excluding terminals) in F.
   size_t nodeCount(const Bdd &F);
@@ -498,7 +497,6 @@ private:
   }
 
   unsigned NumVars;
-  unsigned TotalVars; ///< NumVars real + NumVars scratch, scratch below.
 
   NodePool Nodes;
   std::vector<uint32_t> Buckets; ///< Unique table heads; size power of 2.
@@ -509,12 +507,19 @@ private:
 
   std::vector<uint8_t> Marks; ///< GC mark bits, one byte per node.
 
-  // Reusable visited-set for the inspection walks (nodeCount, support,
-  // shape...): per-node stamps avoid clearing a capacity-sized vector on
-  // every call.
+  // Visited set of walk(): a walk stamps the nodes it visits with
+  // consecutive values from WalkBase on, in visit order, so a node was
+  // visited by the latest walk iff its stamp is at least WalkBase, and
+  // the stamp minus WalkBase is its post-order index. The next walk
+  // starts at WalkEnd; stamps only grow, so nothing is cleared between
+  // walks.
   mutable std::vector<uint32_t> Stamps;
-  mutable uint32_t CurrentStamp = 0;
-  uint32_t newStamp() const;
+  mutable uint32_t WalkBase = 1;
+  mutable uint32_t WalkEnd = 1;
+  /// Per-node values of the latest tuple count, by post-order index;
+  /// sized by the largest BDD counted so far.
+  std::vector<unsigned __int128> ExactMemo;
+  std::vector<double> ApproxMemo;
 
   // Statistics.
   size_t GcRuns = 0;
@@ -533,7 +538,26 @@ private:
   NodeRef makeNode(uint32_t Var, NodeRef Low, NodeRef High);
   void growPool();
   void rehash();
-  void markRec(NodeRef N);
+  /// Marks every node reachable from an externally referenced one;
+  /// returns how many were marked.
+  size_t markFromRoots();
+  size_t markRec(NodeRef N);
+
+  /// The one DAG walk under every inspection: calls \p Visit(N, Node)
+  /// once per internal node below \p Root, in post-order (low subtree,
+  /// high subtree, then the node), so children come before parents. The
+  /// order depends only on the BDD's structure.
+  template <typename Fn> void walk(NodeRef Root, Fn &&Visit) const;
+  /// The post-order index of \p N in the latest walk that visited it.
+  uint32_t walkIndex(NodeRef N) const { return Stamps[N] - WalkBase; }
+  /// The satisfying-assignment count of \p Root over \p Vars (all
+  /// client variables when null) as one fold over walk(), in T: the
+  /// saturating 128-bit integer or double.
+  template <typename T>
+  T countImpl(NodeRef Root, const std::vector<unsigned> *Vars,
+              bool &Saturated);
+  SatCount satCountExactImpl(NodeRef Root, const std::vector<unsigned> *Vars);
+  double satCountImpl(NodeRef Root, const std::vector<unsigned> *Vars);
 
   // Cores of the public entry points, without their governor wrapping
   // and span bookkeeping. Internal code calls these.
@@ -564,15 +588,6 @@ private:
   /// Vars[Depth] and below.
   NodeRef mintermsRec(const std::vector<unsigned> &Vars, size_t Depth,
                       uint64_t *Rows, size_t NumRows, size_t Words);
-
-  double satCountRec(NodeRef F,
-                     std::unordered_map<NodeRef, double> &Memo);
-
-  SatCount satCountExactImpl(NodeRef Root);
-  unsigned __int128
-  satCountExactRec(NodeRef F,
-                   std::unordered_map<NodeRef, unsigned __int128> &Memo,
-                   bool &Saturated);
 
   /// True if Map (over support vars of F) preserves relative variable
   /// order, enabling the single-recursion replace fast path.

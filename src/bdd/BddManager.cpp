@@ -130,8 +130,7 @@ bool Manager::ComputedCache::empty() const {
 }
 
 Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize)
-    : NumVars(NumVars), TotalVars(2 * NumVars),
-      Cache(std::max<size_t>(CacheSize, 1024)) {
+    : NumVars(NumVars), Cache(std::max<size_t>(CacheSize, 1024)) {
   assert(NumVars > 0 && "a manager needs at least one variable");
   size_t Capacity =
       std::max<size_t>(roundUpPow2(InitialNodes), NodePool::ChunkSize);
@@ -172,7 +171,7 @@ Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize)
 Manager::~Manager() = default;
 
 NodeRef Manager::makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
-  assert(Var < TotalVars && "variable out of range");
+  assert(Var < NumVars && "variable out of range");
   assert(varOf(Low) > Var && varOf(High) > Var &&
          "children must be below the new node in the order");
   if (Low == High)
@@ -253,24 +252,32 @@ void Manager::rehash() {
   }
 }
 
-void Manager::markRec(NodeRef N) {
+size_t Manager::markRec(NodeRef N) {
+  size_t Marked = 0;
   while (!isTerminal(N) && !Marks[N]) {
     Marks[N] = 1;
-    markRec(Nodes[N].Low);
+    Marked += 1 + markRec(Nodes[N].Low);
     N = Nodes[N].High;
   }
+  return Marked;
+}
+
+size_t Manager::markFromRoots() {
+  // A growPool whose mark-vector resize failed leaves Marks short.
+  if (Marks.size() < Nodes.size())
+    Marks.resize(Nodes.size(), 0);
+  std::fill(Marks.begin(), Marks.end(), 0);
+  size_t Marked = 0;
+  for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
+    if (Nodes[N].Var < VarFree && Nodes[N].RefCount > 0)
+      Marked += markRec(N);
+  return Marked;
 }
 
 void Manager::gcImpl() {
   obs::SpanGuard Span(obs::Cat::Gc, "collect");
   size_t FreeBefore = FreeCount;
-  // A growPool whose mark-vector resize failed leaves Marks short.
-  if (Marks.size() < Nodes.size())
-    Marks.resize(Nodes.size(), 0);
-  std::fill(Marks.begin(), Marks.end(), 0);
-  for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
-    if (Nodes[N].Var < VarFree && Nodes[N].RefCount > 0)
-      markRec(N);
+  markFromRoots();
 
   FreeHead = NoNode;
   FreeCount = 0;
@@ -332,19 +339,7 @@ void Manager::decRef(NodeRef Ref) {
 
 uint32_t Manager::refCount(NodeRef Ref) const { return Nodes[Ref].RefCount; }
 
-size_t Manager::liveNodeCount() {
-  if (Marks.size() < Nodes.size())
-    Marks.resize(Nodes.size(), 0);
-  std::fill(Marks.begin(), Marks.end(), 0);
-  size_t Live = 0;
-  for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
-    if (Nodes[N].Var < VarFree && Nodes[N].RefCount > 0)
-      markRec(N);
-  for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
-    if (Nodes[N].Var < VarFree && Marks[N])
-      ++Live;
-  return Live;
-}
+size_t Manager::liveNodeCount() { return markFromRoots(); }
 
 std::string Manager::checkInvariants() const {
   const uint32_t Size = static_cast<uint32_t>(Nodes.size());
@@ -357,7 +352,7 @@ std::string Manager::checkInvariants() const {
     const Node &Nd = Nodes[N];
     if (Nd.Var == VarFree)
       continue;
-    if (Nd.Var >= TotalVars)
+    if (Nd.Var >= NumVars)
       return strFormat("node %u has invalid variable %u", N, Nd.Var);
     if (Nd.Low == Nd.High)
       return strFormat("node %u is redundant (low == high == %u)", N, Nd.Low);
@@ -377,7 +372,7 @@ std::string Manager::checkInvariants() const {
   const size_t Mask = Buckets.size() - 1;
   for (size_t B = 0; B != Buckets.size(); ++B) {
     for (uint32_t N = Buckets[B]; N != NoNode; N = Nodes[N].Next) {
-      if (N < 2 || N >= Size || Nodes[N].Var >= TotalVars)
+      if (N < 2 || N >= Size || Nodes[N].Var >= NumVars)
         return strFormat("bucket %zu links slot %u, not a node", B, N);
       const Node &Nd = Nodes[N];
       if ((hashTriple(Nd.Var, Nd.Low, Nd.High) & Mask) != B)
@@ -450,7 +445,9 @@ void Manager::setFaultInjection(uint64_t Seed, uint32_t Rate) {
 size_t Manager::heapBytesApprox() const {
   return Nodes.size() * sizeof(Node) + Buckets.capacity() * sizeof(uint32_t) +
          Cache.bytes() + Marks.capacity() +
-         Stamps.capacity() * sizeof(uint32_t);
+         Stamps.capacity() * sizeof(uint32_t) +
+         ExactMemo.capacity() * sizeof(unsigned __int128) +
+         ApproxMemo.capacity() * sizeof(double);
 }
 
 size_t Manager::notePeaks() {
@@ -647,7 +644,7 @@ Bdd Manager::cube(const std::vector<unsigned> &Vars) {
   std::vector<unsigned> Sorted(Vars);
 #ifndef NDEBUG
   for (unsigned V : Sorted)
-    assert(V < TotalVars && "cube variable out of range");
+    assert(V < NumVars && "cube variable out of range");
 #endif
   std::sort(Sorted.begin(), Sorted.end());
   return runOp([&] {
@@ -874,7 +871,7 @@ NodeRef Manager::restrictRec(NodeRef F, unsigned Var, bool Value) {
 
 Bdd Manager::restrict(const Bdd &F, unsigned Var, bool Value) {
   assert(F.manager() == this && "operand belongs to another manager");
-  assert(Var < TotalVars && "variable out of range");
+  assert(Var < NumVars && "variable out of range");
   return runOp(
       [&] { return Bdd(this, restrictRec(F.ref(), Var, Value)); });
 }
@@ -883,49 +880,54 @@ Bdd Manager::restrict(const Bdd &F, unsigned Var, bool Value) {
 // Inspection
 //===----------------------------------------------------------------------===//
 
-uint32_t Manager::newStamp() const {
+template <typename Fn> void Manager::walk(NodeRef Root, Fn &&Visit) const {
+  if (isTerminal(Root))
+    return;
   if (Stamps.size() < Nodes.size())
     Stamps.resize(Nodes.size(), 0);
-  if (++CurrentStamp == 0) {
+  // A walk issues at most one stamp per slot; restart below the wrap.
+  if (WalkEnd > UINT32_MAX - Nodes.size()) {
     std::fill(Stamps.begin(), Stamps.end(), 0);
-    CurrentStamp = 1;
+    WalkEnd = 1;
   }
-  return CurrentStamp;
+  const uint32_t Base = WalkBase = WalkEnd;
+  uint32_t Next = Base;
+  // Explicit post-order. An entry's top bit says its children have been
+  // pushed (node refs stay below 2^27). A node may sit on the stack more
+  // than once (once per parent expanded before it was visited), but only
+  // its first pop after expansion visits and stamps it, and by then both
+  // children have been visited: the visit order is a topological order
+  // of the DAG.
+  constexpr NodeRef Expanded = NodeRef(1) << 31;
+  std::vector<NodeRef> Stack = {Root};
+  while (!Stack.empty()) {
+    NodeRef Top = Stack.back();
+    NodeRef N = Top & ~Expanded;
+    if (Stamps[N] >= Base) {
+      Stack.pop_back();
+    } else if (Top & Expanded) {
+      Stack.pop_back();
+      Stamps[N] = Next++;
+      Visit(N, Nodes[N]);
+    } else {
+      Stack.back() = Top | Expanded;
+      // Push high first so the low subtree is visited first.
+      for (NodeRef Child : {Nodes[N].High, Nodes[N].Low})
+        if (!isTerminal(Child) && Stamps[Child] < Base)
+          Stack.push_back(Child);
+    }
+  }
+  WalkEnd = Next;
 }
-
-double Manager::satCountRec(NodeRef F,
-                            std::unordered_map<NodeRef, double> &Memo) {
-  if (F == FalseRef)
-    return 0.0;
-  if (F == TrueRef)
-    return 1.0;
-  auto It = Memo.find(F);
-  if (It != Memo.end())
-    return It->second;
-  const Node &Nd = Nodes[F];
-  auto LevelOfN = [&](NodeRef N) {
-    return isTerminal(N) ? NumVars : varOf(N);
-  };
-  double Low = satCountRec(Nd.Low, Memo) *
-               std::pow(2.0, LevelOfN(Nd.Low) - Nd.Var - 1);
-  double High = satCountRec(Nd.High, Memo) *
-                std::pow(2.0, LevelOfN(Nd.High) - Nd.Var - 1);
-  double Result = Low + High;
-  Memo.emplace(F, Result);
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Exact satisfying-assignment counting
-//===----------------------------------------------------------------------===//
 
 namespace {
 
-constexpr unsigned __int128 SatCountMax = ~(unsigned __int128)0;
+using u128 = unsigned __int128;
+constexpr u128 SatCountMax = ~u128(0);
 
-/// x * 2^Shift, clamping to the 128-bit maximum.
-inline unsigned __int128 shiftSat(unsigned __int128 X, unsigned Shift,
-                                  bool &Saturated) {
+// The arithmetic of the two tuple counts: X * 2^Shift and A + B,
+// saturating at 2^128 - 1 for the exact count and floating for double.
+inline u128 scaleCount(u128 X, unsigned Shift, bool &Saturated) {
   if (X == 0)
     return 0;
   if (Shift >= 128 || X > (SatCountMax >> Shift)) {
@@ -934,77 +936,97 @@ inline unsigned __int128 shiftSat(unsigned __int128 X, unsigned Shift,
   }
   return X << Shift;
 }
-
-inline unsigned __int128 addSat(unsigned __int128 A, unsigned __int128 B,
-                                bool &Saturated) {
+inline u128 addCount(u128 A, u128 B, bool &Saturated) {
   if (A > SatCountMax - B) {
     Saturated = true;
     return SatCountMax;
   }
   return A + B;
 }
+inline double scaleCount(double X, unsigned Shift, bool &) {
+  return std::ldexp(X, static_cast<int>(Shift));
+}
+inline double addCount(double A, double B, bool &) { return A + B; }
 
 } // namespace
 
-unsigned __int128
-Manager::satCountExactRec(NodeRef F,
-                          std::unordered_map<NodeRef, unsigned __int128> &Memo,
-                          bool &Saturated) {
-  if (F == FalseRef)
-    return 0;
-  if (F == TrueRef)
-    return 1;
-  auto It = Memo.find(F);
-  if (It != Memo.end())
-    return It->second;
-  const Node &Nd = Nodes[F];
-  auto LevelOfN = [&](NodeRef N) {
-    return isTerminal(N) ? NumVars : varOf(N);
+template <typename T>
+T Manager::countImpl(NodeRef Root, const std::vector<unsigned> *Vars,
+                     bool &Saturated) {
+  // Pos[v] is v's index among the counted variables; a node's count
+  // doubles once per counted variable skipped between it and a child.
+  constexpr unsigned NotCounted = ~0u;
+  std::vector<unsigned> Pos;
+  unsigned End = NumVars;
+  if (Vars) {
+    assert(std::is_sorted(Vars->begin(), Vars->end()) &&
+           "counting variables must be sorted");
+    Pos.assign(NumVars, NotCounted);
+    for (unsigned I = 0; I != Vars->size(); ++I)
+      Pos[(*Vars)[I]] = I;
+    End = static_cast<unsigned>(Vars->size());
+  }
+  auto PosOf = [&](NodeRef N) {
+    return isTerminal(N) ? End : Vars ? Pos[varOf(N)] : varOf(N);
   };
-  unsigned __int128 Low =
-      shiftSat(satCountExactRec(Nd.Low, Memo, Saturated),
-               LevelOfN(Nd.Low) - Nd.Var - 1, Saturated);
-  unsigned __int128 High =
-      shiftSat(satCountExactRec(Nd.High, Memo, Saturated),
-               LevelOfN(Nd.High) - Nd.Var - 1, Saturated);
-  unsigned __int128 Result = addSat(Low, High, Saturated);
-  Memo.emplace(F, Result);
-  return Result;
+
+  std::vector<T> &Memo = [&]() -> std::vector<T> & {
+    if constexpr (std::is_same_v<T, double>)
+      return ApproxMemo;
+    else
+      return ExactMemo;
+  }();
+  Memo.clear();
+  auto Count = [&](NodeRef N) -> T {
+    return isTerminal(N) ? T(N == TrueRef) : Memo[walkIndex(N)];
+  };
+  walk(Root, [&](NodeRef N, const Node &Nd) {
+    unsigned P = PosOf(N);
+    assert(P != NotCounted && "counting variables must cover the support");
+    T Low = scaleCount(Count(Nd.Low), PosOf(Nd.Low) - P - 1, Saturated);
+    T High = scaleCount(Count(Nd.High), PosOf(Nd.High) - P - 1, Saturated);
+    Memo.push_back(addCount(Low, High, Saturated));
+  });
+  return scaleCount(Count(Root), PosOf(Root), Saturated);
 }
 
-SatCount Manager::satCountExactImpl(NodeRef Root) {
-#ifndef NDEBUG
-  for (unsigned V : supportImpl(Root))
-    assert(V < NumVars && "satCount over a BDD holding scratch variables");
-#endif
-  std::unordered_map<NodeRef, unsigned __int128> Memo;
-  bool Saturated = false;
-  unsigned TopLevel = isTerminal(Root) ? NumVars : varOf(Root);
-  unsigned __int128 Count =
-      shiftSat(satCountExactRec(Root, Memo, Saturated), TopLevel, Saturated);
+SatCount Manager::satCountExactImpl(NodeRef Root,
+                                    const std::vector<unsigned> *Vars) {
   SatCount Result;
-  Result.Saturated = Saturated;
+  u128 Count = countImpl<u128>(Root, Vars, Result.Saturated);
   Result.Hi = static_cast<uint64_t>(Count >> 64);
   Result.Lo = static_cast<uint64_t>(Count);
   return Result;
 }
 
+double Manager::satCountImpl(NodeRef Root, const std::vector<unsigned> *Vars) {
+  // Exact below 2^128; only counts past it need the floating-point fold.
+  SatCount Exact = satCountExactImpl(Root, Vars);
+  if (!Exact.Saturated)
+    return Exact.toDouble();
+  bool Unused = false;
+  return countImpl<double>(Root, Vars, Unused);
+}
+
 SatCount Manager::satCountExact(const Bdd &F) {
   assert(F.manager() == this && "operand belongs to another manager");
-  return satCountExactImpl(F.ref());
+  return satCountExactImpl(F.ref(), nullptr);
+}
+
+SatCount Manager::satCountExact(const Bdd &F,
+                                const std::vector<unsigned> &Vars) {
+  assert(F.manager() == this && "operand belongs to another manager");
+  return satCountExactImpl(F.ref(), &Vars);
 }
 
 double Manager::satCount(const Bdd &F) {
   assert(F.manager() == this && "operand belongs to another manager");
-  // Wrapper over the exact count; only counts beyond 2^128 - 1 (possible
-  // with 128+ variables) fall back to the floating-point recursion.
-  SatCount Exact = satCountExactImpl(F.ref());
-  if (!Exact.Saturated)
-    return Exact.toDouble();
-  std::unordered_map<NodeRef, double> Memo;
-  NodeRef Root = F.ref();
-  unsigned TopLevel = isTerminal(Root) ? NumVars : varOf(Root);
-  return satCountRec(Root, Memo) * std::pow(2.0, TopLevel);
+  return satCountImpl(F.ref(), nullptr);
+}
+
+double Manager::satCount(const Bdd &F, const std::vector<unsigned> &Vars) {
+  assert(F.manager() == this && "operand belongs to another manager");
+  return satCountImpl(F.ref(), &Vars);
 }
 
 double SatCount::toDouble() const {
@@ -1014,8 +1036,7 @@ double SatCount::toDouble() const {
 std::string SatCount::toString() const {
   if (Saturated)
     return ">=2^128";
-  unsigned __int128 V =
-      (static_cast<unsigned __int128>(Hi) << 64) | static_cast<unsigned __int128>(Lo);
+  u128 V = (static_cast<u128>(Hi) << 64) | static_cast<u128>(Lo);
   if (V == 0)
     return "0";
   std::string Digits;
@@ -1028,70 +1049,21 @@ std::string SatCount::toString() const {
 }
 
 size_t Manager::nodeCount(const Bdd &F) {
-  uint32_t Stamp = newStamp();
-  std::vector<NodeRef> Stack = {F.ref()};
   size_t Count = 0;
-  while (!Stack.empty()) {
-    NodeRef N = Stack.back();
-    Stack.pop_back();
-    if (isTerminal(N) || Stamps[N] == Stamp)
-      continue;
-    Stamps[N] = Stamp;
-    ++Count;
-    Stack.push_back(Nodes[N].Low);
-    Stack.push_back(Nodes[N].High);
-  }
+  walk(F.ref(), [&](NodeRef, const Node &) { ++Count; });
   return Count;
 }
 
 void Manager::traverse(
     const Bdd &F, const std::function<void(NodeRef Node, unsigned Var,
                                            NodeRef Low, NodeRef High)> &Fn) {
-  if (isTerminal(F.ref()))
-    return;
-  uint32_t Stamp = newStamp();
-  // Explicit post-order: each stack entry is (node, children-expanded).
-  // Nodes are stamped when *emitted*, not when pushed — a node may sit on
-  // the stack more than once (once per referencing parent seen before it
-  // was emitted), but only the first pop-after-expansion emits it, and by
-  // then both children have been emitted. That makes the emission order a
-  // topological order of the shared DAG.
-  std::vector<std::pair<NodeRef, bool>> Stack = {{F.ref(), false}};
-  while (!Stack.empty()) {
-    NodeRef N = Stack.back().first;
-    if (Stamps[N] == Stamp) {
-      Stack.pop_back();
-      continue;
-    }
-    if (Stack.back().second) {
-      Stack.pop_back();
-      Stamps[N] = Stamp;
-      Fn(N, Nodes[N].Var, Nodes[N].Low, Nodes[N].High);
-      continue;
-    }
-    Stack.back().second = true;
-    // Push high first so low is visited first (deterministic order).
-    for (NodeRef Child : {Nodes[N].High, Nodes[N].Low})
-      if (!isTerminal(Child) && Stamps[Child] != Stamp)
-        Stack.push_back({Child, false});
-  }
+  walk(F.ref(),
+       [&](NodeRef N, const Node &Nd) { Fn(N, Nd.Var, Nd.Low, Nd.High); });
 }
 
 std::vector<size_t> Manager::levelShape(const Bdd &F) {
   std::vector<size_t> Shape(NumVars, 0);
-  uint32_t Stamp = newStamp();
-  std::vector<NodeRef> Stack = {F.ref()};
-  while (!Stack.empty()) {
-    NodeRef N = Stack.back();
-    Stack.pop_back();
-    if (isTerminal(N) || Stamps[N] == Stamp)
-      continue;
-    Stamps[N] = Stamp;
-    if (varOf(N) < NumVars)
-      ++Shape[varOf(N)];
-    Stack.push_back(Nodes[N].Low);
-    Stack.push_back(Nodes[N].High);
-  }
+  walk(F.ref(), [&](NodeRef, const Node &Nd) { ++Shape[Nd.Var]; });
   return Shape;
 }
 
@@ -1101,21 +1073,10 @@ std::vector<unsigned> Manager::support(const Bdd &F) {
 }
 
 std::vector<unsigned> Manager::supportImpl(NodeRef Root) const {
-  std::vector<uint8_t> InSupport(TotalVars, 0);
-  uint32_t Stamp = newStamp();
-  std::vector<NodeRef> Stack = {Root};
-  while (!Stack.empty()) {
-    NodeRef N = Stack.back();
-    Stack.pop_back();
-    if (isTerminal(N) || Stamps[N] == Stamp)
-      continue;
-    Stamps[N] = Stamp;
-    InSupport[Nodes[N].Var] = 1;
-    Stack.push_back(Nodes[N].Low);
-    Stack.push_back(Nodes[N].High);
-  }
+  std::vector<uint8_t> InSupport(NumVars, 0);
+  walk(Root, [&](NodeRef, const Node &Nd) { InSupport[Nd.Var] = 1; });
   std::vector<unsigned> Result;
-  for (unsigned V = 0; V != TotalVars; ++V)
+  for (unsigned V = 0; V != NumVars; ++V)
     if (InSupport[V])
       Result.push_back(V);
   return Result;
@@ -1174,28 +1135,14 @@ bool Manager::evalAssignment(const Bdd &F,
 std::string Manager::toDot(const Bdd &F) {
   std::string Out = "digraph bdd {\n  node [shape=circle];\n";
   Out += "  f0 [shape=box,label=\"0\"];\n  f1 [shape=box,label=\"1\"];\n";
-  uint32_t Stamp = newStamp();
-  std::vector<NodeRef> Stack = {F.ref()};
-  while (!Stack.empty()) {
-    NodeRef N = Stack.back();
-    Stack.pop_back();
-    if (isTerminal(N) || Stamps[N] == Stamp)
-      continue;
-    Stamps[N] = Stamp;
-    auto Name = [](NodeRef R) {
-      if (R == FalseRef)
-        return std::string("f0");
-      if (R == TrueRef)
-        return std::string("f1");
-      return strFormat("n%u", R);
-    };
-    Out += strFormat("  n%u [label=\"x%u\"];\n", N, Nodes[N].Var);
-    Out += strFormat("  n%u -> %s [style=dashed];\n", N,
-                     Name(Nodes[N].Low).c_str());
-    Out += strFormat("  n%u -> %s;\n", N, Name(Nodes[N].High).c_str());
-    Stack.push_back(Nodes[N].Low);
-    Stack.push_back(Nodes[N].High);
-  }
+  auto Name = [](NodeRef R) {
+    return R <= TrueRef ? strFormat("f%u", R) : strFormat("n%u", R);
+  };
+  walk(F.ref(), [&](NodeRef N, const Node &Nd) {
+    Out += strFormat("  n%u [label=\"x%u\"];\n", N, Nd.Var);
+    Out += strFormat("  n%u -> %s [style=dashed];\n", N, Name(Nd.Low).c_str());
+    Out += strFormat("  n%u -> %s;\n", N, Name(Nd.High).c_str());
+  });
   Out += "}\n";
   return Out;
 }

@@ -71,10 +71,7 @@ public:
   static constexpr size_t MaxChunks = size_t(1) << 12; ///< ~1M spans.
 
   explicit ThreadBuffer(uint32_t Tid) : Tid(Tid) {}
-  ~ThreadBuffer() {
-    for (std::atomic<SpanEvent *> &Chunk : Chunks)
-      delete[] Chunk.load(std::memory_order_relaxed);
-  }
+  ~ThreadBuffer() { reset(); }
   ThreadBuffer(const ThreadBuffer &) = delete;
   ThreadBuffer &operator=(const ThreadBuffer &) = delete;
 
@@ -129,10 +126,13 @@ public:
         [Index & (ChunkSize - 1)];
   }
 
-  /// Drops the totals and all published events. Requires quiescence (no
-  /// concurrent push); only Tracer::clear() calls this.
+  /// Drops the totals and all published events, and frees the chunks
+  /// that held them. Requires quiescence (no concurrent push or read of
+  /// the events); only Tracer::clear() and the destructor call this.
   void reset() {
     Count.store(0, std::memory_order_release);
+    for (std::atomic<SpanEvent *> &Chunk : Chunks)
+      delete[] Chunk.exchange(nullptr, std::memory_order_relaxed);
     std::lock_guard<std::mutex> G(TotalsLock);
     Totals.clear();
   }

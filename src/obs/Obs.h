@@ -212,8 +212,9 @@ public:
   bool writeMetrics(const std::string &Path,
                     const std::string &Name = "") const;
 
-  /// Drops totals, buffered spans, counters and histograms. Requires
-  /// quiescence (tests and single-threaded drivers only).
+  /// Drops totals, buffered spans, counters and histograms, and frees
+  /// the trace buffers. Requires quiescence (tests and single-threaded
+  /// drivers only).
   void clear();
 
 private:

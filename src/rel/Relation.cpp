@@ -11,7 +11,7 @@
 #include "util/StringUtils.h"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 
 using namespace jedd;
 using namespace jedd::rel;
@@ -42,9 +42,11 @@ public:
       return;
     Guard.arg("nodes_created", U->manager().stats().NodesCreated - Created0);
     if (Guard.detail()) {
-      Guard.arg("result_nodes", Result.nodeCount());
+      std::vector<size_t> Shape = U->manager().levelShape(Result.body());
+      Guard.arg("result_nodes",
+                std::accumulate(Shape.begin(), Shape.end(), size_t(0)));
       Guard.tuples(Result.size());
-      Guard.shape(U->manager().levelShape(Result.body()));
+      Guard.shape(std::move(Shape));
     }
     Guard.finish();
   }
@@ -81,13 +83,6 @@ std::vector<PhysDomId> Relation::schemaPhysDoms() const {
   for (const AttrBinding &B : Schema)
     Result.push_back(B.Phys);
   return Result;
-}
-
-unsigned Relation::schemaBits() const {
-  unsigned Bits = 0;
-  for (const AttrBinding &B : Schema)
-    Bits += U->pack().bits(B.Phys);
-  return Bits;
 }
 
 //===----------------------------------------------------------------------===//
@@ -423,26 +418,13 @@ Relation Relation::compose(const Relation &Other,
 
 double Relation::size() const {
   JEDD_CHECK(U, "operation on an invalid relation");
-  // The BDD leaves unused physical domains as wildcards; divide them out.
-  unsigned UnusedBits = U->manager().numVars() - schemaBits();
-  return U->manager().satCount(Body) / std::pow(2.0, UnusedBits);
+  return U->manager().satCount(Body, U->pack().sortedVars(schemaPhysDoms()));
 }
 
 bdd::SatCount Relation::sizeExact() const {
   JEDD_CHECK(U, "operation on an invalid relation");
-  bdd::SatCount C = U->manager().satCountExact(Body);
-  if (C.Saturated)
-    return C; // The true value is unknown; dividing would be wrong too.
-  unsigned UnusedBits = U->manager().numVars() - schemaBits();
-  unsigned __int128 V =
-      (static_cast<unsigned __int128>(C.Hi) << 64) | C.Lo;
-  // Unused physical domains are wildcards, so the raw count is an exact
-  // multiple of 2^UnusedBits.
-  assert(UnusedBits < 128 &&
-         (V & ((static_cast<unsigned __int128>(1) << UnusedBits) - 1)) == 0 &&
-         "wildcard bits must divide the raw count");
-  V >>= UnusedBits;
-  return {static_cast<uint64_t>(V >> 64), static_cast<uint64_t>(V), false};
+  return U->manager().satCountExact(Body,
+                                    U->pack().sortedVars(schemaPhysDoms()));
 }
 
 bool Relation::fits(size_t Column, uint64_t Value) const {

@@ -136,11 +136,14 @@ public:
   // Extraction (Section 2.3)
   //===--------------------------------------------------------------===//
 
-  /// Number of tuples.
+  /// Number of tuples: the body's satisfying assignments counted over the
+  /// schema's physical-domain variables only (Manager::satCount), so the
+  /// universe's other physical domains, however wide, never enter it.
   double size() const;
-  /// Number of tuples as an exact 128-bit count. Saturates (with the
-  /// flag set) only beyond 2^128 tuples; below that the count is exact
-  /// even where the double returned by size() has rounded.
+  /// Number of tuples as an exact 128-bit count over the same variables.
+  /// Saturates (with the flag set) only beyond 2^128 tuples; below that
+  /// the count is exact even where the double returned by size() has
+  /// rounded.
   bdd::SatCount sizeExact() const;
   bool isEmpty() const { return Body.isFalse(); }
 
@@ -214,8 +217,6 @@ private:
   bool fits(size_t Column, uint64_t Value) const;
 
   std::vector<PhysDomId> schemaPhysDoms() const;
-  /// Total bits of this schema's physical domains.
-  unsigned schemaBits() const;
 };
 
 } // namespace rel

@@ -89,6 +89,46 @@ Program tinyProgram() {
   return P;
 }
 
+/// The (method, site, field) triples of a side-effect relation.
+std::set<std::tuple<Id, Id, Id>> effectTriples(const AnalysisUniverse &AU,
+                                               const rel::Relation &R) {
+  auto Column = [&](rel::AttributeId Attr) {
+    size_t I = 0;
+    while (R.schema()[I].Attr != Attr)
+      ++I;
+    return I;
+  };
+  size_t M = Column(AU.Mth), S = Column(AU.BaseObj), F = Column(AU.Fld);
+  std::set<std::tuple<Id, Id, Id>> Out;
+  for (const std::vector<uint64_t> &T : R.tuples())
+    Out.insert({static_cast<Id>(T[M]), static_cast<Id>(T[S]),
+                static_cast<Id>(T[F])});
+  return Out;
+}
+
+/// Checks points-to, call graph, reachable methods and both transitive
+/// effect sets tuple for tuple against the naive set-based oracle.
+void expectMatchesReference(const AnalysisUniverse &AU,
+                            const CheckpointedAnalysis &A,
+                            const ReferenceResults &Ref) {
+  std::vector<std::vector<uint64_t>> Pt, Cg;
+  for (size_t V = 0; V != Ref.PointsTo.size(); ++V)
+    for (Id Site : Ref.PointsTo[V])
+      Pt.push_back({V, Site});
+  for (size_t C = 0; C != Ref.CallGraph.size(); ++C)
+    for (Id Method : Ref.CallGraph[C])
+      Cg.push_back({C, Method});
+  EXPECT_EQ(A.PTA->Pt.tuples(), Pt);
+  EXPECT_EQ(A.CGB->Cg.tuples(), Cg);
+  EXPECT_EQ(A.CGB->reachableMethods(), Ref.ReachableMethods);
+  EXPECT_EQ(effectTriples(AU, A.SEA->TotalWrite), Ref.TotalWrite);
+  EXPECT_EQ(effectTriples(AU, A.SEA->TotalRead), Ref.TotalRead);
+  // The tuple counts agree with the tuple lists.
+  EXPECT_EQ(A.PTA->Pt.sizeExact().toString(), std::to_string(Pt.size()));
+  EXPECT_EQ(A.SEA->TotalRead.size(),
+            static_cast<double>(Ref.TotalRead.size()));
+}
+
 TEST(Hierarchy, ComputesReflexiveTransitiveSubtypes) {
   Program P = tinyProgram();
   AnalysisUniverse AU(P);
@@ -140,25 +180,25 @@ TEST(VirtualCalls, ResolvesThroughTheHierarchy) {
 TEST(WholeProgram, TinyProgramEndToEnd) {
   Program P = tinyProgram();
   AnalysisUniverse AU(P);
-  WholeProgramAnalysis WPA(AU);
+  CheckpointedAnalysis WPA(AU, "");
   WPA.run();
 
   // Points-to: v0 -> site0; v1 -> site0 (copy) and site1 (return of m1);
   // this(m1) -> site0; ret -> site1; v5 -> site1 (through the heap).
-  EXPECT_TRUE(WPA.PTA.Pt.contains({0, 0}));
-  EXPECT_TRUE(WPA.PTA.Pt.contains({1, 0}));
-  EXPECT_TRUE(WPA.PTA.Pt.contains({1, 1})); // Return value.
-  EXPECT_TRUE(WPA.PTA.Pt.contains({2, 0})); // this of m1.
-  EXPECT_TRUE(WPA.PTA.Pt.contains({4, 1}));
-  EXPECT_TRUE(WPA.PTA.Pt.contains({3, 1})); // Heap round trip.
+  EXPECT_TRUE(WPA.PTA->Pt.contains({0, 0}));
+  EXPECT_TRUE(WPA.PTA->Pt.contains({1, 0}));
+  EXPECT_TRUE(WPA.PTA->Pt.contains({1, 1})); // Return value.
+  EXPECT_TRUE(WPA.PTA->Pt.contains({2, 0})); // this of m1.
+  EXPECT_TRUE(WPA.PTA->Pt.contains({4, 1}));
+  EXPECT_TRUE(WPA.PTA->Pt.contains({3, 1})); // Heap round trip.
 
   // FieldPt: site0.f0 -> site1.
-  EXPECT_TRUE(WPA.PTA.FieldPt.contains({0, 0, 1}));
+  EXPECT_TRUE(WPA.PTA->FieldPt.contains({0, 0, 1}));
 
   // Call graph: call 0 -> B.m1 (method 1); both methods reachable.
-  EXPECT_DOUBLE_EQ(WPA.CGB.Cg.size(), 1.0);
-  EXPECT_TRUE(WPA.CGB.Cg.contains({0, 1}));
-  EXPECT_EQ(WPA.CGB.reachableMethods(),
+  EXPECT_DOUBLE_EQ(WPA.CGB->Cg.size(), 1.0);
+  EXPECT_TRUE(WPA.CGB->Cg.contains({0, 1}));
+  EXPECT_EQ(WPA.CGB->reachableMethods(),
             (std::set<Id>{0, 1}));
 
   // Side effects: m1 writes (site0, f0) and reads it; m0 inherits both
@@ -184,10 +224,10 @@ TEST(WholeProgram, UnreachableCodeContributesNothing) {
   P.Allocs.push_back({DeadVar, 2});
 
   AnalysisUniverse AU(P);
-  WholeProgramAnalysis WPA(AU);
+  CheckpointedAnalysis WPA(AU, "");
   WPA.run();
-  EXPECT_EQ(WPA.CGB.reachableMethods().count(2), 0u);
-  EXPECT_FALSE(WPA.PTA.Pt.contains({DeadVar, 2}));
+  EXPECT_EQ(WPA.CGB->reachableMethods().count(2), 0u);
+  EXPECT_FALSE(WPA.PTA->Pt.contains({DeadVar, 2}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -211,56 +251,10 @@ TEST_P(AnalysisDifferentialTest, MatchesReferenceImplementation) {
   Params.Seed = GetParam();
   Program P = soot::generateProgram(Params);
 
-  ReferenceResults Ref = computeReference(P);
-
   AnalysisUniverse AU(P);
-  WholeProgramAnalysis WPA(AU);
+  CheckpointedAnalysis WPA(AU, "");
   WPA.run();
-
-  // Points-to sets must match exactly.
-  size_t RefPtSize = 0;
-  for (size_t V = 0; V != P.NumVars; ++V)
-    RefPtSize += Ref.PointsTo[V].size();
-  EXPECT_DOUBLE_EQ(WPA.PTA.Pt.size(), static_cast<double>(RefPtSize));
-  WPA.PTA.Pt.iterate([&](const std::vector<uint64_t> &Tuple) {
-    EXPECT_TRUE(Ref.PointsTo[Tuple[0]].count(static_cast<Id>(Tuple[1])))
-        << "extra points-to pair (" << Tuple[0] << ", " << Tuple[1] << ")";
-    return true;
-  });
-
-  // Call graph must match exactly.
-  size_t RefCgSize = 0;
-  for (const auto &Targets : Ref.CallGraph)
-    RefCgSize += Targets.size();
-  EXPECT_DOUBLE_EQ(WPA.CGB.Cg.size(), static_cast<double>(RefCgSize));
-  WPA.CGB.Cg.iterate([&](const std::vector<uint64_t> &Tuple) {
-    EXPECT_TRUE(
-        Ref.CallGraph[Tuple[0]].count(static_cast<Id>(Tuple[1])))
-        << "extra call edge (" << Tuple[0] << ", " << Tuple[1] << ")";
-    return true;
-  });
-
-  // Reachable methods.
-  EXPECT_EQ(WPA.CGB.reachableMethods(), Ref.ReachableMethods);
-
-  // Side effects. Relational schema: <Fld, Mth, BaseObj> in declaration
-  // order of TotalWrite — check via contains on (method, site, field)
-  // triples from the oracle and the total count.
-  EXPECT_DOUBLE_EQ(WPA.SEA->TotalWrite.size(),
-                   static_cast<double>(Ref.TotalWrite.size()));
-  for (auto &[M, S, F] : Ref.TotalWrite) {
-    // TotalWrite schema order: Mth, Fld, BaseObj (left schema of the
-    // closure compose is <Mth, ...>; verify via attribute lookup).
-    rel::Relation Probe = AU.U.tuple(
-        {{AU.Mth, WPA.SEA->TotalWrite.physOf(AU.Mth)},
-         {AU.Fld, WPA.SEA->TotalWrite.physOf(AU.Fld)},
-         {AU.BaseObj, WPA.SEA->TotalWrite.physOf(AU.BaseObj)}},
-        {M, F, S});
-    EXPECT_FALSE((Probe & WPA.SEA->TotalWrite).isEmpty())
-        << "missing write effect (" << M << ", " << S << ", " << F << ")";
-  }
-  EXPECT_DOUBLE_EQ(WPA.SEA->TotalRead.size(),
-                   static_cast<double>(Ref.TotalRead.size()));
+  expectMatchesReference(AU, WPA, computeReference(P));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnalysisDifferentialTest,
@@ -424,11 +418,11 @@ TEST(Checkpoint, InspectReportsLiveNodeCountsUnderDefaultOrder) {
   Params.Seed = 21;
   Program P = soot::generateProgram(Params);
   AnalysisUniverse AU(P);
-  WholeProgramAnalysis WPA(AU);
+  CheckpointedAnalysis WPA(AU, "");
   WPA.run();
-  std::vector<io::NamedRelation> Rels = {{"pt", WPA.PTA.Pt},
-                                         {"fieldpt", WPA.PTA.FieldPt},
-                                         {"cg", WPA.CGB.Cg},
+  std::vector<io::NamedRelation> Rels = {{"pt", WPA.PTA->Pt},
+                                         {"fieldpt", WPA.PTA->FieldPt},
+                                         {"cg", WPA.CGB->Cg},
                                          {"read", WPA.SEA->TotalRead},
                                          {"write", WPA.SEA->TotalWrite}};
   std::string Image;
@@ -588,13 +582,13 @@ TEST(Checkpoint, ResourceAbortLeavesResumableCheckpoints) {
     AnalysisUniverse AU(P);
     Hierarchy H(AU);
     LiveAfterHierarchy = AU.U.manager().liveNodeCount();
-    WholeProgramAnalysis WPA(AU);
+    CheckpointedAnalysis WPA(AU, "");
     WPA.run();
     LiveFinal = AU.U.manager().liveNodeCount();
-    PtSize = WPA.PTA.Pt.sizeExact();
-    CgSize = WPA.CGB.Cg.sizeExact();
+    PtSize = WPA.PTA->Pt.sizeExact();
+    CgSize = WPA.CGB->Cg.sizeExact();
     WriteSize = WPA.SEA->TotalWrite.sizeExact();
-    Reachable = WPA.CGB.reachableMethods();
+    Reachable = WPA.CGB->reachableMethods();
   }
   ASSERT_LT(LiveAfterHierarchy, LiveFinal);
 
@@ -642,12 +636,11 @@ TEST(Checkpoint, ResourceAbortLeavesResumableCheckpoints) {
   EXPECT_EQ(Resumed.CGB->reachableMethods(), Reachable);
 }
 
-TEST(Checkpoint, EmptyDirectoryMatchesWholeProgramAnalysis) {
-  Program P = tinyProgram();
-  AnalysisUniverse AURef(P);
-  WholeProgramAnalysis Ref(AURef);
-  Ref.run();
-
+TEST(Checkpoint, EmptyDirectoryMatchesReference) {
+  soot::GeneratorParams Params;
+  Params.NumClasses = 10;
+  Params.Seed = 21;
+  Program P = soot::generateProgram(Params);
   AnalysisUniverse AU(P);
   CheckpointedAnalysis C(AU, "");
   C.run();
@@ -655,10 +648,7 @@ TEST(Checkpoint, EmptyDirectoryMatchesWholeProgramAnalysis) {
     EXPECT_FALSE(St.WarmStarted) << St.Name;
     EXPECT_FALSE(St.Saved) << St.Name;
   }
-  EXPECT_EQ(C.PTA->Pt.sizeExact(), Ref.PTA.Pt.sizeExact());
-  EXPECT_EQ(C.CGB->Cg.sizeExact(), Ref.CGB.Cg.sizeExact());
-  EXPECT_EQ(C.CGB->reachableMethods(), Ref.CGB.reachableMethods());
-  EXPECT_EQ(C.SEA->TotalWrite.sizeExact(), Ref.SEA->TotalWrite.sizeExact());
+  expectMatchesReference(AU, C, computeReference(P));
 }
 
 } // namespace

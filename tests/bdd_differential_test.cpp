@@ -7,7 +7,9 @@
 //
 // Differential harness for the BDD package: every random formula is built
 // twice — in a manager and as an explicit truth table — and the two must
-// agree on every assignment and on the number of satisfying assignments.
+// agree on every assignment, on the number of satisfying assignments
+// (over all variables and over a superset of the support), and on the
+// support; the shape must add up to the node count.
 // The manager's pools are small, so growth and collection run mid-stream.
 //
 // The generator is seeded (SplitMix64), so failures reproduce exactly.
@@ -20,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 #include <vector>
 
 using namespace jedd;
@@ -38,6 +42,7 @@ class DifferentialHarness {
 public:
   DifferentialHarness(unsigned NumVars, uint64_t Seed)
       : V(NumVars), N(size_t(1) << NumVars), Rng(Seed),
+        SubsetRng(~Seed),
         // Small pools so growth and GC trigger mid-run.
         Mgr(NumVars, 1 << 10, 1 << 12) {
     // Seed the pool with all literals and the constants.
@@ -155,6 +160,9 @@ private:
   unsigned V;
   size_t N;
   SplitMix64 Rng;
+  /// Draws the counting supersets; separate from Rng so the operation
+  /// stream does not depend on the checks.
+  SplitMix64 SubsetRng;
   Manager Mgr;
   std::vector<TrackedFun> Pool;
   size_t Cases = 0;
@@ -251,10 +259,38 @@ private:
           << "disagrees with truth table, case " << Cases << " assignment "
           << I;
     }
-    ASSERT_EQ(Mgr.satCount(R.Fn),
-              static_cast<double>(
-                  std::count(R.Table.begin(), R.Table.end(), true)))
+    const size_t Count = std::count(R.Table.begin(), R.Table.end(), true);
+    ASSERT_EQ(Mgr.satCount(R.Fn), static_cast<double>(Count))
         << "satCount mismatch, case " << Cases;
+    ASSERT_EQ(Mgr.satCountExact(R.Fn).toString(), std::to_string(Count))
+        << "satCountExact mismatch, case " << Cases;
+
+    std::vector<size_t> Shape = Mgr.levelShape(R.Fn);
+    ASSERT_EQ(std::accumulate(Shape.begin(), Shape.end(), size_t(0)),
+              Mgr.nodeCount(R.Fn))
+        << "shape does not add up to the node count, case " << Cases;
+
+    // The truth table depends on Var iff flipping Var changes some entry.
+    std::vector<unsigned> Support, Superset;
+    for (unsigned Var = 0; Var != V; ++Var) {
+      bool Depends = false;
+      for (size_t I = 0; I != N && !Depends; ++I)
+        Depends = R.Table[I] != R.Table[I ^ (size_t(1) << Var)];
+      if (Depends)
+        Support.push_back(Var);
+      if (Depends || SubsetRng.nextChance(1, 2))
+        Superset.push_back(Var);
+    }
+    ASSERT_EQ(Mgr.support(R.Fn), Support) << "support mismatch, case "
+                                          << Cases;
+
+    // Each excluded variable is a don't-care, so it halves the count.
+    const size_t SubCount = Count >> (V - Superset.size());
+    ASSERT_EQ(Mgr.satCountExact(R.Fn, Superset).toString(),
+              std::to_string(SubCount))
+        << "count over a superset of the support, case " << Cases;
+    ASSERT_EQ(Mgr.satCount(R.Fn, Superset), static_cast<double>(SubCount))
+        << "count over a superset of the support, case " << Cases;
   }
 };
 

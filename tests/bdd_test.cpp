@@ -577,6 +577,47 @@ TEST(BddSatCountExact, SaturatesBeyond128Bits) {
   EXPECT_EQ(N.Lo, 0u);
 }
 
+// The count's memo is indexed through the walk's stamps: growing the
+// pool and recycling slots between two counts of one BDD must not let a
+// stale stamp or memo entry leak into the second count.
+TEST(BddSatCountExact, CountsStayExactAcrossPoolGrowthAndGc) {
+  const unsigned V = 24;
+  Manager M(V, 1 << 10, 1 << 12);
+  std::vector<unsigned> Vars(V);
+  for (unsigned I = 0; I != V; ++I)
+    Vars[I] = I;
+  SplitMix64 Rng(7);
+  // Rows of one word: bit I is the value of variable I.
+  auto Build = [&](size_t NumRows) {
+    std::set<uint64_t> Rows;
+    while (Rows.size() != NumRows)
+      Rows.insert(Rng.nextBelow(uint64_t(1) << V));
+    return M.minterms(Vars, NumRows, {Rows.begin(), Rows.end()});
+  };
+  const std::vector<unsigned> Low12(Vars.begin(), Vars.begin() + 12);
+
+  Bdd F = Build(40);
+  ASSERT_EQ(M.satCountExact(F).toString(), "40");
+  const size_t Capacity = M.stats().Capacity;
+  {
+    Bdd Big = Build(2000);
+    ASSERT_GT(M.stats().Capacity, Capacity);
+    EXPECT_EQ(M.satCountExact(Big).toString(), "2000");
+    EXPECT_EQ(M.satCountExact(F).toString(), "40");
+  }
+  M.gc();
+  Bdd G = Build(700); // Lands in the slots the collection freed.
+  EXPECT_EQ(M.satCountExact(F).toString(), "40");
+  EXPECT_EQ(M.satCountExact(G).toString(), "700");
+  EXPECT_EQ(M.satCount(F, Vars), 40.0);
+  // Over the low 12 variables, the top 12 are quantified away.
+  Bdd Top12 = M.cube({Vars.begin() + 12, Vars.end()});
+  Bdd LowG = M.exists(G, Top12);
+  EXPECT_EQ(M.satCountExact(LowG, Low12).toDouble() * 4096,
+            M.satCount(LowG));
+  EXPECT_EQ(M.checkInvariants(), "");
+}
+
 //===----------------------------------------------------------------------===//
 // Minterm sets built bottom-up
 //===----------------------------------------------------------------------===//

@@ -239,6 +239,30 @@ TEST(IoRelation, RoundTripSameUniverse) {
   }
 }
 
+// Five 40-bit physical domains (200 variables): inspect must count the
+// relation over its schema's variables, as Relation::sizeExact does.
+TEST(IoRelation, InspectCountsOnlyTheSchemaVariables) {
+  Decl D;
+  D.Doms.push_back({"Wide", uint64_t(1) << 40});
+  D.Attrs = {{"a", 0}};
+  for (int I = 0; I != 5; ++I)
+    D.PhysDoms.push_back({"W" + std::to_string(I), 40});
+  Universe U;
+  declare(U, D);
+  ASSERT_EQ(U.manager().numVars(), 200u);
+  Relation R = U.empty({{0, 2}});
+  R.insertAll({0, 12345, (uint64_t(1) << 40) - 1});
+
+  std::string Image;
+  io::Error E = io::saveRelation(R, Image);
+  ASSERT_TRUE(E.ok()) << E.toString();
+  io::InspectInfo Info;
+  E = io::inspectImage(Image, Info);
+  ASSERT_TRUE(E.ok()) << E.toString();
+  ASSERT_EQ(Info.Relations.size(), 1u);
+  EXPECT_EQ(Info.Relations[0].Tuples, "3");
+}
+
 TEST(IoRelation, RoundTripFreshUniverseIsByteStable) {
   for (uint64_t Seed = 20; Seed <= 25; ++Seed) {
     SplitMix64 Rng(Seed);

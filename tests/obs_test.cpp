@@ -291,4 +291,28 @@ TEST_F(ObsTest, ClearDropsSpansAndAggregates) {
   EXPECT_TRUE(Doc.get("spans")->Obj.empty());
 }
 
+TEST_F(ObsTest, ClearFreesTheTraceBuffer) {
+  obs::Tracer &T = obs::Tracer::instance();
+  T.setLevel(obs::Level::Trace);
+  auto Record = [&](const char *Name) {
+    obs::SpanEvent E;
+    E.Name = Name;
+    E.Category = obs::Cat::Io;
+    T.record(std::move(E));
+  };
+  // More than one 256-span chunk, then a clear that frees them all: the
+  // next spans must land in freshly allocated chunks, and spans() must
+  // return exactly them.
+  for (int I = 0; I != 600; ++I)
+    Record("old");
+  ASSERT_EQ(T.spanCount(), 600u);
+  T.clear();
+  for (const char *Name : {"first", "second", "third"})
+    Record(Name);
+  std::vector<std::string> Names;
+  for (const obs::SpanEvent *E : T.spans())
+    Names.push_back(E->Name);
+  EXPECT_EQ(Names, (std::vector<std::string>{"first", "second", "third"}));
+}
+
 } // namespace

@@ -442,8 +442,8 @@ TEST(SizeExact, WideUniverseCounts) {
   EXPECT_EQ(AF.Lo, ~uint64_t(0) - 2);
   EXPECT_EQ(AF.toString(), "73786976294838206461");
 
-  // Unused physical domains stay wildcards in the BDD; sizeExact must
-  // divide them out exactly, like size() does approximately.
+  // Unused physical domains stay wildcards in the BDD; both counts
+  // leave them out.
   Relation Two = U.empty({{A, Q0}});
   Two.insert({5});
   Two.insert({17});
@@ -452,6 +452,27 @@ TEST(SizeExact, WideUniverseCounts) {
   EXPECT_EQ(TwoC.Hi, 0u);
   EXPECT_EQ(TwoC.Lo, 2u);
   EXPECT_DOUBLE_EQ(Two.size(), 2.0);
+}
+
+// Five 40-bit physical domains make 200 variables. Over all of them a
+// 3-tuple relation on one domain counts 3 * 2^160 assignments, which
+// saturates 128 bits before the 160 wildcard bits could be divided out;
+// only a count over the schema's own variables gets 3.
+TEST(SizeExact, CountsOnlyTheSchemaVariables) {
+  Universe U;
+  DomainId Wide = U.addDomain("Wide", uint64_t(1) << 40);
+  AttributeId A = U.addAttribute("a", Wide);
+  std::vector<PhysDomId> Phys;
+  for (int I = 0; I != 5; ++I)
+    Phys.push_back(U.addPhysicalDomain("W" + std::to_string(I), 40));
+  U.finalize();
+  ASSERT_EQ(U.manager().numVars(), 200u);
+
+  Relation R = U.empty({{A, Phys[2]}});
+  R.insertAll({0, 12345, (uint64_t(1) << 40) - 1});
+  EXPECT_EQ(R.size(), 3.0);
+  EXPECT_EQ(R.sizeExact().toString(), "3");
+  EXPECT_EQ(U.manager().satCountExact(R.body()).toString(), ">=2^128");
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,8 +13,10 @@
 /// benchmark. The host program plays the role the paper's surrounding
 /// Java plays: loading facts into the global relations, alternating the
 /// points-to / call-graph modules to the on-the-fly fixpoint, and
-/// extracting results. Finally the numbers are cross-checked against the
-/// independent set-based reference implementation.
+/// extracting results. Finally points-to, the call graph, reachability
+/// and the transitive side effects are checked tuple for tuple against
+/// the independent set-based reference implementation; any difference
+/// names the first differing tuple and exits 1.
 ///
 /// Usage: jedd_analyses [benchmark]   (default: javac_s)
 ///
@@ -26,6 +28,7 @@
 #include "soot/Generator.h"
 #include "util/File.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 
@@ -35,6 +38,29 @@ using soot::Id;
 using soot::NoId;
 
 namespace {
+
+using TupleList = std::vector<std::vector<uint64_t>>;
+
+/// True if \p Got (the Jedd version's \p Name tuples) equals the
+/// reference's \p Want. Otherwise names the first tuple that is in one
+/// but not the other.
+bool sameTuples(const char *Name, TupleList Got, TupleList Want) {
+  std::sort(Got.begin(), Got.end());
+  std::sort(Want.begin(), Want.end());
+  auto [G, W] =
+      std::mismatch(Got.begin(), Got.end(), Want.begin(), Want.end());
+  if (G == Got.end() && W == Want.end())
+    return true;
+  bool Extra = W == Want.end() || (G != Got.end() && *G < *W);
+  std::string Tuple;
+  for (uint64_t Value : Extra ? *G : *W)
+    Tuple += (Tuple.empty() ? "" : ", ") + std::to_string(Value);
+  std::fprintf(stderr, "error: %s: the Jedd version %s (%s), which the "
+               "reference %s\n",
+               Name, Extra ? "has" : "misses", Tuple.c_str(),
+               Extra ? "lacks" : "has");
+  return false;
+}
 
 std::string readModule(const std::string &Name) {
   std::string Text;
@@ -192,21 +218,34 @@ int main(int argc, char **argv) {
               Interp.getGlobal("totalWrite").size(),
               Interp.getGlobal("totalRead").size());
 
-  // 6. Cross-check against the independent reference implementation.
+  // 6. Check against the independent reference implementation.
   analysis::ReferenceResults Ref = analysis::computeReference(P);
-  size_t RefPt = 0;
-  for (auto &Sites : Ref.PointsTo)
-    RefPt += Sites.size();
-  size_t RefCg = 0;
-  for (auto &Targets : Ref.CallGraph)
-    RefCg += Targets.size();
-  bool Match = Interp.getGlobal("pt").size() == double(RefPt) &&
-               SeenEdges.size() == RefCg &&
-               Reachable == Ref.ReachableMethods &&
-               Interp.getGlobal("totalWrite").size() ==
-                   double(Ref.TotalWrite.size());
-  std::printf("reference check:   pt=%zu cg=%zu writes=%zu -> %s\n", RefPt,
-              RefCg, Ref.TotalWrite.size(),
+  TupleList RefPt, RefCg, RefWrite, RefRead;
+  for (size_t Var = 0; Var != Ref.PointsTo.size(); ++Var)
+    for (Id Site : Ref.PointsTo[Var])
+      RefPt.push_back({Var, Site});
+  for (size_t Call = 0; Call != Ref.CallGraph.size(); ++Call)
+    for (Id Callee : Ref.CallGraph[Call])
+      RefCg.push_back({Call, Callee});
+  for (auto [Method, Site, Field] : Ref.TotalWrite)
+    RefWrite.push_back({Method, Site, Field});
+  for (auto [Method, Site, Field] : Ref.TotalRead)
+    RefRead.push_back({Method, Site, Field});
+  // Every check runs, so each difference is reported.
+  bool Match = sameTuples("pt", Interp.getGlobal("pt").tuples(), RefPt);
+  Match &= sameTuples("cg", Interp.getGlobal("cg").tuples(), RefCg);
+  Match &= sameTuples("totalWrite", Interp.getGlobal("totalWrite").tuples(),
+                      RefWrite);
+  Match &= sameTuples("totalRead", Interp.getGlobal("totalRead").tuples(),
+                      RefRead);
+  if (Reachable != Ref.ReachableMethods) {
+    std::fprintf(stderr, "error: the reachable methods differ from the "
+                         "reference's\n");
+    Match = false;
+  }
+  std::printf("reference check:   pt=%zu cg=%zu writes=%zu reads=%zu "
+              "-> %s\n",
+              RefPt.size(), RefCg.size(), RefWrite.size(), RefRead.size(),
               Match ? "MATCH" : "MISMATCH");
   return Match ? 0 : 1;
 }

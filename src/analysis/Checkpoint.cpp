@@ -16,16 +16,6 @@ using namespace jedd::analysis;
 using io::NamedRelation;
 using rel::Relation;
 
-namespace {
-
-// Stage names double as checkpoint file basenames.
-const char *StageHierarchy = "hierarchy";
-const char *StageVcr = "vcr";
-const char *StageCallGraph = "callgraph";
-const char *StageSideEffects = "sideeffects";
-
-} // namespace
-
 CheckpointedAnalysis::CheckpointedAnalysis(AnalysisUniverse &AU,
                                            std::string Dir)
     : AU(AU), Dir(std::move(Dir)) {}
@@ -38,7 +28,7 @@ std::string CheckpointedAnalysis::stagePath(const std::string &Stage) const {
   return Dir + "/" + Stage + ".jdd";
 }
 
-bool CheckpointedAnalysis::tryLoad(const std::string &Stage, uint64_t Hash,
+bool CheckpointedAnalysis::tryLoad(const std::string &Stage,
                                    const std::vector<std::string> &Expected,
                                    std::vector<NamedRelation> &Out,
                                    std::string &Note) {
@@ -57,182 +47,133 @@ bool CheckpointedAnalysis::tryLoad(const std::string &Stage, uint64_t Hash,
     Note = "facts changed since the checkpoint was written";
     return false;
   }
-  if (Out.size() != Expected.size()) {
+  bool SameNames = Out.size() == Expected.size();
+  for (size_t I = 0; SameNames && I != Expected.size(); ++I)
+    SameNames = Out[I].Name == Expected[I];
+  if (!SameNames)
     Note = "checkpoint holds a different relation set";
-    return false;
-  }
-  for (size_t I = 0; I != Expected.size(); ++I)
-    if (Out[I].Name != Expected[I]) {
-      Note = "checkpoint holds a different relation set";
-      return false;
-    }
-  return true;
+  return SameNames;
 }
 
-bool CheckpointedAnalysis::saveStage(const std::string &Stage, uint64_t Hash,
-                                     const std::vector<NamedRelation> &Rels,
-                                     std::string &Note) {
-  io::Error E = io::saveCheckpointFile(AU.U, Rels, stagePath(Stage), Hash);
-  if (!E.ok()) {
-    Note = "checkpoint not written: " + E.toString();
-    return false;
+void CheckpointedAnalysis::runStage(
+    const char *Name, const std::vector<std::string> &Names,
+    const std::function<void(std::vector<NamedRelation> &)> &Warm,
+    const std::function<void()> &Compute,
+    const std::function<std::vector<Relation>()> &Save) {
+  const bool Persist = !Dir.empty();
+  StageStatus St{Name, false, false, false, ""};
+  // Each completed stage checkpoints immediately, so when a later stage
+  // trips a resource ceiling the run is resumable: record which stage
+  // was interrupted, let the exception out, and a rerun warm-starts past
+  // everything that finished.
+  try {
+    std::vector<NamedRelation> Loaded;
+    if (Persist && PrefixWarm && tryLoad(Name, Names, Loaded, St.Note)) {
+      Warm(Loaded);
+      St.WarmStarted = true;
+    } else {
+      PrefixWarm = false;
+      Compute();
+      if (Persist) {
+        std::vector<Relation> Rels = Save();
+        std::vector<NamedRelation> Named;
+        for (size_t I = 0; I != Names.size(); ++I)
+          Named.push_back({Names[I], std::move(Rels[I])});
+        io::Error E =
+            io::saveCheckpointFile(AU.U, Named, stagePath(Name), Hash);
+        // A run never fails because a checkpoint cannot be written.
+        St.Saved = E.ok();
+        if (!E.ok())
+          St.Note = "checkpoint not written: " + E.toString();
+      }
+    }
+  } catch (const ResourceExhausted &E) {
+    Stages.push_back({Name, false, false, /*Aborted=*/true,
+                      std::string("aborted: ") + E.what()});
+    throw;
   }
-  return true;
+  Stages.push_back(std::move(St));
 }
 
 void CheckpointedAnalysis::run() {
   Stages.clear();
-  const bool Persist = !Dir.empty();
-  const uint64_t Hash = Persist ? factsHash() : 0;
-  if (Persist)
+  Hash = Dir.empty() ? 0 : factsHash();
+  if (!Dir.empty())
     ensureDirectory(Dir);
-
   // Once one stage misses its checkpoint, every later stage must be
   // recomputed too: stage results feed forward, and a later checkpoint
   // may describe inputs that no longer match what was just recomputed.
   // (The facts hash alone cannot see this within one run, since a
   // recompute over unchanged facts is only reached when the earlier
   // checkpoint was missing or unreadable.)
-  bool PrefixWarm = true;
+  PrefixWarm = true;
 
-  // Each completed stage checkpoints immediately, so when a later stage
-  // trips a resource ceiling the run is resumable: record which stage
-  // was interrupted, let the exception out, and a rerun warm-starts past
-  // everything that finished.
-  const char *Current = StageHierarchy;
-  try {
-    runStages(Persist, Hash, PrefixWarm, Current);
-  } catch (const ResourceExhausted &E) {
-    StageStatus St{Current, false, false, /*Aborted=*/true,
-                   std::string("aborted: ") + E.what()};
-    Stages.push_back(std::move(St));
-    throw;
-  }
-}
+  // Stage names double as checkpoint file basenames.
+  runStage(
+      "hierarchy", {"extend", "subtype"},
+      [&](std::vector<NamedRelation> &L) {
+        H = std::make_unique<Hierarchy>(std::move(L[0].Rel),
+                                        std::move(L[1].Rel));
+      },
+      [&] { H = std::make_unique<Hierarchy>(AU); },
+      [&] { return std::vector<Relation>{H->Extend, H->Subtype}; });
 
-void CheckpointedAnalysis::runStages(bool Persist, uint64_t Hash,
-                                     bool PrefixWarm, const char *&Current) {
-  // --- hierarchy -------------------------------------------------------
-  {
-    StageStatus St{StageHierarchy, false, false, false, ""};
-    std::vector<NamedRelation> Loaded;
-    if (Persist && PrefixWarm &&
-        tryLoad(StageHierarchy, Hash, {"extend", "subtype"}, Loaded,
-                St.Note)) {
-      H = std::make_unique<Hierarchy>(std::move(Loaded[0].Rel),
-                                      std::move(Loaded[1].Rel));
-      St.WarmStarted = true;
-    } else {
-      PrefixWarm = false;
-      H = std::make_unique<Hierarchy>(AU);
-      if (Persist)
-        St.Saved = saveStage(StageHierarchy, Hash,
-                             {{"extend", H->Extend}, {"subtype", H->Subtype}},
-                             St.Note);
-    }
-    Stages.push_back(std::move(St));
-  }
+  runStage(
+      "vcr", {"declares_method"},
+      [&](std::vector<NamedRelation> &L) {
+        VCR = std::make_unique<VirtualCallResolver>(AU, *H,
+                                                    std::move(L[0].Rel));
+      },
+      [&] { VCR = std::make_unique<VirtualCallResolver>(AU, *H); },
+      [&] { return std::vector<Relation>{VCR->DeclaresMethod}; });
 
-  // --- virtual call resolution ----------------------------------------
-  {
-    Current = StageVcr;
-    StageStatus St{StageVcr, false, false, false, ""};
-    std::vector<NamedRelation> Loaded;
-    if (Persist && PrefixWarm &&
-        tryLoad(StageVcr, Hash, {"declares_method"}, Loaded, St.Note)) {
-      VCR = std::make_unique<VirtualCallResolver>(AU, *H,
-                                                  std::move(Loaded[0].Rel));
-      St.WarmStarted = true;
-    } else {
-      PrefixWarm = false;
-      VCR = std::make_unique<VirtualCallResolver>(AU, *H);
-      if (Persist)
-        St.Saved = saveStage(StageVcr, Hash,
-                             {{"declares_method", VCR->DeclaresMethod}},
-                             St.Note);
-    }
-    Stages.push_back(std::move(St));
-  }
-
-  // --- points-to + call graph (joint fixpoint) ------------------------
-  {
-    Current = StageCallGraph;
-    StageStatus St{StageCallGraph, false, false, false, ""};
-    const std::vector<std::string> Names = {
-        "pt",        "field_pt",      "alloc",     "assign",
-        "load",      "store",         "site_type", "call_recv_sig",
-        "caller_of", "cg",            "reachable"};
-    std::vector<NamedRelation> Loaded;
-    if (Persist && PrefixWarm &&
-        tryLoad(StageCallGraph, Hash, Names, Loaded, St.Note)) {
-      PTA = std::make_unique<PointsToAnalysis>(
-          AU, std::move(Loaded[0].Rel), std::move(Loaded[1].Rel),
-          std::move(Loaded[2].Rel), std::move(Loaded[3].Rel),
-          std::move(Loaded[4].Rel), std::move(Loaded[5].Rel));
-      std::set<soot::Id> Reachable;
-      for (uint64_t Method : Loaded[10].Rel.values())
-        Reachable.insert(static_cast<soot::Id>(Method));
-      CGB = std::make_unique<CallGraphBuilder>(
-          AU, *H, *VCR, *PTA, std::move(Loaded[6].Rel),
-          std::move(Loaded[7].Rel), std::move(Loaded[8].Rel),
-          std::move(Loaded[9].Rel), std::move(Reachable));
-      St.WarmStarted = true;
-    } else {
-      PrefixWarm = false;
-      PTA = std::make_unique<PointsToAnalysis>(AU);
-      CGB = std::make_unique<CallGraphBuilder>(AU, *H, *VCR, *PTA);
-      CGB->run();
-      if (Persist) {
-        Relation ReachableRel = AU.U.empty({{AU.Mth, AU.M1}});
+  // Points-to and call graph: one joint fixpoint, one stage.
+  runStage(
+      "callgraph",
+      {"pt", "field_pt", "alloc", "assign", "load", "store", "site_type",
+       "call_recv_sig", "caller_of", "cg", "reachable"},
+      [&](std::vector<NamedRelation> &L) {
+        PTA = std::make_unique<PointsToAnalysis>(
+            AU, std::move(L[0].Rel), std::move(L[1].Rel), std::move(L[2].Rel),
+            std::move(L[3].Rel), std::move(L[4].Rel), std::move(L[5].Rel));
+        std::set<soot::Id> Reachable;
+        for (uint64_t Method : L[10].Rel.values())
+          Reachable.insert(static_cast<soot::Id>(Method));
+        CGB = std::make_unique<CallGraphBuilder>(
+            AU, *H, *VCR, *PTA, std::move(L[6].Rel), std::move(L[7].Rel),
+            std::move(L[8].Rel), std::move(L[9].Rel), std::move(Reachable));
+      },
+      [&] {
+        PTA = std::make_unique<PointsToAnalysis>(AU);
+        CGB = std::make_unique<CallGraphBuilder>(AU, *H, *VCR, *PTA);
+        CGB->run();
+      },
+      [&] {
+        Relation Reachable = AU.U.empty({{AU.Mth, AU.M1}});
         const std::set<soot::Id> &Methods = CGB->reachableMethods();
-        ReachableRel.insertAll(
+        Reachable.insertAll(
             std::vector<uint64_t>(Methods.begin(), Methods.end()));
-        St.Saved = saveStage(
-            StageCallGraph, Hash,
-            {{"pt", PTA->Pt},
-             {"field_pt", PTA->FieldPt},
-             {"alloc", PTA->AllocR},
-             {"assign", PTA->AssignR},
-             {"load", PTA->LoadR},
-             {"store", PTA->StoreR},
-             {"site_type", CGB->SiteType},
-             {"call_recv_sig", CGB->CallRecvSig},
-             {"caller_of", CGB->CallerOf},
-             {"cg", CGB->Cg},
-             {"reachable", ReachableRel}},
-            St.Note);
-      }
-    }
-    Stages.push_back(std::move(St));
-  }
+        return std::vector<Relation>{PTA->Pt,          PTA->FieldPt,
+                                     PTA->AllocR,      PTA->AssignR,
+                                     PTA->LoadR,       PTA->StoreR,
+                                     CGB->SiteType,    CGB->CallRecvSig,
+                                     CGB->CallerOf,    CGB->Cg,
+                                     Reachable};
+      });
 
-  // --- side effects ----------------------------------------------------
-  {
-    Current = StageSideEffects;
-    StageStatus St{StageSideEffects, false, false, false, ""};
-    const std::vector<std::string> Names = {
-        "var_method", "direct_read", "direct_write", "total_read",
-        "total_write"};
-    std::vector<NamedRelation> Loaded;
-    if (Persist && PrefixWarm &&
-        tryLoad(StageSideEffects, Hash, Names, Loaded, St.Note)) {
-      SEA = std::make_unique<SideEffectAnalysis>(
-          std::move(Loaded[0].Rel), std::move(Loaded[1].Rel),
-          std::move(Loaded[2].Rel), std::move(Loaded[3].Rel),
-          std::move(Loaded[4].Rel));
-      St.WarmStarted = true;
-    } else {
-      PrefixWarm = false;
-      SEA = std::make_unique<SideEffectAnalysis>(AU, *PTA, *CGB);
-      if (Persist)
-        St.Saved = saveStage(StageSideEffects, Hash,
-                             {{"var_method", SEA->VarMethod},
-                              {"direct_read", SEA->DirectRead},
-                              {"direct_write", SEA->DirectWrite},
-                              {"total_read", SEA->TotalRead},
-                              {"total_write", SEA->TotalWrite}},
-                             St.Note);
-    }
-    Stages.push_back(std::move(St));
-  }
+  runStage(
+      "sideeffects",
+      {"var_method", "direct_read", "direct_write", "total_read",
+       "total_write"},
+      [&](std::vector<NamedRelation> &L) {
+        SEA = std::make_unique<SideEffectAnalysis>(
+            std::move(L[0].Rel), std::move(L[1].Rel), std::move(L[2].Rel),
+            std::move(L[3].Rel), std::move(L[4].Rel));
+      },
+      [&] { SEA = std::make_unique<SideEffectAnalysis>(AU, *PTA, *CGB); },
+      [&] {
+        return std::vector<Relation>{SEA->VarMethod, SEA->DirectRead,
+                                     SEA->DirectWrite, SEA->TotalRead,
+                                     SEA->TotalWrite};
+      });
 }

@@ -28,6 +28,7 @@
 #include "analysis/Analyses.h"
 #include "io/Io.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,25 +82,30 @@ public:
 private:
   std::string Dir;
   std::vector<StageStatus> Stages;
+  uint64_t Hash = 0;      ///< factsHash() when persisting, else 0.
+  bool PrefixWarm = true; ///< Every stage so far warm-started.
 
-  /// The stage blocks of run(); \p Current tracks the stage in progress
-  /// so the ResourceExhausted handler can attribute an abort.
-  void runStages(bool Persist, uint64_t Hash, bool PrefixWarm,
-                 const char *&Current);
+  /// Runs one stage and records its StageStatus. When every earlier
+  /// stage warm-started and DIR/\p Name.jdd is current and holds exactly
+  /// \p Names in order, \p Warm rebuilds the stage from the loaded
+  /// relations; otherwise \p Compute runs and, when persisting, the
+  /// relations \p Save returns (in the order of \p Names) are written
+  /// back. A ResourceExhausted is recorded as this stage's abort and
+  /// rethrown.
+  void runStage(const char *Name, const std::vector<std::string> &Names,
+                const std::function<void(std::vector<io::NamedRelation> &)>
+                    &Warm,
+                const std::function<void()> &Compute,
+                const std::function<std::vector<rel::Relation>()> &Save);
 
   std::string stagePath(const std::string &Stage) const;
   /// Loads one stage's checkpoint, checking the context hash and that
   /// the image carries exactly the expected relation names in order.
   /// Returns false (with the reason in \p Note) when the stage must be
   /// computed instead.
-  bool tryLoad(const std::string &Stage, uint64_t Hash,
+  bool tryLoad(const std::string &Stage,
                const std::vector<std::string> &Expected,
                std::vector<io::NamedRelation> &Out, std::string &Note);
-  /// Saves one stage's checkpoint; failures are recorded in the stage
-  /// note (a run never fails because a checkpoint cannot be written).
-  bool saveStage(const std::string &Stage, uint64_t Hash,
-                 const std::vector<io::NamedRelation> &Relations,
-                 std::string &Note);
 };
 
 } // namespace analysis

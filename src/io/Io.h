@@ -1,4 +1,4 @@
-//===- Io.h - Versioned persistence for BDDs and relations ------*- C++ -*-===//
+//===- Io.h - Versioned checkpoints of relations ---------------*- C++ -*-===//
 //
 // Part of jeddpp, a C++ reproduction of the PLDI 2004 paper
 // "Jedd: A BDD-based Relational Extension of Java".
@@ -6,22 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent relation store (docs/persistence.md). Images use the
-/// versioned JDD1 binary format: a magic, then CRC32-protected sections
-/// carrying bit-order/domain metadata, a topologically ordered shared-node
-/// DAG with varint node refs, and the relation roots. Three layers save
-/// and load:
-///
-///  * raw BDDs against a bdd::Manager (saveBdd / loadBdd);
-///  * typed relations against a rel::Universe (saveRelation /
-///    loadRelation) — attributes and physical domains are matched by name
-///    and validated on load, and the node rebuild re-encodes the function
-///    into the loading manager's variable order, so images survive
-///    order-spec changes (bdd/DomainPack.h) between save and load;
-///  * whole-universe checkpoints (saveCheckpoint / loadCheckpoint):
-///    a named set of relations sharing one node DAG, tagged with a
-///    caller-supplied context hash for staleness detection — the unit the
-///    analysis warm-start pipeline (analysis/Checkpoint.h) persists.
+/// The persistent relation store (docs/persistence.md). Its one image
+/// kind is the checkpoint: a named set of relations of one rel::Universe
+/// sharing a single node DAG, tagged with a caller-supplied context hash
+/// for staleness detection — the unit the analysis warm-start pipeline
+/// (analysis/Checkpoint.h) and `jeddc --emit-relations` persist. Images
+/// use the versioned JDD1 binary format: a magic, then CRC32-protected
+/// sections carrying domain and physical-domain metadata, a
+/// topologically ordered shared-node DAG with varint node refs, and the
+/// relation roots. On load, attributes and physical domains are matched
+/// by name and validated, and the node rebuild re-encodes every function
+/// into the loading manager's variable order, so images survive
+/// order-spec changes (bdd/DomainPack.h) between save and load.
 ///
 /// Loading is safe against hostile input: every malformed header,
 /// truncated section, bad checksum, dangling node ref, or domain mismatch
@@ -29,7 +25,7 @@
 /// process or reads out of bounds (tests/io_fuzz_test.cpp enforces this
 /// under ASan/TSan).
 ///
-/// Saves are deterministic: the same relation saved twice produces
+/// Saves are deterministic: the same relations saved twice produce
 /// byte-identical images (the golden-fixture test pins the v1 format).
 ///
 //===----------------------------------------------------------------------===//
@@ -55,7 +51,7 @@ enum class ErrorCode {
   ApiMisuse,       ///< Inconsistent arguments on the save side.
   BadMagic,        ///< Image does not start with "JDD1".
   BadVersion,      ///< Unsupported format version.
-  BadKind,         ///< Image kind does not match the load entry point.
+  BadKind,         ///< Image kind is not a checkpoint.
   Truncated,       ///< Bytes end inside a section or encoding.
   BadChecksum,     ///< Section payload does not match its CRC32.
   BadSection,      ///< Unknown, duplicated, missing or misordered section.
@@ -95,38 +91,6 @@ struct NamedRelation {
 /// hashes (e.g. a hash of the facts file an analysis consumed).
 uint64_t hashBytes(const std::string &Bytes);
 
-//===----------------------------------------------------------------------===//
-// Raw BDD layer
-//===----------------------------------------------------------------------===//
-
-/// Serializes \p F (owned by \p M) into \p Out as a bdd-kind image.
-Error saveBdd(bdd::Manager &M, const bdd::Bdd &F, std::string &Out);
-
-/// Loads a bdd-kind image into \p M. The image's variables are mapped
-/// one-to-one onto \p M's client variables, which must cover them; the
-/// function is rebuilt in \p M's variable order, so a manager that orders
-/// variables differently receives an equivalent, correctly re-encoded
-/// BDD.
-Error loadBdd(bdd::Manager &M, const std::string &Bytes, bdd::Bdd &Out);
-
-//===----------------------------------------------------------------------===//
-// Typed relation layer
-//===----------------------------------------------------------------------===//
-
-/// Serializes one relation (schema + domain metadata + body).
-Error saveRelation(const rel::Relation &R, std::string &Out);
-
-/// Loads a relation-kind image into \p U. Attributes, their domains, and
-/// the physical-domain assignment are matched by name and validated
-/// (sizes and widths must agree); the body is re-encoded variable by
-/// variable into \p U's layout, so images load across bit orders.
-Error loadRelation(rel::Universe &U, const std::string &Bytes,
-                   rel::Relation &Out);
-
-//===----------------------------------------------------------------------===//
-// Universe checkpoints
-//===----------------------------------------------------------------------===//
-
 /// Serializes a named set of relations of \p U into one image sharing a
 /// single node DAG. \p ContextHash is stored verbatim (use hashBytes over
 /// whatever inputs produced the relations; 0 when unused).
@@ -134,22 +98,21 @@ Error saveCheckpoint(rel::Universe &U,
                      const std::vector<NamedRelation> &Relations,
                      std::string &Out, uint64_t ContextHash = 0);
 
-/// Loads a checkpoint-kind image into \p U (same validation and
-/// re-encoding as loadRelation, applied per root). \p ContextHash, when
-/// non-null, receives the stored hash — callers compare it against the
-/// hash of their current inputs to decide whether the checkpoint is
-/// stale.
+/// Loads a checkpoint into \p U. Attributes, their domains, and the
+/// physical-domain assignment of every root are matched by name and
+/// validated (sizes and widths must agree); each body is re-encoded
+/// variable by variable into \p U's layout, so images load across
+/// orders. \p ContextHash, when non-null, receives the stored hash —
+/// callers compare it against the hash of their current inputs to decide
+/// whether the checkpoint is stale.
 Error loadCheckpoint(rel::Universe &U, const std::string &Bytes,
                      std::vector<NamedRelation> &Out,
                      uint64_t *ContextHash = nullptr);
 
-/// File conveniences over the byte-string entry points.
+/// saveCheckpoint, then writes the image to \p Path.
 Error saveCheckpointFile(rel::Universe &U,
                          const std::vector<NamedRelation> &Relations,
                          const std::string &Path, uint64_t ContextHash = 0);
-Error loadCheckpointFile(rel::Universe &U, const std::string &Path,
-                         std::vector<NamedRelation> &Out,
-                         uint64_t *ContextHash = nullptr);
 
 //===----------------------------------------------------------------------===//
 // Inspection (tools/jeddinspect)
@@ -157,24 +120,22 @@ Error loadCheckpointFile(rel::Universe &U, const std::string &Path,
 
 /// Per-relation statistics of an inspected image.
 struct InspectRelation {
-  std::string Name;             ///< "" for the root of a bdd-kind image.
-  std::string Schema;           ///< "src@V1, obj@O1" ("" for raw BDDs).
+  std::string Name;
+  std::string Schema;           ///< "src@V1, obj@O1".
   size_t Nodes = 0;             ///< Internal nodes after loading.
-  std::string Tuples;           ///< Exact tuple / satisfying count.
+  std::string Tuples;           ///< Exact tuple count.
 };
 
 /// Header, domain tables, and per-relation stats of one image. Filling
-/// the stats loads the image into a scratch manager/universe rebuilt
-/// from the embedded metadata, so a successful inspect also proves the
-/// image loads.
+/// the stats loads the image into a scratch universe rebuilt from the
+/// embedded metadata, so a successful inspect also proves the image
+/// loads.
 struct InspectInfo {
-  std::string Kind;             ///< "bdd", "relation" or "checkpoint".
   unsigned Version = 0;
   uint64_t ContextHash = 0;
   size_t TotalBytes = 0;
   size_t TotalNodes = 0;        ///< Nodes in the shared DAG section.
-  std::string Order;            ///< Saved layout as an order spec
-                                ///< ("" for bdd-kind images).
+  std::string Order;            ///< Saved layout as an order spec.
   size_t NumVars = 0;           ///< Saved manager's client variables.
   std::vector<std::string> Domains;   ///< "Var: 120 objects".
   std::vector<std::string> PhysDoms;  ///< "V1: 7 bits".

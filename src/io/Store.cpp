@@ -14,16 +14,17 @@
 //
 //   u8 Tag; varint Len; payload[Len]; u32le CRC32(payload)
 //
-// and the section order is: Header, then (relation/checkpoint kinds only)
-// Domains and Meta, then Nodes, Roots, End. Kind and version live inside
-// the Header *payload* so they are covered by its CRC. The Nodes payload
-// is the shared-node DAG in a deterministic topological order (children
-// strictly before parents; refs are 0 = false, 1 = true, otherwise
-// saved-index + 2), which is what makes saving deterministic and loading
-// a single bottom-up pass. Loading rebuilds every node with ite() in the
-// *target* manager's variable order, mapping saved variables onto target
-// variables through (physical domain name, bit index) — so images round
-// trip across order specs.
+// and the section order is: Header, Domains, Meta, Nodes, Roots, End.
+// Kind and version live inside the Header *payload* so they are covered
+// by its CRC. The one kind is the checkpoint (3): a named set of
+// relations sharing one node DAG; kinds 1 and 2 are rejected. The Nodes
+// payload is the shared-node DAG in a deterministic topological order
+// (children strictly before parents; refs are 0 = false, 1 = true,
+// otherwise saved-index + 2), which is what makes saving deterministic
+// and loading a single bottom-up pass. Loading rebuilds every node with
+// ite() in the *target* manager's variable order, mapping saved
+// variables onto target variables through (physical domain name, bit
+// index) — so images round trip across order specs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,9 +49,7 @@ namespace {
 constexpr char Magic[4] = {'J', 'D', 'D', '1'};
 constexpr uint8_t FormatVersion = 1;
 
-// Image kinds (Header payload).
-constexpr uint8_t KindBdd = 1;
-constexpr uint8_t KindRelation = 2;
+// The image kind (Header payload).
 constexpr uint8_t KindCheckpoint = 3;
 
 // Section tags.
@@ -86,18 +85,6 @@ const char *secName(uint8_t Tag) {
 
 Error err(ErrorCode Code, std::string Message) {
   return Error::make(Code, std::move(Message));
-}
-
-const char *kindName(uint8_t Kind) {
-  switch (Kind) {
-  case KindBdd:
-    return "bdd";
-  case KindRelation:
-    return "relation";
-  case KindCheckpoint:
-    return "checkpoint";
-  }
-  return "?";
 }
 
 //===----------------------------------------------------------------------===//
@@ -156,13 +143,11 @@ Error sectionFullyConsumed(const ByteReader &Payload, uint8_t Tag) {
 constexpr uint32_t NoIndex = 0xFFFFFFFFu;
 
 struct ParsedImage {
-  uint8_t Kind = 0;
   uint8_t Version = 0;
   uint64_t ContextHash = 0;
   uint32_t NumVars = 0;
   uint32_t NumRelations = 0;
 
-  // Relation/checkpoint metadata (empty for bdd-kind images).
   uint8_t OrderByte = 0; ///< 1 = one interleave group, else 0.
   struct Phys {
     std::string Name;
@@ -201,25 +186,21 @@ struct ParsedImage {
 };
 
 Error parseHeader(ByteReader &P, ParsedImage &Out) {
+  uint8_t Kind;
   uint64_t Vars, Relations;
-  if (!P.u8(Out.Kind) || !P.u8(Out.Version) || !P.u64le(Out.ContextHash) ||
+  if (!P.u8(Kind) || !P.u8(Out.Version) || !P.u64le(Out.ContextHash) ||
       !P.varint(Vars) || !P.varint(Relations))
     return err(ErrorCode::Truncated, "header section is truncated");
   if (Out.Version != FormatVersion)
     return err(ErrorCode::BadVersion,
                "unsupported format version " + std::to_string(Out.Version));
-  if (Out.Kind != KindBdd && Out.Kind != KindRelation &&
-      Out.Kind != KindCheckpoint)
+  if (Kind != KindCheckpoint)
     return err(ErrorCode::BadKind,
-               "unknown image kind " + std::to_string(Out.Kind));
+               "image kind " + std::to_string(Kind) + " is not a checkpoint");
   if (Vars > MaxVars)
     return err(ErrorCode::BadCount, "unreasonable variable count");
   if (Relations > MaxRelations)
     return err(ErrorCode::BadCount, "unreasonable relation count");
-  if (Out.Kind != KindCheckpoint && Relations != 1)
-    return err(ErrorCode::BadSection,
-               std::string(kindName(Out.Kind)) +
-                   " images must hold exactly one root");
   Out.NumVars = static_cast<uint32_t>(Vars);
   Out.NumRelations = static_cast<uint32_t>(Relations);
   return Error::success();
@@ -304,7 +285,7 @@ Error parseNodes(ByteReader &P, ParsedImage &Out) {
       return err(ErrorCode::BadVar,
                  "node " + std::to_string(I) + " has an out-of-range "
                                                "variable");
-    if (Out.Kind != KindBdd && Out.VarPhysBit[Var].first == NoIndex)
+    if (Out.VarPhysBit[Var].first == NoIndex)
       return err(ErrorCode::BadVar,
                  "node " + std::to_string(I) + " uses a variable no "
                                                "physical domain claims");
@@ -334,9 +315,6 @@ Error parseRoots(ByteReader &P, ParsedImage &Out) {
     uint64_t SchemaLen;
     if (!P.str(Root.Name) || !P.count(SchemaLen, 2))
       return err(ErrorCode::Truncated, "roots section is truncated");
-    if (Out.Kind == KindBdd && SchemaLen != 0)
-      return err(ErrorCode::BadSection,
-                 "bdd images must not carry a schema");
     Root.Schema.resize(static_cast<size_t>(SchemaLen));
     for (auto &Binding : Root.Schema) {
       uint64_t AttrIdx, PhysIdx;
@@ -375,47 +353,24 @@ Error parseImage(const std::string &Bytes, ParsedImage &Out) {
       std::char_traits<char>::compare(MagicBytes, Magic, sizeof(Magic)) != 0)
     return err(ErrorCode::BadMagic, "not a JDD1 image");
 
-  ByteReader Payload(nullptr, 0);
-  if (Error E = readSection(R, SecHeader, Payload); !E.ok())
-    return E;
-  if (Error E = parseHeader(Payload, Out); !E.ok())
-    return E;
-  if (Error E = sectionFullyConsumed(Payload, SecHeader); !E.ok())
-    return E;
-
-  if (Out.Kind != KindBdd) {
-    if (Error E = readSection(R, SecDomains, Payload); !E.ok())
+  using Parser = Error (*)(ByteReader &, ParsedImage &);
+  const std::pair<uint8_t, Parser> Sections[] = {
+      {SecHeader, parseHeader},
+      {SecDomains, parseDomains},
+      {SecMeta, parseMeta},
+      {SecNodes, parseNodes},
+      {SecRoots, parseRoots},
+      {SecEnd, [](ByteReader &, ParsedImage &) { return Error::success(); }},
+  };
+  for (auto [Tag, Parse] : Sections) {
+    ByteReader Payload(nullptr, 0);
+    if (Error E = readSection(R, Tag, Payload); !E.ok())
       return E;
-    if (Error E = parseDomains(Payload, Out); !E.ok())
+    if (Error E = Parse(Payload, Out); !E.ok())
       return E;
-    if (Error E = sectionFullyConsumed(Payload, SecDomains); !E.ok())
-      return E;
-    if (Error E = readSection(R, SecMeta, Payload); !E.ok())
-      return E;
-    if (Error E = parseMeta(Payload, Out); !E.ok())
-      return E;
-    if (Error E = sectionFullyConsumed(Payload, SecMeta); !E.ok())
+    if (Error E = sectionFullyConsumed(Payload, Tag); !E.ok())
       return E;
   }
-
-  if (Error E = readSection(R, SecNodes, Payload); !E.ok())
-    return E;
-  if (Error E = parseNodes(Payload, Out); !E.ok())
-    return E;
-  if (Error E = sectionFullyConsumed(Payload, SecNodes); !E.ok())
-    return E;
-
-  if (Error E = readSection(R, SecRoots, Payload); !E.ok())
-    return E;
-  if (Error E = parseRoots(Payload, Out); !E.ok())
-    return E;
-  if (Error E = sectionFullyConsumed(Payload, SecRoots); !E.ok())
-    return E;
-
-  if (Error E = readSection(R, SecEnd, Payload); !E.ok())
-    return E;
-  if (Error E = sectionFullyConsumed(Payload, SecEnd); !E.ok())
-    return E;
   if (!R.atEnd())
     return err(ErrorCode::BadSection, "trailing bytes after end section");
   return Error::success();
@@ -457,108 +412,18 @@ size_t writeNodeDag(bdd::Manager &M, const std::vector<const bdd::Bdd *> &Bodies
   return SavedIndex.size();
 }
 
-std::string headerPayload(uint8_t Kind, uint64_t ContextHash, size_t NumVars,
-                          size_t NumRelations) {
-  std::string Payload;
-  ByteWriter W(Payload);
-  W.u8(Kind);
-  W.u8(FormatVersion);
-  W.u64le(ContextHash);
-  W.varint(NumVars);
-  W.varint(NumRelations);
-  return Payload;
-}
-
-/// The save core shared by the relation and checkpoint kinds: the whole
-/// universe declaration plus the given named roots.
-Error saveImage(rel::Universe &U, const std::vector<NamedRelation> &Relations,
-                uint8_t Kind, uint64_t ContextHash, std::string &Out) {
-  obs::SpanGuard Span(obs::Cat::Io, "save");
-  if (!U.isFinalized())
-    return err(ErrorCode::ApiMisuse, "universe is not finalized");
-  for (const NamedRelation &NR : Relations)
-    if (!NR.Rel.isValid() || NR.Rel.universe() != &U)
-      return err(ErrorCode::ApiMisuse, "relation '" + NR.Name +
-                                           "' does not belong to the "
-                                           "universe being saved");
-  bdd::DomainPack &Pack = U.pack();
-  bdd::Manager &M = U.manager();
-
-  Out.clear();
-  Out.append(Magic, sizeof(Magic));
-  writeSection(Out, SecHeader,
-               headerPayload(Kind, ContextHash, M.numVars(),
-                             Relations.size()));
-
-  std::string Payload;
-  ByteWriter W(Payload);
-  // The v1 order byte: 1 for one interleave group over every domain, 0
-  // otherwise. Readers take the layout from the per-bit variables below.
-  W.u8(Pack.orderGroups().size() == 1 ? 1 : 0);
-  W.varint(U.numPhysDoms());
-  for (PhysDomId Phys = 0; Phys != U.numPhysDoms(); ++Phys) {
-    W.str(U.physName(Phys));
-    W.varint(Pack.bits(Phys));
-    for (unsigned Var : Pack.vars(Phys))
-      W.varint(Var);
-  }
-  writeSection(Out, SecDomains, Payload);
-
-  Payload.clear();
-  W.varint(U.numDomains());
-  for (rel::DomainId Dom = 0; Dom != U.numDomains(); ++Dom) {
-    W.str(U.domainName(Dom));
-    W.varint(U.domainSize(Dom));
-  }
-  W.varint(U.numAttributes());
-  for (rel::AttributeId Attr = 0; Attr != U.numAttributes(); ++Attr) {
-    W.str(U.attributeName(Attr));
-    W.varint(U.attributeDomain(Attr));
-  }
-  writeSection(Out, SecMeta, Payload);
-
-  std::vector<const bdd::Bdd *> Bodies;
-  for (const NamedRelation &NR : Relations)
-    Bodies.push_back(&NR.Rel.body());
-  Payload.clear();
-  std::unordered_map<bdd::NodeRef, uint32_t> SavedIndex;
-  size_t Nodes = writeNodeDag(M, Bodies, Payload, SavedIndex);
-  writeSection(Out, SecNodes, Payload);
-
-  Payload.clear();
-  for (const NamedRelation &NR : Relations) {
-    W.str(NR.Name);
-    W.varint(NR.Rel.schema().size());
-    for (const rel::AttrBinding &Binding : NR.Rel.schema()) {
-      W.varint(Binding.Attr);
-      W.varint(Binding.Phys);
-    }
-    bdd::NodeRef Ref = NR.Rel.body().ref();
-    W.varint(Ref <= bdd::TrueRef ? Ref : SavedIndex.at(Ref) + 2);
-  }
-  writeSection(Out, SecRoots, Payload);
-  writeSection(Out, SecEnd, "");
-
-  obs::Tracer::instance().counterAdd("io.bytes_written", Out.size());
-  obs::Tracer::instance().counterAdd("io.nodes_written", Nodes);
-  Span.arg("bytes", Out.size());
-  Span.arg("nodes", Nodes);
-  Span.arg("relations", Relations.size());
-  return Error::success();
-}
-
 //===----------------------------------------------------------------------===//
 // Load
 //===----------------------------------------------------------------------===//
 
 /// Rebuilds the saved DAG bottom-up in \p M, one ite() per saved node,
-/// with saved variables translated through \p VarMap (NoIndex = variable
-/// has no target — an error if any node uses it). Because the target
-/// levels play no role in the saved encoding, this is exactly the
-/// re-encoding step that makes images portable across variable orders.
+/// with saved variables translated through \p VarMap (NoIndex = the
+/// variable's physical domain has no match — an error if any node uses
+/// it). Because the target levels play no role in the saved encoding,
+/// this is exactly the re-encoding step that makes images portable
+/// across variable orders.
 Error rebuildNodes(bdd::Manager &M, const ParsedImage &P,
                    const std::vector<uint32_t> &VarMap,
-                   const std::function<std::string(uint32_t)> &VarContext,
                    std::vector<bdd::Bdd> &Built) {
   Built.clear();
   Built.reserve(P.Nodes.size());
@@ -572,7 +437,11 @@ Error rebuildNodes(bdd::Manager &M, const ParsedImage &P,
   for (const ParsedImage::Node &Node : P.Nodes) {
     uint32_t Target = VarMap[Node.Var];
     if (Target == NoIndex)
-      return err(ErrorCode::DomainMismatch, VarContext(Node.Var));
+      return err(ErrorCode::DomainMismatch,
+                 "physical domain '" +
+                     P.PhysDoms[P.VarPhysBit[Node.Var].first].Name +
+                     "' is missing from the loading universe or differs "
+                     "in width");
     bdd::Bdd Low = RefBdd(Node.Low), High = RefBdd(Node.High);
     Built.push_back(M.ite(M.var(Target), High, Low));
   }
@@ -654,49 +523,6 @@ Error resolveSchema(rel::Universe &U, const ParsedImage &P,
     }
     Out.push_back({Target, TargetPhys});
   }
-  return Error::success();
-}
-
-/// The load core shared by the relation and checkpoint kinds.
-Error loadImage(rel::Universe &U, const ParsedImage &P,
-                std::vector<NamedRelation> &Out) {
-  if (!U.isFinalized())
-    return err(ErrorCode::ApiMisuse, "universe is not finalized");
-  bdd::Manager &M = U.manager();
-
-  std::vector<uint32_t> VarMap, PhysTarget;
-  buildVarMap(U, P, VarMap, PhysTarget);
-
-  std::vector<bdd::Bdd> Built;
-  auto VarContext = [&](uint32_t Var) {
-    return "physical domain '" + P.PhysDoms[P.VarPhysBit[Var].first].Name +
-           "' is missing from the loading universe or differs in width";
-  };
-  if (Error E = rebuildNodes(M, P, VarMap, VarContext, Built); !E.ok())
-    return E;
-
-  Out.clear();
-  for (const ParsedImage::Root &Root : P.Roots) {
-    std::vector<rel::AttrBinding> Schema;
-    if (Error E = resolveSchema(U, P, Root, PhysTarget, Schema); !E.ok())
-      return E;
-    bdd::Bdd Body = Root.Ref == bdd::FalseRef ? M.falseBdd()
-                    : Root.Ref == bdd::TrueRef ? M.trueBdd()
-                                               : Built[Root.Ref - 2];
-    // Sections spliced from another image can pair a schema with a body
-    // over other physical domains; such a relation is not well-formed.
-    std::vector<uint8_t> InSchema(M.numVars(), 0);
-    for (const rel::AttrBinding &B : Schema)
-      for (unsigned Bit = 0; Bit != U.pack().bits(B.Phys); ++Bit)
-        InSchema[U.pack().varOfBit(B.Phys, Bit)] = 1;
-    for (unsigned Var : M.support(Body))
-      if (!InSchema[Var])
-        return err(ErrorCode::SchemaMismatch,
-                   "relation '" + Root.Name +
-                       "' depends on variables outside its schema");
-    Out.push_back({Root.Name, U.fromBody(std::move(Schema), std::move(Body))});
-  }
-  obs::Tracer::instance().counterAdd("io.nodes_read", P.Nodes.size());
   return Error::success();
 }
 
@@ -783,27 +609,76 @@ uint64_t jedd::io::hashBytes(const std::string &Bytes) {
   return Hash;
 }
 
-Error jedd::io::saveBdd(bdd::Manager &M, const bdd::Bdd &F,
-                        std::string &Out) {
+Error jedd::io::saveCheckpoint(rel::Universe &U,
+                               const std::vector<NamedRelation> &Relations,
+                               std::string &Out, uint64_t ContextHash) {
   obs::SpanGuard Span(obs::Cat::Io, "save");
-  if (!F.isValid() || F.manager() != &M)
-    return err(ErrorCode::ApiMisuse,
-               "BDD does not belong to the manager being saved");
+  if (!U.isFinalized())
+    return err(ErrorCode::ApiMisuse, "universe is not finalized");
+  for (const NamedRelation &NR : Relations)
+    if (!NR.Rel.isValid() || NR.Rel.universe() != &U)
+      return err(ErrorCode::ApiMisuse, "relation '" + NR.Name +
+                                           "' does not belong to the "
+                                           "universe being saved");
+  bdd::DomainPack &Pack = U.pack();
+  bdd::Manager &M = U.manager();
+
   Out.clear();
   Out.append(Magic, sizeof(Magic));
-  writeSection(Out, SecHeader, headerPayload(KindBdd, 0, M.numVars(), 1));
-
   std::string Payload;
+  ByteWriter W(Payload);
+  W.u8(KindCheckpoint);
+  W.u8(FormatVersion);
+  W.u64le(ContextHash);
+  W.varint(M.numVars());
+  W.varint(Relations.size());
+  writeSection(Out, SecHeader, Payload);
+
+  Payload.clear();
+  // The v1 order byte: 1 for one interleave group over every domain, 0
+  // otherwise. Readers take the layout from the per-bit variables below.
+  W.u8(Pack.orderGroups().size() == 1 ? 1 : 0);
+  W.varint(U.numPhysDoms());
+  for (PhysDomId Phys = 0; Phys != U.numPhysDoms(); ++Phys) {
+    W.str(U.physName(Phys));
+    W.varint(Pack.bits(Phys));
+    for (unsigned Var : Pack.vars(Phys))
+      W.varint(Var);
+  }
+  writeSection(Out, SecDomains, Payload);
+
+  Payload.clear();
+  W.varint(U.numDomains());
+  for (rel::DomainId Dom = 0; Dom != U.numDomains(); ++Dom) {
+    W.str(U.domainName(Dom));
+    W.varint(U.domainSize(Dom));
+  }
+  W.varint(U.numAttributes());
+  for (rel::AttributeId Attr = 0; Attr != U.numAttributes(); ++Attr) {
+    W.str(U.attributeName(Attr));
+    W.varint(U.attributeDomain(Attr));
+  }
+  writeSection(Out, SecMeta, Payload);
+
+  std::vector<const bdd::Bdd *> Bodies;
+  for (const NamedRelation &NR : Relations)
+    Bodies.push_back(&NR.Rel.body());
+  Payload.clear();
   std::unordered_map<bdd::NodeRef, uint32_t> SavedIndex;
-  size_t Nodes = writeNodeDag(M, {&F}, Payload, SavedIndex);
+  size_t Nodes = writeNodeDag(M, Bodies, Payload, SavedIndex);
   writeSection(Out, SecNodes, Payload);
 
   Payload.clear();
-  ByteWriter W(Payload);
-  W.str("");
-  W.varint(0); // No schema.
-  bdd::NodeRef Ref = F.ref();
-  W.varint(Ref <= bdd::TrueRef ? Ref : SavedIndex.at(Ref) + 2);
+  for (const NamedRelation &NR : Relations) {
+    W.str(NR.Name);
+    W.varint(NR.Rel.schema().size());
+    for (const rel::AttrBinding &Binding : NR.Rel.schema()) {
+      W.varint(Binding.Attr);
+      W.varint(Binding.Phys);
+    }
+    bdd::NodeRef Ref = NR.Rel.body().ref();
+    W.varint(Ref <= bdd::TrueRef ? Ref : SavedIndex.at(Ref) + 2);
+  }
   writeSection(Out, SecRoots, Payload);
   writeSection(Out, SecEnd, "");
 
@@ -811,72 +686,8 @@ Error jedd::io::saveBdd(bdd::Manager &M, const bdd::Bdd &F,
   obs::Tracer::instance().counterAdd("io.nodes_written", Nodes);
   Span.arg("bytes", Out.size());
   Span.arg("nodes", Nodes);
+  Span.arg("relations", Relations.size());
   return Error::success();
-}
-
-Error jedd::io::loadBdd(bdd::Manager &M, const std::string &Bytes,
-                        bdd::Bdd &Out) {
-  obs::SpanGuard Span(obs::Cat::Io, "load");
-  ParsedImage P;
-  if (Error E = parseImage(Bytes, P); !E.ok())
-    return E;
-  if (P.Kind != KindBdd)
-    return err(ErrorCode::BadKind, std::string("expected a bdd image, "
-                                               "found kind '") +
-                                       kindName(P.Kind) + "'");
-  // Saved variables map one-to-one onto the target's client variables.
-  std::vector<uint32_t> VarMap(P.NumVars);
-  for (uint32_t Var = 0; Var != P.NumVars; ++Var)
-    VarMap[Var] = Var < M.numVars() ? Var : NoIndex;
-  std::vector<bdd::Bdd> Built;
-  auto VarContext = [&](uint32_t Var) {
-    return "saved variable " + std::to_string(Var) +
-           " is beyond the target manager's " +
-           std::to_string(M.numVars()) + " variables";
-  };
-  if (Error E = rebuildNodes(M, P, VarMap, VarContext, Built); !E.ok())
-    return E;
-  uint32_t Ref = P.Roots.front().Ref;
-  Out = Ref == bdd::FalseRef   ? M.falseBdd()
-        : Ref == bdd::TrueRef  ? M.trueBdd()
-                               : Built[Ref - 2];
-  obs::Tracer::instance().counterAdd("io.bytes_read", Bytes.size());
-  obs::Tracer::instance().counterAdd("io.nodes_read", P.Nodes.size());
-  Span.arg("bytes", Bytes.size());
-  Span.arg("nodes", P.Nodes.size());
-  return Error::success();
-}
-
-Error jedd::io::saveRelation(const rel::Relation &R, std::string &Out) {
-  if (!R.isValid())
-    return err(ErrorCode::ApiMisuse, "saving an invalid relation");
-  return saveImage(*R.universe(), {{"", R}}, KindRelation, 0, Out);
-}
-
-Error jedd::io::loadRelation(rel::Universe &U, const std::string &Bytes,
-                             rel::Relation &Out) {
-  obs::SpanGuard Span(obs::Cat::Io, "load");
-  ParsedImage P;
-  if (Error E = parseImage(Bytes, P); !E.ok())
-    return E;
-  if (P.Kind != KindRelation)
-    return err(ErrorCode::BadKind, std::string("expected a relation "
-                                               "image, found kind '") +
-                                       kindName(P.Kind) + "'");
-  std::vector<NamedRelation> Loaded;
-  if (Error E = loadImage(U, P, Loaded); !E.ok())
-    return E;
-  Out = std::move(Loaded.front().Rel);
-  obs::Tracer::instance().counterAdd("io.bytes_read", Bytes.size());
-  Span.arg("bytes", Bytes.size());
-  Span.arg("nodes", P.Nodes.size());
-  return Error::success();
-}
-
-Error jedd::io::saveCheckpoint(rel::Universe &U,
-                               const std::vector<NamedRelation> &Relations,
-                               std::string &Out, uint64_t ContextHash) {
-  return saveImage(U, Relations, KindCheckpoint, ContextHash, Out);
 }
 
 Error jedd::io::loadCheckpoint(rel::Universe &U, const std::string &Bytes,
@@ -886,15 +697,42 @@ Error jedd::io::loadCheckpoint(rel::Universe &U, const std::string &Bytes,
   ParsedImage P;
   if (Error E = parseImage(Bytes, P); !E.ok())
     return E;
-  if (P.Kind != KindCheckpoint)
-    return err(ErrorCode::BadKind, std::string("expected a checkpoint "
-                                               "image, found kind '") +
-                                       kindName(P.Kind) + "'");
-  if (Error E = loadImage(U, P, Out); !E.ok())
+  if (!U.isFinalized())
+    return err(ErrorCode::ApiMisuse, "universe is not finalized");
+  bdd::Manager &M = U.manager();
+
+  std::vector<uint32_t> VarMap, PhysTarget;
+  buildVarMap(U, P, VarMap, PhysTarget);
+
+  std::vector<bdd::Bdd> Built;
+  if (Error E = rebuildNodes(M, P, VarMap, Built); !E.ok())
     return E;
+
+  Out.clear();
+  for (const ParsedImage::Root &Root : P.Roots) {
+    std::vector<rel::AttrBinding> Schema;
+    if (Error E = resolveSchema(U, P, Root, PhysTarget, Schema); !E.ok())
+      return E;
+    bdd::Bdd Body = Root.Ref == bdd::FalseRef ? M.falseBdd()
+                    : Root.Ref == bdd::TrueRef ? M.trueBdd()
+                                               : Built[Root.Ref - 2];
+    // Sections spliced from another image can pair a schema with a body
+    // over other physical domains; such a relation is not well-formed.
+    std::vector<uint8_t> InSchema(M.numVars(), 0);
+    for (const rel::AttrBinding &B : Schema)
+      for (unsigned Bit = 0; Bit != U.pack().bits(B.Phys); ++Bit)
+        InSchema[U.pack().varOfBit(B.Phys, Bit)] = 1;
+    for (unsigned Var : M.support(Body))
+      if (!InSchema[Var])
+        return err(ErrorCode::SchemaMismatch,
+                   "relation '" + Root.Name +
+                       "' depends on variables outside its schema");
+    Out.push_back({Root.Name, U.fromBody(std::move(Schema), std::move(Body))});
+  }
   if (ContextHash)
     *ContextHash = P.ContextHash;
   obs::Tracer::instance().counterAdd("io.bytes_read", Bytes.size());
+  obs::Tracer::instance().counterAdd("io.nodes_read", P.Nodes.size());
   Span.arg("bytes", Bytes.size());
   Span.arg("nodes", P.Nodes.size());
   Span.arg("relations", Out.size());
@@ -913,39 +751,16 @@ Error jedd::io::saveCheckpointFile(rel::Universe &U,
   return Error::success();
 }
 
-Error jedd::io::loadCheckpointFile(rel::Universe &U, const std::string &Path,
-                                   std::vector<NamedRelation> &Out,
-                                   uint64_t *ContextHash) {
-  std::string Bytes;
-  if (!readFileToString(Path, Bytes))
-    return err(ErrorCode::IoFailure, "cannot read '" + Path + "'");
-  return loadCheckpoint(U, Bytes, Out, ContextHash);
-}
-
 Error jedd::io::inspectImage(const std::string &Bytes, InspectInfo &Out) {
   ParsedImage P;
   if (Error E = parseImage(Bytes, P); !E.ok())
     return E;
   Out = InspectInfo();
-  Out.Kind = kindName(P.Kind);
   Out.Version = P.Version;
   Out.ContextHash = P.ContextHash;
   Out.TotalBytes = Bytes.size();
   Out.TotalNodes = P.Nodes.size();
   Out.NumVars = P.NumVars;
-
-  if (P.Kind == KindBdd) {
-    // Rebuild into a scratch manager to count nodes and assignments.
-    bdd::Manager M(std::max<unsigned>(P.NumVars, 1));
-    bdd::Bdd Root;
-    if (Error E = loadBdd(M, Bytes, Root); !E.ok())
-      return E;
-    InspectRelation Rel;
-    Rel.Nodes = M.nodeCount(Root);
-    Rel.Tuples = M.satCountExact(Root).toString();
-    Out.Relations.push_back(std::move(Rel));
-    return Error::success();
-  }
 
   Out.Order = orderSpecOf(P);
   for (const ParsedImage::Dom &Dom : P.Doms)
@@ -981,7 +796,7 @@ Error jedd::io::inspectImage(const std::string &Bytes, InspectInfo &Out) {
                "the saved variable layout is not an order spec");
 
   std::vector<NamedRelation> Loaded;
-  if (Error E = loadImage(U, P, Loaded); !E.ok())
+  if (Error E = loadCheckpoint(U, Bytes, Loaded); !E.ok())
     return E;
   for (NamedRelation &NR : Loaded) {
     InspectRelation Rel;

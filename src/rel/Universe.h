@@ -29,7 +29,6 @@
 #include "bdd/DomainPack.h"
 #include "util/Random.h"
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -135,13 +134,6 @@ public:
   /// Installs resource ceilings and a cancellation token on the shared
   /// BDD manager (docs/robustness.md). Only after finalize().
   void setResourceLimits(const bdd::ResourceLimits &Limits) {
-    manager().setResourceLimits(Limits);
-  }
-  /// Points the manager's governor at \p Cancel (kept alive by the
-  /// caller); storing true there aborts the current operation.
-  void setCancelFlag(const std::atomic<bool> *Cancel) {
-    bdd::ResourceLimits Limits = manager().resourceLimits();
-    Limits.Cancel = Cancel;
     manager().setResourceLimits(Limits);
   }
 

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "io/Binary.h"
 #include "io/Io.h"
 #include "rel/Relation.h"
 
@@ -254,11 +255,19 @@ TEST_F(IoFuzzTest, DegenerateInputsAreTyped) {
   EXPECT_EQ(tryLoad(std::string(1 << 16, '\x00')).Code,
             io::ErrorCode::BadMagic);
 
-  // A bdd-kind image fed to the checkpoint loader: typed kind mismatch.
-  bdd::Manager &M = U.manager();
-  std::string BddImage;
-  ASSERT_TRUE(io::saveBdd(M, M.trueBdd(), BddImage).ok());
-  EXPECT_EQ(tryLoad(BddImage).Code, io::ErrorCode::BadKind);
+  // The image with its kind patched to 1 or 2 (never written by a tool)
+  // and the header CRC recomputed: a typed kind error.
+  auto Ranges = sectionRanges(Image);
+  size_t Payload = Ranges[0].first + 2; // Header tag, one-byte length.
+  size_t Len = Ranges[0].second - 4 - Payload;
+  for (uint8_t Kind : {1, 2}) {
+    std::string Bad = Image;
+    Bad[Payload] = static_cast<char>(Kind);
+    uint32_t Crc = io::crc32(Bad.data() + Payload, Len);
+    for (size_t I = 0; I != 4; ++I)
+      Bad[Payload + Len + I] = static_cast<char>(Crc >> (8 * I));
+    EXPECT_EQ(tryLoad(Bad).Code, io::ErrorCode::BadKind);
+  }
 }
 
 TEST_F(IoFuzzTest, RandomBytesNeverCrashTheLoader) {

@@ -6,13 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Property-based round-trip tests for the JDD1 persistence layer
+/// Property-based round-trip tests for the JDD1 checkpoint store
 /// (src/io): load(save(r)) == r over randomized universes and relations,
-/// across bit orders and manager boundaries — plus determinism and the
-/// golden-format fixture that pins the v1 byte encoding.
+/// across bit orders and manager boundaries — plus determinism, typed
+/// mismatch errors, and the golden-format fixture that pins the v1 byte
+/// encoding.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "io/Binary.h"
 #include "io/Io.h"
 #include "rel/Relation.h"
 #include "util/File.h"
@@ -142,81 +144,27 @@ void expectLoadsEqual(const std::string &Image, const Decl &D,
         << "relation " << Loaded[I].Name;
 }
 
-//===----------------------------------------------------------------------===//
-// Raw BDD layer
-//===----------------------------------------------------------------------===//
-
-/// A random function over \p NumVars variables: an OR of random cubes.
-bdd::Bdd randomBdd(bdd::Manager &M, unsigned NumVars, SplitMix64 &Rng) {
-  bdd::Bdd F = M.falseBdd();
-  size_t NumCubes = Rng.nextInRange(1, 12);
-  for (size_t C = 0; C != NumCubes; ++C) {
-    bdd::Bdd Cube = M.trueBdd();
-    for (unsigned V = 0; V != NumVars; ++V) {
-      uint64_t Draw = Rng.nextBelow(3);
-      if (Draw == 0)
-        Cube = Cube & M.var(V);
-      else if (Draw == 1)
-        Cube = Cube & M.nvar(V);
-      // Draw == 2: variable unconstrained in this cube.
-    }
-    F = F | Cube;
-  }
-  return F;
-}
-
-TEST(IoBdd, RoundTripSameManager) {
-  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
-    SplitMix64 Rng(Seed);
-    bdd::Manager M(10);
-    bdd::Bdd F = randomBdd(M, 10, Rng);
-
-    std::string Image;
-    io::Error E = io::saveBdd(M, F, Image);
-    ASSERT_TRUE(E.ok()) << E.toString();
-
-    bdd::Bdd Out;
-    E = io::loadBdd(M, Image, Out);
-    ASSERT_TRUE(E.ok()) << E.toString();
-    // Same manager: canonicity makes equivalence pointer equality.
-    EXPECT_TRUE(Out == F) << "seed " << Seed;
-  }
-}
-
-TEST(IoBdd, RoundTripFreshManager) {
-  SplitMix64 Rng(99);
-  bdd::Manager M1(12);
-  bdd::Bdd F = randomBdd(M1, 12, Rng);
-
+/// \p R saved alone as a one-relation checkpoint.
+std::string saveOne(const Relation &R) {
   std::string Image;
-  ASSERT_TRUE(io::saveBdd(M1, F, Image).ok());
-
-  bdd::Manager M2(12);
-  bdd::Bdd Out;
-  io::Error E = io::loadBdd(M2, Image, Out);
-  ASSERT_TRUE(E.ok()) << E.toString();
-  EXPECT_EQ(M2.satCountExact(Out), M1.satCountExact(F));
-
-  // Deterministic saves make function equality byte equality.
-  std::string Again;
-  ASSERT_TRUE(io::saveBdd(M2, Out, Again).ok());
-  EXPECT_EQ(Again, Image);
+  io::Error E = io::saveCheckpoint(*R.universe(), {{"r", R}}, Image);
+  EXPECT_TRUE(E.ok()) << E.toString();
+  return Image;
 }
 
-TEST(IoBdd, TerminalsRoundTrip) {
-  bdd::Manager M(4);
-  for (bool Value : {false, true}) {
-    std::string Image;
-    ASSERT_TRUE(
-        io::saveBdd(M, Value ? M.trueBdd() : M.falseBdd(), Image).ok());
-    bdd::Bdd Out;
-    ASSERT_TRUE(io::loadBdd(M, Image, Out).ok());
-    EXPECT_EQ(Value ? Out.isTrue() : Out.isFalse(), true);
+/// Loads a one-relation checkpoint into \p U.
+io::Error loadOne(Universe &U, const std::string &Image, Relation &Out) {
+  std::vector<NamedRelation> Loaded;
+  io::Error E = io::loadCheckpoint(U, Image, Loaded);
+  if (E.ok()) {
+    EXPECT_EQ(Loaded.size(), 1u);
+    Out = std::move(Loaded.front().Rel);
   }
+  return E;
 }
 
 //===----------------------------------------------------------------------===//
-// Typed relation layer
+// One-relation checkpoints
 //===----------------------------------------------------------------------===//
 
 TEST(IoRelation, RoundTripSameUniverse) {
@@ -227,12 +175,9 @@ TEST(IoRelation, RoundTripSameUniverse) {
     declare(U, D);
     Relation R = randomRelation(U, D, Rng);
 
-    std::string Image;
-    io::Error E = io::saveRelation(R, Image);
-    ASSERT_TRUE(E.ok()) << E.toString();
-
+    std::string Image = saveOne(R);
     Relation Out;
-    E = io::loadRelation(U, Image, Out);
+    io::Error E = loadOne(U, Image, Out);
     ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
     EXPECT_EQ(Out.schema(), R.schema());
     EXPECT_TRUE(Out == R) << "seed " << Seed;
@@ -253,11 +198,8 @@ TEST(IoRelation, InspectCountsOnlyTheSchemaVariables) {
   Relation R = U.empty({{0, 2}});
   R.insertAll({0, 12345, (uint64_t(1) << 40) - 1});
 
-  std::string Image;
-  io::Error E = io::saveRelation(R, Image);
-  ASSERT_TRUE(E.ok()) << E.toString();
   io::InspectInfo Info;
-  E = io::inspectImage(Image, Info);
+  io::Error E = io::inspectImage(saveOne(R), Info);
   ASSERT_TRUE(E.ok()) << E.toString();
   ASSERT_EQ(Info.Relations.size(), 1u);
   EXPECT_EQ(Info.Relations[0].Tuples, "3");
@@ -271,21 +213,18 @@ TEST(IoRelation, RoundTripFreshUniverseIsByteStable) {
     declare(U1, D);
     Relation R = randomRelation(U1, D, Rng);
 
-    std::string Image;
-    ASSERT_TRUE(io::saveRelation(R, Image).ok());
+    std::string Image = saveOne(R);
 
     Universe U2;
     declare(U2, D);
     Relation Out;
-    io::Error E = io::loadRelation(U2, Image, Out);
+    io::Error E = loadOne(U2, Image, Out);
     ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
     EXPECT_EQ(tupleSet(Out), tupleSet(R)) << "seed " << Seed;
 
     // The same relation in a different manager re-serializes to the
     // same bytes: the format has no manager-dependent state.
-    std::string Again;
-    ASSERT_TRUE(io::saveRelation(Out, Again).ok());
-    EXPECT_EQ(Again, Image) << "seed " << Seed;
+    EXPECT_EQ(saveOne(Out), Image) << "seed " << Seed;
   }
 }
 
@@ -306,8 +245,7 @@ TEST(IoRelation, RoundTripAcrossBitOrders) {
 
     // Save under each order and load into the next, round the cycle.
     for (size_t From = 0; From != std::size(Orders); ++From) {
-      std::string Image;
-      ASSERT_TRUE(io::saveRelation(R, Image).ok());
+      std::string Image = saveOne(R);
       // Inspect rebuilds the saved layout, so it reports the live node
       // count.
       io::InspectInfo Info;
@@ -320,7 +258,7 @@ TEST(IoRelation, RoundTripAcrossBitOrders) {
       Us.push_back(std::make_unique<Universe>());
       declare(*Us.back(), D, Orders[(From + 1) % std::size(Orders)]);
       Relation Out;
-      io::Error E = io::loadRelation(*Us.back(), Image, Out);
+      io::Error E = loadOne(*Us.back(), Image, Out);
       ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
       EXPECT_EQ(tupleSet(Out), Want) << "seed " << Seed;
       R = std::move(Out);
@@ -340,13 +278,17 @@ TEST(IoCheckpoint, SharedDagRoundTrip) {
     declare(U, D);
 
     std::vector<NamedRelation> Rels;
-    std::vector<std::set<std::vector<uint64_t>>> Want;
     size_t NumRels = Rng.nextInRange(1, 5);
-    for (size_t I = 0; I != NumRels; ++I) {
-      Relation R = randomRelation(U, D, Rng);
-      Want.push_back(tupleSet(R));
-      Rels.push_back({"rel" + std::to_string(I), std::move(R)});
-    }
+    for (size_t I = 0; I != NumRels; ++I)
+      Rels.push_back({"rel" + std::to_string(I), randomRelation(U, D, Rng)});
+    // Roots on the two terminals: an empty relation (false) and the
+    // nullary relation {()} (true).
+    Rels.push_back({"empty", U.empty({{0, 0}})});
+    Rels.push_back({"unit", U.full({})});
+    ASSERT_TRUE(Rels.back().Rel.body().isTrue());
+    std::vector<std::set<std::vector<uint64_t>>> Want;
+    for (const NamedRelation &NR : Rels)
+      Want.push_back(tupleSet(NR.Rel));
 
     std::string Image;
     io::Error E = io::saveCheckpoint(U, Rels, Image, 0xfeedface00c0ffeeULL);
@@ -359,11 +301,14 @@ TEST(IoCheckpoint, SharedDagRoundTrip) {
     E = io::loadCheckpoint(U2, Image, Loaded, &Hash);
     ASSERT_TRUE(E.ok()) << "seed " << Seed << ": " << E.toString();
     EXPECT_EQ(Hash, 0xfeedface00c0ffeeULL);
-    ASSERT_EQ(Loaded.size(), NumRels);
-    for (size_t I = 0; I != NumRels; ++I) {
-      EXPECT_EQ(Loaded[I].Name, "rel" + std::to_string(I));
+    ASSERT_EQ(Loaded.size(), Rels.size());
+    for (size_t I = 0; I != Rels.size(); ++I) {
+      EXPECT_EQ(Loaded[I].Name, Rels[I].Name);
+      EXPECT_EQ(Loaded[I].Rel.schema(), Rels[I].Rel.schema());
       EXPECT_EQ(tupleSet(Loaded[I].Rel), Want[I]) << "seed " << Seed;
     }
+    EXPECT_TRUE(Loaded[NumRels].Rel.body().isFalse());
+    EXPECT_TRUE(Loaded[NumRels + 1].Rel.body().isTrue());
 
     // Also across the bit-order boundary.
     expectLoadsEqual(Image, D, Want, orderOf(D, "x"));
@@ -389,6 +334,19 @@ TEST(IoCheckpoint, SaveIsDeterministic) {
 // Typed mismatch errors
 //===----------------------------------------------------------------------===//
 
+/// \p Image with the header's kind byte set to \p Kind and the header
+/// CRC recomputed, so the kind is the only thing wrong with it.
+std::string withKind(std::string Image, uint8_t Kind) {
+  // "JDD1", the header tag and a one-byte length; the payload starts
+  // with the kind and is followed by its CRC32, little-endian.
+  size_t Len = static_cast<uint8_t>(Image[5]);
+  Image[6] = static_cast<char>(Kind);
+  uint32_t Crc = io::crc32(Image.data() + 6, Len);
+  for (size_t I = 0; I != 4; ++I)
+    Image[6 + Len + I] = static_cast<char>(Crc >> (8 * I));
+  return Image;
+}
+
 TEST(IoErrors, KindMismatchIsTyped) {
   Universe U;
   DomainId Dom = U.addDomain("D", 8);
@@ -397,21 +355,19 @@ TEST(IoErrors, KindMismatchIsTyped) {
   U.finalize();
   Relation R = U.empty({{0, 0}});
   R.insert({5});
+  std::string Image = saveOne(R);
+  ASSERT_EQ(withKind(Image, 3), Image); // The patch rewrites only the kind.
 
-  std::string RelImage;
-  ASSERT_TRUE(io::saveRelation(R, RelImage).ok());
-  std::string CkptImage;
-  ASSERT_TRUE(io::saveCheckpoint(U, {{"r", R}}, CkptImage).ok());
-
-  std::vector<NamedRelation> Loaded;
-  EXPECT_EQ(io::loadCheckpoint(U, RelImage, Loaded).Code,
-            io::ErrorCode::BadKind);
-  Relation Out;
-  EXPECT_EQ(io::loadRelation(U, CkptImage, Out).Code,
-            io::ErrorCode::BadKind);
-  bdd::Bdd B;
-  EXPECT_EQ(io::loadBdd(U.manager(), CkptImage, B).Code,
-            io::ErrorCode::BadKind);
+  // Kinds 1 (raw BDD) and 2 (one relation) were never written by a
+  // tool; they read as bad-kind, like every kind but 3.
+  for (uint8_t Kind : {1, 2, 0, 4}) {
+    std::vector<NamedRelation> Loaded;
+    io::Error E = io::loadCheckpoint(U, withKind(Image, Kind), Loaded);
+    EXPECT_EQ(E.Code, io::ErrorCode::BadKind) << E.toString();
+    io::InspectInfo Info;
+    E = io::inspectImage(withKind(Image, Kind), Info);
+    EXPECT_EQ(E.Code, io::ErrorCode::BadKind) << E.toString();
+  }
 }
 
 TEST(IoErrors, DomainSizeMismatchIsTyped) {
@@ -422,8 +378,7 @@ TEST(IoErrors, DomainSizeMismatchIsTyped) {
   U1.finalize();
   Relation R = U1.empty({{0, 0}});
   R.insert({3});
-  std::string Image;
-  ASSERT_TRUE(io::saveRelation(R, Image).ok());
+  std::string Image = saveOne(R);
 
   // Same names, different domain size: must be refused, not loaded
   // against the wrong object mapping.
@@ -433,7 +388,7 @@ TEST(IoErrors, DomainSizeMismatchIsTyped) {
   U2.addPhysicalDomain("P", 4);
   U2.finalize();
   Relation Out;
-  io::Error E = io::loadRelation(U2, Image, Out);
+  io::Error E = loadOne(U2, Image, Out);
   EXPECT_EQ(E.Code, io::ErrorCode::DomainMismatch) << E.toString();
 }
 
@@ -443,9 +398,7 @@ TEST(IoErrors, MissingAttributeIsTyped) {
   U1.addAttribute("only_here", Dom);
   U1.addPhysicalDomain("P", 3);
   U1.finalize();
-  Relation R = U1.empty({{0, 0}});
-  std::string Image;
-  ASSERT_TRUE(io::saveRelation(R, Image).ok());
+  std::string Image = saveOne(U1.empty({{0, 0}}));
 
   Universe U2;
   DomainId Dom2 = U2.addDomain("D", 8);
@@ -453,7 +406,7 @@ TEST(IoErrors, MissingAttributeIsTyped) {
   U2.addPhysicalDomain("P", 3);
   U2.finalize();
   Relation Out;
-  io::Error E = io::loadRelation(U2, Image, Out);
+  io::Error E = loadOne(U2, Image, Out);
   EXPECT_FALSE(E.ok());
   EXPECT_EQ(E.Code, io::ErrorCode::DomainMismatch) << E.toString();
 }

@@ -21,8 +21,7 @@
 /// M2 F1 C1 with an order spec in bddbddb syntax (bdd/DomainPack.h): `_`
 /// separates groups laid out one after another, `x` interleaves the
 /// domains of a group, and "" is declaration order. The default is
-/// AnalysisUniverse::DefaultOrder. --sequential is an alias for
-/// --order "".
+/// AnalysisUniverse::DefaultOrder.
 ///
 /// With --checkpoint-dir, each analysis stage's relations are saved to
 /// DIR as JDD1 checkpoints; a rerun over the same facts warm-starts from
@@ -72,7 +71,7 @@ int usage(const char *Argv0) {
                "  --order SPEC  physical-domain order, default\n"
                "                %s\n"
                "                (`_` = next group, `x` = interleave, \"\" =\n"
-               "                declaration order; --sequential = --order \"\")\n",
+               "                declaration order)\n",
                Argv0, analysis::AnalysisUniverse::DefaultOrder);
   return 2;
 }
@@ -118,8 +117,6 @@ int main(int argc, char **argv) {
       TimeLimitSec = std::strtod(argv[++I], nullptr);
     else if (Arg == "--order" && I + 1 < argc)
       Order = argv[++I];
-    else if (Arg == "--sequential")
-      Order.clear();
     else
       return usage(argv[0]);
   }

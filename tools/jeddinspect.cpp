@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Prints the header, domain tables, and per-relation node/tuple counts
-/// of one or more JDD1 images (docs/persistence.md). Inspection loads
-/// each image into a scratch universe rebuilt from its own metadata, so
-/// a clean dump also proves the image is well-formed and loadable.
+/// of one or more JDD1 checkpoint images (docs/persistence.md).
+/// Inspection loads each image into a scratch universe rebuilt from its
+/// own metadata, so a clean dump also proves the image is well-formed
+/// and loadable.
 ///
 ///   jeddinspect file.jdd [more.jdd ...]
 ///
@@ -46,8 +47,7 @@ int inspectOne(const char *Argv0, const std::string &Path, bool Banner) {
 
   if (Banner)
     std::printf("== %s ==\n", Path.c_str());
-  std::printf("kind:         %s (format version %u)\n", Info.Kind.c_str(),
-              Info.Version);
+  std::printf("kind:         checkpoint (format version %u)\n", Info.Version);
   std::printf("size:         %zu bytes, %zu shared nodes\n", Info.TotalBytes,
               Info.TotalNodes);
   if (Info.ContextHash != 0)
@@ -69,14 +69,9 @@ int inspectOne(const char *Argv0, const std::string &Path, bool Banner) {
   }
   if (!Info.Relations.empty()) {
     std::printf("relations:\n");
-    for (const io::InspectRelation &R : Info.Relations) {
-      if (R.Name.empty()) // Root of a bdd-kind image.
-        std::printf("  <root>: %zu nodes, %s assignments\n", R.Nodes,
-                    R.Tuples.c_str());
-      else
-        std::printf("  %s <%s>: %zu nodes, %s tuples\n", R.Name.c_str(),
-                    R.Schema.c_str(), R.Nodes, R.Tuples.c_str());
-    }
+    for (const io::InspectRelation &R : Info.Relations)
+      std::printf("  %s <%s>: %zu nodes, %s tuples\n", R.Name.c_str(),
+                  R.Schema.c_str(), R.Nodes, R.Tuples.c_str());
   }
   return 0;
 }

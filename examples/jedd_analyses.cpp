@@ -99,71 +99,58 @@ int main(int argc, char **argv) {
               S.NumRelationalExprs, S.SatVariables, S.SatClauses,
               S.SolveSeconds, S.ReplacesNeeded);
 
-  // 2. Load the program facts into the global relations.
+  // 2. Load the program facts into the global relations, one insertAll
+  // per global and batch.
   rel::Universe U;
   Compiled->buildUniverse(U);
   Interpreter Interp(*Compiled, U);
+  auto Insert = [&](const char *Global, const std::vector<uint64_t> &Tuples) {
+    rel::Relation Value = Interp.getGlobal(Global);
+    Value.insertAll(Tuples);
+    Interp.setGlobal(Global, Value);
+  };
 
-  rel::Relation Extend = Interp.emptyOfVar("extend");
-  rel::Relation IdentityT = Interp.emptyOfVar("identityT");
+  std::vector<uint64_t> Extend, IdentityT, Declares, IdentityM, SiteType,
+      VarMethod;
   for (size_t K = 0; K != P.Klasses.size(); ++K) {
     if (P.Klasses[K].Super != NoId)
-      Extend.insert({K, P.Klasses[K].Super});
-    IdentityT.insert({K, K});
+      Extend.insert(Extend.end(), {K, P.Klasses[K].Super});
+    IdentityT.insert(IdentityT.end(), {K, K});
   }
-  Interp.setGlobal("extend", Extend);
-  Interp.setGlobal("identityT", IdentityT);
-
-  rel::Relation Declares = Interp.emptyOfVar("declaresMethod");
-  rel::Relation IdentityM = Interp.emptyOfVar("identityM");
   for (size_t M = 0; M != P.Methods.size(); ++M) {
-    Declares.insert({P.Methods[M].Klass, P.Methods[M].Sig, M});
-    IdentityM.insert({M, M});
+    Declares.insert(Declares.end(), {P.Methods[M].Klass, P.Methods[M].Sig, M});
+    IdentityM.insert(IdentityM.end(), {M, M});
   }
-  Interp.setGlobal("declaresMethod", Declares);
-  Interp.setGlobal("identityM", IdentityM);
-
-  rel::Relation SiteType = Interp.emptyOfVar("siteType");
   for (size_t Site = 0; Site != P.NumSites; ++Site)
-    SiteType.insert({Site, P.SiteType[Site]});
-  Interp.setGlobal("siteType", SiteType);
-
-  rel::Relation VarMethod = Interp.emptyOfVar("varMethod");
+    SiteType.insert(SiteType.end(), {Site, P.SiteType[Site]});
   for (size_t V = 0; V != P.NumVars; ++V)
-    VarMethod.insert({V, P.VarMethod[V]});
-  Interp.setGlobal("varMethod", VarMethod);
+    VarMethod.insert(VarMethod.end(), {V, P.VarMethod[V]});
+  Insert("extend", Extend);
+  Insert("identityT", IdentityT);
+  Insert("declaresMethod", Declares);
+  Insert("identityM", IdentityM);
+  Insert("siteType", SiteType);
+  Insert("varMethod", VarMethod);
 
-  // Statement facts are added per reachable method, on the fly.
-  rel::Relation Alloc = Interp.emptyOfVar("alloc");
-  rel::Relation Assign = Interp.emptyOfVar("assign");
-  rel::Relation Load = Interp.emptyOfVar("load");
-  rel::Relation Store = Interp.emptyOfVar("store");
-  rel::Relation CallRecvSig = Interp.emptyOfVar("callRecvSig");
-  rel::Relation CallerOf = Interp.emptyOfVar("callerOf");
-
+  // Statement facts enter on the fly: each batch holds the statements of
+  // the methods that became reachable and the copies of new call edges.
   std::set<Id> Reachable;
-  auto MakeReachable = [&](Id Method) {
-    if (!Reachable.insert(Method).second)
-      return;
-    for (const soot::AllocStmt &St : P.Allocs)
-      if (P.VarMethod[St.Var] == Method)
-        Alloc.insert({St.Var, St.Site});
-    for (const soot::AssignStmt &St : P.Assigns)
-      if (P.VarMethod[St.Dst] == Method)
-        Assign.insert({St.Src, St.Dst});
-    for (const soot::LoadStmt &St : P.Loads)
-      if (P.VarMethod[St.Dst] == Method)
-        Load.insert({St.Base, St.Field, St.Dst});
-    for (const soot::StoreStmt &St : P.Stores)
-      if (P.VarMethod[St.Base] == Method)
-        Store.insert({St.Src, St.Base, St.Field});
-    for (size_t C = 0; C != P.Calls.size(); ++C)
-      if (P.Calls[C].Caller == Method) {
-        CallRecvSig.insert({C, P.Calls[C].RecvVar, P.Calls[C].Sig});
-        CallerOf.insert({C, Method});
-      }
+  auto AddFacts = [&](const std::vector<Id> &Methods,
+                      const std::vector<uint64_t> &Copies) {
+    std::vector<Id> New;
+    for (Id Method : Methods)
+      if (Reachable.insert(Method).second)
+        New.push_back(Method);
+    soot::MethodFacts Facts = P.factsOf(New);
+    Facts.Assign.insert(Facts.Assign.end(), Copies.begin(), Copies.end());
+    Insert("alloc", Facts.Alloc);
+    Insert("assign", Facts.Assign);
+    Insert("load", Facts.Load);
+    Insert("store", Facts.Store);
+    Insert("callRecvSig", Facts.CallRecvSig);
+    Insert("callerOf", Facts.CallerOf);
   };
-  MakeReachable(P.EntryMethod);
+  AddFacts({P.EntryMethod}, {});
 
   // 3. Hierarchy module.
   Interp.call("buildHierarchy", {});
@@ -175,37 +162,24 @@ int main(int argc, char **argv) {
   unsigned Rounds = 0;
   while (true) {
     ++Rounds;
-    Interp.setGlobal("alloc", Alloc);
-    Interp.setGlobal("assign", Assign);
-    Interp.setGlobal("load", Load);
-    Interp.setGlobal("store", Store);
-    Interp.setGlobal("callRecvSig", CallRecvSig);
-    Interp.setGlobal("callerOf", CallerOf);
-
     Interp.call("solvePointsTo", {});
     Interp.call("buildReceiverTypes", {});
     Interp.call("resolveCalls", {});
 
     // Extraction (Section 2.3): walk the new call edges in the host.
-    bool Changed = false;
+    std::vector<Id> Callees;
+    std::vector<uint64_t> Copies;
     Interp.getGlobal("cg").iterate([&](const std::vector<uint64_t> &T) {
       Id CallId = static_cast<Id>(T[0]), Callee = static_cast<Id>(T[1]);
-      if (!SeenEdges.insert({CallId, Callee}).second)
-        return true;
-      Changed = true;
-      MakeReachable(Callee);
-      const soot::CallSite &Site = P.Calls[CallId];
-      const soot::Method &M = P.Methods[Callee];
-      Assign.insert({Site.RecvVar, M.ThisVar});
-      for (size_t A = 0;
-           A != std::min(Site.ArgVars.size(), M.ParamVars.size()); ++A)
-        Assign.insert({Site.ArgVars[A], M.ParamVars[A]});
-      if (Site.RetDstVar != NoId && M.RetVar != NoId)
-        Assign.insert({M.RetVar, Site.RetDstVar});
+      if (SeenEdges.insert({CallId, Callee}).second) {
+        Callees.push_back(Callee);
+        P.callCopies(CallId, Callee, Copies);
+      }
       return true;
     });
-    if (!Changed)
+    if (Callees.empty())
       break;
+    AddFacts(Callees, Copies);
   }
   std::printf("points-to:         %.0f pairs after %u rounds\n",
               Interp.getGlobal("pt").size(), Rounds);

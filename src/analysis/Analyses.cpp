@@ -15,26 +15,7 @@ using namespace jedd;
 using namespace jedd::analysis;
 using rel::Relation;
 using soot::Id;
-using soot::NoId;
 using soot::Program;
-
-namespace {
-
-/// Membership test over method ids for one batch of methods.
-class MethodSet {
-public:
-  MethodSet(const Program &P, const std::vector<Id> &Methods)
-      : In(P.Methods.size(), false) {
-    for (Id M : Methods)
-      In[M] = true;
-  }
-  bool contains(Id M) const { return M < In.size() && In[M]; }
-
-private:
-  std::vector<bool> In;
-};
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // AnalysisUniverse
@@ -188,39 +169,15 @@ PointsToAnalysis::PointsToAnalysis(AnalysisUniverse &AU) : AU(AU) {
       {{AU.Src, AU.V1}, {AU.Base, AU.V2}, {AU.Fld, AU.F1}});
 }
 
-void PointsToAnalysis::addMethodFacts(Id Method) {
-  addMethodFacts(std::vector<Id>{Method});
-}
-
 void PointsToAnalysis::addMethodFacts(const std::vector<Id> &Methods) {
-  const Program &P = AU.Prog;
-  MethodSet Batch(P, Methods);
-  auto Owned = [&](Id Var) { return Batch.contains(P.VarMethod[Var]); };
-  // One batch per fact relation.
-  std::vector<uint64_t> Tuples;
-  for (const soot::AllocStmt &S : P.Allocs)
-    if (Owned(S.Var))
-      Tuples.insert(Tuples.end(), {S.Var, S.Site});
-  AllocR.insertAll(Tuples);
-  Tuples.clear();
-  for (const soot::AssignStmt &S : P.Assigns)
-    if (Owned(S.Dst))
-      Tuples.insert(Tuples.end(), {S.Src, S.Dst});
-  AssignR.insertAll(Tuples);
-  Tuples.clear();
-  for (const soot::LoadStmt &S : P.Loads)
-    if (Owned(S.Dst))
-      Tuples.insert(Tuples.end(), {S.Base, S.Field, S.Dst});
-  LoadR.insertAll(Tuples);
-  Tuples.clear();
-  for (const soot::StoreStmt &S : P.Stores)
-    if (Owned(S.Base))
-      Tuples.insert(Tuples.end(), {S.Src, S.Base, S.Field});
-  StoreR.insertAll(Tuples);
+  addFacts(AU.Prog.factsOf(Methods));
 }
 
-void PointsToAnalysis::addAssignEdge(Id SrcVar, Id DstVar) {
-  AssignR.insert({SrcVar, DstVar});
+void PointsToAnalysis::addFacts(const soot::MethodFacts &Facts) {
+  AllocR.insertAll(Facts.Alloc);
+  AssignR.insertAll(Facts.Assign);
+  LoadR.insertAll(Facts.Load);
+  StoreR.insertAll(Facts.Store);
 }
 
 void PointsToAnalysis::addAssignEdges(
@@ -304,41 +261,24 @@ void CallGraphBuilder::makeReachable(const std::vector<Id> &Methods) {
       New.push_back(Method);
   if (New.empty())
     return;
-  PTA.addMethodFacts(New);
-  MethodSet Batch(AU.Prog, New);
-  std::vector<uint64_t> RecvSigs, Callers;
-  for (size_t C = 0; C != AU.Prog.Calls.size(); ++C) {
-    const soot::CallSite &Site = AU.Prog.Calls[C];
-    if (!Batch.contains(Site.Caller))
-      continue;
-    RecvSigs.insert(RecvSigs.end(), {C, Site.RecvVar, Site.Sig});
-    Callers.insert(Callers.end(), {C, Site.Caller});
-  }
-  CallRecvSig.insertAll(RecvSigs);
-  CallerOf.insertAll(Callers);
+  soot::MethodFacts Facts = AU.Prog.factsOf(New);
+  PTA.addFacts(Facts);
+  CallRecvSig.insertAll(Facts.CallRecvSig);
+  CallerOf.insertAll(Facts.CallerOf);
 }
 
 void CallGraphBuilder::addCallEdges(
     const std::vector<std::pair<Id, Id>> &Edges) {
   std::vector<Id> Callees;
-  std::vector<std::pair<Id, Id>> Copies;
+  std::vector<uint64_t> Copies;
   for (auto [CallSiteId, CalleeId] : Edges) {
     if (!ProcessedEdges.insert({CallSiteId, CalleeId}).second)
       continue;
     Callees.push_back(CalleeId);
-    const soot::CallSite &Site = AU.Prog.Calls[CallSiteId];
-    const soot::Method &Callee = AU.Prog.Methods[CalleeId];
-    // Interprocedural copy edges: receiver -> this, arguments ->
-    // parameters, return variable -> call result.
-    Copies.push_back({Site.RecvVar, Callee.ThisVar});
-    for (size_t A = 0;
-         A != std::min(Site.ArgVars.size(), Callee.ParamVars.size()); ++A)
-      Copies.push_back({Site.ArgVars[A], Callee.ParamVars[A]});
-    if (Site.RetDstVar != NoId && Callee.RetVar != NoId)
-      Copies.push_back({Callee.RetVar, Site.RetDstVar});
+    AU.Prog.callCopies(CallSiteId, CalleeId, Copies);
   }
   makeReachable(Callees);
-  PTA.addAssignEdges(Copies);
+  PTA.AssignR.insertAll(Copies);
 }
 
 void CallGraphBuilder::run() {

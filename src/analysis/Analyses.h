@@ -123,13 +123,12 @@ public:
         AllocR(std::move(AllocR)), AssignR(std::move(AssignR)),
         LoadR(std::move(LoadR)), StoreR(std::move(StoreR)), AU(AU) {}
 
-  /// Adds the pointer statements of one method to the fact relations.
-  void addMethodFacts(soot::Id Method);
   /// Adds the pointer statements of a batch of methods, one insertAll
   /// per fact relation.
   void addMethodFacts(const std::vector<soot::Id> &Methods);
-  /// Adds one extra copy edge (used for interprocedural assignments).
-  void addAssignEdge(soot::Id SrcVar, soot::Id DstVar);
+  /// Adds the alloc, assign, load and store batches of \p Facts, one
+  /// insertAll per fact relation.
+  void addFacts(const soot::MethodFacts &Facts);
   /// Adds a batch of (src, dst) copy edges with one insertAll.
   void addAssignEdges(
       const std::vector<std::pair<soot::Id, soot::Id>> &Edges);

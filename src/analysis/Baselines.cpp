@@ -27,6 +27,7 @@
 #include "util/Random.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace jedd;
 using namespace jedd::analysis;
@@ -72,26 +73,20 @@ void HandCodedPointsTo::loadFacts(
   //   FieldPt:    (O2 baseobj, F1 fld, O1 obj)
   // Each relation's facts are encoded as one batch and united once, as
   // Relation::insertAll does.
-  std::vector<uint64_t> Tuples;
-  auto Add = [&](bdd::Bdd &Rel, const std::vector<bdd::PhysDomId> &Doms) {
+  std::vector<Id> All(Prog.Methods.size());
+  std::iota(All.begin(), All.end(), 0);
+  soot::MethodFacts Facts = Prog.factsOf(All);
+  for (auto &[Src, Dst] : ExtraAssigns)
+    Facts.Assign.insert(Facts.Assign.end(), {Src, Dst});
+  auto Add = [&](bdd::Bdd &Rel, const std::vector<uint64_t> &Tuples,
+                 const std::vector<bdd::PhysDomId> &Doms) {
     Rel = Rel | Pack.encodeTuples(Doms, Tuples.data(),
                                   Tuples.size() / Doms.size());
-    Tuples.clear();
   };
-  for (const soot::AllocStmt &S : Prog.Allocs)
-    Tuples.insert(Tuples.end(), {S.Var, S.Site});
-  Add(Alloc, {V1, O1});
-  for (const soot::AssignStmt &S : Prog.Assigns)
-    Tuples.insert(Tuples.end(), {S.Src, S.Dst});
-  for (auto &[Src, Dst] : ExtraAssigns)
-    Tuples.insert(Tuples.end(), {Src, Dst});
-  Add(Assign, {V2, V1});
-  for (const soot::LoadStmt &S : Prog.Loads)
-    Tuples.insert(Tuples.end(), {S.Base, S.Field, S.Dst});
-  Add(Load, {V2, F1, V1});
-  for (const soot::StoreStmt &S : Prog.Stores)
-    Tuples.insert(Tuples.end(), {S.Src, S.Base, S.Field});
-  Add(Store, {V1, V2, F1});
+  Add(Alloc, Facts.Alloc, {V1, O1});
+  Add(Assign, Facts.Assign, {V2, V1});
+  Add(Load, Facts.Load, {V2, F1, V1});
+  Add(Store, Facts.Store, {V1, V2, F1});
 }
 
 void HandCodedPointsTo::solve() {
@@ -158,25 +153,20 @@ double HandCodedPointsTo::pointsToSize() {
 
 std::vector<std::pair<Id, Id>>
 jedd::analysis::chaAssignEdges(const Program &Prog) {
-  std::vector<std::pair<Id, Id>> Edges;
-  for (const soot::CallSite &C : Prog.Calls) {
-    // Class hierarchy analysis: any class could flow into the receiver;
-    // every resolution target is a possible callee.
-    std::vector<uint8_t> Seen(Prog.Methods.size(), 0);
+  // Class hierarchy analysis: any class could flow into the receiver;
+  // every resolution target is a possible callee.
+  std::vector<uint64_t> Copies;
+  for (size_t C = 0; C != Prog.Calls.size(); ++C)
     for (size_t K = 0; K != Prog.Klasses.size(); ++K) {
-      Id Target = Prog.resolveVirtual(static_cast<Id>(K), C.Sig);
-      if (Target == NoId || Seen[Target])
-        continue;
-      Seen[Target] = 1;
-      const soot::Method &Callee = Prog.Methods[Target];
-      Edges.push_back({C.RecvVar, Callee.ThisVar});
-      for (size_t A = 0;
-           A != std::min(C.ArgVars.size(), Callee.ParamVars.size()); ++A)
-        Edges.push_back({C.ArgVars[A], Callee.ParamVars[A]});
-      if (C.RetDstVar != NoId && Callee.RetVar != NoId)
-        Edges.push_back({Callee.RetVar, C.RetDstVar});
+      Id Target =
+          Prog.resolveVirtual(static_cast<Id>(K), Prog.Calls[C].Sig);
+      if (Target != NoId)
+        Prog.callCopies(static_cast<Id>(C), Target, Copies);
     }
-  }
+  std::vector<std::pair<Id, Id>> Edges;
+  for (size_t I = 0; I != Copies.size(); I += 2)
+    Edges.push_back(
+        {static_cast<Id>(Copies[I]), static_cast<Id>(Copies[I + 1])});
   std::sort(Edges.begin(), Edges.end());
   Edges.erase(std::unique(Edges.begin(), Edges.end()), Edges.end());
   return Edges;

@@ -319,9 +319,6 @@ public:
                 const std::function<void(NodeRef Node, unsigned Var,
                                          NodeRef Low, NodeRef High)> &Fn);
 
-  /// Graphviz dump for debugging.
-  std::string toDot(const Bdd &F);
-
   //===--------------------------------------------------------------===//
   // Memory management
   //===--------------------------------------------------------------===//

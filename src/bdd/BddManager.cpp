@@ -1132,17 +1132,3 @@ bool Manager::evalAssignment(const Bdd &F,
   return N == TrueRef;
 }
 
-std::string Manager::toDot(const Bdd &F) {
-  std::string Out = "digraph bdd {\n  node [shape=circle];\n";
-  Out += "  f0 [shape=box,label=\"0\"];\n  f1 [shape=box,label=\"1\"];\n";
-  auto Name = [](NodeRef R) {
-    return R <= TrueRef ? strFormat("f%u", R) : strFormat("n%u", R);
-  };
-  walk(F.ref(), [&](NodeRef N, const Node &Nd) {
-    Out += strFormat("  n%u [label=\"x%u\"];\n", N, Nd.Var);
-    Out += strFormat("  n%u -> %s [style=dashed];\n", N, Name(Nd.Low).c_str());
-    Out += strFormat("  n%u -> %s;\n", N, Name(Nd.High).c_str());
-  });
-  Out += "}\n";
-  return Out;
-}

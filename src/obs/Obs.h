@@ -34,8 +34,7 @@
 /// SpanGuard constructor is inlined, reads Tracer::active() and does
 /// nothing else. Trace buffers are per thread and written without locks
 /// (growth publishes through one release store per event, so readers may
-/// snapshot concurrently). Compiling with -DJEDDPP_NO_OBS stubs the guard
-/// out entirely.
+/// snapshot concurrently).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -239,26 +238,13 @@ private:
 class SpanGuard {
 public:
   SpanGuard(Cat Category, const char *Name) {
-#ifndef JEDDPP_NO_OBS
     if (Tracer::active()) [[unlikely]]
       begin(Category, Name, nullptr, nullptr, 0);
-#else
-    (void)Category;
-    (void)Name;
-#endif
   }
   SpanGuard(Cat Category, const char *Name, const char *SiteLabel,
             const char *SiteFile, uint32_t SiteLine) {
-#ifndef JEDDPP_NO_OBS
     if (Tracer::active()) [[unlikely]]
       begin(Category, Name, SiteLabel, SiteFile, SiteLine);
-#else
-    (void)Category;
-    (void)Name;
-    (void)SiteLabel;
-    (void)SiteFile;
-    (void)SiteLine;
-#endif
   }
   ~SpanGuard() {
     if (Live) [[unlikely]]

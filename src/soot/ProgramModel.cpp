@@ -8,6 +8,8 @@
 #include "soot/ProgramModel.h"
 #include "util/StringUtils.h"
 
+#include <algorithm>
+
 using namespace jedd;
 using namespace jedd::soot;
 
@@ -25,6 +27,45 @@ Id Program::resolveVirtual(Id KlassId, Id SigId) const {
       return M;
   }
   return NoId;
+}
+
+MethodFacts Program::factsOf(const std::vector<Id> &MethodIds) const {
+  std::vector<bool> In(Methods.size(), false);
+  for (Id M : MethodIds)
+    In[M] = true;
+  auto Owns = [&](Id M) { return M < In.size() && In[M]; };
+  MethodFacts F;
+  for (const AllocStmt &S : Allocs)
+    if (Owns(VarMethod[S.Var]))
+      F.Alloc.insert(F.Alloc.end(), {S.Var, S.Site});
+  for (const AssignStmt &S : Assigns)
+    if (Owns(VarMethod[S.Dst]))
+      F.Assign.insert(F.Assign.end(), {S.Src, S.Dst});
+  for (const LoadStmt &S : Loads)
+    if (Owns(VarMethod[S.Dst]))
+      F.Load.insert(F.Load.end(), {S.Base, S.Field, S.Dst});
+  for (const StoreStmt &S : Stores)
+    if (Owns(VarMethod[S.Base]))
+      F.Store.insert(F.Store.end(), {S.Src, S.Base, S.Field});
+  for (size_t C = 0; C != Calls.size(); ++C)
+    if (Owns(Calls[C].Caller)) {
+      F.CallRecvSig.insert(F.CallRecvSig.end(),
+                           {C, Calls[C].RecvVar, Calls[C].Sig});
+      F.CallerOf.insert(F.CallerOf.end(), {C, Calls[C].Caller});
+    }
+  return F;
+}
+
+void Program::callCopies(Id CallId, Id CalleeId,
+                         std::vector<uint64_t> &Out) const {
+  const CallSite &Site = Calls[CallId];
+  const Method &Callee = Methods[CalleeId];
+  Out.insert(Out.end(), {Site.RecvVar, Callee.ThisVar});
+  for (size_t A = 0;
+       A != std::min(Site.ArgVars.size(), Callee.ParamVars.size()); ++A)
+    Out.insert(Out.end(), {Site.ArgVars[A], Callee.ParamVars[A]});
+  if (Site.RetDstVar != NoId && Callee.RetVar != NoId)
+    Out.insert(Out.end(), {Callee.RetVar, Site.RetDstVar});
 }
 
 bool Program::validate(std::string &Error) const {

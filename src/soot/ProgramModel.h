@@ -75,6 +75,18 @@ struct StoreStmt {
   Id Base, Field, Src;
 };
 
+/// The statement facts of a set of methods as flat tuple batches, each
+/// in the column order of its fact relation (the C++ analyses' and the
+/// prelude.jedd globals').
+struct MethodFacts {
+  std::vector<uint64_t> Alloc;       ///< (var, site).
+  std::vector<uint64_t> Assign;      ///< (src, dst).
+  std::vector<uint64_t> Load;        ///< (base, field, dst).
+  std::vector<uint64_t> Store;       ///< (src, base, field).
+  std::vector<uint64_t> CallRecvSig; ///< (call, recv, sig).
+  std::vector<uint64_t> CallerOf;    ///< (call, caller).
+};
+
 /// A whole program.
 struct Program {
   std::vector<Klass> Klasses;
@@ -105,6 +117,17 @@ struct Program {
   /// Walks up the hierarchy from \p KlassId, the oracle counterpart of
   /// the paper's Figure 4 algorithm.
   Id resolveVirtual(Id KlassId, Id SigId) const;
+
+  /// The statements owned by \p MethodIds: allocs, copies and loads
+  /// belong to the method of their destination variable, stores to that
+  /// of their base variable, call sites to their caller. Each batch
+  /// keeps the order of its statement list.
+  MethodFacts factsOf(const std::vector<Id> &MethodIds) const;
+  /// Appends to \p Out the (src, dst) copy edges that the call edge
+  /// from call site \p CallId to method \p CalleeId induces: receiver
+  /// to `this`, arguments to parameters up to the shorter list, and
+  /// return variable to result variable when both exist.
+  void callCopies(Id CallId, Id CalleeId, std::vector<uint64_t> &Out) const;
 
   /// Basic well-formedness (index ranges, acyclic hierarchy).
   bool validate(std::string &Error) const;

@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <string_view>
 
 using namespace jedd;
@@ -34,6 +35,13 @@ using soot::NoId;
 using soot::Program;
 
 namespace {
+
+/// Every method of \p P, for loading all of its statements at once.
+std::vector<Id> allMethods(const Program &P) {
+  std::vector<Id> Methods(P.Methods.size());
+  std::iota(Methods.begin(), Methods.end(), 0);
+  return Methods;
+}
 
 /// A tiny hand-crafted program:
 ///   class A { m0() { } }  class B extends A { m1() { } }
@@ -282,10 +290,8 @@ TEST_P(BaselineEquivalenceTest, HandCodedMatchesRelational) {
   // Relational version over the same facts (all methods, CHA edges).
   AnalysisUniverse AU(P);
   PointsToAnalysis PTA(AU);
-  for (size_t M = 0; M != P.Methods.size(); ++M)
-    PTA.addMethodFacts(static_cast<Id>(M));
-  for (auto &[Src, Dst] : Extra)
-    PTA.addAssignEdge(Src, Dst);
+  PTA.addMethodFacts(allMethods(P));
+  PTA.addAssignEdges(Extra);
   PTA.solve();
 
   EXPECT_DOUBLE_EQ(PTA.Pt.size(), Hand.pointsToSize());
@@ -324,10 +330,8 @@ TEST(BitOrderAblation, ResultsAgreeAcrossOrders) {
         "F1_C1_M1xM2_SG1_T1xT2xT3_V1xV2xV3_O1xO2"}) {
     AnalysisUniverse AU(P, Order);
     PointsToAnalysis PTA(AU);
-    for (size_t M = 0; M != P.Methods.size(); ++M)
-      PTA.addMethodFacts(static_cast<Id>(M));
-    for (auto &[Src, Dst] : Extra)
-      PTA.addAssignEdge(Src, Dst);
+    PTA.addMethodFacts(allMethods(P));
+    PTA.addAssignEdges(Extra);
     size_t Before = AU.U.manager().stats().ReorderingReplaces;
     PTA.solve();
     EXPECT_EQ(PTA.Pt.tuples(), RefPairs) << "order '" << Order << "'";
@@ -335,8 +339,9 @@ TEST(BitOrderAblation, ResultsAgreeAcrossOrders) {
     // the variable order: the only two move Pt's V1 to V2 (pt:copy) and
     // its (V1, O1) to (V2, O2) (pt:base), and V2 lies above O1 and O2,
     // so neither goes through the ITE rebuild.
-    if (std::string_view(Order) == AnalysisUniverse::DefaultOrder)
+    if (std::string_view(Order) == AnalysisUniverse::DefaultOrder) {
       EXPECT_EQ(AU.U.manager().stats().ReorderingReplaces, Before);
+    }
   }
 }
 
@@ -374,10 +379,8 @@ TEST(FixpointLayout, OnlyPtIsReplaced) {
   // pt:copy's alignment and for the pt:base view, and nothing else.
   AnalysisUniverse AU(P);
   PointsToAnalysis PTA(AU);
-  for (size_t M = 0; M != P.Methods.size(); ++M)
-    PTA.addMethodFacts(static_cast<Id>(M));
-  for (auto &[Src, Dst] : Extra)
-    PTA.addAssignEdge(Src, Dst);
+  PTA.addMethodFacts(allMethods(P));
+  PTA.addAssignEdges(Extra);
   auto Rel = spanCounts(obs::Cat::Rel, [&] { PTA.solve(); });
   uint64_t Iterations = Rel["compose@pt:copy"];
   ASSERT_GE(Iterations, 2u);

@@ -22,6 +22,7 @@
 #include "util/StringUtils.h"
 
 #include <cstdlib>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -94,7 +95,12 @@ TEST(JeddModules, InterpretedPointsToMatchesNativeImplementation) {
   Params.NumSignatures = 6;
   Params.Seed = 33;
   soot::Program P = soot::generateProgram(Params);
+  std::vector<soot::Id> All(P.Methods.size());
+  std::iota(All.begin(), All.end(), 0);
+  soot::MethodFacts Facts = P.factsOf(All);
   auto Extra = analysis::chaAssignEdges(P);
+  for (auto &[Src, Dst] : Extra)
+    Facts.Assign.insert(Facts.Assign.end(), {Src, Dst});
 
   // Interpreter side.
   std::string Source = readModule("prelude.jedd") + readModule("pointsto.jedd");
@@ -105,24 +111,15 @@ TEST(JeddModules, InterpretedPointsToMatchesNativeImplementation) {
   Compiled->buildUniverse(U);
   Interpreter Interp(*Compiled, U);
 
-  rel::Relation Alloc = Interp.emptyOfVar("alloc");
-  for (const soot::AllocStmt &S : P.Allocs)
-    Alloc.insert({S.Var, S.Site});
-  Interp.setGlobal("alloc", Alloc);
-  rel::Relation Assign = Interp.emptyOfVar("assign");
-  for (const soot::AssignStmt &S : P.Assigns)
-    Assign.insert({S.Src, S.Dst});
-  for (auto &[Src, Dst] : Extra)
-    Assign.insert({Src, Dst});
-  Interp.setGlobal("assign", Assign);
-  rel::Relation Load = Interp.emptyOfVar("load");
-  for (const soot::LoadStmt &S : P.Loads)
-    Load.insert({S.Base, S.Field, S.Dst});
-  Interp.setGlobal("load", Load);
-  rel::Relation Store = Interp.emptyOfVar("store");
-  for (const soot::StoreStmt &S : P.Stores)
-    Store.insert({S.Src, S.Base, S.Field});
-  Interp.setGlobal("store", Store);
+  auto Insert = [&](const char *Global, const std::vector<uint64_t> &Tuples) {
+    rel::Relation Value = Interp.emptyOfVar(Global);
+    Value.insertAll(Tuples);
+    Interp.setGlobal(Global, Value);
+  };
+  Insert("alloc", Facts.Alloc);
+  Insert("assign", Facts.Assign);
+  Insert("load", Facts.Load);
+  Insert("store", Facts.Store);
 
   Interp.call("solvePointsTo", {});
   rel::Relation Pt = Interp.getGlobal("pt");
@@ -130,10 +127,8 @@ TEST(JeddModules, InterpretedPointsToMatchesNativeImplementation) {
   // Native side (all methods + CHA edges, matching the facts above).
   analysis::AnalysisUniverse AU(P);
   analysis::PointsToAnalysis PTA(AU);
-  for (size_t M = 0; M != P.Methods.size(); ++M)
-    PTA.addMethodFacts(static_cast<soot::Id>(M));
-  for (auto &[Src, Dst] : Extra)
-    PTA.addAssignEdge(Src, Dst);
+  PTA.addMethodFacts(All);
+  PTA.addAssignEdges(Extra);
   PTA.solve();
 
   EXPECT_DOUBLE_EQ(Pt.size(), PTA.Pt.size());

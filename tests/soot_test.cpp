@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace jedd;
 using namespace jedd::soot;
 
@@ -107,6 +109,119 @@ TEST(SootGenerator, PresetsScaleMonotonically) {
         << Name << " should be larger than its predecessor";
     LastMethods = P.Methods.size();
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Fact extraction
+//===----------------------------------------------------------------------===//
+
+using Batches = std::vector<std::vector<uint64_t>>;
+
+/// The batches of \p F in member order, and the arity of each.
+Batches batches(const MethodFacts &F) {
+  return {F.Alloc, F.Assign, F.Load, F.Store, F.CallRecvSig, F.CallerOf};
+}
+constexpr size_t Arity[] = {2, 2, 3, 3, 3, 2};
+
+/// Each batch as its sorted tuples; every batch must hold whole tuples.
+std::vector<Batches> sortedTuples(const Batches &Facts) {
+  std::vector<Batches> Out(Facts.size());
+  for (size_t B = 0; B != Facts.size(); ++B) {
+    EXPECT_EQ(Facts[B].size() % Arity[B], 0u) << "batch " << B;
+    for (size_t I = 0; I + Arity[B] <= Facts[B].size(); I += Arity[B])
+      Out[B].emplace_back(Facts[B].begin() + I,
+                          Facts[B].begin() + I + Arity[B]);
+    std::sort(Out[B].begin(), Out[B].end());
+  }
+  return Out;
+}
+
+TEST(SootFacts, StatementsGoToTheMethodThatOwnsThem) {
+  // Variables 0, 1 belong to method 0; 2, 3 to method 1. Each statement
+  // mixes the two, so only the ownership rule places it.
+  Program P = figure4Program();
+  P.NumVars = 4;
+  P.VarMethod = {0, 0, 1, 1};
+  P.Allocs.push_back({/*Var=*/2, /*Site=*/0});
+  P.Assigns.push_back({/*Dst=*/0, /*Src=*/2});
+  P.Loads.push_back({/*Dst=*/1, /*Base=*/3, /*Field=*/0});
+  P.Stores.push_back({/*Base=*/3, /*Field=*/0, /*Src=*/0});
+  P.Calls.push_back({/*Caller=*/1, /*Sig=*/0, /*RecvVar=*/0, {}, NoId});
+
+  EXPECT_EQ(batches(P.factsOf({0})),
+            (Batches{{}, {2, 0}, {3, 0, 1}, {}, {}, {}}));
+  EXPECT_EQ(batches(P.factsOf({1})),
+            (Batches{{2, 0}, {}, {}, {0, 3, 0}, {0, 0, 0}, {0, 1}}));
+  EXPECT_EQ(batches(P.factsOf({})), Batches(6));
+}
+
+TEST(SootFacts, PartsOfTheMethodsAddUpToAllStatementsOnce) {
+  GeneratorParams Params;
+  Params.Seed = 7;
+  Program P = generateProgram(Params);
+  std::vector<Id> All, Parts[3];
+  for (Id M = 0; M != P.Methods.size(); ++M) {
+    All.push_back(M);
+    Parts[M % 3].push_back(M);
+  }
+
+  // Over all methods, every statement and call site appears exactly once,
+  // in the order of its list.
+  Batches Want(6);
+  for (const AllocStmt &S : P.Allocs)
+    Want[0].insert(Want[0].end(), {S.Var, S.Site});
+  for (const AssignStmt &S : P.Assigns)
+    Want[1].insert(Want[1].end(), {S.Src, S.Dst});
+  for (const LoadStmt &S : P.Loads)
+    Want[2].insert(Want[2].end(), {S.Base, S.Field, S.Dst});
+  for (const StoreStmt &S : P.Stores)
+    Want[3].insert(Want[3].end(), {S.Src, S.Base, S.Field});
+  for (size_t C = 0; C != P.Calls.size(); ++C) {
+    Want[4].insert(Want[4].end(), {C, P.Calls[C].RecvVar, P.Calls[C].Sig});
+    Want[5].insert(Want[5].end(), {C, P.Calls[C].Caller});
+  }
+  Batches Whole = batches(P.factsOf(All));
+  for (const std::vector<uint64_t> &Batch : Whole)
+    EXPECT_FALSE(Batch.empty());
+  EXPECT_EQ(Whole, Want);
+
+  // The facts of a partition of the methods, concatenated, are the facts
+  // of all of them.
+  Batches Joined(6);
+  for (const std::vector<Id> &Part : Parts) {
+    Batches F = batches(P.factsOf(Part));
+    for (size_t B = 0; B != F.size(); ++B)
+      Joined[B].insert(Joined[B].end(), F[B].begin(), F[B].end());
+  }
+  EXPECT_EQ(sortedTuples(Joined), sortedTuples(Whole));
+}
+
+TEST(SootFacts, CallCopiesPairUpToTheShorterList) {
+  Program P = figure4Program();
+  // Method 0 returns a value; method 1 is void.
+  P.Methods[0].ThisVar = 10;
+  P.Methods[0].ParamVars = {11, 12};
+  P.Methods[0].RetVar = 13;
+  P.Methods[1].ThisVar = 20;
+  P.Methods[1].ParamVars = {21};
+  // Call 0 passes three arguments and keeps the result; call 1 passes
+  // one and has no result variable.
+  P.Calls.push_back({/*Caller=*/0, /*Sig=*/0, /*RecvVar=*/1, {2, 3, 4}, 5});
+  P.Calls.push_back({/*Caller=*/0, /*Sig=*/0, /*RecvVar=*/6, {7}, NoId});
+
+  auto Copies = [&](Id Call, Id Callee) {
+    std::vector<uint64_t> Out = {99, 98}; // Appended to, not replaced.
+    P.callCopies(Call, Callee, Out);
+    return std::vector<uint64_t>(Out.begin() + 2, Out.end());
+  };
+  // More arguments than parameters: the third argument copies nowhere.
+  EXPECT_EQ(Copies(0, 0),
+            (std::vector<uint64_t>{1, 10, 2, 11, 3, 12, 13, 5}));
+  // Fewer arguments than parameters, and no result variable.
+  EXPECT_EQ(Copies(1, 0), (std::vector<uint64_t>{6, 10, 7, 11}));
+  // A void callee returns nothing into the result variable.
+  EXPECT_EQ(Copies(0, 1), (std::vector<uint64_t>{1, 20, 2, 21}));
+  EXPECT_EQ(Copies(1, 1), (std::vector<uint64_t>{6, 20, 7, 21}));
 }
 
 //===----------------------------------------------------------------------===//

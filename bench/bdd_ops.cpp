@@ -32,7 +32,7 @@ struct PackFixture {
     A = Pack.addDomain("A", Bits);
     B = Pack.addDomain("B", Bits);
     C = Pack.addDomain("C", Bits);
-    Pack.finalize(1 << 18, 1 << 18);
+    Pack.finalize(1 << 18);
     Left = randomRelation(A, B, Tuples);
     Right = randomRelation(B, C, Tuples);
   }

@@ -50,7 +50,7 @@ HandCodedPointsTo::HandCodedPointsTo(const Program &Prog,
   O1 = Pack.addDomain("O1", BO);
   O2 = Pack.addDomain("O2", BO);
   F1 = Pack.addDomain("F1", BF);
-  Pack.finalize(1 << 16, 1 << 18);
+  Pack.finalize(1 << 16);
   bdd::Manager &Mgr = Pack.manager();
   Pt = Mgr.falseBdd();
   FieldPt = Mgr.falseBdd();

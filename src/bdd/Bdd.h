@@ -35,6 +35,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <initializer_list>
 #include <map>
@@ -170,6 +171,7 @@ struct ManagerStats {
   size_t GcRuns = 0;       ///< Number of completed collections.
   size_t CacheHits = 0;    ///< Computed-cache hits since creation.
   size_t CacheLookups = 0; ///< Computed-cache probes since creation.
+  size_t CacheEntries = 0; ///< Computed-cache slots (follows Capacity).
   size_t NodesCreated = 0; ///< makeNode calls that allocated a new node.
   /// replace() calls whose map inverts the relative order of the moved
   /// variables, so the result is rebuilt with ITEs instead of relabelled.
@@ -195,10 +197,9 @@ struct ManagerStats {
 class Manager {
 public:
   /// Creates a manager with \p NumVars client variables. \p InitialNodes
-  /// is the starting node-pool capacity and \p CacheSize the computed
-  /// cache size (rounded up to a power of two).
-  explicit Manager(unsigned NumVars, size_t InitialNodes = 1 << 14,
-                   size_t CacheSize = 1 << 16);
+  /// is the starting node-pool capacity (rounded up to a power of two).
+  /// The computed cache follows the pool: cacheEntriesFor(capacity).
+  explicit Manager(unsigned NumVars, size_t InitialNodes = 1 << 14);
   ~Manager();
 
   Manager(const Manager &) = delete;
@@ -260,7 +261,9 @@ public:
   /// either be a moved source itself or absent from the support of F.
   /// Handles arbitrary permutations (including swaps of interleaved
   /// domains) — order-preserving maps take a fast single recursion, the
-  /// rest a level-correcting ITE rebuild.
+  /// rest a level-correcting ITE rebuild. Whether a map preserves order
+  /// on every operand that obeys this contract is decided once per map;
+  /// only a map that does not is checked against F's support.
   Bdd replace(const Bdd &F, const std::vector<int> &Map);
 
   /// Restricts variable \p Var to constant \p Value in F (cofactor).
@@ -330,6 +333,15 @@ public:
   void gcIfNeeded();
 
   ManagerStats stats() const;
+  /// Computed-cache entries for a pool of \p PoolSlots slots: one per
+  /// CacheRatio slots, clamped to [MinCacheEntries, MaxCacheEntries]
+  /// (BuDDy's cache ratio). The manager sizes its cache with this at
+  /// construction and on every pool growth.
+  static size_t cacheEntriesFor(size_t PoolSlots);
+  static constexpr size_t CacheRatio = 2;
+  static constexpr size_t MinCacheEntries = size_t(1) << 10;
+  static constexpr size_t MaxCacheEntries = size_t(1) << 18;
+
   /// Number of nodes reachable from live roots (forces a mark pass).
   size_t liveNodeCount();
 
@@ -380,7 +392,8 @@ private:
   /// End of a unique-table chain or of the free list.
   static constexpr uint32_t NoNode = 0xFFFFFFFFu;
 
-  /// Node storage as fixed-size chunks with stable addresses. Growth
+  /// Node storage as fixed-size chunks with stable addresses, left
+  /// uninitialised (a slot is first written when it is allocated). Growth
   /// appends chunks and never moves existing nodes, so a recursion may
   /// hold a Node reference across a makeNode that grows the pool (the
   /// chunk-pointer array is pre-reserved, so push_back never
@@ -427,17 +440,20 @@ private:
   };
 
   /// A direct-mapped computed cache keyed by (tag, a, b, c), owned by
-  /// the manager and shared by all its operations.
+  /// the manager and shared by all its operations. Empty until the
+  /// manager sizes it.
   class ComputedCache {
   public:
-    /// At least \p MinEntries entries, rounded up to a power of two.
-    explicit ComputedCache(size_t MinEntries);
+    /// Makes the cache \p N (a power of two) empty entries; a no-op when
+    /// it already has that many. Allocates before it drops the old
+    /// entries, so a bad_alloc leaves the cache as it was.
+    void resize(size_t N);
 
     bool lookup(uint32_t Tag, NodeRef A, NodeRef B, NodeRef C,
                 NodeRef &Result) {
       Lookups.bump();
       const Entry &E = slot(Tag, A, B, C);
-      if (E.Tag == Tag && E.A == A && E.B == B && E.C == C) {
+      if (E.TagPlusOne == Tag + 1 && E.A == A && E.B == B && E.C == C) {
         Hits.bump();
         Result = E.Result;
         return true;
@@ -446,29 +462,35 @@ private:
     }
     void store(uint32_t Tag, NodeRef A, NodeRef B, NodeRef C,
                NodeRef Result) {
-      slot(Tag, A, B, C) = {Tag, A, B, C, Result};
+      slot(Tag, A, B, C) = {Tag + 1, A, B, C, Result};
     }
     void clear();
     bool empty() const;
-    size_t entries() const { return Entries.size(); }
-    size_t bytes() const { return Entries.capacity() * sizeof(Entry); }
+    size_t entries() const { return NumEntries; }
+    size_t bytes() const { return NumEntries * sizeof(Entry); }
     size_t hits() const { return Hits.get(); }
     size_t lookups() const { return Lookups.get(); }
 
   private:
+    /// All zeros is the empty entry (no tag is 2^32 - 1), so resize()
+    /// takes the entries from calloc, whose fresh pages stay untouched
+    /// until an entry on them is stored.
     struct Entry {
-      uint32_t Tag = InvalidTag;
-      NodeRef A = 0, B = 0, C = 0;
-      NodeRef Result = 0;
+      uint32_t TagPlusOne;
+      NodeRef A, B, C;
+      NodeRef Result;
     };
-    static constexpr uint32_t InvalidTag = 0xFFFFFFFFu;
+    struct FreeEntries {
+      void operator()(Entry *P) const { std::free(P); }
+    };
 
     Entry &slot(uint32_t Tag, NodeRef A, NodeRef B, NodeRef C) {
       return Entries[hashTriple(A ^ (Tag * 0x85ebca6bu), B, C) & Mask];
     }
 
-    std::vector<Entry> Entries;
-    size_t Mask;
+    std::unique_ptr<Entry[], FreeEntries> Entries;
+    size_t NumEntries = 0;
+    size_t Mask = 0;
     StatCounter Hits;
     StatCounter Lookups;
   };
@@ -497,8 +519,13 @@ private:
 
   NodePool Nodes;
   std::vector<uint32_t> Buckets; ///< Unique table heads; size power of 2.
+  // Free slots are the free list (all below FreshSlot) and every slot
+  // from FreshSlot on, which has never held a node: the pool does not
+  // initialise its chunks, so memory a run never allocates from is never
+  // touched.
   uint32_t FreeHead = NoNode;
-  size_t FreeCount = 0;
+  uint32_t FreshSlot = 2;
+  size_t FreeCount = 0; ///< Free-list length plus the fresh slots.
 
   ComputedCache Cache;
 
@@ -523,11 +550,16 @@ private:
   size_t NodesCreated = 0;
   size_t ReorderingReplaces = 0;
 
+  /// What replace() knows of a map without looking at an operand.
+  struct ReplaceMapInfo {
+    uint32_t Id;          ///< The map's cache tag is TagReplaceBase + Id.
+    bool OrderPreserving; ///< mapPreservesOrder(Map).
+  };
   /// Registry assigning each distinct replace() map a stable cache-tag
   /// id. Owned by the manager (not global): tags index this manager's
   /// computed cache, so two managers must never derive the same tag from
   /// different maps.
-  std::map<std::vector<int>, uint32_t> ReplaceMapIds;
+  std::map<std::vector<int>, ReplaceMapInfo> ReplaceMapIds;
 
   uint32_t varOf(NodeRef N) const { return Nodes[N].Var; }
   bool isTerminal(NodeRef N) const { return N <= TrueRef; }
@@ -586,10 +618,15 @@ private:
   NodeRef mintermsRec(const std::vector<unsigned> &Vars, size_t Depth,
                       uint64_t *Rows, size_t NumRows, size_t Words);
 
-  /// True if Map (over support vars of F) preserves relative variable
-  /// order, enabling the single-recursion replace fast path.
-  bool isOrderPreserving(const std::vector<int> &Map,
-                         const std::vector<unsigned> &Support) const;
+  /// True if Map preserves the relative order of \p Vars (ascending),
+  /// enabling the single-recursion replace fast path.
+  static bool isOrderPreserving(const std::vector<int> &Map,
+                                const std::vector<unsigned> &Vars);
+  /// True if Map preserves the relative order of every variable that
+  /// may appear in the support of an operand obeying replace()'s
+  /// contract: all variables except the targets that are not moved
+  /// themselves.
+  bool mapPreservesOrder(const std::vector<int> &Map) const;
 
   //===--------------------------------------------------------------===//
   // Resource-governor state (docs/robustness.md)

@@ -41,6 +41,11 @@ inline const char *applyOpName(Op Operator) {
   return "apply";
 }
 
+/// True if the replace map \p Map renames \p V to another variable.
+inline bool movesVar(const std::vector<int> &Map, unsigned V) {
+  return V < Map.size() && Map[V] >= 0 && static_cast<unsigned>(Map[V]) != V;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -111,47 +116,52 @@ void Manager::NodePool::growTo(size_t NewCap) {
     // callers translate it to ResourceExhausted.
     if (Chunks.size() >= MaxChunks)
       throw std::bad_alloc();
-    Chunks.push_back(std::make_unique<Node[]>(ChunkSize));
+    Chunks.push_back(std::make_unique_for_overwrite<Node[]>(ChunkSize));
     Current += ChunkSize;
   }
   Cap.store(Current, std::memory_order_relaxed);
 }
 
-Manager::ComputedCache::ComputedCache(size_t MinEntries)
-    : Entries(roundUpPow2(MinEntries)), Mask(Entries.size() - 1) {}
+void Manager::ComputedCache::resize(size_t N) {
+  assert(N == roundUpPow2(N) && "entries must be 2^k");
+  if (N == NumEntries)
+    return;
+  auto *Fresh = static_cast<Entry *>(std::calloc(N, sizeof(Entry)));
+  if (!Fresh)
+    throw std::bad_alloc();
+  Entries.reset(Fresh);
+  NumEntries = N;
+  Mask = N - 1;
+}
 
 void Manager::ComputedCache::clear() {
-  std::fill(Entries.begin(), Entries.end(), Entry());
+  std::fill_n(Entries.get(), NumEntries, Entry{});
 }
 
 bool Manager::ComputedCache::empty() const {
-  return std::all_of(Entries.begin(), Entries.end(),
-                     [](const Entry &E) { return E.Tag == InvalidTag; });
+  return std::all_of(Entries.get(), Entries.get() + NumEntries,
+                     [](const Entry &E) { return E.TagPlusOne == 0; });
 }
 
-Manager::Manager(unsigned NumVars, size_t InitialNodes, size_t CacheSize)
-    : NumVars(NumVars), Cache(std::max<size_t>(CacheSize, 1024)) {
+size_t Manager::cacheEntriesFor(size_t PoolSlots) {
+  return std::clamp(roundUpPow2(PoolSlots / CacheRatio), MinCacheEntries,
+                    MaxCacheEntries);
+}
+
+Manager::Manager(unsigned NumVars, size_t InitialNodes) : NumVars(NumVars) {
   assert(NumVars > 0 && "a manager needs at least one variable");
   size_t Capacity =
       std::max<size_t>(roundUpPow2(InitialNodes), NodePool::ChunkSize);
   Nodes.growTo(Capacity);
+  Cache.resize(cacheEntriesFor(Capacity));
   Marks.assign(Capacity, 0);
   Buckets.assign(roundUpPow2(Capacity), NoNode);
 
   // Terminals. A permanent reference count keeps them off the free list.
   Nodes[FalseRef] = {VarTerminal, FalseRef, FalseRef, NoNode, 1};
   Nodes[TrueRef] = {VarTerminal, TrueRef, TrueRef, NoNode, 1};
-
-  // Chain the remaining slots onto the free list (ascending order so node
-  // indices are allocated densely from low addresses).
-  FreeHead = NoNode;
-  FreeCount = 0;
-  for (size_t I = Capacity; I-- > 2;) {
-    Nodes[I].Var = VarFree;
-    Nodes[I].Low = FreeHead;
-    FreeHead = static_cast<uint32_t>(I);
-    ++FreeCount;
-  }
+  // Every other slot starts fresh (FreshSlot = 2).
+  FreeCount = Capacity - 2;
 
   // Fault injection from the environment: "RATE" or "RATE:SEED" (one in
   // RATE governor checkpoints trips). The API (setFaultInjection) takes
@@ -187,13 +197,20 @@ NodeRef Manager::makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
   if (GovEnabled)
     governorCheckAlloc();
 
-  if (FreeHead == NoNode) {
+  if (FreeHead == NoNode && FreshSlot == Nodes.size()) {
     growPool();
     Hash = hashTriple(Var, Low, High) & (Buckets.size() - 1);
   }
 
-  uint32_t N = FreeHead;
-  FreeHead = Nodes[N].Low;
+  // The free list holds only slots below FreshSlot, so taking it first
+  // hands slots out in ascending order after every collection.
+  uint32_t N = FreshSlot;
+  if (FreeHead != NoNode) {
+    N = FreeHead;
+    FreeHead = Nodes[N].Low;
+  } else {
+    ++FreshSlot;
+  }
   --FreeCount;
   ++NodesCreated;
   Nodes[N] = {Var, Low, High, Buckets[Hash], 0};
@@ -213,21 +230,20 @@ void Manager::growPool() {
       throwResource(ResourceExhausted::Kind::AllocFailed);
   }
   size_t OldCapacity = Nodes.size();
-  size_t NewCapacity = OldCapacity * 2;
+  assert(FreshSlot == OldCapacity && "the pool grows only when it is full");
   try {
-    Nodes.growTo(NewCapacity);
-    Marks.resize(NewCapacity, 0);
+    Nodes.growTo(OldCapacity * 2);
+    FreeCount += Nodes.size() - OldCapacity; // The new slots are fresh.
+    Marks.resize(Nodes.size(), 0);
+    // Dropping the entries mid-operation only costs recomputation: the
+    // recursion keeps its partial results on the stack, not in the cache.
+    Cache.resize(cacheEntriesFor(Nodes.size()));
   } catch (const std::bad_alloc &) {
-    // The pool/mark vectors are still consistent (growth appends only);
-    // the recovery GC run by governed() reclaims whatever the aborted
-    // operation allocated so far.
+    // The pool/mark vectors are still consistent (growth appends only)
+    // and a failed resize keeps the old cache; the recovery GC run by
+    // governed() reclaims whatever the aborted operation allocated so
+    // far.
     throwResource(ResourceExhausted::Kind::AllocFailed);
-  }
-  for (size_t I = NewCapacity; I-- > OldCapacity;) {
-    Nodes[I].Var = VarFree;
-    Nodes[I].Low = FreeHead;
-    FreeHead = static_cast<uint32_t>(I);
-    ++FreeCount;
   }
   if (Nodes.size() > 2 * Buckets.size())
     rehash();
@@ -242,7 +258,7 @@ void Manager::rehash() {
     // one. Surface the failure as a governor abort.
     throwResource(ResourceExhausted::Kind::AllocFailed);
   }
-  for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N) {
+  for (uint32_t N = 2; N != FreshSlot; ++N) {
     Node &Nd = Nodes[N];
     if (Nd.Var >= VarFree)
       continue;
@@ -268,7 +284,7 @@ size_t Manager::markFromRoots() {
     Marks.resize(Nodes.size(), 0);
   std::fill(Marks.begin(), Marks.end(), 0);
   size_t Marked = 0;
-  for (uint32_t N = 2, E = static_cast<uint32_t>(Nodes.size()); N != E; ++N)
+  for (uint32_t N = 2; N != FreshSlot; ++N)
     if (Nodes[N].Var < VarFree && Nodes[N].RefCount > 0)
       Marked += markRec(N);
   return Marked;
@@ -280,8 +296,8 @@ void Manager::gcImpl() {
   markFromRoots();
 
   FreeHead = NoNode;
-  FreeCount = 0;
-  for (size_t I = Nodes.size(); I-- > 2;) {
+  FreeCount = Nodes.size() - FreshSlot;
+  for (size_t I = FreshSlot; I-- > 2;) {
     if (Nodes[I].Var < VarFree && !Marks[I]) {
       Nodes[I].Var = VarFree;
       Nodes[I].Low = FreeHead;
@@ -347,8 +363,13 @@ std::string Manager::checkInvariants() const {
     if (Nodes[T].Var != VarTerminal || Nodes[T].Low != T ||
         Nodes[T].High != T || Nodes[T].RefCount == 0)
       return strFormat("terminal %u is corrupted", T);
+  // Slots from FreshSlot on have never held a node and are not read.
+  const uint32_t Used = FreshSlot;
+  if (Used < 2 || Used > Size)
+    return strFormat("fresh slots start at %u, outside the pool of %u", Used,
+                     Size);
 
-  for (uint32_t N = 2; N != Size; ++N) {
+  for (uint32_t N = 2; N != Used; ++N) {
     const Node &Nd = Nodes[N];
     if (Nd.Var == VarFree)
       continue;
@@ -357,7 +378,7 @@ std::string Manager::checkInvariants() const {
     if (Nd.Low == Nd.High)
       return strFormat("node %u is redundant (low == high == %u)", N, Nd.Low);
     for (NodeRef Child : {Nd.Low, Nd.High}) {
-      if (Child >= Size || Nodes[Child].Var == VarFree)
+      if (Child >= Used || Nodes[Child].Var == VarFree)
         return strFormat("node %u has dangling child %u", N, Child);
       if (varOf(Child) <= Nd.Var)
         return strFormat("node %u (level %u) has child %u at level %u", N,
@@ -368,11 +389,11 @@ std::string Manager::checkInvariants() const {
   // Every chain entry must be allocated, hash to its bucket and differ
   // from the chain's earlier entries; Linked counts sightings, which
   // also catches cycles.
-  std::vector<uint8_t> Linked(Size, 0);
+  std::vector<uint8_t> Linked(Used, 0);
   const size_t Mask = Buckets.size() - 1;
   for (size_t B = 0; B != Buckets.size(); ++B) {
     for (uint32_t N = Buckets[B]; N != NoNode; N = Nodes[N].Next) {
-      if (N < 2 || N >= Size || Nodes[N].Var >= NumVars)
+      if (N < 2 || N >= Used || Nodes[N].Var >= NumVars)
         return strFormat("bucket %zu links slot %u, not a node", B, N);
       const Node &Nd = Nodes[N];
       if ((hashTriple(Nd.Var, Nd.Low, Nd.High) & Mask) != B)
@@ -386,17 +407,18 @@ std::string Manager::checkInvariants() const {
           return strFormat("nodes %u and %u share a triple", P, N);
     }
   }
-  for (uint32_t N = 2; N != Size; ++N)
+  for (uint32_t N = 2; N != Used; ++N)
     if (Nodes[N].Var != VarFree && !Linked[N])
       return strFormat("node %u is missing from the unique table", N);
 
   size_t FreeLen = 0;
   for (uint32_t N = FreeHead; N != NoNode; N = Nodes[N].Low)
-    if (N >= Size || Nodes[N].Var != VarFree || ++FreeLen > Size)
+    if (N >= Used || Nodes[N].Var != VarFree || ++FreeLen > Used)
       return strFormat("free list reaches slot %u, not a free slot", N);
-  if (FreeLen != FreeCount)
-    return strFormat("free list holds %zu slots but FreeCount is %zu", FreeLen,
-                     FreeCount);
+  if (FreeLen + (Size - Used) != FreeCount)
+    return strFormat("free list holds %zu slots and %u are fresh, but "
+                     "FreeCount is %zu",
+                     FreeLen, Size - Used, FreeCount);
   return "";
 }
 
@@ -408,6 +430,7 @@ ManagerStats Manager::stats() const {
   S.GcRuns = GcRuns;
   S.CacheHits = Cache.hits();
   S.CacheLookups = Cache.lookups();
+  S.CacheEntries = Cache.entries();
   S.NodesCreated = NodesCreated;
   S.ReorderingReplaces = ReorderingReplaces;
   S.LimitMaxNodes = Limits.MaxNodes;
@@ -727,13 +750,13 @@ Bdd Manager::relProd(const Bdd &F, const Bdd &G, const Bdd &CubeBdd) {
 //===----------------------------------------------------------------------===//
 
 bool Manager::isOrderPreserving(const std::vector<int> &Map,
-                                const std::vector<unsigned> &Support) const {
+                                const std::vector<unsigned> &Vars) {
   // The single-recursion fast path relabels nodes in place, which is
   // sound exactly when the images are strictly increasing down the
-  // support (sorted ascending, so in order).
+  // variables (sorted ascending, so in order).
   uint32_t LastImage = 0;
   bool First = true;
-  for (unsigned V : Support) {
+  for (unsigned V : Vars) {
     unsigned Image =
         (V < Map.size() && Map[V] >= 0) ? static_cast<unsigned>(Map[V]) : V;
     if (!First && Image <= LastImage)
@@ -742,6 +765,22 @@ bool Manager::isOrderPreserving(const std::vector<int> &Map,
     First = false;
   }
   return true;
+}
+
+bool Manager::mapPreservesOrder(const std::vector<int> &Map) const {
+  // An operand's support avoids the targets that stay put (replace's
+  // contract), so order preserved on the rest is preserved on it.
+  std::vector<bool> Target(NumVars, false);
+  for (unsigned V = 0; V != Map.size(); ++V)
+    if (movesVar(Map, V)) {
+      assert(static_cast<unsigned>(Map[V]) < NumVars && "target out of range");
+      Target[Map[V]] = true;
+    }
+  std::vector<unsigned> MayOccur;
+  for (unsigned V = 0; V != NumVars; ++V)
+    if (!Target[V] || movesVar(Map, V))
+      MayOccur.push_back(V);
+  return isOrderPreserving(Map, MayOccur);
 }
 
 NodeRef Manager::replaceRec(NodeRef F, const std::vector<int> &FullMap,
@@ -769,18 +808,15 @@ Bdd Manager::replace(const Bdd &F, const std::vector<int> &Map) {
 }
 
 NodeRef Manager::replaceImpl(NodeRef F, const std::vector<int> &Map) {
-  std::vector<unsigned> Supp = supportImpl(F);
-  std::vector<std::pair<unsigned, unsigned>> Moves;
-  for (unsigned V : Supp)
-    if (V < Map.size() && Map[V] >= 0 && static_cast<unsigned>(Map[V]) != V)
-      Moves.push_back({V, static_cast<unsigned>(Map[V])});
-  if (Moves.empty())
-    return F;
-
 #ifndef NDEBUG
   // Validity: injective on the moved sources; targets either moved away
   // themselves or absent from the support.
   {
+    std::vector<unsigned> Supp = supportImpl(F);
+    std::vector<std::pair<unsigned, unsigned>> Moves;
+    for (unsigned V : Supp)
+      if (movesVar(Map, V))
+        Moves.push_back({V, static_cast<unsigned>(Map[V])});
     std::vector<unsigned> Targets;
     for (auto &M : Moves)
       Targets.push_back(M.second);
@@ -804,20 +840,28 @@ NodeRef Manager::replaceImpl(NodeRef F, const std::vector<int> &Map) {
   // must never collide with another manager's maps. The fast and general
   // paths compute the same canonical result, so they can share entries.
   // Tag-space guard: TagReplaceBase + id must stay clear of both the
-  // general-path high bit and the invalid-entry sentinel. Recycling the
-  // registry invalidates any cached results keyed by old ids.
+  // general-path high bit and 2^32 - 1 (the cache stores tag + 1).
+  // Recycling the registry invalidates any cached results keyed by old
+  // ids.
   if (ReplaceMapIds.size() >= (1u << 20)) {
     ReplaceMapIds.clear();
     Cache.clear();
   }
-  auto [It, Inserted] = ReplaceMapIds.try_emplace(
-      Map, static_cast<uint32_t>(ReplaceMapIds.size()));
-  (void)Inserted;
-  uint32_t Tag = TagReplaceBase + It->second;
+  auto [It, Inserted] = ReplaceMapIds.try_emplace(Map);
+  ReplaceMapInfo &Info = It->second;
+  if (Inserted)
+    Info = {static_cast<uint32_t>(ReplaceMapIds.size() - 1),
+            mapPreservesOrder(Map)};
+  uint32_t Tag = TagReplaceBase + Info.Id;
 
-  if (isOrderPreserving(Map, Supp))
-    // A single bottom-up relabeling recursion is sound because relative
-    // variable order is unchanged.
+  // A single bottom-up relabeling recursion is sound whenever relative
+  // variable order is unchanged on F's support: for every operand when
+  // the whole map preserves order, else as the support decides.
+  bool OrderPreserving =
+      Info.OrderPreserving || isOrderPreserving(Map, supportImpl(F));
+  assert((!OrderPreserving || isOrderPreserving(Map, supportImpl(F))) &&
+         "a map that preserves order must preserve it on the support");
+  if (OrderPreserving)
     return replaceRec(F, Map, Tag);
 
   // General path (order-inverting maps, e.g. swaps of interleaved

@@ -66,7 +66,7 @@ std::vector<std::vector<PhysDomId>> DomainPack::parseSpec() const {
   return Result;
 }
 
-void DomainPack::finalize(size_t InitialNodes, size_t CacheSize) {
+void DomainPack::finalize(size_t InitialNodes) {
   assert(!Mgr && "finalize() may only run once");
   assert(!Doms.empty() && "a pack needs at least one domain");
   std::vector<std::vector<PhysDomId>> Parsed = parseSpec();
@@ -95,7 +95,7 @@ void DomainPack::finalize(size_t InitialNodes, size_t CacheSize) {
     }
   }
   Groups = std::move(Parsed);
-  Mgr = std::make_unique<Manager>(NextVar, InitialNodes, CacheSize);
+  Mgr = std::make_unique<Manager>(NextVar, InitialNodes);
 }
 
 Bdd DomainPack::encode(PhysDomId Dom, uint64_t Value) {

@@ -61,7 +61,7 @@ public:
   /// manager, whose order stays fixed from then on. A spec naming an
   /// undeclared domain, naming one twice or leaving one out throws
   /// UsageError and leaves the pack unfinalized.
-  void finalize(size_t InitialNodes = 1 << 14, size_t CacheSize = 1 << 16);
+  void finalize(size_t InitialNodes = 1 << 14);
   bool isFinalized() const { return Mgr != nullptr; }
 
   Manager &manager() {

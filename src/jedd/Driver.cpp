@@ -13,8 +13,7 @@ using namespace jedd::lang;
 
 void CompiledProgram::buildUniverse(rel::Universe &U,
                                     const std::string &OrderSpec,
-                                    size_t InitialNodes,
-                                    size_t CacheSize) const {
+                                    size_t InitialNodes) const {
   const SymbolTable &Symbols = Prog->Symbols;
   for (const auto &D : Symbols.Domains) {
     rel::DomainId Id = U.addDomain(D.Name, D.Size);
@@ -24,7 +23,7 @@ void CompiledProgram::buildUniverse(rel::Universe &U,
     U.addAttribute(A.Name, A.Domain);
   for (const auto &P : Symbols.PhysDoms)
     U.addPhysicalDomain(P.Name, P.Bits);
-  U.finalize(OrderSpec, InitialNodes, CacheSize);
+  U.finalize(OrderSpec, InitialNodes);
 }
 
 int CompiledProgram::findFunction(const std::string &Name) const {

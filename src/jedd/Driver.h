@@ -49,8 +49,7 @@ public:
   /// \p U (ids equal the symbol table indices) and finalizes it with
   /// \p OrderSpec ("" = declaration order; see bdd/DomainPack.h).
   void buildUniverse(rel::Universe &U, const std::string &OrderSpec = "",
-                     size_t InitialNodes = 1 << 16,
-                     size_t CacheSize = 1 << 18) const;
+                     size_t InitialNodes = 1 << 16) const;
 
   /// Index of a function by name; -1 when absent.
   int findFunction(const std::string &Name) const;

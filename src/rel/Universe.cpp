@@ -45,8 +45,7 @@ PhysDomId Universe::addPhysicalDomain(std::string Name, unsigned Bits) {
   return static_cast<PhysDomId>(PhysNames.size() - 1);
 }
 
-void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes,
-                        size_t CacheSize) {
+void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes) {
   JEDD_CHECK(!isFinalized(), "finalize() may only run once");
   JEDD_CHECK(!PhysNames.empty(), "at least one physical domain is required");
 
@@ -65,7 +64,7 @@ void Universe::finalize(const std::string &OrderSpec, size_t InitialNodes,
     (void)Id;
     assert(Id == I && "pack ids must mirror universe ids");
   }
-  Pack->finalize(InitialNodes, CacheSize);
+  Pack->finalize(InitialNodes);
   PackPtr = std::move(Pack);
 }
 

@@ -85,7 +85,7 @@ public:
   /// adjacent); a malformed spec throws UsageError and leaves the
   /// universe unfinalized.
   void finalize(const std::string &OrderSpec = "",
-                size_t InitialNodes = 1 << 16, size_t CacheSize = 1 << 18);
+                size_t InitialNodes = 1 << 16);
   bool isFinalized() const { return PackPtr != nullptr; }
 
   //===--------------------------------------------------------------===//

@@ -98,6 +98,11 @@ bool Program::validate(std::string &Error) const {
   }
   if (VarMethod.size() != NumVars)
     return Fail("VarMethod must cover every variable");
+  for (size_t V = 0; V != NumVars; ++V)
+    if (VarMethod[V] >= Methods.size())
+      return Fail(strFormat("variable %zu belongs to method %u, but the "
+                            "program has %zu methods",
+                            V, VarMethod[V], Methods.size()));
   if (SiteType.size() != NumSites)
     return Fail("SiteType must cover every allocation site");
   for (Id T : SiteType)

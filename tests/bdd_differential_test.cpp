@@ -44,7 +44,7 @@ public:
       : V(NumVars), N(size_t(1) << NumVars), Rng(Seed),
         SubsetRng(~Seed),
         // Small pools so growth and GC trigger mid-run.
-        Mgr(NumVars, 1 << 10, 1 << 12) {
+        Mgr(NumVars, 1 << 10) {
     // Seed the pool with all literals and the constants.
     for (unsigned Var = 0; Var != V; ++Var) {
       std::vector<bool> T(N), NT(N);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <thread>
@@ -183,6 +184,29 @@ TEST(BddReplace, OrderInvertingRename) {
   Map[0] = 5;
   Map[4] = 1;
   EXPECT_EQ(Mgr.replace(F, Map), Mgr.var(5) & Mgr.var(1));
+}
+
+TEST(BddReplace, OrderPreservedOnTheSupportTakesTheFastPath) {
+  Manager Mgr(6);
+  // x0 -> x3 and x4 -> x1: the whole map inverts order (x0 and x4 swap
+  // sides), so an operand over both needs the ITE rebuild.
+  std::vector<int> Map(6, -1);
+  Map[0] = 3;
+  Map[4] = 1;
+  Bdd G = Mgr.var(0) & Mgr.nvar(4);
+  size_t Before = Mgr.stats().ReorderingReplaces;
+  EXPECT_EQ(Mgr.replace(G, Map), Mgr.var(3) & Mgr.nvar(1));
+  EXPECT_EQ(Mgr.stats().ReorderingReplaces, Before + 1);
+
+  // Over {x0, x5} the images 3 < 5 keep their order: relabelled in one
+  // recursion, and equal to the equality-encoded rename
+  // exists x0. F & (x0 <-> x3).
+  Bdd F = Mgr.var(0) ^ Mgr.var(5);
+  Bdd Renamed = Mgr.replace(F, Map);
+  EXPECT_EQ(Mgr.stats().ReorderingReplaces, Before + 1);
+  EXPECT_EQ(Renamed, Mgr.var(3) ^ Mgr.var(5));
+  Bdd Equal = Mgr.apply(Op::Biimp, Mgr.var(0), Mgr.var(3));
+  EXPECT_EQ(Renamed, Mgr.relProd(F, Equal, Mgr.cube({0})));
 }
 
 TEST(BddReplace, RandomPermutationsMatchTruthTable) {
@@ -368,6 +392,51 @@ TEST(BddMemory, PoolGrowsUnderLoad) {
   EXPECT_FALSE(F.isFalse());
 }
 
+TEST(BddMemory, CacheEntriesFollowThePool) {
+  EXPECT_EQ(Manager::cacheEntriesFor(4096), 4096 / Manager::CacheRatio);
+  EXPECT_EQ(Manager::cacheEntriesFor(1024), Manager::MinCacheEntries);
+  EXPECT_EQ(Manager::cacheEntriesFor(size_t(1) << 30),
+            Manager::MaxCacheEntries);
+
+  // Small enough to grow inside the XORs below, each one operation.
+  constexpr unsigned V = 16;
+  Manager M(V, 1 << 10);
+  auto Expected = [](size_t Capacity) {
+    return std::clamp<size_t>(Capacity / Manager::CacheRatio, 1024, 1 << 18);
+  };
+  EXPECT_EQ(M.stats().CacheEntries, Expected(M.stats().Capacity));
+
+  std::vector<unsigned> Vars(V);
+  for (unsigned I = 0; I != V; ++I)
+    Vars[I] = I;
+  SplitMix64 Rng(11);
+  Bdd Acc = M.falseBdd();
+  std::vector<bool> Table(size_t(1) << V, false);
+  unsigned Growths = 0;
+  for (int Round = 0; Round != 8; ++Round) {
+    std::set<uint64_t> Rows;
+    while (Rows.size() != 3000)
+      Rows.insert(Rng.nextBelow(uint64_t(1) << V));
+    Bdd Part = M.minterms(Vars, Rows.size(), {Rows.begin(), Rows.end()});
+    for (uint64_t Row : Rows)
+      Table[Row] = !Table[Row];
+    size_t Capacity = M.stats().Capacity;
+    Acc = Acc ^ Part;
+    ManagerStats S = M.stats();
+    Growths += S.Capacity > Capacity;
+    ASSERT_EQ(S.CacheEntries, Expected(S.Capacity)) << "round " << Round;
+    ASSERT_EQ(M.checkInvariants(), "") << "round " << Round;
+    std::vector<bool> Assignment(V);
+    for (size_t I = 0; I != Table.size(); ++I) {
+      for (unsigned Var = 0; Var != V; ++Var)
+        Assignment[Var] = (I >> Var) & 1;
+      ASSERT_EQ(M.evalAssignment(Acc, Assignment), Table[I])
+          << "round " << Round << ", assignment " << I;
+    }
+  }
+  EXPECT_GE(Growths, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Random differential property test: BDD ops vs truth tables
 //===----------------------------------------------------------------------===//
@@ -469,7 +538,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BddDifferentialTest,
 // the manager.
 TEST(BddReplaceRegistry, DistinctMapsFromTwoThreads) {
   const unsigned V = 4;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   Bdd F = M.bddAnd(M.var(0), M.var(1));
 
   std::vector<int> Map1(V, -1), Map2(V, -1);
@@ -492,8 +561,8 @@ TEST(BddReplaceRegistry, DistinctMapsFromTwoThreads) {
 
 TEST(BddReplaceRegistry, SameMapTwoManagers) {
   const unsigned V = 4;
-  Manager M1(V, 1 << 10, 1 << 12);
-  Manager M2(V, 1 << 10, 1 << 12);
+  Manager M1(V, 1 << 10);
+  Manager M2(V, 1 << 10);
   std::vector<int> Map(V, -1);
   Map[0] = 2;
   Map[2] = 0;
@@ -508,7 +577,7 @@ TEST(BddReplaceRegistry, SameMapTwoManagers) {
 
 TEST(BddReplaceRegistry, DistinctMapsSameThread) {
   const unsigned V = 6;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   Bdd F = M.bddAnd(M.var(0), M.bddOr(M.var(1), M.var(2)));
 
   // Many distinct maps in a row must all get distinct tags.
@@ -528,7 +597,7 @@ TEST(BddReplaceRegistry, DistinctMapsSameThread) {
 TEST(BddSatCountExact, CountBeyondDoublePrecision) {
   // 2^55 + 1 over 56 variables: a double rounds this to 2^55.
   const unsigned V = 56;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   Bdd AllOnes = M.trueBdd();
   for (unsigned Var = 0; Var != V; ++Var)
     AllOnes = M.bddAnd(AllOnes, M.var(Var));
@@ -546,7 +615,7 @@ TEST(BddSatCountExact, CountBeyondDoublePrecision) {
 TEST(BddSatCountExact, WideUniverse) {
   // 2^70 assignments: overflows uint64_t, exercises the Hi word.
   const unsigned V = 70;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   SatCount C = M.satCountExact(M.trueBdd());
   EXPECT_TRUE(C.isExact());
   EXPECT_EQ(C.Hi, uint64_t(1) << 6);
@@ -561,7 +630,7 @@ TEST(BddSatCountExact, WideUniverse) {
 
 TEST(BddSatCountExact, SaturatesBeyond128Bits) {
   const unsigned V = 130;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   SatCount C = M.satCountExact(M.trueBdd());
   EXPECT_TRUE(C.Saturated);
   EXPECT_EQ(C.toString(), ">=2^128");
@@ -582,7 +651,7 @@ TEST(BddSatCountExact, SaturatesBeyond128Bits) {
 // stale stamp or memo entry leak into the second count.
 TEST(BddSatCountExact, CountsStayExactAcrossPoolGrowthAndGc) {
   const unsigned V = 24;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   std::vector<unsigned> Vars(V);
   for (unsigned I = 0; I != V; ++I)
     Vars[I] = I;
@@ -651,7 +720,7 @@ TEST(BddMinterms, MatchesOrOfCubesAcrossWordBoundaries) {
   // 180 manager variables; the minterm variables are a random ascending
   // subset wider than two words, so rows span three.
   const unsigned V = 180;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   SplitMix64 Rng(11);
   for (int Trial = 0; Trial != 6; ++Trial) {
     std::vector<unsigned> Vars;
@@ -691,7 +760,7 @@ TEST(BddMinterms, EdgeCases) {
 
 TEST(BddMinterms, CreatesOnlyTheResultsNodes) {
   const unsigned V = 24;
-  Manager M(V, 1 << 12, 1 << 12);
+  Manager M(V, 1 << 12);
   SplitMix64 Rng(5);
   std::vector<unsigned> Vars;
   for (unsigned Var = 0; Var != V; ++Var)

@@ -93,7 +93,7 @@ void declare(Universe &U, const Decl &D, const std::string &Order = "") {
     U.addAttribute(A.Name, static_cast<DomainId>(A.Dom));
   for (const Decl::Phys &P : D.PhysDoms)
     U.addPhysicalDomain(P.Name, P.Bits);
-  U.finalize(Order, 1 << 14, 1 << 14);
+  U.finalize(Order, 1 << 14);
 }
 
 /// A random relation over a random attribute subset of \p D: each

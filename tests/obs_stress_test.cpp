@@ -134,7 +134,7 @@ TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
   const unsigned OpsPerClient = 2500;
   std::vector<std::unique_ptr<Manager>> Managers;
   for (unsigned C = 0; C != Clients; ++C)
-    Managers.push_back(std::make_unique<Manager>(V, 1 << 10, 1 << 12));
+    Managers.push_back(std::make_unique<Manager>(V, 1 << 10));
 
   CountingSubscriber Sub;
   T.subscribe(&Sub);

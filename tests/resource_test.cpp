@@ -66,7 +66,7 @@ std::vector<bool> tableOf(Manager &M, const Bdd &F, unsigned NumVars) {
 
 TEST(ResourceGovernor, NodeCeilingAbortsAndRecovers) {
   constexpr unsigned V = 14;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   SplitMix64 Rng(1);
   Bdd F = randomDense(M, Rng, V, 40);
   Bdd G = randomDense(M, Rng, V, 40);
@@ -100,7 +100,7 @@ TEST(ResourceGovernor, NodeCeilingAbortsAndRecovers) {
   M.setResourceLimits({});
   Bdd R = F ^ G;
 
-  Manager Fresh(V, 1 << 10, 1 << 12);
+  Manager Fresh(V, 1 << 10);
   SplitMix64 Rng2(1);
   Bdd F2 = randomDense(Fresh, Rng2, V, 40);
   Bdd G2 = randomDense(Fresh, Rng2, V, 40);
@@ -111,7 +111,7 @@ TEST(ResourceGovernor, NodeCeilingAbortsAndRecovers) {
 
 TEST(ResourceGovernor, AbortLeavesPreOpStateIntact) {
   constexpr unsigned V = 12;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   SplitMix64 Rng(2);
   Bdd F = randomDense(M, Rng, V, 50);
   Bdd G = randomDense(M, Rng, V, 50);
@@ -135,7 +135,7 @@ TEST(ResourceGovernor, AbortLeavesPreOpStateIntact) {
 
 TEST(ResourceGovernor, ByteCeilingTrips) {
   constexpr unsigned V = 14;
-  Manager M(V, 1 << 10, 1 << 12);
+  Manager M(V, 1 << 10);
   SplitMix64 Rng(3);
 
   // The byte figure is polled every GovTickMask+1 fresh allocations, so
@@ -160,7 +160,7 @@ TEST(ResourceGovernor, ByteCeilingTrips) {
 
 TEST(ResourceGovernor, DeadlineAbortsAcrossOperations) {
   constexpr unsigned V = 16;
-  Manager M(V, 1 << 12, 1 << 14);
+  Manager M(V, 1 << 12);
   SplitMix64 Rng(4);
   Bdd F = randomDense(M, Rng, V, 200);
   Bdd G = randomDense(M, Rng, V, 200);
@@ -189,7 +189,7 @@ TEST(ResourceGovernor, DeadlineAbortsAcrossOperations) {
 
 TEST(ResourceGovernor, CancellationTokenAborts) {
   constexpr unsigned V = 16;
-  Manager M(V, 1 << 12, 1 << 14);
+  Manager M(V, 1 << 12);
   SplitMix64 Rng(5);
   Bdd F = randomDense(M, Rng, V, 200);
   Bdd G = randomDense(M, Rng, V, 200);
@@ -229,8 +229,8 @@ TEST(ResourceGovernor, CancellationTokenAborts) {
 TEST(ResourceGovernor, FaultInjectionDifferential) {
   constexpr unsigned V = 10;
   const size_t N = size_t(1) << V;
-  Manager Gov(V, 1 << 10, 1 << 12);
-  Manager Clean(V, 1 << 10, 1 << 12);
+  Manager Gov(V, 1 << 10);
+  Manager Clean(V, 1 << 10);
   SplitMix64 Rng(7);
 
   struct Fun {

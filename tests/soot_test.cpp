@@ -61,6 +61,13 @@ TEST(SootModel, ValidateCatchesBrokenPrograms) {
   Program BadAlloc = P;
   BadAlloc.Allocs.push_back({0, 5}); // No variables/sites exist.
   EXPECT_FALSE(BadAlloc.validate(Error));
+
+  Program BadVarMethod = P;
+  BadVarMethod.NumVars = 2;
+  BadVarMethod.VarMethod = {1, 2}; // Two methods exist: 0 and 1.
+  EXPECT_FALSE(BadVarMethod.validate(Error));
+  EXPECT_EQ(Error, "variable 1 belongs to method 2, but the program has 2 "
+                   "methods");
 }
 
 TEST(SootGenerator, ProducesValidPrograms) {
@@ -295,6 +302,13 @@ TEST(FactsIo, ReportsMalformedInput) {
       "var 0 method=0\nalloc v=0 site=3\n",
       P, Error));
   EXPECT_NE(Error.find("validation"), std::string::npos);
+  // Parses, but a variable names a method the program does not declare.
+  EXPECT_FALSE(parseFacts(
+      "class A\nsig s\nmethod 0 0 this=0 params=- ret=-\n"
+      "entry 0\nvar 0 method=0\nvar 1 method=7\n",
+      P, Error));
+  EXPECT_EQ(Error, "validation failed: variable 1 belongs to method 7, but "
+                   "the program has 1 methods");
 }
 
 TEST(FactsIo, RejectsOutOfRangeIds) {

@@ -25,8 +25,11 @@ Var Solver::newVar() {
   Reasons.push_back(NoReason);
   Activity.push_back(0.0);
   SavedPhase.push_back(0);
+  HeapPos.push_back(NotInHeap);
+  Seen.push_back(0);
   Watches.emplace_back();
   Watches.emplace_back();
+  heapInsert(V);
   return V;
 }
 
@@ -57,11 +60,13 @@ uint32_t Solver::addClauseInternal(std::vector<Lit> Lits, bool Learned,
     for (size_t I = 0; I + 1 < Lits.size(); ++I)
       if (Lits[I + 1] == negate(Lits[I]))
         Tautology = true;
-    Clauses.push_back({std::move(Lits), Learned, std::move(Sources)});
+    Clauses.push_back({std::move(Lits), NoReason});
     if (Tautology)
       return Id; // Never attach; the clause is always satisfied.
   } else {
-    Clauses.push_back({std::move(Lits), Learned, std::move(Sources)});
+    Clauses.push_back(
+        {std::move(Lits), static_cast<uint32_t>(Derivations.size())});
+    Derivations.push_back(std::move(Sources));
   }
 
   Clause &C = Clauses[Id];
@@ -107,6 +112,7 @@ void Solver::backtrack(uint32_t ToLevel) {
     SavedPhase[V] = Values[V] == 1;
     Values[V] = 0;
     Reasons[V] = NoReason;
+    heapInsert(V);
   }
   Trail.resize(Keep);
   TrailLimits.resize(ToLevel);
@@ -164,34 +170,77 @@ uint32_t Solver::propagate() {
 // VSIDS branching
 //===----------------------------------------------------------------------===//
 
+void Solver::heapInsert(Var V) {
+  if (HeapPos[V] != NotInHeap)
+    return;
+  HeapPos[V] = static_cast<uint32_t>(Heap.size());
+  Heap.push_back(V);
+  siftUp(HeapPos[V]);
+}
+
+void Solver::siftUp(uint32_t I) {
+  Var V = Heap[I];
+  while (I != 0) {
+    uint32_t Parent = (I - 1) / 2;
+    if (!heapBefore(V, Heap[Parent]))
+      break;
+    Heap[I] = Heap[Parent];
+    HeapPos[Heap[I]] = I;
+    I = Parent;
+  }
+  Heap[I] = V;
+  HeapPos[V] = I;
+}
+
+void Solver::siftDown(uint32_t I) {
+  Var V = Heap[I];
+  const size_t Size = Heap.size();
+  while (2 * static_cast<size_t>(I) + 1 < Size) {
+    uint32_t Child = 2 * I + 1;
+    if (Child + 1 < Size && heapBefore(Heap[Child + 1], Heap[Child]))
+      ++Child;
+    if (!heapBefore(Heap[Child], V))
+      break;
+    Heap[I] = Heap[Child];
+    HeapPos[Heap[I]] = I;
+    I = Child;
+  }
+  Heap[I] = V;
+  HeapPos[V] = I;
+}
+
 void Solver::bumpVar(Var V) {
   Activity[V] += ActivityInc;
   if (Activity[V] > 1e100) {
     for (double &A : Activity)
       A *= 1e-100;
     ActivityInc *= 1e-100;
+    // Scaling can make two activities equal, and the index then decides:
+    // restore the heap order from the bottom up.
+    for (size_t I = Heap.size() / 2; I-- > 0;)
+      siftDown(static_cast<uint32_t>(I));
+  } else if (HeapPos[V] != NotInHeap) {
+    siftUp(HeapPos[V]);
   }
 }
 
 void Solver::decayActivities() { ActivityInc *= (1.0 / 0.95); }
 
 Lit Solver::pickBranchLit() {
-  // Highest-activity unassigned variable. A linear scan is adequate for
-  // the instance sizes Jedd produces (Table 1 tops out around 10^5
-  // variables with few conflicts); swap in a heap if this ever shows up
-  // in profiles.
-  Var Best = 0;
-  double BestAct = -1.0;
-  bool Found = false;
-  for (Var V = 0; V != VarCount; ++V) {
-    if (Values[V] == 0 && Activity[V] > BestAct) {
-      Best = V;
-      BestAct = Activity[V];
-      Found = true;
+  // Pop until the top is unassigned; backtrack re-inserts what it frees.
+  Var Best;
+  do {
+    assert(!Heap.empty() && "pickBranchLit with a complete assignment");
+    Best = Heap.front();
+    HeapPos[Best] = NotInHeap;
+    Var Last = Heap.back();
+    Heap.pop_back();
+    if (!Heap.empty()) {
+      Heap.front() = Last;
+      HeapPos[Last] = 0;
+      siftDown(0);
     }
-  }
-  assert(Found && "pickBranchLit with a complete assignment");
-  (void)Found;
+  } while (Values[Best] != 0);
   return mkLit(Best, !SavedPhase[Best]);
 }
 
@@ -204,12 +253,6 @@ void Solver::analyze(uint32_t ConflictId, std::vector<Lit> &Learned,
   Learned.clear();
   Learned.push_back(NoLit); // Slot for the asserting literal.
   Sources.clear();
-
-  std::vector<uint8_t> Seen(VarCount, 0);
-  std::vector<uint8_t> SeenLevel0(VarCount, 0);
-  // Reasons of level-0 literals resolved away implicitly; needed so the
-  // learned clause's resolution sources are complete for core extraction.
-  std::vector<Var> Level0Work;
 
   int Counter = 0;
   Lit P = NoLit;
@@ -227,10 +270,8 @@ void Solver::analyze(uint32_t ConflictId, std::vector<Lit> &Learned,
       if (Seen[V])
         continue;
       if (Levels[V] == 0) {
-        if (!SeenLevel0[V]) {
-          SeenLevel0[V] = 1;
-          Level0Work.push_back(V);
-        }
+        Seen[V] = 2;
+        Level0Seen.push_back(V);
         continue;
       }
       Seen[V] = 1;
@@ -253,21 +294,29 @@ void Solver::analyze(uint32_t ConflictId, std::vector<Lit> &Learned,
   }
   Learned[0] = negate(P);
 
-  // Pull in the derivations of the level-0 facts used above.
-  while (!Level0Work.empty()) {
-    Var V = Level0Work.back();
-    Level0Work.pop_back();
-    uint32_t R = Reasons[V];
+  // Level-0 literals were resolved away implicitly. Pull in the
+  // derivations of those facts, so the learned clause's resolution sources
+  // are complete for core extraction. Their reason clauses hold level-0
+  // variables only, which are never marked 1.
+  for (size_t I = 0; I != Level0Seen.size(); ++I) {
+    uint32_t R = Reasons[Level0Seen[I]];
     assert(R != NoReason && "level-0 literal without a reason");
     Sources.push_back(R);
     for (Lit Q : Clauses[R].Lits) {
       Var W = varOf(Q);
-      if (W != V && !SeenLevel0[W]) {
-        SeenLevel0[W] = 1;
-        Level0Work.push_back(W);
+      if (!Seen[W]) {
+        Seen[W] = 2;
+        Level0Seen.push_back(W);
       }
     }
   }
+  // Clear the marks: the resolved variables were cleared as the trail was
+  // walked, which leaves the learned clause's and the level-0 ones.
+  for (size_t I = 1; I < Learned.size(); ++I)
+    Seen[varOf(Learned[I])] = 0;
+  for (Var V : Level0Seen)
+    Seen[V] = 0;
+  Level0Seen.clear();
 
   // Backtrack level: highest level among the non-asserting literals.
   OutLevel = 0;
@@ -297,8 +346,9 @@ void Solver::buildCore(uint32_t ConflictId,
       continue;
     SeenClause[Id] = 1;
     const Clause &C = Clauses[Id];
-    if (C.Learned) {
-      Work.insert(Work.end(), C.Sources.begin(), C.Sources.end());
+    if (C.Derivation != NoReason) {
+      const std::vector<uint32_t> &Sources = Derivations[C.Derivation];
+      Work.insert(Work.end(), Sources.begin(), Sources.end());
     } else {
       Core.push_back(Id);
     }

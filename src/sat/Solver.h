@@ -8,7 +8,8 @@
 /// \file
 /// A Chaff-style conflict-driven clause-learning SAT solver standing in
 /// for zchaff [19]: two-watched-literal propagation, first-UIP learning,
-/// VSIDS branching, phase saving and Luby restarts. Like the zchaff
+/// VSIDS branching from an activity-ordered variable heap (MiniSat's),
+/// phase saving and Luby restarts. Like the zchaff
 /// version the paper relies on, it supports *unsatisfiable core
 /// extraction* [30]: on UNSAT it reports a subset of the original clauses
 /// whose conjunction is already unsatisfiable, which jeddc turns into the
@@ -99,13 +100,13 @@ public:
 
 private:
   // Clause arena. Original clauses come first (their index is the public
-  // clause id); learned clauses follow and carry the ids of the clauses
-  // resolved to derive them, forming the resolution graph the core
-  // extraction walks.
+  // clause id); learned clauses follow, each with the ids of the clauses
+  // resolved to derive it, forming the resolution graph the core
+  // extraction walks. Those lists live in Derivations, so the record of
+  // each of the tens of thousands of original clauses stays 32 bytes.
   struct Clause {
     std::vector<Lit> Lits;
-    bool Learned = false;
-    std::vector<uint32_t> Sources; // For learned clauses only.
+    uint32_t Derivation; // Index into Derivations; NoReason if original.
   };
 
   static constexpr uint32_t NoReason = 0xFFFFFFFFu;
@@ -113,6 +114,7 @@ private:
   size_t VarCount = 0;
   std::vector<Clause> Clauses;
   size_t NumOriginal = 0;
+  std::vector<std::vector<uint32_t>> Derivations;
 
   // Assignment state. Values: 0 unassigned, 1 true, 2 false.
   std::vector<uint8_t> Values;
@@ -125,10 +127,22 @@ private:
   // Two-watched literals: Watches[L] lists clauses watching literal L.
   std::vector<std::vector<uint32_t>> Watches;
 
-  // VSIDS.
+  // VSIDS. Heap is a binary max-heap of variables, highest activity
+  // first and ties to the lower index: the first strict maximum of a scan
+  // in index order. It holds every unassigned variable; assigned ones
+  // leave it lazily when pickBranchLit pops them.
+  static constexpr uint32_t NotInHeap = 0xFFFFFFFFu;
   std::vector<double> Activity;
   double ActivityInc = 1.0;
   std::vector<uint8_t> SavedPhase;
+  std::vector<Var> Heap;
+  std::vector<uint32_t> HeapPos; // Index into Heap, or NotInHeap.
+
+  // Conflict-analysis marks, all zero between conflicts: 1 for a variable
+  // resolved on or in the learned clause, 2 for a level-0 variable whose
+  // derivation joins the sources. Level0Seen lists the 2s.
+  std::vector<uint8_t> Seen;
+  std::vector<Var> Level0Seen;
 
   // Unsat bookkeeping.
   bool FoundEmptyClause = false;
@@ -159,6 +173,12 @@ private:
   Lit pickBranchLit();
   void bumpVar(Var V);
   void decayActivities();
+  bool heapBefore(Var A, Var B) const {
+    return Activity[A] > Activity[B] || (Activity[A] == Activity[B] && A < B);
+  }
+  void heapInsert(Var V);
+  void siftUp(uint32_t I);
+  void siftDown(uint32_t I);
 
   /// First-UIP conflict analysis. Fills \p Learned (asserting literal
   /// first), \p OutLevel (backtrack level) and \p Sources (clause ids

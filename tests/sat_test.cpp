@@ -5,14 +5,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "jedd/Driver.h"
 #include "sat/CoreTools.h"
 #include "sat/Solver.h"
+#include "util/File.h"
 #include "util/Random.h"
 
 #include <gtest/gtest.h>
 
 using namespace jedd;
 using namespace jedd::sat;
+
+#ifndef JEDDPP_JEDDSRC_DIR
+#error "JEDDPP_JEDDSRC_DIR must point at the jeddsrc/ directory"
+#endif
 
 namespace {
 
@@ -231,6 +237,110 @@ TEST_P(RandomSatTest, CdclAgreesWithDpll) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSatTest,
                          ::testing::Values(101, 102, 103, 104, 105, 106, 107,
                                            108, 109, 110));
+
+//===----------------------------------------------------------------------===//
+// Pinned searches
+//===----------------------------------------------------------------------===//
+
+// Branching, learning and restarts together decide every number below.
+// They were recorded when the solver still found its branching variable by
+// scanning all variables; the order heap must reproduce that search
+// exactly, and any later change to the search shows here.
+
+/// FNV-1a over the model's bits after Sat, over the core's clause ids
+/// after Unsat.
+uint64_t outcomeDigest(const Solver &S, Result R) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  auto Mix = [&H](uint64_t X) {
+    H ^= X;
+    H *= 0x100000001b3ULL;
+  };
+  if (R == Result::Sat)
+    for (bool B : S.model())
+      Mix(B);
+  else
+    for (uint32_t Id : S.unsatCore())
+      Mix(Id);
+  return H;
+}
+
+struct PinnedSearch {
+  Result Want;
+  uint64_t Decisions, Conflicts, Propagations, Restarts, Digest;
+};
+
+/// Solves \p F and checks its verdict, model or core, stats and digest.
+void expectPinnedSearch(const CnfFormula &F, const PinnedSearch &P) {
+  Solver S;
+  S.addFormula(F);
+  Result R = S.solve();
+  ASSERT_EQ(R, P.Want);
+  if (R == Result::Sat)
+    EXPECT_TRUE(checkModel(F, S.model()));
+  else
+    EXPECT_TRUE(verifyCore(F, S.unsatCore()));
+  EXPECT_EQ(S.stats().Decisions, P.Decisions);
+  EXPECT_EQ(S.stats().Conflicts, P.Conflicts);
+  EXPECT_EQ(S.stats().Propagations, P.Propagations);
+  EXPECT_EQ(S.stats().Restarts, P.Restarts);
+  EXPECT_EQ(outcomeDigest(S, R), P.Digest);
+}
+
+TEST(SatPinned, TableOneCombinedFormula) {
+  // Table 1's "All 5 combined" physical-domain assignment problem.
+  std::string Source;
+  for (const char *Name :
+       {"prelude.jedd", "hierarchy.jedd", "vcr.jedd", "pointsto.jedd",
+        "callgraph.jedd", "sideeffect.jedd"}) {
+    std::string Text;
+    ASSERT_TRUE(readFileToString(
+        std::string(JEDDPP_JEDDSRC_DIR) + "/" + Name, Text))
+        << "cannot read " << Name;
+    Source += Text;
+  }
+  DiagnosticEngine Diags("combined.jedd");
+  auto Compiled = lang::compileJedd(Source, Diags);
+  ASSERT_TRUE(Compiled != nullptr) << Diags.renderAll();
+  const CnfFormula &F = Compiled->assigner().formula();
+  EXPECT_EQ(F.NumVars, 7561u);
+  EXPECT_EQ(F.numClauses(), 58984u);
+  expectPinnedSearch(F,
+                     {Result::Sat, 11805, 61, 129442, 0, 0xafd1cfedd72bd404ULL});
+}
+
+TEST(SatPinned, Pigeonhole) {
+  expectPinnedSearch(pigeonhole(4),
+                     {Result::Unsat, 38, 28, 337, 0, 0x983877ea990a008fULL});
+  expectPinnedSearch(pigeonhole(5),
+                     {Result::Unsat, 220, 166, 2358, 2, 0x48e67fe6d82dd51fULL});
+  expectPinnedSearch(pigeonhole(6), {Result::Unsat, 1050, 817, 13514, 7,
+                                      0x3ecac2415b9f2fafULL});
+}
+
+TEST(SatPinned, RandomThreeSat) {
+  // 150 variables at clause/variable ratio 4.26, both verdicts.
+  const std::pair<uint64_t, PinnedSearch> Cases[] = {
+      {1, {Result::Sat, 943, 775, 31594, 7, 0xe36a0604f31e9942ULL}},
+      {2, {Result::Unsat, 909, 750, 29672, 6, 0xbffbd3e3ae8d9c7aULL}},
+      {3, {Result::Sat, 2718, 2168, 92274, 16, 0x44c1d9a24385feacULL}},
+      {5, {Result::Unsat, 1326, 1086, 43965, 10, 0xddefa005e7a7c46bULL}},
+  };
+  for (const auto &[Seed, P] : Cases) {
+    SCOPED_TRACE(Seed);
+    SplitMix64 Rng(Seed);
+    expectPinnedSearch(randomThreeSat(Rng, 150, 639), P);
+  }
+}
+
+TEST(SatPinned, ActivityRescale) {
+  // VSIDS rescales every activity by 1e-100 once the bump increment,
+  // which grows by 1/0.95 per conflict, passes 1e100: after about 4,490
+  // conflicts. This instance runs past that point.
+  SplitMix64 Rng(24);
+  CnfFormula F = randomThreeSat(Rng, 200, 852);
+  expectPinnedSearch(F, {Result::Sat, 6697, 5366, 270530, 33,
+                         0x3db71606fe5fc726ULL});
+}
 
 //===----------------------------------------------------------------------===//
 // DIMACS round trip

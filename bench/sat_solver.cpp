@@ -20,6 +20,7 @@
 #include "BenchSupport.h"
 
 #include "jedd/Driver.h"
+#include "jedd/Parser.h"
 #include "sat/Solver.h"
 #include "util/File.h"
 #include "util/Random.h"
@@ -105,9 +106,12 @@ int main(int argc, char **argv) {
 
   std::printf("\n(b) The real physical domain assignment instances "
               "(CDCL)\n\n");
-  std::printf("%-18s | %9s %9s | %10s | %10s\n", "module", "vars",
-              "clauses", "result", "time (ms)");
-  std::printf("%s\n", std::string(68, '-').c_str());
+  // "solve" times Solver::solve() alone (Table 1's column); "assign" is
+  // the whole assignDomains(): constraint graph, flow paths, encoding,
+  // loading the solver, the solve and decoding the model.
+  std::printf("%-18s | %9s %9s | %10s | %10s | %11s\n", "module", "vars",
+              "clauses", "result", "solve (ms)", "assign (ms)");
+  std::printf("%s\n", std::string(82, '-').c_str());
   std::string Prelude = readModule("prelude.jedd");
   std::vector<const char *> ModuleNames = {
       "hierarchy.jedd", "vcr.jedd", "pointsto.jedd", "callgraph.jedd",
@@ -121,16 +125,27 @@ int main(int argc, char **argv) {
     ModuleNames.resize(1);
   auto PrintRow = [](const char *Label, const std::string &Source) {
     DiagnosticEngine Diags(Label);
-    auto Compiled = lang::compileJedd(Source, Diags);
-    if (!Compiled) {
+    auto Failed = [&] {
       std::fprintf(stderr, "error compiling %s:\n%s", Label,
                    Diags.renderAll().c_str());
       return false;
-    }
-    const lang::AssignStats &S = Compiled->assignStats();
-    std::printf("%-18s | %9zu %9zu | %10s | %10.2f\n", Label,
+    };
+    lang::Program Ast = lang::parse(Source, Diags);
+    if (Diags.hasErrors())
+      return Failed();
+    lang::CompiledProgram Compiled(lang::typeCheck(std::move(Ast), Diags),
+                                   Diags);
+    if (Diags.hasErrors())
+      return Failed();
+    double T0 = now();
+    if (!Compiled.assignDomains())
+      return Failed();
+    double Assign = now() - T0;
+    const lang::AssignStats &S = Compiled.assignStats();
+    std::printf("%-18s | %9zu %9zu | %10s | %10.2f | %11.2f\n", Label,
                 S.SatVariables, S.SatClauses,
-                S.Satisfiable ? "SAT" : "UNSAT", S.SolveSeconds * 1000);
+                S.Satisfiable ? "SAT" : "UNSAT", S.SolveSeconds * 1000,
+                Assign * 1000);
     return true;
   };
   for (const char *Name : ModuleNames)

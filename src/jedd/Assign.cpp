@@ -475,7 +475,6 @@ bool DomainAssigner::enumerateFlowPaths(
 void DomainAssigner::encode(
     const std::vector<std::vector<std::vector<size_t>>> &Paths) {
   Formula = sat::CnfFormula();
-  ClauseInfos.clear();
   const size_t P = Prog.Symbols.PhysDoms.size();
 
   // Attribute-physical-domain variables x_{e_a : p}.
@@ -484,50 +483,44 @@ void DomainAssigner::encode(
   };
   Formula.NumVars = static_cast<unsigned>(NumANodes * P);
 
-  auto AddClause = [&](std::vector<sat::Lit> Lits, ClauseInfo Info) {
-    Formula.addClause(std::move(Lits));
-    ClauseInfos.push_back(Info);
-  };
-
   // 1. Each attribute is assigned to some physical domain.
+  std::vector<sat::Lit> Lits;
   for (size_t A = 0; A != NumANodes; ++A) {
-    std::vector<sat::Lit> Lits;
+    Lits.clear();
     for (uint32_t Phys = 0; Phys != P; ++Phys)
       Lits.push_back(sat::mkLit(XVar(A, Phys)));
-    AddClause(std::move(Lits), {1, 0, 0, 0});
+    Formula.addClause(Lits);
   }
 
   // 2. No attribute is assigned to multiple physical domains.
   for (size_t A = 0; A != NumANodes; ++A)
     for (uint32_t P1 = 0; P1 != P; ++P1)
       for (uint32_t P2 = P1 + 1; P2 != P; ++P2)
-        AddClause({sat::mkLit(XVar(A, P1), true),
-                   sat::mkLit(XVar(A, P2), true)},
-                  {2, 0, 0, 0});
+        Formula.addClause({sat::mkLit(XVar(A, P1), true),
+                           sat::mkLit(XVar(A, P2), true)});
 
   // 3. Explicitly specified assignments.
   for (auto &[ANode, Phys] : Specified)
-    AddClause({sat::mkLit(XVar(ANode, Phys))}, {3, ANode, 0, Phys});
+    Formula.addClause({sat::mkLit(XVar(ANode, Phys))});
 
   // 4. Conflict edges: attributes of one expression get distinct
-  //    physical domains.
+  //    physical domains. reportUnsatCore decodes these clauses.
+  ConflictClausesBegin = Formula.numClauses();
   for (const Node &N : Nodes)
     for (size_t I = 0; I != N.Attrs.size(); ++I)
       for (size_t K = I + 1; K != N.Attrs.size(); ++K)
         for (uint32_t Phys = 0; Phys != P; ++Phys)
-          AddClause({sat::mkLit(XVar(N.FirstANode + I, Phys), true),
-                     sat::mkLit(XVar(N.FirstANode + K, Phys), true)},
-                    {4, N.FirstANode + I, N.FirstANode + K, Phys});
+          Formula.addClause({sat::mkLit(XVar(N.FirstANode + I, Phys), true),
+                             sat::mkLit(XVar(N.FirstANode + K, Phys), true)});
+  ConflictClausesEnd = Formula.numClauses();
 
   // 5. Equality edges force equal physical domains.
   for (const Edge &E : EqualityEdges)
     for (uint32_t Phys = 0; Phys != P; ++Phys) {
-      AddClause({sat::mkLit(XVar(E.A, Phys), true),
-                 sat::mkLit(XVar(E.B, Phys))},
-                {5, E.A, E.B, Phys});
-      AddClause({sat::mkLit(XVar(E.A, Phys)),
-                 sat::mkLit(XVar(E.B, Phys), true)},
-                {5, E.A, E.B, Phys});
+      Formula.addClause({sat::mkLit(XVar(E.A, Phys), true),
+                         sat::mkLit(XVar(E.B, Phys))});
+      Formula.addClause({sat::mkLit(XVar(E.A, Phys)),
+                         sat::mkLit(XVar(E.B, Phys), true)});
     }
 
   // Specified physical domain per ANode (for path heads).
@@ -539,20 +532,20 @@ void DomainAssigner::encode(
   for (size_t A = 0; A != NumANodes; ++A) {
     if (Paths[A].empty())
       continue;
-    std::vector<sat::Lit> AtLeastOne;
+    Lits.clear(); // The path variables, for clause 6.
     for (const std::vector<size_t> &Path : Paths[A]) {
       sat::Var PathVar = Formula.newVar();
-      AtLeastOne.push_back(sat::mkLit(PathVar));
+      Lits.push_back(sat::mkLit(PathVar));
       int P0 = SpecifiedPhysOf[Path.front()];
       assert(P0 >= 0 && "flow path must start at a specified attribute");
       // 7. Active path assigns its physical domain along the way.
       for (size_t OnPath : Path)
-        AddClause({sat::mkLit(PathVar, true),
-                   sat::mkLit(XVar(OnPath, static_cast<uint32_t>(P0)))},
-                  {7, 0, 0, 0});
+        Formula.addClause(
+            {sat::mkLit(PathVar, true),
+             sat::mkLit(XVar(OnPath, static_cast<uint32_t>(P0)))});
     }
     // 6. At least one flow path to each attribute is active.
-    AddClause(std::move(AtLeastOne), {6, 0, 0, 0});
+    Formula.addClause(Lits);
   }
 
   Stats.SatVariables = Formula.NumVars;
@@ -572,15 +565,20 @@ void DomainAssigner::reportUnsatCore(const std::vector<uint32_t> &Core) {
     Minimal = sat::minimizeCore(Formula, Core);
 
   // Proposition (Section 3.3.3): every unsatisfiable core contains at
-  // least one conflict clause; report the first.
+  // least one conflict clause; report the first. Conflict clause
+  // (~x_{A:p} | ~x_{B:p}) names its attributes and physical domain in
+  // its variables, x_{e:p} = e * P + p.
+  const size_t P = Prog.Symbols.PhysDoms.size();
   for (uint32_t Id : Minimal) {
-    const ClauseInfo &Info = ClauseInfos[Id];
-    if (Info.Type != 4)
+    if (Id < ConflictClausesBegin || Id >= ConflictClausesEnd)
       continue;
-    Diags.error(nodeOfANode(Info.A).Loc,
-                "Conflict between " + aNodeDesc(Info.A) + " and " +
-                    aNodeDesc(Info.B) + " over physical domain " +
-                    Prog.Symbols.PhysDoms[Info.Phys].Name);
+    std::span<const sat::Lit> C = Formula.clause(Id);
+    size_t A = sat::varOf(C[0]) / P, B = sat::varOf(C[1]) / P;
+    size_t Phys = sat::varOf(C[0]) % P;
+    Diags.error(nodeOfANode(A).Loc,
+                "Conflict between " + aNodeDesc(A) + " and " + aNodeDesc(B) +
+                    " over physical domain " +
+                    Prog.Symbols.PhysDoms[Phys].Name);
     return;
   }
   Diags.error(SourceLoc(),

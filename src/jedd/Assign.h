@@ -144,14 +144,9 @@ private:
   std::vector<std::array<int, 2>> OperandWrappers;
 
   sat::CnfFormula Formula;
-  /// Clause metadata for error reporting: for each clause, its type and
-  /// the conflict-edge payload when type 4.
-  struct ClauseInfo {
-    uint8_t Type = 0;
-    size_t A = 0, B = 0;   ///< ANodes of a conflict clause.
-    uint32_t Phys = 0;     ///< Physical domain of a conflict clause.
-  };
-  std::vector<ClauseInfo> ClauseInfos;
+  /// The clauses of form 4 (conflict edges), the only ones an error
+  /// message names: [Begin, End) in Formula.
+  size_t ConflictClausesBegin = 0, ConflictClausesEnd = 0;
 
   /// Decoded assignment: physical domain per ANode.
   std::vector<uint32_t> Assignment;

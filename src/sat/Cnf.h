@@ -20,6 +20,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,31 +48,41 @@ std::string litToString(Lit L);
 /// A plain CNF formula. Clause order is meaningful: the Jedd assignment
 /// encoder relies on clause indices to map an unsat core back to the
 /// constraints that produced it.
+///
+/// The literals of every clause sit back to back in one array: clause I
+/// is Lits[Ends[I - 1], Ends[I]) (from 0 for the first), so adding a
+/// clause allocates nothing once the arrays have grown.
 struct CnfFormula {
   unsigned NumVars = 0;
-  std::vector<std::vector<Lit>> Clauses;
+  std::vector<Lit> Lits;
+  std::vector<uint32_t> Ends;
 
   Var newVar() { return NumVars++; }
 
   /// Appends a clause and returns its index.
-  size_t addClause(std::vector<Lit> Lits) {
+  size_t addClause(std::span<const Lit> C) {
 #ifndef NDEBUG
-    for (Lit L : Lits)
+    for (Lit L : C)
       assert(varOf(L) < NumVars && "literal over undeclared variable");
 #endif
-    Clauses.push_back(std::move(Lits));
-    return Clauses.size() - 1;
+    Lits.insert(Lits.end(), C.begin(), C.end());
+    Ends.push_back(static_cast<uint32_t>(Lits.size()));
+    return Ends.size() - 1;
+  }
+  size_t addClause(std::initializer_list<Lit> C) {
+    return addClause(std::span<const Lit>(C.begin(), C.size()));
   }
 
-  size_t numClauses() const { return Clauses.size(); }
+  /// The literals of clause \p I, in the order they were added.
+  std::span<const Lit> clause(size_t I) const {
+    uint32_t Begin = I == 0 ? 0 : Ends[I - 1];
+    return {Lits.data() + Begin, Ends[I] - Begin};
+  }
+
+  size_t numClauses() const { return Ends.size(); }
   /// Total number of literal occurrences — the "Literals" column of the
   /// paper's Table 1.
-  size_t numLiterals() const {
-    size_t N = 0;
-    for (const auto &C : Clauses)
-      N += C.size();
-    return N;
-  }
+  size_t numLiterals() const { return Lits.size(); }
 };
 
 /// Serializes to DIMACS cnf format.

@@ -17,9 +17,9 @@ bool jedd::sat::checkModel(const CnfFormula &F,
                            const std::vector<bool> &Model) {
   if (Model.size() < F.NumVars)
     return false;
-  for (const auto &C : F.Clauses) {
+  for (size_t I = 0; I != F.numClauses(); ++I) {
     bool Satisfied = false;
-    for (Lit L : C)
+    for (Lit L : F.clause(I))
       if (Model[varOf(L)] != isNegated(L)) {
         Satisfied = true;
         break;
@@ -37,7 +37,7 @@ static Result solveSubset(const CnfFormula &F,
   while (S.numVars() < F.NumVars)
     S.newVar();
   for (uint32_t Id : Selected)
-    S.addClause(F.Clauses[Id]);
+    S.addClause(F.clause(Id));
   return S.solve();
 }
 

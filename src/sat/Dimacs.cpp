@@ -19,9 +19,9 @@ std::string jedd::sat::litToString(Lit L) {
 
 std::string jedd::sat::toDimacs(const CnfFormula &F) {
   std::string Out =
-      strFormat("p cnf %u %zu\n", F.NumVars, F.Clauses.size());
-  for (const auto &C : F.Clauses) {
-    for (Lit L : C) {
+      strFormat("p cnf %u %zu\n", F.NumVars, F.numClauses());
+  for (size_t I = 0; I != F.numClauses(); ++I) {
+    for (Lit L : F.clause(I)) {
       Out += litToString(L);
       Out += ' ';
     }
@@ -74,7 +74,7 @@ bool jedd::sat::parseDimacs(const std::string &Text, CnfFormula &F,
         return false;
       }
       if (Value == 0) {
-        F.Clauses.push_back(Current);
+        F.addClause(Current);
         Current.clear();
         continue;
       }
@@ -91,9 +91,9 @@ bool jedd::sat::parseDimacs(const std::string &Text, CnfFormula &F,
     Error = "unterminated final clause";
     return false;
   }
-  if (DeclaredClauses != F.Clauses.size()) {
+  if (DeclaredClauses != F.numClauses()) {
     Error = strFormat("declared %zu clauses but found %zu", DeclaredClauses,
-                      F.Clauses.size());
+                      F.numClauses());
     return false;
   }
   return true;

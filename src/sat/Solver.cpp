@@ -7,6 +7,7 @@
 
 #include "sat/Solver.h"
 #include "obs/Obs.h"
+#include "util/Fatal.h"
 
 #include <algorithm>
 #include <chrono>
@@ -29,64 +30,71 @@ Var Solver::newVar() {
   Seen.push_back(0);
   Watches.emplace_back();
   Watches.emplace_back();
-  heapInsert(V);
+  // Activity 0: pickable from ZeroCursor on, which is at most V.
   return V;
 }
 
-void Solver::addClause(const std::vector<Lit> &Lits) {
+void Solver::addClause(std::span<const Lit> Lits) {
   assert(!Solved && "clauses must be added before solve()");
-  uint32_t Id = addClauseInternal(Lits, /*Learned=*/false, {});
-  (void)Id;
+  for (Lit L : Lits)
+    JEDD_CHECK(varOf(L) < VarCount,
+               "sat::Solver::addClause: literal " + litToString(L) +
+                   " over an undeclared variable");
+  addClauseInternal(Lits, /*Learned=*/false, {});
 }
 
 void Solver::addFormula(const CnfFormula &F) {
   while (VarCount < F.NumVars)
     newVar();
-  for (const auto &C : F.Clauses)
-    addClause(C);
+  Arena.reserve(Arena.size() + F.numLiterals());
+  Clauses.reserve(Clauses.size() + F.numClauses());
+  for (size_t I = 0; I != F.numClauses(); ++I)
+    addClause(F.clause(I));
 }
 
-uint32_t Solver::addClauseInternal(std::vector<Lit> Lits, bool Learned,
+uint32_t Solver::addClauseInternal(std::span<const Lit> Lits, bool Learned,
                                    std::vector<uint32_t> Sources) {
   uint32_t Id = static_cast<uint32_t>(Clauses.size());
-  if (!Learned)
-    NumOriginal = Id + 1;
+  uint32_t Begin = static_cast<uint32_t>(Arena.size());
+  Arena.insert(Arena.end(), Lits.begin(), Lits.end());
 
   if (!Learned) {
-    // Normalize a copy for solving; the id still identifies the original.
-    std::sort(Lits.begin(), Lits.end());
-    Lits.erase(std::unique(Lits.begin(), Lits.end()), Lits.end());
-    bool Tautology = false;
-    for (size_t I = 0; I + 1 < Lits.size(); ++I)
-      if (Lits[I + 1] == negate(Lits[I]))
-        Tautology = true;
-    Clauses.push_back({std::move(Lits), NoReason});
-    if (Tautology)
-      return Id; // Never attach; the clause is always satisfied.
+    NumOriginal = Id + 1;
+    // Normalize the arena's copy for solving; the id still identifies the
+    // original.
+    auto First = Arena.begin() + Begin;
+    std::sort(First, Arena.end());
+    Arena.erase(std::unique(First, Arena.end()), Arena.end());
+    uint32_t Size = static_cast<uint32_t>(Arena.size()) - Begin;
+    Clauses.push_back({Begin, Size, NoReason});
+    for (uint32_t I = Begin; I + 1 < Begin + Size; ++I)
+      if (Arena[I + 1] == negate(Arena[I]))
+        return Id; // Never attach; the clause is always satisfied.
   } else {
-    Clauses.push_back(
-        {std::move(Lits), static_cast<uint32_t>(Derivations.size())});
+    Clauses.push_back({Begin, static_cast<uint32_t>(Lits.size()),
+                       static_cast<uint32_t>(Derivations.size())});
     Derivations.push_back(std::move(Sources));
   }
 
-  Clause &C = Clauses[Id];
-  if (C.Lits.empty()) {
+  const Clause &C = Clauses[Id];
+  if (C.Size == 0) {
     if (!FoundEmptyClause) {
       FoundEmptyClause = true;
       EmptyClauseId = Id;
     }
     return Id;
   }
-  if (C.Lits.size() >= 2)
+  if (C.Size >= 2)
     attachClause(Id);
   return Id;
 }
 
 void Solver::attachClause(uint32_t Id) {
-  const Clause &C = Clauses[Id];
-  assert(C.Lits.size() >= 2 && "cannot watch a unit clause");
-  Watches[C.Lits[0]].push_back(Id);
-  Watches[C.Lits[1]].push_back(Id);
+  std::span<const Lit> Lits = litsOf(Id);
+  assert(Lits.size() >= 2 && "cannot watch a unit clause");
+  bool Binary = Lits.size() == 2;
+  Watches[Lits[0]].push_back({Id, Binary ? Lits[1] : NoLit});
+  Watches[Lits[1]].push_back({Id, Binary ? Lits[0] : NoLit});
 }
 
 //===----------------------------------------------------------------------===//
@@ -112,7 +120,10 @@ void Solver::backtrack(uint32_t ToLevel) {
     SavedPhase[V] = Values[V] == 1;
     Values[V] = 0;
     Reasons[V] = NoReason;
-    heapInsert(V);
+    if (Activity[V] > 0)
+      heapInsert(V);
+    else if (V < ZeroCursor)
+      ZeroCursor = V;
   }
   Trail.resize(Keep);
   TrailLimits.resize(ToLevel);
@@ -124,26 +135,45 @@ uint32_t Solver::propagate() {
     Lit P = Trail[PropagateHead++];
     // P just became true, so literal ~P is false; visit its watchers.
     Lit FalseLit = negate(P);
-    std::vector<uint32_t> &WList = Watches[FalseLit];
-    size_t Out = 0;
-    for (size_t In = 0; In != WList.size(); ++In) {
-      uint32_t Id = WList[In];
-      Clause &C = Clauses[Id];
-      // Ensure the false literal sits at position 1.
-      if (C.Lits[0] == FalseLit)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == FalseLit && "watch list out of sync");
+    std::vector<Watcher> &WList = Watches[FalseLit];
+    size_t In = 0, Out = 0;
+    uint32_t Conflict = NoReason;
+    while (In != WList.size()) {
+      Watcher W = WList[In++];
+      if (W.Other != NoLit) {
+        // Binary clause (W.Other, FalseLit): it keeps its watches.
+        WList[Out++] = W;
+        if (litIsTrue(W.Other))
+          continue;
+        if (!litIsFalse(W.Other)) {
+          enqueue(W.Other, W.Clause);
+          continue;
+        }
+        // analyze reads the conflicting clause in this order, the one a
+        // longer clause is left in.
+        std::span<Lit> Lits = litsOf(W.Clause);
+        Lits[0] = W.Other;
+        Lits[1] = FalseLit;
+        Conflict = W.Clause;
+        break;
+      }
 
-      if (litIsTrue(C.Lits[0])) {
-        WList[Out++] = Id; // Clause satisfied; keep watching.
+      std::span<Lit> Lits = litsOf(W.Clause);
+      // Ensure the false literal sits at position 1.
+      if (Lits[0] == FalseLit)
+        std::swap(Lits[0], Lits[1]);
+      assert(Lits[1] == FalseLit && "watch list out of sync");
+
+      if (litIsTrue(Lits[0])) {
+        WList[Out++] = W; // Clause satisfied; keep watching.
         continue;
       }
       // Look for a non-false replacement watch.
       bool Moved = false;
-      for (size_t K = 2; K != C.Lits.size(); ++K) {
-        if (!litIsFalse(C.Lits[K])) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[C.Lits[1]].push_back(Id);
+      for (size_t K = 2; K != Lits.size(); ++K) {
+        if (!litIsFalse(Lits[K])) {
+          std::swap(Lits[1], Lits[K]);
+          Watches[Lits[1]].push_back(W);
           Moved = true;
           break;
         }
@@ -151,17 +181,19 @@ uint32_t Solver::propagate() {
       if (Moved)
         continue;
       // No replacement: unit or conflicting.
-      WList[Out++] = Id;
-      if (litIsFalse(C.Lits[0])) {
-        // Conflict: keep the remaining watchers, then report.
-        for (size_t K = In + 1; K != WList.size(); ++K)
-          WList[Out++] = WList[K];
-        WList.resize(Out);
-        return Id;
+      WList[Out++] = W;
+      if (litIsFalse(Lits[0])) {
+        Conflict = W.Clause;
+        break;
       }
-      enqueue(C.Lits[0], Id);
+      enqueue(Lits[0], W.Clause);
     }
+    // After a conflict, keep the watchers not visited, then report it.
+    while (In != WList.size())
+      WList[Out++] = WList[In++];
     WList.resize(Out);
+    if (Conflict != NoReason)
+      return Conflict;
   }
   return NoReason;
 }
@@ -210,13 +242,29 @@ void Solver::siftDown(uint32_t I) {
 }
 
 void Solver::bumpVar(Var V) {
+  // Only analyze bumps, and only assigned variables: backtrack puts V in
+  // the heap when it unassigns it.
+  assert(Values[V] != 0 && "bumping an unassigned variable");
   Activity[V] += ActivityInc;
   if (Activity[V] > 1e100) {
     for (double &A : Activity)
       A *= 1e-100;
     ActivityInc *= 1e-100;
-    // Scaling can make two activities equal, and the index then decides:
-    // restore the heap order from the bottom up.
+    // Scaling can underflow an activity to 0, which moves its variable
+    // from the heap to ZeroCursor's range, and it can make two activities
+    // equal, which the index then decides: rebuild the heap bottom up.
+    size_t Kept = 0;
+    for (Var W : Heap) {
+      if (Activity[W] > 0) {
+        HeapPos[W] = static_cast<uint32_t>(Kept);
+        Heap[Kept++] = W;
+        continue;
+      }
+      HeapPos[W] = NotInHeap;
+      if (Values[W] == 0)
+        ZeroCursor = std::min(ZeroCursor, W);
+    }
+    Heap.resize(Kept);
     for (size_t I = Heap.size() / 2; I-- > 0;)
       siftDown(static_cast<uint32_t>(I));
   } else if (HeapPos[V] != NotInHeap) {
@@ -228,10 +276,9 @@ void Solver::decayActivities() { ActivityInc *= (1.0 / 0.95); }
 
 Lit Solver::pickBranchLit() {
   // Pop until the top is unassigned; backtrack re-inserts what it frees.
-  Var Best;
-  do {
-    assert(!Heap.empty() && "pickBranchLit with a complete assignment");
-    Best = Heap.front();
+  // Any positive activity beats 0.
+  while (!Heap.empty()) {
+    Var Best = Heap.front();
     HeapPos[Best] = NotInHeap;
     Var Last = Heap.back();
     Heap.pop_back();
@@ -240,8 +287,15 @@ Lit Solver::pickBranchLit() {
       HeapPos[Last] = 0;
       siftDown(0);
     }
-  } while (Values[Best] != 0);
-  return mkLit(Best, !SavedPhase[Best]);
+    if (Values[Best] == 0)
+      return mkLit(Best, !SavedPhase[Best]);
+  }
+  // Every unassigned variable has activity 0: the lowest index wins.
+  while (Values[ZeroCursor] != 0) {
+    ++ZeroCursor;
+    assert(ZeroCursor < VarCount && "pickBranchLit with a complete assignment");
+  }
+  return mkLit(ZeroCursor, !SavedPhase[ZeroCursor]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -261,9 +315,8 @@ void Solver::analyze(uint32_t ConflictId, std::vector<Lit> &Learned,
 
   while (true) {
     assert(ClId != NoReason && "resolving on a decision");
-    Clause &C = Clauses[ClId];
     Sources.push_back(ClId);
-    for (Lit Q : C.Lits) {
+    for (Lit Q : litsOf(ClId)) {
       if (Q == P)
         continue;
       Var V = varOf(Q);
@@ -302,7 +355,7 @@ void Solver::analyze(uint32_t ConflictId, std::vector<Lit> &Learned,
     uint32_t R = Reasons[Level0Seen[I]];
     assert(R != NoReason && "level-0 literal without a reason");
     Sources.push_back(R);
-    for (Lit Q : Clauses[R].Lits) {
+    for (Lit Q : litsOf(R)) {
       Var W = varOf(Q);
       if (!Seen[W]) {
         Seen[W] = 2;
@@ -345,16 +398,15 @@ void Solver::buildCore(uint32_t ConflictId,
     if (Id == NoReason || SeenClause[Id])
       continue;
     SeenClause[Id] = 1;
-    const Clause &C = Clauses[Id];
-    if (C.Derivation != NoReason) {
-      const std::vector<uint32_t> &Sources = Derivations[C.Derivation];
+    if (uint32_t D = Clauses[Id].Derivation; D != NoReason) {
+      const std::vector<uint32_t> &Sources = Derivations[D];
       Work.insert(Work.end(), Sources.begin(), Sources.end());
     } else {
       Core.push_back(Id);
     }
     // The conflict is at level 0, so every literal's falsification is
     // itself derived by a reason clause; follow them.
-    for (Lit Q : C.Lits) {
+    for (Lit Q : litsOf(Id)) {
       Var V = varOf(Q);
       if (!SeenVar[V] && Values[V] != 0 && Levels[V] == 0 &&
           Reasons[V] != NoReason) {
@@ -416,10 +468,9 @@ Result Solver::solveImpl() {
 
   // Enqueue the original unit clauses at level 0.
   for (uint32_t Id = 0; Id != NumOriginal; ++Id) {
-    const Clause &C = Clauses[Id];
-    if (C.Lits.size() != 1)
+    if (Clauses[Id].Size != 1)
       continue;
-    Lit L = C.Lits[0];
+    Lit L = Arena[Clauses[Id].Begin];
     if (litIsTrue(L))
       continue;
     if (litIsFalse(L)) {
@@ -478,7 +529,7 @@ Result Solver::solveImpl() {
       uint32_t Id = addClauseInternal(Learned, /*Learned=*/true,
                                       std::move(Sources));
       ++Stats.LearnedClauses;
-      enqueue(Clauses[Id].Lits[0], Id);
+      enqueue(Arena[Clauses[Id].Begin], Id);
       decayActivities();
 
       if (--ConflictsUntilRestart == 0) {
@@ -531,11 +582,11 @@ bool DpllSolver::solveRec(std::vector<int8_t> &Assign) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (const auto &C : Formula.Clauses) {
+    for (size_t I = 0; I != Formula.numClauses(); ++I) {
       Lit UnitLit = NoLit;
       bool Satisfied = false;
       unsigned Unassigned = 0;
-      for (Lit L : C) {
+      for (Lit L : Formula.clause(I)) {
         int8_t Val = Assign[varOf(L)];
         if (Val == -1) {
           ++Unassigned;
@@ -564,7 +615,8 @@ bool DpllSolver::solveRec(std::vector<int8_t> &Assign) {
   // Find a branching variable among unsatisfied clauses.
   Var BranchVar = 0;
   bool FoundVar = false;
-  for (const auto &C : Formula.Clauses) {
+  for (size_t I = 0; I != Formula.numClauses(); ++I) {
+    std::span<const Lit> C = Formula.clause(I);
     bool Satisfied = false;
     for (Lit L : C)
       if (Assign[varOf(L)] == (isNegated(L) ? 0 : 1)) {

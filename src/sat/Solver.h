@@ -9,7 +9,10 @@
 /// A Chaff-style conflict-driven clause-learning SAT solver standing in
 /// for zchaff [19]: two-watched-literal propagation, first-UIP learning,
 /// VSIDS branching from an activity-ordered variable heap (MiniSat's),
-/// phase saving and Luby restarts. Like the zchaff
+/// phase saving and Luby restarts. The layout follows MiniSat too: every
+/// clause's literals in one arena, binary clauses propagated from their
+/// watchers alone, and only variables that took part in a conflict in the
+/// heap. Like the zchaff
 /// version the paper relies on, it supports *unsatisfiable core
 /// extraction* [30]: on UNSAT it reports a subset of the original clauses
 /// whose conjunction is already unsatisfiable, which jeddc turns into the
@@ -23,6 +26,8 @@
 #include "sat/Cnf.h"
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace jedd {
@@ -70,9 +75,13 @@ public:
 
   /// Adds one clause of original (problem) clauses. Clauses are numbered
   /// by addition order; unsat cores report these numbers. Variables must
-  /// have been declared. An empty clause makes the instance trivially
+  /// have been declared: a literal over an undeclared variable throws
+  /// jedd::UsageError. An empty clause makes the instance trivially
   /// unsatisfiable.
-  void addClause(const std::vector<Lit> &Lits);
+  void addClause(std::span<const Lit> Lits);
+  void addClause(std::initializer_list<Lit> Lits) {
+    addClause(std::span<const Lit>(Lits.begin(), Lits.size()));
+  }
 
   /// Convenience: declares missing variables and adds all clauses.
   void addFormula(const CnfFormula &F);
@@ -99,19 +108,24 @@ public:
   const SolverStats &stats() const { return Stats; }
 
 private:
-  // Clause arena. Original clauses come first (their index is the public
+  // Clauses. Original clauses come first (their index is the public
   // clause id); learned clauses follow, each with the ids of the clauses
   // resolved to derive it, forming the resolution graph the core
-  // extraction walks. Those lists live in Derivations, so the record of
-  // each of the tens of thousands of original clauses stays 32 bytes.
+  // extraction walks. Those lists live in Derivations. The literals of
+  // every clause sit back to back in Arena, so a clause is a 12-byte
+  // record and adding one allocates nothing once the arrays have grown.
+  // Arena grows as learned clauses are added: address a clause's literals
+  // by index, and hold no pointer into Arena across addClauseInternal.
   struct Clause {
-    std::vector<Lit> Lits;
+    uint32_t Begin;      // Index of the first literal in Arena.
+    uint32_t Size;       // Number of literals.
     uint32_t Derivation; // Index into Derivations; NoReason if original.
   };
 
   static constexpr uint32_t NoReason = 0xFFFFFFFFu;
 
   size_t VarCount = 0;
+  std::vector<Lit> Arena;
   std::vector<Clause> Clauses;
   size_t NumOriginal = 0;
   std::vector<std::vector<uint32_t>> Derivations;
@@ -124,19 +138,31 @@ private:
   std::vector<size_t> TrailLimits; // Trail size at each decision level.
   size_t PropagateHead = 0;
 
-  // Two-watched literals: Watches[L] lists clauses watching literal L.
-  std::vector<std::vector<uint32_t>> Watches;
+  // Two-watched literals: Watches[L] lists the clauses watching literal L,
+  // binary and longer ones in one list. A binary clause's watcher carries
+  // the clause's other literal, so propagating it never reads the arena;
+  // a longer clause's carries NoLit.
+  struct Watcher {
+    uint32_t Clause;
+    Lit Other;
+  };
+  std::vector<std::vector<Watcher>> Watches;
 
-  // VSIDS. Heap is a binary max-heap of variables, highest activity
-  // first and ties to the lower index: the first strict maximum of a scan
-  // in index order. It holds every unassigned variable; assigned ones
-  // leave it lazily when pickBranchLit pops them.
+  // VSIDS. The branching variable is the unassigned one of highest
+  // activity, ties to the lower index. Heap is a binary max-heap in that
+  // order over the variables with positive activity: every unassigned
+  // one is in it, and assigned ones leave it lazily when pickBranchLit
+  // pops them. Every unassigned variable of activity 0 has an index of at
+  // least ZeroCursor, so when the heap holds no unassigned variable the
+  // pick is the first unassigned one from ZeroCursor on. Most variables
+  // of a Jedd formula are never bumped and never enter the heap.
   static constexpr uint32_t NotInHeap = 0xFFFFFFFFu;
   std::vector<double> Activity;
   double ActivityInc = 1.0;
   std::vector<uint8_t> SavedPhase;
   std::vector<Var> Heap;
   std::vector<uint32_t> HeapPos; // Index into Heap, or NotInHeap.
+  Var ZeroCursor = 0;
 
   // Conflict-analysis marks, all zero between conflicts: 1 for a variable
   // resolved on or in the learned clause, 2 for a level-0 variable whose
@@ -161,6 +187,10 @@ private:
     return Values[varOf(L)] == (isNegated(L) ? 1 : 2);
   }
   bool litIsUnassigned(Lit L) const { return Values[varOf(L)] == 0; }
+  /// Clause \p Id's literals; valid until the next addClauseInternal.
+  std::span<Lit> litsOf(uint32_t Id) {
+    return {Arena.data() + Clauses[Id].Begin, Clauses[Id].Size};
+  }
 
   Result solveImpl();
 
@@ -190,7 +220,9 @@ private:
   /// falsified literals and expanding learned clauses into original ones.
   void buildCore(uint32_t ConflictId, const std::vector<uint32_t> &Extra);
 
-  uint32_t addClauseInternal(std::vector<Lit> Lits, bool Learned,
+  /// Appends an original clause, or a learned one with its resolution
+  /// sources.
+  uint32_t addClauseInternal(std::span<const Lit> Lits, bool Learned,
                              std::vector<uint32_t> Sources);
 };
 

@@ -370,6 +370,12 @@ function f() {
   EXPECT_NE(Rendered.find("over physical domain T1"), std::string::npos)
       << Rendered;
   EXPECT_NE(Rendered.find("Test.jedd:"), std::string::npos) << Rendered;
+  // The whole message, attribute order and locations included.
+  EXPECT_NE(Rendered.find("Conflict between Compose_expression:rectype at "
+                          "Test.jedd:11,44 and Compose_expression:supertype "
+                          "at Test.jedd:11,44 over physical domain T1"),
+            std::string::npos)
+      << Rendered;
 }
 
 TEST(JeddAssign, PaperFixResolvesTheConflict) {

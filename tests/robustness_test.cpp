@@ -265,4 +265,19 @@ TEST(SatRobustness, LongImplicationChainsUnderRestarts) {
   EXPECT_TRUE(S.modelValue(N - 1));
 }
 
+TEST(SatRobustness, UndeclaredVariableIsAUsageError) {
+  // Checked in every build: the literal would index the assignment and
+  // the watch lists past their end.
+  sat::Solver S;
+  S.newVar();
+  expectUsageError([&] { S.addClause({sat::mkLit(0), sat::mkLit(1)}); },
+                   "literal 2 over an undeclared variable");
+  expectUsageError([&] { S.addClause({sat::mkLit(7, true)}); },
+                   "literal -8 over an undeclared variable");
+  // A rejected clause leaves nothing behind.
+  S.addClause({sat::mkLit(0, true)});
+  ASSERT_EQ(S.solve(), sat::Result::Sat);
+  EXPECT_FALSE(S.modelValue(0));
+}
+
 } // namespace

@@ -31,7 +31,8 @@ namespace {
 size_t countCodeLines(const std::string &Text) {
   size_t Count = 0;
   bool InBlockComment = false;
-  for (const std::string &RawLine : splitString(Text, '\n')) {
+  FieldScanner Lines(Text, '\n');
+  for (std::string_view RawLine; Lines.next(RawLine);) {
     std::string Code;
     std::string_view Line = trimString(RawLine);
     for (size_t I = 0; I < Line.size();) {

@@ -8,7 +8,7 @@
 #include "sat/Cnf.h"
 #include "util/StringUtils.h"
 
-#include <cstdlib>
+#include <charconv>
 
 using namespace jedd;
 using namespace jedd::sat;
@@ -36,25 +36,37 @@ bool jedd::sat::parseDimacs(const std::string &Text, CnfFormula &F,
   bool SawHeader = false;
   size_t DeclaredClauses = 0;
   std::vector<Lit> Current;
+  std::vector<std::string_view> Tokens;
 
-  for (const std::string &RawLine : splitString(Text, '\n')) {
+  FieldScanner Lines(Text, '\n');
+  for (std::string_view RawLine; Lines.next(RawLine);) {
     std::string_view Line = trimString(RawLine);
     if (Line.empty() || Line[0] == 'c')
       continue;
+    Tokens.clear();
+    FieldScanner Words(Line, ' ');
+    for (std::string_view Tok; Words.next(Tok);)
+      if (!(Tok = trimString(Tok)).empty())
+        Tokens.push_back(Tok);
+
     if (Line[0] == 'p') {
       if (SawHeader) {
         Error = "duplicate problem line";
         return false;
       }
-      unsigned Vars = 0;
-      size_t ClauseCount = 0;
-      if (std::sscanf(std::string(Line).c_str(), "p cnf %u %zu", &Vars,
-                      &ClauseCount) != 2) {
+      if (Tokens.size() != 4 || Tokens[0] != "p" || Tokens[1] != "cnf" ||
+          !parseDecimal(Tokens[2], F.NumVars) ||
+          !parseDecimal(Tokens[3], DeclaredClauses)) {
         Error = "malformed problem line: " + std::string(Line);
         return false;
       }
-      F.NumVars = Vars;
-      DeclaredClauses = ClauseCount;
+      // Lit packs a variable as 2 * Var + sign below NoLit.
+      if (F.NumVars > NoLit / 2) {
+        Error = strFormat("problem line declares %u variables; at most %u "
+                          "fit a literal",
+                          F.NumVars, NoLit / 2);
+        return false;
+      }
       SawHeader = true;
       continue;
     }
@@ -62,29 +74,28 @@ bool jedd::sat::parseDimacs(const std::string &Text, CnfFormula &F,
       Error = "clause before the problem line";
       return false;
     }
-    for (const std::string &Tok : splitString(std::string(Line), ' ')) {
-      std::string_view T = trimString(Tok);
-      if (T.empty())
-        continue;
-      char *End = nullptr;
-      std::string TokStr(T); // keep alive: End points into this buffer
-      long Value = std::strtol(TokStr.c_str(), &End, 10);
-      if (*End != '\0') {
-        Error = "malformed literal: " + std::string(T);
+    for (std::string_view Tok : Tokens) {
+      bool Negated = Tok[0] == '-';
+      std::string_view Digits = Tok.substr(Negated);
+      const char *End = Digits.data() + Digits.size();
+      uint64_t Magnitude = 0;
+      auto [Ptr, Ec] = std::from_chars(Digits.data(), End, Magnitude);
+      if (Ec == std::errc::invalid_argument || Ptr != End) {
+        Error = "malformed literal '" + std::string(Tok) + "'";
         return false;
       }
-      if (Value == 0) {
+      // All digits, so out_of_range means more than 64 bits.
+      if (Ec == std::errc::result_out_of_range || Magnitude > F.NumVars) {
+        Error = strFormat("literal '%s' exceeds declared variable count %u",
+                          std::string(Tok).c_str(), F.NumVars);
+        return false;
+      }
+      if (Magnitude == 0) {
         F.addClause(Current);
         Current.clear();
         continue;
       }
-      unsigned V = static_cast<unsigned>(Value < 0 ? -Value : Value) - 1;
-      if (V >= F.NumVars) {
-        Error = strFormat("literal %ld exceeds declared variable count %u",
-                          Value, F.NumVars);
-        return false;
-      }
-      Current.push_back(mkLit(V, Value < 0));
+      Current.push_back(mkLit(static_cast<Var>(Magnitude - 1), Negated));
     }
   }
   if (!Current.empty()) {

@@ -35,12 +35,8 @@ Var Solver::newVar() {
 }
 
 void Solver::addClause(std::span<const Lit> Lits) {
-  assert(!Solved && "clauses must be added before solve()");
-  for (Lit L : Lits)
-    JEDD_CHECK(varOf(L) < VarCount,
-               "sat::Solver::addClause: literal " + litToString(L) +
-                   " over an undeclared variable");
-  addClauseInternal(Lits, /*Learned=*/false, {});
+  if (storeOriginal(Lits))
+    attachClause(static_cast<uint32_t>(Clauses.size() - 1));
 }
 
 void Solver::addFormula(const CnfFormula &F) {
@@ -48,43 +44,63 @@ void Solver::addFormula(const CnfFormula &F) {
     newVar();
   Arena.reserve(Arena.size() + F.numLiterals());
   Clauses.reserve(Clauses.size() + F.numClauses());
-  for (size_t I = 0; I != F.numClauses(); ++I)
-    addClause(F.clause(I));
+  // Store every clause first, then size each watch list once and attach
+  // in clause order, so the lists come out as addClause builds them.
+  std::vector<uint32_t> Watched;
+  Watched.reserve(F.numClauses());
+  std::vector<uint32_t> Watchers(Watches.size(), 0);
+  for (size_t I = 0; I != F.numClauses(); ++I) {
+    if (!storeOriginal(F.clause(I)))
+      continue;
+    uint32_t Id = static_cast<uint32_t>(Clauses.size() - 1);
+    Watched.push_back(Id);
+    std::span<const Lit> Lits = litsOf(Id);
+    ++Watchers[Lits[0]];
+    ++Watchers[Lits[1]];
+  }
+  for (size_t L = 0; L != Watches.size(); ++L)
+    Watches[L].reserve(Watches[L].size() + Watchers[L]);
+  for (uint32_t Id : Watched)
+    attachClause(Id);
 }
 
-uint32_t Solver::addClauseInternal(std::span<const Lit> Lits, bool Learned,
-                                   std::vector<uint32_t> Sources) {
+bool Solver::storeOriginal(std::span<const Lit> Lits) {
+  assert(!Solved && "clauses must be added before solve()");
+  for (Lit L : Lits)
+    JEDD_CHECK(varOf(L) < VarCount,
+               "sat::Solver::addClause: literal " + litToString(L) +
+                   " over an undeclared variable");
   uint32_t Id = static_cast<uint32_t>(Clauses.size());
   uint32_t Begin = static_cast<uint32_t>(Arena.size());
   Arena.insert(Arena.end(), Lits.begin(), Lits.end());
-
-  if (!Learned) {
-    NumOriginal = Id + 1;
-    // Normalize the arena's copy for solving; the id still identifies the
-    // original.
-    auto First = Arena.begin() + Begin;
-    std::sort(First, Arena.end());
-    Arena.erase(std::unique(First, Arena.end()), Arena.end());
-    uint32_t Size = static_cast<uint32_t>(Arena.size()) - Begin;
-    Clauses.push_back({Begin, Size, NoReason});
-    for (uint32_t I = Begin; I + 1 < Begin + Size; ++I)
-      if (Arena[I + 1] == negate(Arena[I]))
-        return Id; // Never attach; the clause is always satisfied.
-  } else {
-    Clauses.push_back({Begin, static_cast<uint32_t>(Lits.size()),
-                       static_cast<uint32_t>(Derivations.size())});
-    Derivations.push_back(std::move(Sources));
+  NumOriginal = Id + 1;
+  // Normalize the arena's copy for solving; the id still identifies the
+  // original.
+  auto First = Arena.begin() + Begin;
+  std::sort(First, Arena.end());
+  Arena.erase(std::unique(First, Arena.end()), Arena.end());
+  uint32_t Size = static_cast<uint32_t>(Arena.size()) - Begin;
+  Clauses.push_back({Begin, Size, NoReason});
+  for (uint32_t I = Begin; I + 1 < Begin + Size; ++I)
+    if (Arena[I + 1] == negate(Arena[I]))
+      return false; // Never attach; the clause is always satisfied.
+  if (Size == 0 && !FoundEmptyClause) {
+    FoundEmptyClause = true;
+    EmptyClauseId = Id;
   }
+  return Size >= 2;
+}
 
-  const Clause &C = Clauses[Id];
-  if (C.Size == 0) {
-    if (!FoundEmptyClause) {
-      FoundEmptyClause = true;
-      EmptyClauseId = Id;
-    }
-    return Id;
-  }
-  if (C.Size >= 2)
+uint32_t Solver::addLearned(std::span<const Lit> Lits,
+                            std::vector<uint32_t> Sources) {
+  assert(!Lits.empty() && "a learned clause has an asserting literal");
+  uint32_t Id = static_cast<uint32_t>(Clauses.size());
+  uint32_t Begin = static_cast<uint32_t>(Arena.size());
+  Arena.insert(Arena.end(), Lits.begin(), Lits.end());
+  Clauses.push_back({Begin, static_cast<uint32_t>(Lits.size()),
+                     static_cast<uint32_t>(Derivations.size())});
+  Derivations.push_back(std::move(Sources));
+  if (Lits.size() >= 2)
     attachClause(Id);
   return Id;
 }
@@ -526,8 +542,7 @@ Result Solver::solveImpl() {
       std::vector<uint32_t> Sources;
       analyze(ConflictId, Learned, BackLevel, Sources);
       backtrack(BackLevel);
-      uint32_t Id = addClauseInternal(Learned, /*Learned=*/true,
-                                      std::move(Sources));
+      uint32_t Id = addLearned(Learned, std::move(Sources));
       ++Stats.LearnedClauses;
       enqueue(Arena[Clauses[Id].Begin], Id);
       decayActivities();

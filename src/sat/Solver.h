@@ -115,7 +115,7 @@ private:
   // every clause sit back to back in Arena, so a clause is a 12-byte
   // record and adding one allocates nothing once the arrays have grown.
   // Arena grows as learned clauses are added: address a clause's literals
-  // by index, and hold no pointer into Arena across addClauseInternal.
+  // by index, and hold no pointer into Arena across addLearned.
   struct Clause {
     uint32_t Begin;      // Index of the first literal in Arena.
     uint32_t Size;       // Number of literals.
@@ -187,7 +187,7 @@ private:
     return Values[varOf(L)] == (isNegated(L) ? 1 : 2);
   }
   bool litIsUnassigned(Lit L) const { return Values[varOf(L)] == 0; }
-  /// Clause \p Id's literals; valid until the next addClauseInternal.
+  /// Clause \p Id's literals; valid until the next clause is added.
   std::span<Lit> litsOf(uint32_t Id) {
     return {Arena.data() + Clauses[Id].Begin, Clauses[Id].Size};
   }
@@ -220,10 +220,14 @@ private:
   /// falsified literals and expanding learned clauses into original ones.
   void buildCore(uint32_t ConflictId, const std::vector<uint32_t> &Extra);
 
-  /// Appends an original clause, or a learned one with its resolution
-  /// sources.
-  uint32_t addClauseInternal(std::span<const Lit> Lits, bool Learned,
-                             std::vector<uint32_t> Sources);
+  /// Appends an original clause, sorted and without duplicate literals,
+  /// and returns whether it must be watched: false for a tautology, a
+  /// unit or the empty clause.
+  bool storeOriginal(std::span<const Lit> Lits);
+  /// Appends and watches a learned clause with the ids of the clauses
+  /// resolved to derive it; returns its id.
+  uint32_t addLearned(std::span<const Lit> Lits,
+                      std::vector<uint32_t> Sources);
 };
 
 /// A plain recursive DPLL solver (unit propagation + splitting). Used as

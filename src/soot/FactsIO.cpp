@@ -8,9 +8,6 @@
 #include "soot/FactsIO.h"
 #include "util/StringUtils.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 
 using namespace jedd;
@@ -75,61 +72,26 @@ std::string jedd::soot::writeFacts(const Program &Prog) {
 
 namespace {
 
-/// A forgiving token scanner over one line.
-class LineParser {
-public:
-  LineParser(const std::vector<std::string> &Tokens) : Tokens(Tokens) {}
-
-  bool done() const { return Pos >= Tokens.size(); }
-
-  /// Next bare token; empty when exhausted.
-  std::string next() { return done() ? std::string() : Tokens[Pos++]; }
-
-  /// Reads "key=value"; returns false on mismatch.
-  bool keyValue(const char *Key, std::string &Value) {
-    if (done())
-      return false;
-    const std::string &Tok = Tokens[Pos];
-    std::string Prefix = std::string(Key) + "=";
-    if (!startsWith(Tok, Prefix))
-      return false;
-    Value = Tok.substr(Prefix.size());
-    ++Pos;
-    return true;
-  }
-
-private:
-  const std::vector<std::string> &Tokens;
-  size_t Pos = 0;
-};
-
-bool parseId(const std::string &Text, Id &Out) {
+/// Reads an id: "-" is NoId, anything else decimal digits below NoId.
+bool parseId(std::string_view Text, Id &Out) {
   if (Text == "-") {
     Out = NoId;
     return true;
   }
-  // strtoul alone is too forgiving: it accepts a sign ("-1" wraps to
-  // ULONG_MAX) and saturates instead of reporting 64-bit overflow, and
-  // the cast below would then truncate silently. Only plain decimal
-  // digits that fit below NoId are valid ids.
-  if (Text.empty() || !std::isdigit(static_cast<unsigned char>(Text[0])))
+  Id Value;
+  if (!parseDecimal(Text, Value) || Value == NoId)
     return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long Value = std::strtoul(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0')
-    return false;
-  if (errno == ERANGE || Value >= NoId)
-    return false;
-  Out = static_cast<Id>(Value);
+  Out = Value;
   return true;
 }
 
-bool parseIdList(const std::string &Text, std::vector<Id> &Out) {
+/// Reads "-" (no ids) or a comma-separated list of ids.
+bool parseIdList(std::string_view Text, std::vector<Id> &Out) {
   Out.clear();
   if (Text == "-")
     return true;
-  for (const std::string &Part : splitString(Text, ',')) {
+  FieldScanner Parts(Text, ',');
+  for (std::string_view Part; Parts.next(Part);) {
     Id Value;
     if (!parseId(Part, Value))
       return false;
@@ -138,12 +100,60 @@ bool parseIdList(const std::string &Text, std::vector<Id> &Out) {
   return true;
 }
 
+/// A forgiving token scanner over one line's tokens.
+class LineParser {
+public:
+  explicit LineParser(const std::vector<std::string_view> &Tokens)
+      : Tokens(Tokens) {}
+
+  bool done() const { return Pos >= Tokens.size(); }
+
+  /// Next bare token; empty when exhausted.
+  std::string_view next() {
+    return done() ? std::string_view() : Tokens[Pos++];
+  }
+
+  /// Reads a bare id.
+  bool id(Id &Out) { return parseId(next(), Out); }
+
+  /// Reads "Key=id".
+  bool id(std::string_view Key, Id &Out) {
+    std::string_view Value;
+    return keyValue(Key, Value) && parseId(Value, Out);
+  }
+
+  /// Reads "Key=id,id,..." or "Key=-".
+  bool ids(std::string_view Key, std::vector<Id> &Out) {
+    std::string_view Value;
+    return keyValue(Key, Value) && parseIdList(Value, Out);
+  }
+
+private:
+  /// Reads "Key=value"; returns false on mismatch.
+  bool keyValue(std::string_view Key, std::string_view &Value) {
+    if (done())
+      return false;
+    std::string_view Tok = Tokens[Pos];
+    if (Tok.size() <= Key.size() || Tok[Key.size()] != '=' ||
+        !Tok.starts_with(Key))
+      return false;
+    Value = Tok.substr(Key.size() + 1);
+    ++Pos;
+    return true;
+  }
+
+  const std::vector<std::string_view> &Tokens;
+  size_t Pos = 0;
+};
+
 } // namespace
 
 bool jedd::soot::parseFacts(const std::string &Text, Program &Prog,
                             std::string &Error) {
   Prog = Program();
-  std::map<std::string, Id> KlassByName;
+  // Class names as views into Text, which outlives the parse.
+  std::map<std::string_view, Id> KlassByName;
+  std::vector<std::string_view> Tokens;
   size_t LineNo = 0;
 
   auto Fail = [&](const std::string &Message) {
@@ -151,68 +161,65 @@ bool jedd::soot::parseFacts(const std::string &Text, Program &Prog,
     return false;
   };
 
-  for (const std::string &RawLine : splitString(Text, '\n')) {
+  FieldScanner Lines(Text, '\n');
+  for (std::string_view RawLine; Lines.next(RawLine);) {
     ++LineNo;
-    std::string Line(trimString(RawLine));
+    std::string_view Line = trimString(RawLine);
     if (Line.empty() || Line[0] == '#')
       continue;
-    std::vector<std::string> Tokens;
-    for (const std::string &Tok : splitString(Line, ' '))
+    Tokens.clear();
+    FieldScanner Words(Line, ' ');
+    for (std::string_view Tok; Words.next(Tok);)
       if (!Tok.empty())
         Tokens.push_back(Tok);
     LineParser P(Tokens);
-    std::string Kind = P.next();
-    std::string V1, V2, V3, V4, V5;
+    std::string_view Kind = P.next();
 
     if (Kind == "class") {
-      std::string Name = P.next();
+      std::string_view Name = P.next();
       if (Name.empty())
         return Fail("class without a name");
       Id Super = NoId;
       if (!P.done()) {
         if (P.next() != "extends")
           return Fail("expected 'extends'");
-        std::string SuperName = P.next();
+        std::string_view SuperName = P.next();
         auto It = KlassByName.find(SuperName);
         if (It == KlassByName.end())
-          return Fail("unknown superclass '" + SuperName + "'");
+          return Fail("unknown superclass '" + std::string(SuperName) + "'");
         Super = It->second;
       }
-      if (KlassByName.count(Name))
-        return Fail("duplicate class '" + Name + "'");
-      KlassByName[Name] = static_cast<Id>(Prog.Klasses.size());
-      Prog.Klasses.push_back({Name, Super});
+      if (!KlassByName.emplace(Name, static_cast<Id>(Prog.Klasses.size()))
+               .second)
+        return Fail("duplicate class '" + std::string(Name) + "'");
+      Prog.Klasses.push_back({std::string(Name), Super});
     } else if (Kind == "sig") {
-      std::string Name = P.next();
+      std::string_view Name = P.next();
       if (Name.empty())
         return Fail("sig without a name");
-      Prog.Sigs.push_back({std::move(Name)});
+      Prog.Sigs.push_back({std::string(Name)});
     } else if (Kind == "field") {
-      std::string Name = P.next();
+      std::string_view Name = P.next();
       if (Name.empty())
         return Fail("field without a name");
-      Prog.Fields.push_back(std::move(Name));
+      Prog.Fields.emplace_back(Name);
     } else if (Kind == "method") {
       Method M;
-      Id Klass, Sig;
-      if (!parseId(P.next(), Klass) || !parseId(P.next(), Sig))
+      if (!P.id(M.Klass) || !P.id(M.Sig))
         return Fail("malformed method header");
-      M.Klass = Klass;
-      M.Sig = Sig;
-      if (!P.keyValue("this", V1) || !parseId(V1, M.ThisVar))
+      if (!P.id("this", M.ThisVar))
         return Fail("malformed this=");
-      if (!P.keyValue("params", V2) || !parseIdList(V2, M.ParamVars))
+      if (!P.ids("params", M.ParamVars))
         return Fail("malformed params=");
-      if (!P.keyValue("ret", V3) || !parseId(V3, M.RetVar))
+      if (!P.id("ret", M.RetVar))
         return Fail("malformed ret=");
       Prog.Methods.push_back(std::move(M));
     } else if (Kind == "entry") {
-      if (!parseId(P.next(), Prog.EntryMethod))
+      if (!P.id(Prog.EntryMethod))
         return Fail("malformed entry");
     } else if (Kind == "var") {
       Id Index, Method;
-      if (!parseId(P.next(), Index) || !P.keyValue("method", V1) ||
-          !parseId(V1, Method))
+      if (!P.id(Index) || !P.id("method", Method))
         return Fail("malformed var");
       if (Index != Prog.NumVars)
         return Fail("variables must be declared in order");
@@ -220,8 +227,7 @@ bool jedd::soot::parseFacts(const std::string &Text, Program &Prog,
       Prog.VarMethod.push_back(Method);
     } else if (Kind == "site") {
       Id Index, Type;
-      if (!parseId(P.next(), Index) || !P.keyValue("type", V1) ||
-          !parseId(V1, Type))
+      if (!P.id(Index) || !P.id("type", Type))
         return Fail("malformed site");
       if (Index != Prog.NumSites)
         return Fail("sites must be declared in order");
@@ -229,41 +235,35 @@ bool jedd::soot::parseFacts(const std::string &Text, Program &Prog,
       Prog.SiteType.push_back(Type);
     } else if (Kind == "alloc") {
       AllocStmt S;
-      if (!P.keyValue("v", V1) || !parseId(V1, S.Var) ||
-          !P.keyValue("site", V2) || !parseId(V2, S.Site))
+      if (!P.id("v", S.Var) || !P.id("site", S.Site))
         return Fail("malformed alloc");
       Prog.Allocs.push_back(S);
     } else if (Kind == "assign") {
       AssignStmt S;
-      if (!P.keyValue("dst", V1) || !parseId(V1, S.Dst) ||
-          !P.keyValue("src", V2) || !parseId(V2, S.Src))
+      if (!P.id("dst", S.Dst) || !P.id("src", S.Src))
         return Fail("malformed assign");
       Prog.Assigns.push_back(S);
     } else if (Kind == "load") {
       LoadStmt S;
-      if (!P.keyValue("dst", V1) || !parseId(V1, S.Dst) ||
-          !P.keyValue("base", V2) || !parseId(V2, S.Base) ||
-          !P.keyValue("field", V3) || !parseId(V3, S.Field))
+      if (!P.id("dst", S.Dst) || !P.id("base", S.Base) ||
+          !P.id("field", S.Field))
         return Fail("malformed load");
       Prog.Loads.push_back(S);
     } else if (Kind == "store") {
       StoreStmt S;
-      if (!P.keyValue("base", V1) || !parseId(V1, S.Base) ||
-          !P.keyValue("field", V2) || !parseId(V2, S.Field) ||
-          !P.keyValue("src", V3) || !parseId(V3, S.Src))
+      if (!P.id("base", S.Base) || !P.id("field", S.Field) ||
+          !P.id("src", S.Src))
         return Fail("malformed store");
       Prog.Stores.push_back(S);
     } else if (Kind == "call") {
       CallSite C;
-      if (!P.keyValue("caller", V1) || !parseId(V1, C.Caller) ||
-          !P.keyValue("sig", V2) || !parseId(V2, C.Sig) ||
-          !P.keyValue("recv", V3) || !parseId(V3, C.RecvVar) ||
-          !P.keyValue("args", V4) || !parseIdList(V4, C.ArgVars) ||
-          !P.keyValue("ret", V5) || !parseId(V5, C.RetDstVar))
+      if (!P.id("caller", C.Caller) || !P.id("sig", C.Sig) ||
+          !P.id("recv", C.RecvVar) || !P.ids("args", C.ArgVars) ||
+          !P.id("ret", C.RetDstVar))
         return Fail("malformed call");
       Prog.Calls.push_back(std::move(C));
     } else {
-      return Fail("unknown fact kind '" + Kind + "'");
+      return Fail("unknown fact kind '" + std::string(Kind) + "'");
     }
     if (!P.done())
       return Fail("unexpected trailing tokens");

@@ -86,14 +86,16 @@ bool Program::validate(std::string &Error) const {
                   Klasses[K].Name);
   }
 
-  auto CheckVar = [&](Id Var) { return Var == NoId || Var < NumVars; };
+  // Only a method's this and ret and a call's ret may be absent (NoId).
+  auto IsVar = [&](Id Var) { return Var < NumVars; };
+  auto IsVarOrNone = [&](Id Var) { return Var == NoId || IsVar(Var); };
   for (const Method &M : Methods) {
     if (M.Klass >= Klasses.size() || M.Sig >= Sigs.size())
       return Fail("method with out-of-range class or signature");
-    if (!CheckVar(M.ThisVar) || !CheckVar(M.RetVar))
+    if (!IsVarOrNone(M.ThisVar) || !IsVarOrNone(M.RetVar))
       return Fail("method with out-of-range variables");
     for (Id P : M.ParamVars)
-      if (!CheckVar(P))
+      if (!IsVar(P))
         return Fail("method with out-of-range parameter variable");
   }
   if (VarMethod.size() != NumVars)
@@ -110,23 +112,23 @@ bool Program::validate(std::string &Error) const {
       return Fail("allocation site of unknown class");
 
   for (const AllocStmt &S : Allocs)
-    if (!CheckVar(S.Var) || S.Site >= NumSites)
+    if (!IsVar(S.Var) || S.Site >= NumSites)
       return Fail("malformed allocation");
   for (const AssignStmt &S : Assigns)
-    if (!CheckVar(S.Dst) || !CheckVar(S.Src))
+    if (!IsVar(S.Dst) || !IsVar(S.Src))
       return Fail("malformed assignment");
   for (const LoadStmt &S : Loads)
-    if (!CheckVar(S.Dst) || !CheckVar(S.Base) || S.Field >= Fields.size())
+    if (!IsVar(S.Dst) || !IsVar(S.Base) || S.Field >= Fields.size())
       return Fail("malformed load");
   for (const StoreStmt &S : Stores)
-    if (!CheckVar(S.Base) || !CheckVar(S.Src) || S.Field >= Fields.size())
+    if (!IsVar(S.Base) || !IsVar(S.Src) || S.Field >= Fields.size())
       return Fail("malformed store");
   for (const CallSite &C : Calls) {
     if (C.Caller >= Methods.size() || C.Sig >= Sigs.size() ||
-        !CheckVar(C.RecvVar) || !CheckVar(C.RetDstVar))
+        !IsVar(C.RecvVar) || !IsVarOrNone(C.RetDstVar))
       return Fail("malformed call site");
     for (Id A : C.ArgVars)
-      if (!CheckVar(A))
+      if (!IsVar(A))
         return Fail("malformed call argument");
   }
   if (EntryMethod >= Methods.size())

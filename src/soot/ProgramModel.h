@@ -129,7 +129,9 @@ struct Program {
   /// return variable to result variable when both exist.
   void callCopies(Id CallId, Id CalleeId, std::vector<uint64_t> &Out) const;
 
-  /// Basic well-formedness (index ranges, acyclic hierarchy).
+  /// Basic well-formedness: index ranges, an acyclic hierarchy, and a
+  /// variable in every statement slot except a method's this and ret and
+  /// a call's ret, which may be NoId.
   bool validate(std::string &Error) const;
 };
 

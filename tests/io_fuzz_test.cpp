@@ -12,11 +12,19 @@
 /// a crash, never out-of-bounds reads (tools/run_sanitized_tests.sh runs
 /// this suite under ASan and TSan), and never a silently wrong load.
 ///
+/// The two text readers, soot::parseFacts and sat::parseDimacs, get
+/// seeded mutations of valid texts: each must accept or reject, and what
+/// it accepts must write back and read again unchanged.
+///
 //===----------------------------------------------------------------------===//
 
 #include "io/Binary.h"
 #include "io/Io.h"
 #include "rel/Relation.h"
+#include "sat/Cnf.h"
+#include "soot/FactsIO.h"
+#include "soot/Generator.h"
+#include "util/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -297,6 +305,97 @@ TEST_F(IoFuzzTest, RandomBytesNeverCrashTheLoader) {
       EXPECT_FALSE(E.ok());
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Text readers
+//===----------------------------------------------------------------------===//
+
+/// \p Text with one to three seeded mutations: a flipped bit, a
+/// truncation, or a line written twice.
+std::string mutate(const std::string &Text, SplitMix64 &Rng) {
+  std::string Out = Text;
+  for (uint64_t N = 1 + Rng.nextBelow(3); N-- != 0 && !Out.empty();) {
+    size_t Pos = Rng.nextBelow(Out.size());
+    switch (Rng.nextBelow(3)) {
+    case 0:
+      Out[Pos] = static_cast<char>(Out[Pos] ^ (1 << Rng.nextBelow(8)));
+      break;
+    case 1:
+      Out.resize(Pos);
+      break;
+    default: {
+      size_t Begin = Out.rfind('\n', Pos);
+      Begin = Begin == std::string::npos ? 0 : Begin + 1;
+      size_t End = Out.find('\n', Pos);
+      End = End == std::string::npos ? Out.size() : End + 1;
+      Out.insert(End, Out.substr(Begin, End - Begin));
+    }
+    }
+  }
+  return Out;
+}
+
+TEST(TextFuzz, MutatedFactsAreReadOrRejected) {
+  soot::GeneratorParams Params;
+  Params.NumClasses = 6;
+  Params.NumSignatures = 4;
+  Params.Seed = 25;
+  const std::string Text = soot::writeFacts(soot::generateProgram(Params));
+  SplitMix64 Rng(0xfac75);
+  unsigned Accepted = 0, Rejected = 0;
+  for (int Round = 0; Round != 600; ++Round) {
+    std::string Bad = mutate(Text, Rng);
+    soot::Program P;
+    std::string Error;
+    if (!soot::parseFacts(Bad, P, Error)) {
+      EXPECT_FALSE(Error.empty());
+      ++Rejected;
+      continue;
+    }
+    ++Accepted;
+    std::string Written = soot::writeFacts(P);
+    soot::Program Q;
+    ASSERT_TRUE(soot::parseFacts(Written, Q, Error))
+        << Error << "\nin the re-written form of:\n"
+        << Bad;
+    EXPECT_EQ(soot::writeFacts(Q), Written);
+  }
+  // Both outcomes occur, so the battery reaches past the first error.
+  EXPECT_GT(Accepted, 10u);
+  EXPECT_GT(Rejected, 10u);
+}
+
+TEST(TextFuzz, MutatedDimacsIsReadOrRejected) {
+  SplitMix64 Rng(0xd1ac5);
+  sat::CnfFormula F;
+  F.NumVars = 12;
+  for (int C = 0; C != 40; ++C)
+    F.addClause({sat::mkLit(Rng.nextBelow(12), Rng.nextBelow(2)),
+                 sat::mkLit(Rng.nextBelow(12), Rng.nextBelow(2)),
+                 sat::mkLit(Rng.nextBelow(12), Rng.nextBelow(2))});
+  const std::string Text = "c seeded 3-SAT\n" + sat::toDimacs(F);
+  unsigned Accepted = 0, Rejected = 0;
+  for (int Round = 0; Round != 600; ++Round) {
+    std::string Bad = mutate(Text, Rng);
+    sat::CnfFormula G;
+    std::string Error;
+    if (!sat::parseDimacs(Bad, G, Error)) {
+      EXPECT_FALSE(Error.empty());
+      ++Rejected;
+      continue;
+    }
+    ++Accepted;
+    for (sat::Lit L : G.Lits)
+      ASSERT_LT(sat::varOf(L), G.NumVars) << Bad;
+    sat::CnfFormula H;
+    ASSERT_TRUE(sat::parseDimacs(sat::toDimacs(G), H, Error)) << Error;
+    EXPECT_EQ(H.NumVars, G.NumVars);
+    EXPECT_EQ(H.Lits, G.Lits);
+    EXPECT_EQ(H.Ends, G.Ends);
+  }
+  EXPECT_GT(Accepted, 10u);
+  EXPECT_GT(Rejected, 10u);
 }
 
 } // namespace

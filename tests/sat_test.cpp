@@ -489,6 +489,44 @@ TEST(Dimacs, RejectsMalformedInput) {
   EXPECT_FALSE(parseDimacs("p cnf 1 1\n2 0\n", F, Error));
   EXPECT_FALSE(parseDimacs("p cnf 1 2\n1 0\n", F, Error));
   EXPECT_FALSE(parseDimacs("p cnf 1 1\n1\n", F, Error));
+
+  // The problem line is exactly "p cnf V C", each count in range.
+  for (const char *Header :
+       {"p cnf -1 0\n", "p cnf 4294967296 0\n", "p cnf 2 1 junk\n",
+        "p cnf 2\n", "p dnf 2 1\n", "p cnf +2 0\n", "p cnf 2 -1\n"}) {
+    EXPECT_FALSE(parseDimacs(Header, F, Error)) << Header;
+    EXPECT_EQ(Error.rfind("malformed problem line: ", 0), 0u) << Error;
+  }
+  EXPECT_FALSE(parseDimacs("p cnf 2147483648 0\n", F, Error));
+  EXPECT_EQ(Error, "problem line declares 2147483648 variables; at most "
+                   "2147483647 fit a literal");
+  EXPECT_TRUE(parseDimacs("p cnf 2147483647 0\n", F, Error)) << Error;
+
+  // A literal's magnitude is checked before it is narrowed to a variable,
+  // and errors quote the literal as written.
+  const std::pair<const char *, const char *> Literals[] = {
+      {"4294967297",
+       "literal '4294967297' exceeds declared variable count 3"},
+      {"-4294967297",
+       "literal '-4294967297' exceeds declared variable count 3"},
+      {"-9223372036854775808",
+       "literal '-9223372036854775808' exceeds declared variable count 3"},
+      {"99999999999999999999",
+       "literal '99999999999999999999' exceeds declared variable count 3"},
+      {"4", "literal '4' exceeds declared variable count 3"},
+      {"1x", "malformed literal '1x'"},
+      {"+1", "malformed literal '+1'"},
+      {"-", "malformed literal '-'"},
+      {"--1", "malformed literal '--1'"},
+  };
+  for (const auto &[Literal, Expected] : Literals) {
+    std::string Text = std::string("p cnf 3 1\n1 ") + Literal + " 0\n";
+    EXPECT_FALSE(parseDimacs(Text, F, Error)) << Literal;
+    EXPECT_EQ(Error, Expected);
+  }
+  ASSERT_TRUE(parseDimacs("p cnf 3 2\n3 -3 0\n-0\n", F, Error)) << Error;
+  EXPECT_EQ(F.clause(0).size(), 2u);
+  EXPECT_TRUE(F.clause(1).empty());
 }
 
 //===----------------------------------------------------------------------===//

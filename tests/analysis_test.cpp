@@ -404,6 +404,36 @@ TEST(FixpointLayout, OnlyPtIsReplaced) {
 }
 
 //===----------------------------------------------------------------------===//
+// Pinned kernel counters
+//===----------------------------------------------------------------------===//
+
+// The five analyses on the javac preset, as `jeddanalyze --benchmark
+// javac` and perfbench's `analyze` run them. The BDD kernel's work is
+// pinned: a change to its memory layout (node, cache entry, pool) must
+// create the same nodes, collect at the same points and grow the pool to
+// the same size.
+TEST(KernelPinned, JavacAnalyses) {
+  Program P = soot::generateProgram(soot::benchmarkPreset("javac"));
+  AnalysisUniverse AU(P);
+  Hierarchy H(AU);
+  VirtualCallResolver VCR(AU, H);
+  PointsToAnalysis PTA(AU);
+  CallGraphBuilder CGB(AU, H, VCR, PTA);
+  CGB.run();
+  SideEffectAnalysis SEA(AU, PTA, CGB);
+
+  bdd::ManagerStats S = AU.U.manager().stats();
+  EXPECT_EQ(S.NodesCreated, 464287u);
+  EXPECT_EQ(S.GcRuns, 10u);
+  EXPECT_EQ(S.Capacity, 131072u);
+  EXPECT_EQ(CGB.rounds(), 9u);
+  EXPECT_EQ(PTA.Pt.sizeExact().toString(), "161934");
+  EXPECT_EQ(CGB.Cg.sizeExact().toString(), "1336");
+  EXPECT_EQ(SEA.TotalWrite.sizeExact().toString(), "501816");
+  EXPECT_EQ(SEA.TotalRead.sizeExact().toString(), "501919");
+}
+
+//===----------------------------------------------------------------------===//
 // Checkpoint / warm-start pipeline
 //===----------------------------------------------------------------------===//
 

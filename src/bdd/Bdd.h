@@ -377,6 +377,8 @@ public:
   uint32_t refCount(NodeRef Ref) const;
 
 private:
+  /// A node: 16 bytes, so one never spans two cache lines. Its reference
+  /// count lives in the pool's side array.
   struct Node {
     uint32_t Var;  ///< Variable (= level); VarTerminal for constants,
                    ///< VarFree if free. Both sentinels sort below every
@@ -384,59 +386,64 @@ private:
     NodeRef Low;   ///< Also next-free chain for free nodes.
     NodeRef High;
     uint32_t Next; ///< Unique-table chain.
-    uint32_t RefCount;
   };
+  static_assert(sizeof(Node) == 16, "a node is one quarter cache line");
 
   static constexpr uint32_t VarTerminal = 0xFFFFFFFFu;
   static constexpr uint32_t VarFree = 0xFFFFFFFEu;
-  /// End of a unique-table chain or of the free list.
-  static constexpr uint32_t NoNode = 0xFFFFFFFFu;
+  /// End of a unique-table chain or of the free list: slot 0, the false
+  /// terminal, is in neither, so arrays of chain heads start out zero.
+  static constexpr uint32_t NoNode = 0;
 
-  /// Node storage as fixed-size chunks with stable addresses, left
-  /// uninitialised (a slot is first written when it is allocated). Growth
-  /// appends chunks and never moves existing nodes, so a recursion may
-  /// hold a Node reference across a makeNode that grows the pool (the
-  /// chunk-pointer array is pre-reserved, so push_back never
-  /// reallocates). Indexing costs one extra load over a flat vector.
+  /// NodeRefs stay below 2^RefBits: walk() and the computed cache's keys
+  /// use the bits above.
+  static constexpr unsigned RefBits = 27;
+
+  /// The node pool: one flat array of nodes and a side array of their
+  /// reference counts, in a range of address space reserved once for
+  /// MaxSlots slots (fewer if the address space is limited), of which
+  /// the first size() are accessible. Growing makes more of the range
+  /// accessible and never moves a node, so a recursion may hold a Node
+  /// reference across a makeNode that grows the pool. The range's pages
+  /// are zero and not resident until first touched: slots a run never
+  /// allocates cost no memory, and a slot that has never held a node has
+  /// reference count 0.
   class NodePool {
   public:
-    static constexpr unsigned ChunkShift = 12;
-    static constexpr size_t ChunkSize = size_t(1) << ChunkShift;
-    static constexpr size_t ChunkMask = ChunkSize - 1;
-    /// Upper bound on chunks (~134M nodes); keeps the pre-reserve small.
-    static constexpr size_t MaxChunks = size_t(1) << 15;
+    static constexpr size_t MaxSlots = size_t(1) << RefBits;
+    /// The smallest pool; a size() is a power of two at least this.
+    static constexpr size_t MinSlots = size_t(1) << 12;
 
-    Node &operator[](NodeRef I) {
-      return Chunks[I >> ChunkShift].get()[I & ChunkMask];
-    }
-    const Node &operator[](NodeRef I) const {
-      return Chunks[I >> ChunkShift].get()[I & ChunkMask];
-    }
-    size_t size() const { return Cap.load(std::memory_order_relaxed); }
-    /// Extends capacity to at least \p NewCap (rounded up to a chunk
-    /// multiple). Existing nodes never move.
+    /// Reserves the range, with no slot accessible. Throws bad_alloc.
+    NodePool();
+    ~NodePool();
+    NodePool(const NodePool &) = delete;
+    NodePool &operator=(const NodePool &) = delete;
+
+    Node &operator[](NodeRef I) { return Slots[I]; }
+    const Node &operator[](NodeRef I) const { return Slots[I]; }
+    uint32_t &refCount(NodeRef I) { return RefCounts[I]; }
+    uint32_t refCount(NodeRef I) const { return RefCounts[I]; }
+    size_t size() const { return Cap; }
+    /// Bytes of the accessible slots and their reference counts.
+    size_t bytes() const { return Cap * SlotBytes; }
+    /// Makes the first \p NewCap slots accessible. Throws bad_alloc past
+    /// the reserved slots or when the system refuses the memory; the
+    /// pool is then as it was.
     void growTo(size_t NewCap);
 
   private:
-    std::vector<std::unique_ptr<Node[]>> Chunks;
-    std::atomic<size_t> Cap{0};
+    static constexpr size_t SlotBytes = sizeof(Node) + sizeof(uint32_t);
+    Node *Slots = nullptr;
+    uint32_t *RefCounts = nullptr; ///< Follows Slots in the same range.
+    size_t Reserved = 0;           ///< Slots in the range.
+    size_t Cap = 0;
   };
 
-  /// Single-writer statistics counter: only the owning thread bumps it,
-  /// but stats() may read it from another thread at any time, so the
-  /// accesses are atomic. The relaxed load+store bump (instead of an
-  /// atomic RMW) keeps the hot cache-lookup path free of lock-prefixed
-  /// instructions; single-writer means nothing is lost.
-  class StatCounter {
-  public:
-    void bump() {
-      Value.store(Value.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    }
-    size_t get() const { return Value.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<size_t> Value{0};
+  /// Returns the \p Bytes of pages mapped at a pointer to the system.
+  struct Unmap {
+    size_t Bytes;
+    void operator()(void *P) const;
   };
 
   /// A direct-mapped computed cache keyed by (tag, a, b, c), owned by
@@ -451,10 +458,10 @@ private:
 
     bool lookup(uint32_t Tag, NodeRef A, NodeRef B, NodeRef C,
                 NodeRef &Result) {
-      Lookups.bump();
+      ++Lookups;
       const Entry &E = slot(Tag, A, B, C);
-      if (E.TagPlusOne == Tag + 1 && E.A == A && E.B == B && E.C == C) {
-        Hits.bump();
+      if (E.Key == key(Tag, A) && E.B == B && E.C == C) {
+        ++Hits;
         Result = E.Result;
         return true;
       }
@@ -462,41 +469,48 @@ private:
     }
     void store(uint32_t Tag, NodeRef A, NodeRef B, NodeRef C,
                NodeRef Result) {
-      slot(Tag, A, B, C) = {Tag + 1, A, B, C, Result};
+      slot(Tag, A, B, C) = {key(Tag, A), B, C, Result};
     }
     void clear();
     bool empty() const;
     size_t entries() const { return NumEntries; }
     size_t bytes() const { return NumEntries * sizeof(Entry); }
-    size_t hits() const { return Hits.get(); }
-    size_t lookups() const { return Lookups.get(); }
+    size_t hits() const { return Hits; }
+    size_t lookups() const { return Lookups; }
 
   private:
-    /// All zeros is the empty entry (no tag is 2^32 - 1), so resize()
-    /// takes the entries from calloc, whose fresh pages stay untouched
-    /// until an entry on them is stored.
-    struct Entry {
-      uint32_t TagPlusOne;
-      NodeRef A, B, C;
+    /// 16 bytes, aligned so that one entry never spans two cache lines:
+    /// the tag rides in the bits of operand A above RefBits (BuDDy keeps
+    /// its entries in four ints the same way). All zeros is the empty
+    /// entry (a stored key's tag bits are never 0), so resize() takes the
+    /// entries from fresh zero pages, untouched until an entry on them is
+    /// stored.
+    struct alignas(16) Entry {
+      uint32_t Key; ///< key(Tag, A).
+      NodeRef B, C;
       NodeRef Result;
     };
-    struct FreeEntries {
-      void operator()(Entry *P) const { std::free(P); }
-    };
+    static_assert(sizeof(Entry) == 16, "a cache entry is 16 bytes");
 
+    static uint32_t key(uint32_t Tag, NodeRef A) {
+      assert(Tag + 1 < (1u << (32 - RefBits)) && A < NodePool::MaxSlots &&
+             "the tag and operand A must share 32 bits");
+      return A | (Tag + 1) << RefBits;
+    }
     Entry &slot(uint32_t Tag, NodeRef A, NodeRef B, NodeRef C) {
       return Entries[hashTriple(A ^ (Tag * 0x85ebca6bu), B, C) & Mask];
     }
 
-    std::unique_ptr<Entry[], FreeEntries> Entries;
+    std::unique_ptr<Entry[], Unmap> Entries;
     size_t NumEntries = 0;
     size_t Mask = 0;
-    StatCounter Hits;
-    StatCounter Lookups;
+    size_t Hits = 0;
+    size_t Lookups = 0;
   };
 
-  // Operation tags for the computed caches. Binary apply operators use
-  // their Op value directly; the rest start above them.
+  // Operation tags for the computed cache, each below 2^(32 - RefBits) -
+  // 1. Binary apply operators use their Op value directly; the rest start
+  // above them. A replace keys on its map's id as operand B.
   enum CacheTag : uint32_t {
     TagNot = 16,
     TagIte = 17,
@@ -504,8 +518,11 @@ private:
     TagRelProd = 19,
     TagRestrict0 = 20,
     TagRestrict1 = 21,
-    TagReplaceBase = 64, // TagReplaceBase + per-map id.
+    TagReplace = 22,    ///< Order-preserving relabelling (replaceRec).
+    TagReplaceIte = 23, ///< ITE rebuild (replaceViaIteRec).
   };
+  static_assert(TagReplaceIte + 1 < (1u << (32 - RefBits)),
+                "a tag must fit above a NodeRef in a cache key");
 
   static uint32_t hashTriple(uint32_t A, uint32_t B, uint32_t C) {
     uint64_t H = (uint64_t)A * 0x9e3779b97f4a7c15ULL;
@@ -518,11 +535,16 @@ private:
   unsigned NumVars;
 
   NodePool Nodes;
-  std::vector<uint32_t> Buckets; ///< Unique table heads; size power of 2.
+  struct FreeBuckets {
+    void operator()(uint32_t *P) const { std::free(P); }
+  };
+  /// Unique-table chain heads, NumBuckets (a power of two) of them, from
+  /// calloc: all NoNode when empty.
+  std::unique_ptr<uint32_t[], FreeBuckets> Buckets;
+  size_t NumBuckets = 0;
   // Free slots are the free list (all below FreshSlot) and every slot
-  // from FreshSlot on, which has never held a node: the pool does not
-  // initialise its chunks, so memory a run never allocates from is never
-  // touched.
+  // from FreshSlot on, which has never held a node: memory a run never
+  // allocates from is never touched.
   uint32_t FreeHead = NoNode;
   uint32_t FreshSlot = 2;
   size_t FreeCount = 0; ///< Free-list length plus the fresh slots.
@@ -552,13 +574,12 @@ private:
 
   /// What replace() knows of a map without looking at an operand.
   struct ReplaceMapInfo {
-    uint32_t Id;          ///< The map's cache tag is TagReplaceBase + Id.
+    uint32_t Id;          ///< Operand B of the map's cache keys.
     bool OrderPreserving; ///< mapPreservesOrder(Map).
   };
-  /// Registry assigning each distinct replace() map a stable cache-tag
-  /// id. Owned by the manager (not global): tags index this manager's
-  /// computed cache, so two managers must never derive the same tag from
-  /// different maps.
+  /// Registry assigning each distinct replace() map a stable id. Owned by
+  /// the manager (not global): ids key this manager's computed cache, so
+  /// two managers must never derive the same id from different maps.
   std::map<std::vector<int>, ReplaceMapInfo> ReplaceMapIds;
 
   uint32_t varOf(NodeRef N) const { return Nodes[N].Var; }
@@ -609,9 +630,9 @@ private:
   // holds the apply-family ones. These work on raw NodeRefs; intermediate
   // results are protected by the no-GC-during-operations discipline.
   NodeRef replaceRec(NodeRef F, const std::vector<int> &FullMap,
-                     uint32_t CacheTag);
+                     uint32_t MapId);
   NodeRef replaceViaIteRec(NodeRef F, const std::vector<int> &Map,
-                           uint32_t Tag);
+                           uint32_t MapId);
   NodeRef restrictRec(NodeRef F, unsigned Var, bool Value);
   /// minterms() over rows [Rows, Rows + NumRows * Words), deciding
   /// Vars[Depth] and below.

@@ -16,6 +16,9 @@
 #include <map>
 #include <new>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 using namespace jedd;
 using namespace jedd::bdd;
 
@@ -39,6 +42,20 @@ inline const char *applyOpName(Op Operator) {
     return "biimp";
   }
   return "apply";
+}
+
+/// \p Bytes rounded up to whole pages.
+size_t pageRound(size_t Bytes) {
+  static const size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return (Bytes + Page - 1) / Page * Page;
+}
+
+/// Maps \p Bytes of zero pages with access \p Prot, or returns null; the
+/// system makes a page resident when it is first touched.
+void *mapPages(size_t Bytes, int Prot) {
+  void *P = mmap(nullptr, Bytes, Prot,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  return P == MAP_FAILED ? nullptr : P;
 }
 
 /// True if the replace map \p Map renames \p V to another variable.
@@ -107,29 +124,54 @@ static size_t roundUpPow2(size_t N) {
   return P;
 }
 
-void Manager::NodePool::growTo(size_t NewCap) {
-  if (Chunks.capacity() == 0)
-    Chunks.reserve(MaxChunks); // Never reallocates afterwards.
-  size_t Current = Cap.load(std::memory_order_relaxed);
-  while (Current < NewCap) {
-    // Address-space exhaustion surfaces like any allocation failure; the
-    // callers translate it to ResourceExhausted.
-    if (Chunks.size() >= MaxChunks)
+void Manager::Unmap::operator()(void *P) const { munmap(P, Bytes); }
+
+// The range holds Reserved nodes, then Reserved reference counts. It is
+// mapped inaccessible, so reserving it commits no memory; growTo makes
+// the prefixes of both arrays accessible. Under an address-space limit
+// the range halves until it fits, and the pool meets its cap earlier.
+Manager::NodePool::NodePool() {
+  for (Reserved = MaxSlots;; Reserved /= 2) {
+    if (void *Range = mapPages(Reserved * SlotBytes, PROT_NONE)) {
+      Slots = static_cast<Node *>(Range);
+      RefCounts = reinterpret_cast<uint32_t *>(Slots + Reserved);
+      return;
+    }
+    if (Reserved == MinSlots)
       throw std::bad_alloc();
-    Chunks.push_back(std::make_unique_for_overwrite<Node[]>(ChunkSize));
-    Current += ChunkSize;
   }
-  Cap.store(Current, std::memory_order_relaxed);
+}
+
+Manager::NodePool::~NodePool() { Unmap{Reserved * SlotBytes}(Slots); }
+
+void Manager::NodePool::growTo(size_t NewCap) {
+  // Address-space exhaustion surfaces like any allocation failure; the
+  // callers translate it to ResourceExhausted.
+  if (NewCap > Reserved)
+    throw std::bad_alloc();
+  if (NewCap <= Cap)
+    return;
+  // Re-protecting the accessible prefix leaves it as it is. On a failure
+  // Cap stays, so pages made accessible past it are never used.
+  if (mprotect(Slots, pageRound(NewCap * sizeof(Node)),
+               PROT_READ | PROT_WRITE) != 0 ||
+      mprotect(RefCounts, pageRound(NewCap * sizeof(uint32_t)),
+               PROT_READ | PROT_WRITE) != 0)
+    throw std::bad_alloc();
+  Cap = NewCap;
 }
 
 void Manager::ComputedCache::resize(size_t N) {
   assert(N == roundUpPow2(N) && "entries must be 2^k");
   if (N == NumEntries)
     return;
-  auto *Fresh = static_cast<Entry *>(std::calloc(N, sizeof(Entry)));
+  // Page-aligned, so every entry sits within one cache line.
+  size_t Bytes = N * sizeof(Entry);
+  void *Fresh = mapPages(Bytes, PROT_READ | PROT_WRITE);
   if (!Fresh)
     throw std::bad_alloc();
-  Entries.reset(Fresh);
+  Entries = std::unique_ptr<Entry[], Unmap>(static_cast<Entry *>(Fresh),
+                                            Unmap{Bytes});
   NumEntries = N;
   Mask = N - 1;
 }
@@ -140,7 +182,7 @@ void Manager::ComputedCache::clear() {
 
 bool Manager::ComputedCache::empty() const {
   return std::all_of(Entries.get(), Entries.get() + NumEntries,
-                     [](const Entry &E) { return E.TagPlusOne == 0; });
+                     [](const Entry &E) { return E.Key == 0; });
 }
 
 size_t Manager::cacheEntriesFor(size_t PoolSlots) {
@@ -151,15 +193,20 @@ size_t Manager::cacheEntriesFor(size_t PoolSlots) {
 Manager::Manager(unsigned NumVars, size_t InitialNodes) : NumVars(NumVars) {
   assert(NumVars > 0 && "a manager needs at least one variable");
   size_t Capacity =
-      std::max<size_t>(roundUpPow2(InitialNodes), NodePool::ChunkSize);
+      std::max<size_t>(roundUpPow2(InitialNodes), NodePool::MinSlots);
   Nodes.growTo(Capacity);
   Cache.resize(cacheEntriesFor(Capacity));
   Marks.assign(Capacity, 0);
-  Buckets.assign(roundUpPow2(Capacity), NoNode);
+  Buckets.reset(
+      static_cast<uint32_t *>(std::calloc(Capacity, sizeof(uint32_t))));
+  if (!Buckets)
+    throw std::bad_alloc();
+  NumBuckets = Capacity;
 
   // Terminals. A permanent reference count keeps them off the free list.
-  Nodes[FalseRef] = {VarTerminal, FalseRef, FalseRef, NoNode, 1};
-  Nodes[TrueRef] = {VarTerminal, TrueRef, TrueRef, NoNode, 1};
+  Nodes[FalseRef] = {VarTerminal, FalseRef, FalseRef, NoNode};
+  Nodes[TrueRef] = {VarTerminal, TrueRef, TrueRef, NoNode};
+  Nodes.refCount(FalseRef) = Nodes.refCount(TrueRef) = 1;
   // Every other slot starts fresh (FreshSlot = 2).
   FreeCount = Capacity - 2;
 
@@ -187,7 +234,7 @@ NodeRef Manager::makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
   if (Low == High)
     return Low;
 
-  uint32_t Hash = hashTriple(Var, Low, High) & (Buckets.size() - 1);
+  uint32_t Hash = hashTriple(Var, Low, High) & (NumBuckets - 1);
   for (uint32_t N = Buckets[Hash]; N != NoNode; N = Nodes[N].Next)
     if (Nodes[N].Var == Var && Nodes[N].Low == Low && Nodes[N].High == High)
       return N;
@@ -199,7 +246,7 @@ NodeRef Manager::makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
 
   if (FreeHead == NoNode && FreshSlot == Nodes.size()) {
     growPool();
-    Hash = hashTriple(Var, Low, High) & (Buckets.size() - 1);
+    Hash = hashTriple(Var, Low, High) & (NumBuckets - 1);
   }
 
   // The free list holds only slots below FreshSlot, so taking it first
@@ -213,7 +260,9 @@ NodeRef Manager::makeNode(uint32_t Var, NodeRef Low, NodeRef High) {
   }
   --FreeCount;
   ++NodesCreated;
-  Nodes[N] = {Var, Low, High, Buckets[Hash], 0};
+  // The slot's reference count is already 0: fresh slots come zeroed,
+  // and a collection frees only unmarked slots, none of them referenced.
+  Nodes[N] = {Var, Low, High, Buckets[Hash]};
   Buckets[Hash] = N;
   return N;
 }
@@ -239,30 +288,34 @@ void Manager::growPool() {
     // recursion keeps its partial results on the stack, not in the cache.
     Cache.resize(cacheEntriesFor(Nodes.size()));
   } catch (const std::bad_alloc &) {
-    // The pool/mark vectors are still consistent (growth appends only)
+    // The pool and mark vector are still consistent (growth appends only)
     // and a failed resize keeps the old cache; the recovery GC run by
     // governed() reclaims whatever the aborted operation allocated so
     // far.
     throwResource(ResourceExhausted::Kind::AllocFailed);
   }
-  if (Nodes.size() > 2 * Buckets.size())
+  if (Nodes.size() > 2 * NumBuckets)
     rehash();
 }
 
 void Manager::rehash() {
-  try {
-    Buckets.assign(roundUpPow2(Nodes.size()), NoNode);
-  } catch (const std::bad_alloc &) {
-    // assign allocates before mutating, so the old bucket array is
-    // intact; long chains are a performance problem, not a correctness
-    // one. Surface the failure as a governor abort.
-    throwResource(ResourceExhausted::Kind::AllocFailed);
+  // One head per slot. Without memory for new heads the old ones are
+  // reused: long chains are a performance problem, not a correctness one.
+  uint32_t *Fresh = nullptr;
+  if (Nodes.size() != NumBuckets)
+    Fresh =
+        static_cast<uint32_t *>(std::calloc(Nodes.size(), sizeof(uint32_t)));
+  if (Fresh) {
+    Buckets.reset(Fresh);
+    NumBuckets = Nodes.size();
+  } else {
+    std::fill_n(Buckets.get(), NumBuckets, NoNode);
   }
   for (uint32_t N = 2; N != FreshSlot; ++N) {
     Node &Nd = Nodes[N];
     if (Nd.Var >= VarFree)
       continue;
-    uint32_t Hash = hashTriple(Nd.Var, Nd.Low, Nd.High) & (Buckets.size() - 1);
+    uint32_t Hash = hashTriple(Nd.Var, Nd.Low, Nd.High) & (NumBuckets - 1);
     Nd.Next = Buckets[Hash];
     Buckets[Hash] = N;
   }
@@ -285,7 +338,7 @@ size_t Manager::markFromRoots() {
   std::fill(Marks.begin(), Marks.end(), 0);
   size_t Marked = 0;
   for (uint32_t N = 2; N != FreshSlot; ++N)
-    if (Nodes[N].Var < VarFree && Nodes[N].RefCount > 0)
+    if (Nodes.refCount(N) > 0)
       Marked += markRec(N);
   return Marked;
 }
@@ -341,19 +394,19 @@ void Manager::gcIfNeeded() {
 // Saturating reference counts: a count that reaches the maximum sticks
 // there, keeping its node alive for the manager's lifetime.
 void Manager::incRef(NodeRef Ref) {
-  uint32_t &Count = Nodes[Ref].RefCount;
+  uint32_t &Count = Nodes.refCount(Ref);
   if (Count != 0xFFFFFFFFu)
     ++Count;
 }
 
 void Manager::decRef(NodeRef Ref) {
-  uint32_t &Count = Nodes[Ref].RefCount;
+  uint32_t &Count = Nodes.refCount(Ref);
   assert(Count > 0 && "reference count underflow");
   if (Count != 0xFFFFFFFFu)
     --Count;
 }
 
-uint32_t Manager::refCount(NodeRef Ref) const { return Nodes[Ref].RefCount; }
+uint32_t Manager::refCount(NodeRef Ref) const { return Nodes.refCount(Ref); }
 
 size_t Manager::liveNodeCount() { return markFromRoots(); }
 
@@ -361,7 +414,7 @@ std::string Manager::checkInvariants() const {
   const uint32_t Size = static_cast<uint32_t>(Nodes.size());
   for (NodeRef T : {FalseRef, TrueRef})
     if (Nodes[T].Var != VarTerminal || Nodes[T].Low != T ||
-        Nodes[T].High != T || Nodes[T].RefCount == 0)
+        Nodes[T].High != T || Nodes.refCount(T) == 0)
       return strFormat("terminal %u is corrupted", T);
   // Slots from FreshSlot on have never held a node and are not read.
   const uint32_t Used = FreshSlot;
@@ -371,8 +424,13 @@ std::string Manager::checkInvariants() const {
 
   for (uint32_t N = 2; N != Used; ++N) {
     const Node &Nd = Nodes[N];
-    if (Nd.Var == VarFree)
+    if (Nd.Var == VarFree) {
+      // makeNode reuses a free slot without writing its count.
+      if (Nodes.refCount(N) != 0)
+        return strFormat("free slot %u has reference count %u", N,
+                         Nodes.refCount(N));
       continue;
+    }
     if (Nd.Var >= NumVars)
       return strFormat("node %u has invalid variable %u", N, Nd.Var);
     if (Nd.Low == Nd.High)
@@ -390,8 +448,8 @@ std::string Manager::checkInvariants() const {
   // from the chain's earlier entries; Linked counts sightings, which
   // also catches cycles.
   std::vector<uint8_t> Linked(Used, 0);
-  const size_t Mask = Buckets.size() - 1;
-  for (size_t B = 0; B != Buckets.size(); ++B) {
+  const size_t Mask = NumBuckets - 1;
+  for (size_t B = 0; B != NumBuckets; ++B) {
     for (uint32_t N = Buckets[B]; N != NoNode; N = Nodes[N].Next) {
       if (N < 2 || N >= Used || Nodes[N].Var >= NumVars)
         return strFormat("bucket %zu links slot %u, not a node", B, N);
@@ -466,7 +524,7 @@ void Manager::setFaultInjection(uint64_t Seed, uint32_t Rate) {
 }
 
 size_t Manager::heapBytesApprox() const {
-  return Nodes.size() * sizeof(Node) + Buckets.capacity() * sizeof(uint32_t) +
+  return Nodes.bytes() + NumBuckets * sizeof(uint32_t) +
          Cache.bytes() + Marks.capacity() +
          Stamps.capacity() * sizeof(uint32_t) +
          ExactMemo.capacity() * sizeof(unsigned __int128) +
@@ -784,19 +842,19 @@ bool Manager::mapPreservesOrder(const std::vector<int> &Map) const {
 }
 
 NodeRef Manager::replaceRec(NodeRef F, const std::vector<int> &FullMap,
-                            uint32_t CacheTag) {
+                            uint32_t MapId) {
   if (isTerminal(F))
     return F;
   NodeRef Result;
-  if (Cache.lookup(CacheTag, F, 0, 0, Result))
+  if (Cache.lookup(TagReplace, F, MapId, 0, Result))
     return Result;
-  NodeRef Low = replaceRec(Nodes[F].Low, FullMap, CacheTag);
-  NodeRef High = replaceRec(Nodes[F].High, FullMap, CacheTag);
+  NodeRef Low = replaceRec(Nodes[F].Low, FullMap, MapId);
+  NodeRef High = replaceRec(Nodes[F].High, FullMap, MapId);
   uint32_t Var = Nodes[F].Var;
   uint32_t Image =
       (Var < FullMap.size() && FullMap[Var] >= 0) ? FullMap[Var] : Var;
   Result = makeNode(Image, Low, High);
-  Cache.store(CacheTag, F, 0, 0, Result);
+  Cache.store(TagReplace, F, MapId, 0, Result);
   return Result;
 }
 
@@ -835,24 +893,16 @@ NodeRef Manager::replaceImpl(NodeRef F, const std::vector<int> &Map) {
   }
 #endif
 
-  // Cache entries are keyed per distinct map via a registry owned by
-  // this manager: the tag indexes this manager's computed cache, so ids
-  // must never collide with another manager's maps. The fast and general
-  // paths compute the same canonical result, so they can share entries.
-  // Tag-space guard: TagReplaceBase + id must stay clear of both the
-  // general-path high bit and 2^32 - 1 (the cache stores tag + 1).
-  // Recycling the registry invalidates any cached results keyed by old
-  // ids.
-  if (ReplaceMapIds.size() >= (1u << 20)) {
-    ReplaceMapIds.clear();
-    Cache.clear();
-  }
+  // Cache entries are keyed per distinct map, by an id from a registry
+  // owned by this manager: the ids key this manager's computed cache, so
+  // they must never collide with another manager's maps. The id is
+  // operand B of the key, so the ids of all the maps a manager can hold
+  // fit it.
   auto [It, Inserted] = ReplaceMapIds.try_emplace(Map);
   ReplaceMapInfo &Info = It->second;
   if (Inserted)
     Info = {static_cast<uint32_t>(ReplaceMapIds.size() - 1),
             mapPreservesOrder(Map)};
-  uint32_t Tag = TagReplaceBase + Info.Id;
 
   // A single bottom-up relabeling recursion is sound whenever relative
   // variable order is unchanged on F's support: for every operand when
@@ -862,7 +912,7 @@ NodeRef Manager::replaceImpl(NodeRef F, const std::vector<int> &Map) {
   assert((!OrderPreserving || isOrderPreserving(Map, supportImpl(F))) &&
          "a map that preserves order must preserve it on the support");
   if (OrderPreserving)
-    return replaceRec(F, Map, Tag);
+    return replaceRec(F, Map, Info.Id);
 
   // General path (order-inverting maps, e.g. swaps of interleaved
   // blocks): rebuild bottom-up, inserting each image variable with an
@@ -871,25 +921,25 @@ NodeRef Manager::replaceImpl(NodeRef F, const std::vector<int> &Map) {
   // naive conjunction-with-equality encoding, whose transfer BDD is
   // exponential in the block width.
   ++ReorderingReplaces;
-  return replaceViaIteRec(F, Map, Tag | 0x80000000u);
+  return replaceViaIteRec(F, Map, Info.Id);
 }
 
 jedd::bdd::NodeRef Manager::replaceViaIteRec(NodeRef F,
                                              const std::vector<int> &Map,
-                                             uint32_t Tag) {
+                                             uint32_t MapId) {
   if (isTerminal(F))
     return F;
   NodeRef Result;
-  if (Cache.lookup(Tag, F, 0, 0, Result))
+  if (Cache.lookup(TagReplaceIte, F, MapId, 0, Result))
     return Result;
-  NodeRef Low = replaceViaIteRec(Nodes[F].Low, Map, Tag);
-  NodeRef High = replaceViaIteRec(Nodes[F].High, Map, Tag);
+  NodeRef Low = replaceViaIteRec(Nodes[F].Low, Map, MapId);
+  NodeRef High = replaceViaIteRec(Nodes[F].High, Map, MapId);
   uint32_t Var = Nodes[F].Var;
   uint32_t Image =
       (Var < Map.size() && Map[Var] >= 0) ? Map[Var] : Var;
   NodeRef Lit = makeNode(Image, FalseRef, TrueRef);
   Result = Kernel::iteRec(*this, Lit, High, Low);
-  Cache.store(Tag, F, 0, 0, Result);
+  Cache.store(TagReplaceIte, F, MapId, 0, Result);
   return Result;
 }
 

@@ -530,9 +530,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BddDifferentialTest,
 // Replace-map registry (regression)
 //===----------------------------------------------------------------------===//
 
-// The replace() computed cache keys entries by a tag derived from the
-// variable map. The registry assigning tags used to be thread-local and
-// process-global: a second thread started counting tags at zero, so its
+// The replace() computed cache keys entries by an id derived from the
+// variable map. The registry assigning ids used to be thread-local and
+// process-global: a second thread started counting ids at zero, so its
 // first (different) map aliased the first thread's cache entries and
 // replace() returned results for the wrong map. The registry now lives in
 // the manager.
@@ -588,6 +588,105 @@ TEST(BddReplaceRegistry, DistinctMapsSameThread) {
     EXPECT_EQ(R, M.bddAnd(M.var(To), M.bddOr(M.var(1), M.var(2))))
         << "map v0->v" << To;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Computed-cache keys
+//===----------------------------------------------------------------------===//
+
+/// The truth table of \p F over all assignments to \p M's variables.
+std::vector<bool> truthTable(Manager &M, const Bdd &F) {
+  std::vector<bool> Table(size_t(1) << M.numVars());
+  std::vector<bool> X(M.numVars());
+  for (size_t A = 0; A != Table.size(); ++A) {
+    for (unsigned V = 0; V != M.numVars(); ++V)
+      X[V] = (A >> V) & 1;
+    Table[A] = M.evalAssignment(F, X);
+  }
+  return Table;
+}
+
+// Every cached operation on the same operands, so that keys are equal
+// but for the tag or the replace map's id: the binary operators all key
+// on (F, G, 0) and on the same cofactor pairs below; not on (F, 0, 0),
+// restrict to x1 on (F, 1, 0), and the three replaces of F on (F, id, 0)
+// with ids 0, 1 and 2. Interleaved in a shuffled order on one manager,
+// so later rounds probe entries the other operations stored, each result
+// must equal the same operation's on a fresh manager: a key encoding
+// that lets two of these keys coincide hands one operation another's
+// result.
+TEST(BddTest, CacheKeepsOpsAndReplaceMapsApart) {
+  constexpr unsigned NumVars = 14, Support = 10;
+  // Two order-preserving maps and one that inverts x0 and x9, all onto
+  // targets outside the operands' support x0..x9.
+  std::vector<int> Shift(NumVars, -1), Spread(NumVars, -1),
+      Invert(NumVars, -1);
+  for (unsigned V = 6; V != Support; ++V)
+    Shift[V] = static_cast<int>(V + 4);
+  Spread[8] = 11;
+  Spread[9] = 13;
+  Invert[0] = 13;
+  Invert[9] = 10;
+  const std::vector<int> *Maps[] = {&Shift, &Spread, &Invert};
+
+  // A random disjunction of cubes over the support, the same in every
+  // manager for the same seed.
+  auto Random = [&](Manager &M, uint64_t Seed) {
+    SplitMix64 Rng(Seed);
+    Bdd F = M.falseBdd();
+    for (int Term = 0; Term != 24; ++Term) {
+      Bdd Cube = M.trueBdd();
+      for (unsigned V = 0; V != Support; ++V)
+        if (Rng.nextChance(1, 2))
+          Cube = Cube & (Rng.nextChance(1, 2) ? M.var(V) : M.nvar(V));
+      F = F | Cube;
+    }
+    return F;
+  };
+  constexpr unsigned NumSteps = 15;
+  auto Run = [&](Manager &M, unsigned Step) {
+    Bdd F = Random(M, 1), G = Random(M, 2), H = Random(M, 3);
+    if (Step < 6)
+      return M.apply(static_cast<Op>(Step), F, G);
+    switch (Step) {
+    case 6:
+      return M.bddNot(F);
+    case 7:
+      return M.ite(F, G, H);
+    case 8:
+      return M.relProd(F, G, M.cube({0, 2, 5}));
+    case 9:
+      return M.exists(F, M.cube({0, 2, 5}));
+    case 10:
+    case 11:
+      return M.restrict(F, 1, Step == 11);
+    default:
+      return M.replace(F, *Maps[Step - 12]);
+    }
+  };
+
+  std::vector<std::vector<bool>> Expected;
+  for (unsigned Step = 0; Step != NumSteps; ++Step) {
+    Manager Fresh(NumVars);
+    Expected.push_back(truthTable(Fresh, Run(Fresh, Step)));
+  }
+
+  Manager M(NumVars);
+  SplitMix64 Rng(26);
+  std::vector<unsigned> Order(NumSteps);
+  for (unsigned Step = 0; Step != NumSteps; ++Step)
+    Order[Step] = Step;
+  constexpr int Rounds = 4;
+  for (int Round = 0; Round != Rounds; ++Round) {
+    for (unsigned I = NumSteps; I-- > 1;)
+      std::swap(Order[I], Order[Rng.nextBelow(I + 1)]);
+    for (unsigned Step : Order)
+      ASSERT_EQ(truthTable(M, Run(M, Step)), Expected[Step])
+          << "round " << Round << ", step " << Step;
+  }
+  // Only the inverting map took the ITE rebuild, once a round.
+  EXPECT_EQ(M.stats().ReorderingReplaces, size_t(Rounds));
+  EXPECT_EQ(M.checkInvariants(), "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,7 +10,9 @@
 // agree on every assignment, on the number of satisfying assignments
 // (over all variables and over a superset of the support), and on the
 // support; the shape must add up to the node count.
-// The manager's pools are small, so growth and collection run mid-stream.
+// Every eighth case runs a collection before the store is checked, so
+// sweeps run mid-stream (the pool never gets full enough to collect on
+// its own).
 //
 // The generator is seeded (SplitMix64), so failures reproduce exactly.
 //
@@ -43,7 +45,6 @@ public:
   DifferentialHarness(unsigned NumVars, uint64_t Seed)
       : V(NumVars), N(size_t(1) << NumVars), Rng(Seed),
         SubsetRng(~Seed),
-        // Small pools so growth and GC trigger mid-run.
         Mgr(NumVars, 1 << 10) {
     // Seed the pool with all literals and the constants.
     for (unsigned Var = 0; Var != V; ++Var) {
@@ -141,6 +142,8 @@ public:
     }
 
     check(R);
+    if (Cases % 8 == 7)
+      Mgr.gc();
     checkStores();
 
     // Replace a random pool slot (beyond the seeded literals) so dropped

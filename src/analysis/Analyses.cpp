@@ -272,8 +272,6 @@ void CallGraphBuilder::addCallEdges(
   std::vector<Id> Callees;
   std::vector<uint64_t> Copies;
   for (auto [CallSiteId, CalleeId] : Edges) {
-    if (!ProcessedEdges.insert({CallSiteId, CalleeId}).second)
-      continue;
     Callees.push_back(CalleeId);
     AU.Prog.callCopies(CallSiteId, CalleeId, Copies);
   }

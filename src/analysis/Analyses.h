@@ -159,8 +159,7 @@ public:
 
   /// Warm-start from checkpointed relations plus the reachable-method
   /// set. The instance is at its fixpoint; run() must not be called on
-  /// it (the per-edge bookkeeping that makes run() incremental is not
-  /// persisted).
+  /// it.
   CallGraphBuilder(AnalysisUniverse &AU, Hierarchy &H,
                    VirtualCallResolver &VCR, PointsToAnalysis &PTA,
                    rel::Relation SiteType, rel::Relation CallRecvSig,
@@ -188,7 +187,6 @@ private:
   VirtualCallResolver &VCR;
   PointsToAnalysis &PTA;
   std::set<soot::Id> Reachable;
-  std::set<std::pair<soot::Id, soot::Id>> ProcessedEdges;
   unsigned Rounds = 0;
 
   /// Marks methods reachable and adds the facts of the new ones, one

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -52,98 +53,6 @@ void SpanTotals::merge(const SpanTotals &Other) {
   MaxMicros = std::max(MaxMicros, Other.MaxMicros);
   MaxResultNodes = std::max(MaxResultNodes, Other.MaxResultNodes);
 }
-
-//===----------------------------------------------------------------------===//
-// ThreadBuffer
-//===----------------------------------------------------------------------===//
-
-/// One thread's share of the tracer: its online totals and its trace
-/// buffer. The owning thread appends to the buffer without locks: chunk
-/// pointers are atomic, and each append publishes through one release
-/// store of Count, so a reader that acquires Count sees fully written
-/// events and valid chunk pointers below it. Chunks have stable
-/// addresses; nothing moves after publication. The totals sit behind a
-/// lock that only snapshots contend for.
-class ThreadBuffer {
-public:
-  static constexpr size_t ChunkShift = 8;
-  static constexpr size_t ChunkSize = size_t(1) << ChunkShift;
-  static constexpr size_t MaxChunks = size_t(1) << 12; ///< ~1M spans.
-
-  explicit ThreadBuffer(uint32_t Tid) : Tid(Tid) {}
-  ~ThreadBuffer() { reset(); }
-  ThreadBuffer(const ThreadBuffer &) = delete;
-  ThreadBuffer &operator=(const ThreadBuffer &) = delete;
-
-  uint32_t tid() const { return Tid; }
-
-  /// Owning thread only: adds \p Event to this thread's totals.
-  void tally(const SpanEvent &Event) {
-    SpanTotals One{1, Event.DurMicros, Event.DurMicros,
-                   Event.argOr("result_nodes")};
-    std::lock_guard<std::mutex> G(TotalsLock);
-    auto It = Totals.lower_bound(Event);
-    if (It == Totals.end() || SpanKeyLess()(Event, It->first))
-      It = Totals.emplace_hint(It,
-                               SpanKey{Event.Category, Event.Name,
-                                       Event.SiteLabel, Event.SiteFile,
-                                       Event.SiteLine},
-                               SpanTotals());
-    It->second.merge(One);
-  }
-
-  /// Safe from any thread.
-  void mergeTotalsInto(TotalsMap &Out) const {
-    std::lock_guard<std::mutex> G(TotalsLock);
-    for (const auto &[Key, T] : Totals)
-      Out[Key].merge(T);
-  }
-
-  /// Owning thread only. Returns false when the buffer is full (the
-  /// event is dropped; the tracer counts drops).
-  bool push(SpanEvent &&Event) {
-    size_t Index = Count.load(std::memory_order_relaxed);
-    size_t ChunkIdx = Index >> ChunkShift;
-    if (ChunkIdx >= MaxChunks)
-      return false;
-    SpanEvent *Chunk = Chunks[ChunkIdx].load(std::memory_order_relaxed);
-    if (!Chunk) {
-      Chunk = new SpanEvent[ChunkSize];
-      // Release so a reader that later acquires Count also sees the chunk.
-      Chunks[ChunkIdx].store(Chunk, std::memory_order_release);
-    }
-    Chunk[Index & (ChunkSize - 1)] = std::move(Event);
-    Count.store(Index + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Safe from any thread, concurrently with push().
-  size_t publishedCount() const {
-    return Count.load(std::memory_order_acquire);
-  }
-  const SpanEvent &at(size_t Index) const {
-    return Chunks[Index >> ChunkShift].load(std::memory_order_relaxed)
-        [Index & (ChunkSize - 1)];
-  }
-
-  /// Drops the totals and all published events, and frees the chunks
-  /// that held them. Requires quiescence (no concurrent push or read of
-  /// the events); only Tracer::clear() and the destructor call this.
-  void reset() {
-    Count.store(0, std::memory_order_release);
-    for (std::atomic<SpanEvent *> &Chunk : Chunks)
-      delete[] Chunk.exchange(nullptr, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> G(TotalsLock);
-    Totals.clear();
-  }
-
-private:
-  uint32_t Tid;
-  std::array<std::atomic<SpanEvent *>, MaxChunks> Chunks{};
-  std::atomic<size_t> Count{0};
-  mutable std::mutex TotalsLock;
-  TotalsMap Totals;
-};
 
 //===----------------------------------------------------------------------===//
 // Tracer
@@ -206,57 +115,59 @@ void appendEscaped(std::string &Out, const std::string &S) {
   }
 }
 
+/// The calling thread's small index, the Chrome trace's "tid".
+uint32_t threadIndex() {
+  static std::atomic<uint32_t> Next{0};
+  thread_local const uint32_t Index =
+      Next.fetch_add(1, std::memory_order_relaxed);
+  return Index;
+}
+
 } // namespace
 
 struct Tracer::Impl {
+  /// Spans the trace buffer holds; later ones are dropped and counted.
+  static constexpr size_t MaxSpans = size_t(1) << 20;
+
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
 
-  /// Registry of all per-thread buffers; buffers outlive their threads
-  /// so late sinks still see every span.
-  mutable std::mutex BufferLock;
-  std::vector<ThreadBuffer *> Buffers;
-  uint32_t NextTid = 0;
-
-  mutable std::mutex StateLock;
+  /// Guards everything below; never held while a subscriber runs.
+  mutable std::mutex Lock;
   Level Lvl = Level::Off;
   std::vector<SpanSubscriber *> Subscribers;
+  TotalsMap Totals;
+  /// The buffered spans in record order. A deque never moves an element,
+  /// so the pointers spans() hands out stay valid until clear().
+  std::deque<SpanEvent> Spans;
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, Histogram> Histograms;
 
-  std::vector<ThreadBuffer *> buffers() const {
-    std::lock_guard<std::mutex> G(BufferLock);
-    return Buffers;
+  /// Caller holds Lock.
+  void tally(const SpanEvent &Event) {
+    auto It = Totals.lower_bound(Event);
+    if (It == Totals.end() || SpanKeyLess()(Event, It->first))
+      It = Totals.emplace_hint(It,
+                               SpanKey{Event.Category, Event.Name,
+                                       Event.SiteLabel, Event.SiteFile,
+                                       Event.SiteLine},
+                               SpanTotals());
+    It->second.merge({1, Event.DurMicros, Event.DurMicros,
+                      Event.argOr("result_nodes")});
   }
 };
 
 Tracer::Tracer() : I(new Impl) {}
 
-Tracer::~Tracer() {
-  // The singleton lives for the process; buffers are reclaimed here so
-  // leak checkers stay quiet.
-  for (ThreadBuffer *B : I->Buffers)
-    delete B;
-  delete I;
-}
+Tracer::~Tracer() { delete I; }
 
 Tracer &Tracer::instance() {
   static Tracer T;
   return T;
 }
 
-ThreadBuffer &Tracer::localBuffer() {
-  thread_local ThreadBuffer *Local = nullptr;
-  if (!Local) {
-    std::lock_guard<std::mutex> G(I->BufferLock);
-    Local = new ThreadBuffer(I->NextTid++);
-    I->Buffers.push_back(Local);
-  }
-  return *Local;
-}
-
 void Tracer::refreshMask() {
-  // Caller holds StateLock.
+  // Caller holds Lock.
   uint32_t Mask = 0;
   if (I->Lvl != Level::Off)
     Mask |= MetricsBit;
@@ -268,13 +179,13 @@ void Tracer::refreshMask() {
 }
 
 void Tracer::setLevel(Level L) {
-  std::lock_guard<std::mutex> G(I->StateLock);
+  std::lock_guard<std::mutex> G(I->Lock);
   I->Lvl = L;
   refreshMask();
 }
 
 void Tracer::subscribe(SpanSubscriber *Sub) {
-  std::lock_guard<std::mutex> G(I->StateLock);
+  std::lock_guard<std::mutex> G(I->Lock);
   if (std::find(I->Subscribers.begin(), I->Subscribers.end(), Sub) ==
       I->Subscribers.end())
     I->Subscribers.push_back(Sub);
@@ -282,7 +193,7 @@ void Tracer::subscribe(SpanSubscriber *Sub) {
 }
 
 void Tracer::unsubscribe(SpanSubscriber *Sub) {
-  std::lock_guard<std::mutex> G(I->StateLock);
+  std::lock_guard<std::mutex> G(I->Lock);
   I->Subscribers.erase(
       std::remove(I->Subscribers.begin(), I->Subscribers.end(), Sub),
       I->Subscribers.end());
@@ -297,59 +208,63 @@ uint64_t Tracer::nowMicros() const {
 }
 
 void Tracer::record(SpanEvent &&Event) {
-  ThreadBuffer &Buf = localBuffer();
-  Event.ThreadId = Buf.tid();
-  Buf.tally(Event);
-
-  uint32_t Mask = ActiveMask.load(std::memory_order_relaxed);
-  if (Mask & SubscriberBit) {
-    std::vector<SpanSubscriber *> Subs;
-    {
-      std::lock_guard<std::mutex> G(I->StateLock);
-      Subs = I->Subscribers;
-    }
+  Event.ThreadId = threadIndex();
+  std::unique_lock<std::mutex> G(I->Lock);
+  I->tally(Event);
+  if (!I->Subscribers.empty()) {
+    std::vector<SpanSubscriber *> Subs = I->Subscribers;
+    G.unlock();
     for (SpanSubscriber *S : Subs)
       S->onSpan(Event);
+    G.lock();
   }
-  if ((Mask & TraceBit) && !Buf.push(std::move(Event)))
-    counterAdd("obs.spans_dropped");
+  if (I->Lvl != Level::Trace)
+    return;
+  if (I->Spans.size() < Impl::MaxSpans)
+    I->Spans.push_back(std::move(Event));
+  else
+    ++I->Counters["obs.spans_dropped"];
 }
 
 void Tracer::counterAdd(const char *Name, uint64_t Delta) {
-  std::lock_guard<std::mutex> G(I->StateLock);
+  std::lock_guard<std::mutex> G(I->Lock);
   I->Counters[Name] += Delta;
 }
 
 void Tracer::counterMax(const char *Name, uint64_t Value) {
-  std::lock_guard<std::mutex> G(I->StateLock);
+  std::lock_guard<std::mutex> G(I->Lock);
   uint64_t &Slot = I->Counters[Name];
   Slot = std::max(Slot, Value);
 }
 
 void Tracer::histRecord(const char *Name, uint64_t Value) {
-  std::lock_guard<std::mutex> G(I->StateLock);
+  std::lock_guard<std::mutex> G(I->Lock);
   I->Histograms[Name].record(Value);
 }
 
 TotalsMap Tracer::totals() const {
-  TotalsMap Out;
-  for (ThreadBuffer *B : I->buffers())
-    B->mergeTotalsInto(Out);
-  return Out;
+  std::lock_guard<std::mutex> G(I->Lock);
+  return I->Totals;
 }
 
 std::vector<const SpanEvent *> Tracer::spans() const {
+  std::lock_guard<std::mutex> G(I->Lock);
   std::vector<const SpanEvent *> Out;
-  for (ThreadBuffer *B : I->buffers())
-    for (size_t Idx = 0, N = B->publishedCount(); Idx != N; ++Idx)
-      Out.push_back(&B->at(Idx));
+  Out.reserve(I->Spans.size());
+  for (const SpanEvent &E : I->Spans)
+    Out.push_back(&E);
   return Out;
 }
 
+size_t Tracer::spanCount() const {
+  std::lock_guard<std::mutex> G(I->Lock);
+  return I->Spans.size();
+}
+
 void Tracer::clear() {
-  for (ThreadBuffer *B : I->buffers())
-    B->reset();
-  std::lock_guard<std::mutex> G(I->StateLock);
+  std::lock_guard<std::mutex> G(I->Lock);
+  I->Totals.clear();
+  I->Spans = std::deque<SpanEvent>();
   I->Counters.clear();
   I->Histograms.clear();
 }
@@ -426,14 +341,14 @@ bool Tracer::writeChromeTrace(const std::string &Path) const {
 //===----------------------------------------------------------------------===//
 
 std::string Tracer::metricsJson(const std::string &Name) const {
+  // One snapshot, so the totals, counters and histograms agree.
   std::map<std::string, SpanTotals> Spans;
-  for (const auto &[Key, T] : totals())
-    Spans[std::string(catName(Key.Category)) + "." + Key.Name].merge(T);
-
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, Histogram> Histograms;
   {
-    std::lock_guard<std::mutex> G(I->StateLock);
+    std::lock_guard<std::mutex> G(I->Lock);
+    for (const auto &[Key, T] : I->Totals)
+      Spans[std::string(catName(Key.Category)) + "." + Key.Name].merge(T);
     Counters = I->Counters;
     Histograms = I->Histograms;
   }

@@ -16,8 +16,7 @@
 /// alongside.
 ///
 /// The tracer keeps one aggregation of the stream: exact online totals
-/// per (category, op, rel::Site), kept per thread and merged at snapshot
-/// time. Everything else reads it:
+/// per (category, op, rel::Site). Everything else reads it:
 ///
 ///  * the metrics snapshot (counters + histograms + per-span totals) in
 ///    plain JSON — the BENCH_<name>.json artifact format;
@@ -25,16 +24,16 @@
 ///
 /// At Level::Trace the tracer also buffers every span, and emitters add
 /// the expensive extras (operand and result node walks, result shapes,
-/// tuple counts). The buffers feed the Chrome-trace JSON file and the
+/// tuple counts). The buffer feeds the Chrome-trace JSON file and the
 /// profiler's per-execution rows and shape charts. Push consumers may
 /// subscribe to finished spans as well.
 ///
 /// Overhead contract: with the layer inactive (level Off, no
 /// subscribers) an instrumented site costs one relaxed atomic load — the
 /// SpanGuard constructor is inlined, reads Tracer::active() and does
-/// nothing else. Trace buffers are per thread and written without locks
-/// (growth publishes through one release store per event, so readers may
-/// snapshot concurrently).
+/// nothing else. An active span takes one lock, which guards the totals,
+/// the trace buffer, the counters and histograms, the level and the
+/// subscriber list; subscribers run outside it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,7 +64,7 @@ const char *catName(Cat C);
 enum class Level : uint8_t { Off, Metrics, Trace };
 
 /// One finished span, as handed to subscribers and kept in the trace
-/// buffers. Strings are owned copies: emitters may pass transient labels.
+/// buffer. Strings are owned copies: emitters may pass transient labels.
 struct SpanEvent {
   const char *Name = "";  ///< Operation name; static lifetime required.
   Cat Category = Cat::Bdd;
@@ -142,9 +141,7 @@ struct SpanTotals {
 
 using TotalsMap = std::map<SpanKey, SpanTotals, SpanKeyLess>;
 
-class ThreadBuffer;
-
-/// The process-wide event hub: the online totals, the trace buffers,
+/// The process-wide event hub: the online totals, the trace buffer,
 /// subscribers, counters, histograms, and the sinks.
 class Tracer {
 public:
@@ -186,15 +183,15 @@ public:
   /// Records one sample into the named log2-bucket histogram.
   void histRecord(const char *Name, uint64_t Value);
 
-  /// The online totals of every span recorded since the last clear(),
-  /// merged over threads. Exact at any run length.
+  /// The online totals of every span recorded since the last clear().
+  /// Exact at any run length.
   TotalsMap totals() const;
 
-  /// The buffered spans, per thread in end order. Consistent while
-  /// threads still emit (a prefix snapshot per thread); valid until
+  /// The buffered spans in record order, so each thread's are in end
+  /// order. Safe while threads still emit; the pointers stay valid until
   /// clear().
   std::vector<const SpanEvent *> spans() const;
-  size_t spanCount() const { return spans().size(); }
+  size_t spanCount() const;
 
   //===--------------------------------------------------------------===//
   // Sinks
@@ -212,8 +209,7 @@ public:
                     const std::string &Name = "") const;
 
   /// Drops totals, buffered spans, counters and histograms, and frees
-  /// the trace buffers. Requires quiescence (tests and single-threaded
-  /// drivers only).
+  /// the trace buffer. Invalidates the pointers spans() returned.
   void clear();
 
 private:
@@ -225,7 +221,6 @@ private:
   static constexpr uint32_t MetricsBit = 1, TraceBit = 2, SubscriberBit = 4;
   static std::atomic<uint32_t> ActiveMask;
 
-  ThreadBuffer &localBuffer();
   void refreshMask();
 
   struct Impl;

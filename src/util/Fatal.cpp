@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 void jedd::fatalError(const std::string &Message) {
   std::fprintf(stderr, "jedd fatal error: %s\n", Message.c_str());
@@ -18,24 +17,12 @@ void jedd::fatalError(const std::string &Message) {
   std::abort();
 }
 
-// Checks fail rarely, so the environment is consulted on every failure;
-// this keeps the escape hatch effective even in forked death-test
-// children that set it after the parent initialized.
-static bool checksAreFatal() {
-  const char *Mode = std::getenv("JEDDPP_CHECKS");
-  return Mode && std::strcmp(Mode, "fatal") == 0;
-}
-
 void jedd::checkFailed(const std::string &Message) {
-  if (checksAreFatal())
-    fatalError(Message);
   throw UsageError(Message);
 }
 
 void jedd::checkFailed(const std::string &Message, const char *SiteLabel,
                        const char *SiteFile, uint32_t SiteLine) {
-  if (checksAreFatal())
-    fatalError(Message);
   std::string Full = Message;
   if (SiteLabel && SiteLabel[0]) {
     Full += " (at ";

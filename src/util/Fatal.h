@@ -9,10 +9,8 @@
 /// The runtime check mechanism backing Jedd's dynamic type checking:
 /// "properties that cannot be checked statically are enforced by runtime
 /// checks" (Section 1). A failed check throws jedd::UsageError so
-/// embedding applications can catch, report and continue; setting
-/// JEDDPP_CHECKS=fatal in the environment restores the historical
-/// report-and-abort behavior (useful under debuggers and in death
-/// tests). fatalError remains for genuinely unrecoverable conditions.
+/// embedding applications can catch, report and continue. fatalError
+/// remains for genuinely unrecoverable conditions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +25,7 @@ namespace jedd {
 /// Prints "jedd fatal error: <message>" to stderr and aborts.
 [[noreturn]] void fatalError(const std::string &Message);
 
-/// Reports a failed runtime check: throws jedd::UsageError, or aborts
-/// via fatalError when JEDDPP_CHECKS=fatal is set in the environment.
+/// Reports a failed runtime check: throws jedd::UsageError.
 [[noreturn]] void checkFailed(const std::string &Message);
 
 /// As checkFailed, attributing the failure to a relational call site

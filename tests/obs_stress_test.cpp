@@ -11,9 +11,9 @@
 // consumes every event synchronously, and one more thread toggles
 // tracing on and off and reads the metrics snapshot. Each client tracks
 // truth tables and verifies them afterwards, so instrumentation that
-// perturbs an operation shows up as a wrong assignment, and a race in
-// the tracer's per-thread totals and buffers or its subscriber list as
-// a TSan report via tools/run_sanitized_tests.sh.
+// perturbs an operation shows up as a wrong assignment, and a race on
+// the tracer's shared totals, trace buffer or subscriber list as a TSan
+// report via tools/run_sanitized_tests.sh.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,9 @@
 
 #include <atomic>
 #include <gtest/gtest.h>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -113,12 +115,19 @@ void verifyAll(Manager &M, unsigned V, const std::vector<LocalFun> &Funs) {
   }
 }
 
-/// Counts every event synchronously on its emitting thread.
+/// The tid of the spans this thread emitted (-1 before its first).
+thread_local int64_t SeenTid = -1;
+
+/// Counts every event synchronously on its emitting thread, and checks
+/// that all of a thread's spans carry one tid.
 struct CountingSubscriber : obs::SpanSubscriber {
   std::atomic<uint64_t> Spans{0};
   void onSpan(const obs::SpanEvent &Event) override {
     Spans.fetch_add(1, std::memory_order_relaxed);
     ASSERT_NE(Event.Name, nullptr);
+    if (SeenTid < 0)
+      SeenTid = Event.ThreadId;
+    EXPECT_EQ(Event.ThreadId, SeenTid);
   }
 };
 
@@ -141,11 +150,13 @@ TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
   T.setTracing(true);
 
   std::vector<std::vector<LocalFun>> Results(Clients);
+  std::vector<int64_t> ClientTids(Clients, -1);
   std::atomic<unsigned> Running{Clients};
   std::vector<std::thread> Threads;
   for (unsigned C = 0; C != Clients; ++C)
-    Threads.emplace_back([&Managers, C, &Results, &Running] {
+    Threads.emplace_back([&Managers, C, &Results, &ClientTids, &Running] {
       clientStream(*Managers[C], V, 0xD00D + C, OpsPerClient, Results[C]);
+      ClientTids[C] = SeenTid;
       Running.fetch_sub(1);
     });
   // Tracing toggles while everyone emits, so the fast path flips between
@@ -182,6 +193,21 @@ TEST(ObsStress, TracingTogglesUnderConcurrentManagers) {
   for (const auto &[Key, Totals] : T.totals())
     Counted += Totals.Count;
   EXPECT_EQ(Counted, Sub.Spans.load());
+
+  // The clients share one buffer, yet each client's buffered spans carry
+  // its own tid and come in its end order, however they interleave.
+  std::set<int64_t> Tids(ClientTids.begin(), ClientTids.end());
+  EXPECT_EQ(Tids.size(), Clients);
+  EXPECT_EQ(Tids.count(-1), 0u);
+  std::map<uint32_t, uint64_t> LastEnd;
+  for (const obs::SpanEvent *E : T.spans()) {
+    ASSERT_EQ(Tids.count(E->ThreadId), 1u) << "tid " << E->ThreadId;
+    uint64_t End = E->StartMicros + E->DurMicros;
+    uint64_t &Last = LastEnd[E->ThreadId];
+    EXPECT_GE(End, Last) << "tid " << E->ThreadId;
+    Last = End;
+  }
+  EXPECT_FALSE(LastEnd.empty());
 
   // Whatever subset got buffered forms a parseable Chrome trace.
   JsonValue Doc;

@@ -11,7 +11,7 @@
 /// metrics JSON documents are parsed back with util/Json, and their
 /// structure (span nesting, counter values, aggregate invariants) is
 /// asserted. Also checks that tracing changes no analysis result, and
-/// that the metrics stay exact past the trace buffers' capacity.
+/// that the metrics stay exact past the trace buffer's capacity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 using namespace jedd;
@@ -206,8 +207,7 @@ TEST_F(ObsTest, MetricsRoundTripWithExactCounterValues) {
 }
 
 TEST_F(ObsTest, MetricsStayExactPastTheTraceBufferCap) {
-  // One span more than a thread's trace buffer holds (4096 chunks of 256
-  // spans), all recorded on this thread.
+  // One span more than the trace buffer holds.
   const uint64_t Cap = uint64_t(1) << 20, Spans = Cap + 1;
   obs::Tracer &T = obs::Tracer::instance();
   uint64_t Micros = 0;
@@ -300,9 +300,8 @@ TEST_F(ObsTest, ClearFreesTheTraceBuffer) {
     E.Category = obs::Cat::Io;
     T.record(std::move(E));
   };
-  // More than one 256-span chunk, then a clear that frees them all: the
-  // next spans must land in freshly allocated chunks, and spans() must
-  // return exactly them.
+  // Several hundred spans, then a clear that frees the buffer: spans()
+  // must return exactly the spans recorded after it.
   for (int I = 0; I != 600; ++I)
     Record("old");
   ASSERT_EQ(T.spanCount(), 600u);
@@ -313,6 +312,38 @@ TEST_F(ObsTest, ClearFreesTheTraceBuffer) {
   for (const obs::SpanEvent *E : T.spans())
     Names.push_back(E->Name);
   EXPECT_EQ(Names, (std::vector<std::string>{"first", "second", "third"}));
+}
+
+TEST_F(ObsTest, SpanPointersSurviveLaterRecords) {
+  obs::Tracer &T = obs::Tracer::instance();
+  T.setLevel(obs::Level::Trace);
+  auto Record = [&](uint64_t I) {
+    obs::SpanEvent E;
+    E.Name = "tick";
+    E.Category = obs::Cat::Io;
+    E.StartMicros = I;
+    E.SiteLabel = "a label too long for the small-string buffer #" +
+                  std::to_string(I);
+    T.record(std::move(E));
+  };
+  for (uint64_t I = 0; I != 100; ++I)
+    Record(I);
+  std::vector<const obs::SpanEvent *> Early = T.spans();
+  ASSERT_EQ(Early.size(), 100u);
+
+  // The buffer grows under the pointers already handed out; they must
+  // still read the same events, in place.
+  for (uint64_t I = 100; I != 10100; ++I)
+    Record(I);
+  std::vector<const obs::SpanEvent *> All = T.spans();
+  ASSERT_EQ(All.size(), 10100u);
+  for (uint64_t I = 0; I != Early.size(); ++I) {
+    EXPECT_EQ(Early[I], All[I]);
+    EXPECT_EQ(Early[I]->StartMicros, I);
+    EXPECT_EQ(Early[I]->SiteLabel,
+              "a label too long for the small-string buffer #" +
+                  std::to_string(I));
+  }
 }
 
 } // namespace

@@ -9,9 +9,8 @@
 /// "Properties that cannot be checked statically are enforced by runtime
 /// checks" (Section 1). These tests pin down the runtime checks of the
 /// relational layer — a failed check throws jedd::UsageError so
-/// embedders can catch and continue, with JEDDPP_CHECKS=fatal restoring
-/// report-and-abort (docs/robustness.md) — plus a collection of boundary
-/// behaviours across modules.
+/// embedders can catch and continue (docs/robustness.md) — plus a
+/// collection of boundary behaviours across modules.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +21,6 @@
 #include "util/Random.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 using namespace jedd;
 using namespace jedd::rel;
@@ -130,16 +127,6 @@ TEST_F(RuntimeChecksTest, UsageErrorCarriesCallSite) {
     EXPECT_EQ(E.SiteLabel, "flow-step");
     EXPECT_NE(std::string(E.what()).find("flow-step"), std::string::npos);
   }
-}
-
-using RuntimeChecksDeathTest = RuntimeChecksTest;
-
-TEST_F(RuntimeChecksDeathTest, ChecksFatalEnvRestoresAbort) {
-  // The JEDDPP_CHECKS=fatal escape hatch restores the historical
-  // report-and-abort behaviour (useful under debuggers).
-  ::setenv("JEDDPP_CHECKS", "fatal", 1);
-  EXPECT_DEATH(U.empty({{A, P0}, {A, P1}}), "duplicate attribute");
-  ::unsetenv("JEDDPP_CHECKS");
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,9 +7,9 @@
 #   * ThreadSanitizer, running the stress test (label "stress") plus the
 #     BDD differential harness. The BDD manager is single-threaded, so
 #     the races TSan can still find are in the state threads share: the
-#     process-wide obs::Tracer (per-thread span totals and buffers,
-#     subscriber list, level toggle, metrics snapshots), raced by client
-#     threads that each own a manager (tests/obs_stress_test.cpp);
+#     process-wide obs::Tracer (span totals and trace buffer behind its
+#     one lock, subscriber list, level toggle, metrics snapshots), raced
+#     by client threads that each own a manager (tests/obs_stress_test.cpp);
 #   * AddressSanitizer + UndefinedBehaviorSanitizer, running everything.
 #     This tree is a Debug build: the tier-1 and TSan trees define NDEBUG,
 #     so it is the one place the kernel's asserts (child-level order in

@@ -365,14 +365,9 @@ void Manager::gcImpl() {
   rehash();
   Cache.clear();
   ++GcRuns;
-  if (Span.active()) {
-    Span.arg("capacity", Nodes.size());
-    Span.arg("live_nodes", Nodes.size() - FreeCount - 2);
-    Span.arg("freed_nodes", FreeCount - FreeBefore);
-    obs::Tracer &T = obs::Tracer::instance();
-    T.counterAdd("gc.runs");
-    T.histRecord("gc.freed_nodes", FreeCount - FreeBefore);
-  }
+  Span.arg("capacity", Nodes.size());
+  Span.arg("live_nodes", Nodes.size() - FreeCount - 2);
+  Span.arg("freed_nodes", FreeCount - FreeBefore);
   assert(Cache.empty() && "computed cache must be empty after a collection");
 }
 
@@ -625,11 +620,9 @@ void Manager::recoverAfterAbort(const ResourceExhausted &E) {
   ++GovAborts;
   {
     obs::SpanGuard Span(obs::Cat::Resource, "abort");
-    if (Span.active()) {
-      Span.arg("kind", static_cast<uint64_t>(E.What));
-      Span.arg("nodes_peak", E.NodesPeak);
-      Span.arg("bytes_peak", E.BytesPeak);
-    }
+    Span.arg("kind", static_cast<uint64_t>(E.What));
+    Span.arg("nodes_peak", E.NodesPeak);
+    Span.arg("bytes_peak", E.BytesPeak);
   }
   {
     obs::SpanGuard Span(obs::Cat::Resource, "recovery");
@@ -638,13 +631,7 @@ void Manager::recoverAfterAbort(const ResourceExhausted &E) {
     // this the manager holds exactly the externally referenced state it
     // had before the operation started.
     gcImpl();
-    if (Span.active()) {
-      Span.arg("live_nodes", Nodes.size() - FreeCount - 2);
-      obs::Tracer &T = obs::Tracer::instance();
-      T.counterAdd("resource.aborts");
-      T.counterMax("resource.nodes_peak", GovNodesPeak);
-      T.counterMax("resource.bytes_peak", GovBytesPeak);
-    }
+    Span.arg("live_nodes", Nodes.size() - FreeCount - 2);
   }
   ++GovRecoveries;
 }

@@ -682,8 +682,6 @@ Error jedd::io::saveCheckpoint(rel::Universe &U,
   writeSection(Out, SecRoots, Payload);
   writeSection(Out, SecEnd, "");
 
-  obs::Tracer::instance().counterAdd("io.bytes_written", Out.size());
-  obs::Tracer::instance().counterAdd("io.nodes_written", Nodes);
   Span.arg("bytes", Out.size());
   Span.arg("nodes", Nodes);
   Span.arg("relations", Relations.size());
@@ -731,8 +729,6 @@ Error jedd::io::loadCheckpoint(rel::Universe &U, const std::string &Bytes,
   }
   if (ContextHash)
     *ContextHash = P.ContextHash;
-  obs::Tracer::instance().counterAdd("io.bytes_read", Bytes.size());
-  obs::Tracer::instance().counterAdd("io.nodes_read", P.Nodes.size());
   Span.arg("bytes", Bytes.size());
   Span.arg("nodes", P.Nodes.size());
   Span.arg("relations", Out.size());

@@ -11,12 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <new>
-#include <sstream>
 #include <vector>
 
 namespace jedd {
@@ -47,11 +45,30 @@ uint64_t SpanEvent::argOr(const char *Key, uint64_t Default) const {
   return Default;
 }
 
-void SpanTotals::merge(const SpanTotals &Other) {
-  Count += Other.Count;
-  TotalMicros += Other.TotalMicros;
-  MaxMicros = std::max(MaxMicros, Other.MaxMicros);
-  MaxResultNodes = std::max(MaxResultNodes, Other.MaxResultNodes);
+void SpanTotals::add(const SpanEvent &Event) {
+  ++Count;
+  TotalMicros += Event.DurMicros;
+  MaxMicros = std::max(MaxMicros, Event.DurMicros);
+  for (uint8_t A = 0; A != Event.NumArgs; ++A) {
+    const SpanEvent::Arg &In = Event.Args[A];
+    uint8_t K = 0;
+    while (K != NumArgs && std::strcmp(Args[K].Key, In.Key) != 0)
+      ++K;
+    if (K == NumArgs) {
+      if (NumArgs == Args.size())
+        continue;
+      Args[NumArgs++].Key = In.Key;
+    }
+    Args[K].Sum += In.Value;
+    Args[K].Max = std::max(Args[K].Max, In.Value);
+  }
+}
+
+SpanTotals::ArgTotals SpanTotals::arg(const char *Key) const {
+  for (uint8_t K = 0; K != NumArgs; ++K)
+    if (std::strcmp(Args[K].Key, Key) == 0)
+      return Args[K];
+  return {Key, 0, 0};
 }
 
 //===----------------------------------------------------------------------===//
@@ -62,30 +79,7 @@ std::atomic<uint32_t> Tracer::ActiveMask{0};
 
 namespace {
 
-/// Log2-bucket histogram: bucket B counts samples in [2^(B-1), 2^B)
-/// with bucket 0 holding zeros.
-struct Histogram {
-  uint64_t Count = 0;
-  uint64_t Sum = 0;
-  uint64_t Min = ~uint64_t(0);
-  uint64_t Max = 0;
-  std::array<uint64_t, 65> Buckets{};
-
-  void record(uint64_t Value) {
-    ++Count;
-    Sum += Value;
-    Min = std::min(Min, Value);
-    Max = std::max(Max, Value);
-    unsigned B = 0;
-    while (Value != 0) {
-      Value >>= 1;
-      ++B;
-    }
-    ++Buckets[B];
-  }
-};
-
-void appendEscaped(std::string &Out, const std::string &S) {
+void appendEscaped(std::string &Out, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '"':
@@ -115,6 +109,16 @@ void appendEscaped(std::string &Out, const std::string &S) {
   }
 }
 
+/// Appends a site's "file:line", or nothing when it has no file.
+void appendSiteLoc(std::string &Out, const std::string &File,
+                   uint32_t Line) {
+  if (File.empty())
+    return;
+  appendEscaped(Out, File);
+  Out += ':';
+  Out += std::to_string(Line);
+}
+
 /// The calling thread's small index, the Chrome trace's "tid".
 uint32_t threadIndex() {
   static std::atomic<uint32_t> Next{0};
@@ -128,6 +132,8 @@ uint32_t threadIndex() {
 struct Tracer::Impl {
   /// Spans the trace buffer holds; later ones are dropped and counted.
   static constexpr size_t MaxSpans = size_t(1) << 20;
+  /// Spans per trace-buffer chunk, the unit the buffer allocates.
+  static constexpr size_t ChunkSpans = 4096;
 
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
@@ -137,11 +143,17 @@ struct Tracer::Impl {
   Level Lvl = Level::Off;
   std::vector<SpanSubscriber *> Subscribers;
   TotalsMap Totals;
-  /// The buffered spans in record order. A deque never moves an element,
-  /// so the pointers spans() hands out stay valid until clear().
-  std::deque<SpanEvent> Spans;
-  std::map<std::string, uint64_t> Counters;
-  std::map<std::string, Histogram> Histograms;
+  /// The buffered spans in record order, NumSpans of them in fixed
+  /// chunks. A chunk never moves, so the pointers spans() hands out stay
+  /// valid until clear().
+  std::vector<std::unique_ptr<SpanEvent[]>> Chunks;
+  size_t NumSpans = 0;
+  uint64_t Dropped = 0;
+
+  /// Caller holds Lock.
+  SpanEvent &span(size_t Index) {
+    return Chunks[Index / ChunkSpans][Index % ChunkSpans];
+  }
 
   /// Caller holds Lock.
   void tally(const SpanEvent &Event) {
@@ -152,8 +164,19 @@ struct Tracer::Impl {
                                        Event.SiteLabel, Event.SiteFile,
                                        Event.SiteLine},
                                SpanTotals());
-    It->second.merge({1, Event.DurMicros, Event.DurMicros,
-                      Event.argOr("result_nodes")});
+    It->second.add(Event);
+  }
+
+  /// Caller holds Lock.
+  void buffer(SpanEvent &&Event) {
+    if (NumSpans == MaxSpans) {
+      ++Dropped;
+      return;
+    }
+    if (NumSpans % ChunkSpans == 0)
+      Chunks.push_back(
+          std::make_unique_for_overwrite<SpanEvent[]>(ChunkSpans));
+    span(NumSpans++) = std::move(Event);
   }
 };
 
@@ -218,28 +241,8 @@ void Tracer::record(SpanEvent &&Event) {
       S->onSpan(Event);
     G.lock();
   }
-  if (I->Lvl != Level::Trace)
-    return;
-  if (I->Spans.size() < Impl::MaxSpans)
-    I->Spans.push_back(std::move(Event));
-  else
-    ++I->Counters["obs.spans_dropped"];
-}
-
-void Tracer::counterAdd(const char *Name, uint64_t Delta) {
-  std::lock_guard<std::mutex> G(I->Lock);
-  I->Counters[Name] += Delta;
-}
-
-void Tracer::counterMax(const char *Name, uint64_t Value) {
-  std::lock_guard<std::mutex> G(I->Lock);
-  uint64_t &Slot = I->Counters[Name];
-  Slot = std::max(Slot, Value);
-}
-
-void Tracer::histRecord(const char *Name, uint64_t Value) {
-  std::lock_guard<std::mutex> G(I->Lock);
-  I->Histograms[Name].record(Value);
+  if (I->Lvl == Level::Trace)
+    I->buffer(std::move(Event));
 }
 
 TotalsMap Tracer::totals() const {
@@ -250,23 +253,23 @@ TotalsMap Tracer::totals() const {
 std::vector<const SpanEvent *> Tracer::spans() const {
   std::lock_guard<std::mutex> G(I->Lock);
   std::vector<const SpanEvent *> Out;
-  Out.reserve(I->Spans.size());
-  for (const SpanEvent &E : I->Spans)
-    Out.push_back(&E);
+  Out.reserve(I->NumSpans);
+  for (size_t K = 0; K != I->NumSpans; ++K)
+    Out.push_back(&I->span(K));
   return Out;
 }
 
 size_t Tracer::spanCount() const {
   std::lock_guard<std::mutex> G(I->Lock);
-  return I->Spans.size();
+  return I->NumSpans;
 }
 
 void Tracer::clear() {
   std::lock_guard<std::mutex> G(I->Lock);
   I->Totals.clear();
-  I->Spans = std::deque<SpanEvent>();
-  I->Counters.clear();
-  I->Histograms.clear();
+  I->Chunks.clear();
+  I->NumSpans = 0;
+  I->Dropped = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -306,9 +309,7 @@ std::string Tracer::chromeTraceJson() const {
       if (!FirstArg)
         Out += ',';
       Out += "\"site_loc\":\"";
-      appendEscaped(Out, E.SiteFile);
-      std::snprintf(Buf, sizeof(Buf), ":%u", E.SiteLine);
-      Out += Buf;
+      appendSiteLoc(Out, E.SiteFile, E.SiteLine);
       Out += '"';
       FirstArg = false;
     }
@@ -341,56 +342,44 @@ bool Tracer::writeChromeTrace(const std::string &Path) const {
 //===----------------------------------------------------------------------===//
 
 std::string Tracer::metricsJson(const std::string &Name) const {
-  // One snapshot, so the totals, counters and histograms agree.
-  std::map<std::string, SpanTotals> Spans;
-  std::map<std::string, uint64_t> Counters;
-  std::map<std::string, Histogram> Histograms;
+  // One snapshot, so the rows and the dropped count agree.
+  TotalsMap Totals;
+  uint64_t Dropped;
   {
     std::lock_guard<std::mutex> G(I->Lock);
-    for (const auto &[Key, T] : I->Totals)
-      Spans[std::string(catName(Key.Category)) + "." + Key.Name].merge(T);
-    Counters = I->Counters;
-    Histograms = I->Histograms;
+    Totals = I->Totals;
+    Dropped = I->Dropped;
   }
 
-  std::ostringstream Out;
-  Out << "{\n  \"version\": 1,\n  \"name\": \"";
-  std::string Escaped;
-  appendEscaped(Escaped, Name);
-  Out << Escaped << "\",\n  \"counters\": {";
+  std::string Out = "{\n  \"version\": 2,\n  \"name\": \"";
+  appendEscaped(Out, Name);
+  Out += "\",\n  \"spans_dropped\": " + std::to_string(Dropped) +
+         ",\n  \"spans\": [";
   bool First = true;
-  for (const auto &[K, V] : Counters) {
-    Out << (First ? "\n" : ",\n") << "    \"" << K << "\": " << V;
+  for (const auto &[Key, T] : Totals) {
+    Out += First ? "\n    {\"cat\": \"" : ",\n    {\"cat\": \"";
     First = false;
-  }
-  Out << (First ? "" : "\n  ") << "},\n  \"histograms\": {";
-  First = true;
-  for (const auto &[K, H] : Histograms) {
-    Out << (First ? "\n" : ",\n") << "    \"" << K << "\": {\"count\": "
-        << H.Count << ", \"sum\": " << H.Sum
-        << ", \"min\": " << (H.Count ? H.Min : 0) << ", \"max\": " << H.Max
-        << ", \"buckets\": {";
-    bool FirstB = true;
-    for (size_t B = 0; B != H.Buckets.size(); ++B) {
-      if (!H.Buckets[B])
-        continue;
-      Out << (FirstB ? "" : ", ") << "\"" << B << "\": " << H.Buckets[B];
-      FirstB = false;
+    Out += catName(Key.Category);
+    Out += "\", \"op\": \"";
+    appendEscaped(Out, Key.Name);
+    Out += "\", \"site\": \"";
+    appendEscaped(Out, Key.SiteLabel);
+    Out += "\", \"site_loc\": \"";
+    appendSiteLoc(Out, Key.SiteFile, Key.SiteLine);
+    Out += "\", \"count\": " + std::to_string(T.Count) +
+           ", \"total_micros\": " + std::to_string(T.TotalMicros) +
+           ", \"max_micros\": " + std::to_string(T.MaxMicros) +
+           ", \"args\": {";
+    for (uint8_t A = 0; A != T.NumArgs; ++A) {
+      Out += A ? ", \"" : "\"";
+      appendEscaped(Out, T.Args[A].Key);
+      Out += "\": {\"sum\": " + std::to_string(T.Args[A].Sum) +
+             ", \"max\": " + std::to_string(T.Args[A].Max) + "}";
     }
-    Out << "}}";
-    First = false;
+    Out += "}}";
   }
-  Out << (First ? "" : "\n  ") << "},\n  \"spans\": {";
-  First = true;
-  for (const auto &[K, Agg] : Spans) {
-    Out << (First ? "\n" : ",\n") << "    \"" << K
-        << "\": {\"count\": " << Agg.Count
-        << ", \"total_micros\": " << Agg.TotalMicros
-        << ", \"max_micros\": " << Agg.MaxMicros << "}";
-    First = false;
-  }
-  Out << (First ? "" : "\n  ") << "}\n}\n";
-  return Out.str();
+  Out += First ? "]\n}\n" : "\n  ]\n}\n";
+  return Out;
 }
 
 bool Tracer::writeMetrics(const std::string &Path,

@@ -12,14 +12,14 @@
 /// the BDD kernel per top-level apply/ite/exists/relProd/replace, and the
 /// garbage collector and the SAT solver per pass/solve. Spans carry wall
 /// time and scalar arguments (O(1) counter deltas such as nodes_created
-/// and cache hits); named counters and log2 histograms accumulate
-/// alongside.
+/// and cache hits).
 ///
 /// The tracer keeps one aggregation of the stream: exact online totals
-/// per (category, op, rel::Site). Everything else reads it:
+/// per (category, op, rel::Site) of the spans' count, time and
+/// arguments. Everything else reads it:
 ///
-///  * the metrics snapshot (counters + histograms + per-span totals) in
-///    plain JSON — the BENCH_<name>.json artifact format;
+///  * the metrics snapshot, one row per key in plain JSON — the
+///    BENCH_<name>.json artifact format;
 ///  * prof::Profiler's summary table.
 ///
 /// At Level::Trace the tracer also buffers every span, and emitters add
@@ -32,8 +32,8 @@
 /// subscribers) an instrumented site costs one relaxed atomic load — the
 /// SpanGuard constructor is inlined, reads Tracer::active() and does
 /// nothing else. An active span takes one lock, which guards the totals,
-/// the trace buffer, the counters and histograms, the level and the
-/// subscriber list; subscribers run outside it.
+/// the trace buffer, the level and the subscriber list; subscribers run
+/// outside it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,21 +128,33 @@ private:
   }
 };
 
-/// Exact totals of the spans of one key.
+/// Exact totals of the spans of one key: their count and time, and the
+/// sum and the maximum of each argument they carry.
 struct SpanTotals {
+  struct ArgTotals {
+    const char *Key = "";
+    uint64_t Sum = 0;
+    uint64_t Max = 0;
+  };
+
   uint64_t Count = 0;
   uint64_t TotalMicros = 0;
   uint64_t MaxMicros = 0;
-  /// Largest `result_nodes` argument (0 when no span carried one).
-  uint64_t MaxResultNodes = 0;
+  /// One entry per argument key, in the order the keys were first seen.
+  std::array<ArgTotals, SpanEvent::MaxArgs> Args;
+  uint8_t NumArgs = 0;
 
-  void merge(const SpanTotals &Other);
+  /// Adds one span. Keys are matched by name; a key past the first
+  /// MaxArgs is not totalled.
+  void add(const SpanEvent &Event);
+  /// The totals of argument \p Key (all zero when no span carried it).
+  ArgTotals arg(const char *Key) const;
 };
 
 using TotalsMap = std::map<SpanKey, SpanTotals, SpanKeyLess>;
 
 /// The process-wide event hub: the online totals, the trace buffer,
-/// subscribers, counters, histograms, and the sinks.
+/// subscribers, and the sinks.
 class Tracer {
 public:
   static Tracer &instance();
@@ -175,14 +187,6 @@ public:
   /// subscribers, and buffers it at Level::Trace. Fills Event.ThreadId.
   void record(SpanEvent &&Event);
 
-  /// Named monotonic counter ("gc.runs", "obs.spans_dropped", ...).
-  void counterAdd(const char *Name, uint64_t Delta = 1);
-  /// High-water-mark counter: keeps the maximum of all recorded values
-  /// ("resource.nodes_peak", "resource.bytes_peak", ...).
-  void counterMax(const char *Name, uint64_t Value);
-  /// Records one sample into the named log2-bucket histogram.
-  void histRecord(const char *Name, uint64_t Value);
-
   /// The online totals of every span recorded since the last clear().
   /// Exact at any run length.
   TotalsMap totals() const;
@@ -201,15 +205,16 @@ public:
   std::string chromeTraceJson() const;
   bool writeChromeTrace(const std::string &Path) const;
 
-  /// Aggregated snapshot: counters, histograms, and per-(cat.name) span
-  /// totals. \p Name, when non-empty, is embedded as the artifact name
-  /// (the BENCH_<name>.json convention).
+  /// Snapshot of the totals: one row per (category, op, site), and the
+  /// number of spans the full trace buffer dropped. \p Name, when
+  /// non-empty, is embedded as the artifact name (the BENCH_<name>.json
+  /// convention).
   std::string metricsJson(const std::string &Name = "") const;
   bool writeMetrics(const std::string &Path,
                     const std::string &Name = "") const;
 
-  /// Drops totals, buffered spans, counters and histograms, and frees
-  /// the trace buffer. Invalidates the pointers spans() returned.
+  /// Drops the totals and the buffered spans, and frees the trace
+  /// buffer. Invalidates the pointers spans() returned.
   void clear();
 
 private:

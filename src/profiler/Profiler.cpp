@@ -103,7 +103,7 @@ std::string Profiler::renderHtml() const {
                       static_cast<unsigned long long>(S.Totals.Count),
                       static_cast<unsigned long long>(S.Totals.TotalMicros),
                       static_cast<unsigned long long>(
-                          S.Totals.MaxResultNodes));
+                          S.Totals.arg("result_nodes").Max));
   Html += "</table>";
 
   // Resource governance, when ceilings were configured or tripped

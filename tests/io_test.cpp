@@ -16,6 +16,7 @@
 
 #include "io/Binary.h"
 #include "io/Io.h"
+#include "obs/Obs.h"
 #include "rel/Relation.h"
 #include "util/File.h"
 #include "util/Random.h"
@@ -325,9 +326,22 @@ TEST(IoCheckpoint, SaveIsDeterministic) {
     Rels.push_back({"r" + std::to_string(I), randomRelation(U, D, Rng)});
 
   std::string A, B;
+  obs::Tracer &T = obs::Tracer::instance();
+  T.clear();
+  T.setLevel(obs::Level::Metrics);
   ASSERT_TRUE(io::saveCheckpoint(U, Rels, A, 42).ok());
   ASSERT_TRUE(io::saveCheckpoint(U, Rels, B, 42).ok());
+  T.setLevel(obs::Level::Off);
   EXPECT_EQ(A, B);
+
+  // Each save's span carries the image's size.
+  obs::TotalsMap Totals = T.totals();
+  T.clear();
+  auto Save = Totals.find(obs::SpanKey{obs::Cat::Io, "save", "", "", 0});
+  ASSERT_NE(Save, Totals.end());
+  EXPECT_EQ(Save->second.Count, 2u);
+  EXPECT_EQ(Save->second.arg("bytes").Sum, A.size() + B.size());
+  EXPECT_EQ(Save->second.arg("bytes").Max, A.size());
 }
 
 //===----------------------------------------------------------------------===//

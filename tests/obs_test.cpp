@@ -9,7 +9,7 @@
 /// Round-trip tests for both observability sinks (docs/observability.md):
 /// a real relational workload runs with tracing on, the Chrome-trace and
 /// metrics JSON documents are parsed back with util/Json, and their
-/// structure (span nesting, counter values, aggregate invariants) is
+/// structure (span nesting, per-site totals, aggregate invariants) is
 /// asserted. Also checks that tracing changes no analysis result, and
 /// that the metrics stay exact past the trace buffer's capacity.
 ///
@@ -81,6 +81,16 @@ JsonValue parseOrDie(const std::string &Text) {
   std::string Error;
   EXPECT_TRUE(parseJson(Text, Doc, Error)) << Error;
   return Doc;
+}
+
+/// The metrics row of (\p Cat, \p Op, \p Site), or nullptr.
+const JsonValue *findRow(const JsonValue &Doc, const std::string &Cat,
+                         const std::string &Op, const std::string &Site) {
+  for (const JsonValue &Row : Doc.get("spans")->Arr)
+    if (Row.get("cat")->Str == Cat && Row.get("op")->Str == Op &&
+        Row.get("site")->Str == Site)
+      return &Row;
+  return nullptr;
 }
 
 TEST_F(ObsTest, DisabledTracingIsInvisibleAndByteIdentical) {
@@ -167,43 +177,59 @@ TEST_F(ObsTest, ChromeTraceRoundTripsWithMonotonicNesting) {
 TEST_F(ObsTest, MetricsRoundTripWithExactCounterValues) {
   obs::Tracer &T = obs::Tracer::instance();
   T.setTracing(true);
-  T.counterAdd("obs_test.marker", 3);
-  T.counterAdd("obs_test.marker", 4);
-  T.histRecord("obs_test.sizes", 0);
-  T.histRecord("obs_test.sizes", 1);
-  T.histRecord("obs_test.sizes", 900);
   runWorkload();
   T.setTracing(false);
 
   JsonValue Doc = parseOrDie(T.metricsJson("obs_test"));
   ASSERT_TRUE(Doc.isObject());
-  EXPECT_EQ(Doc.get("version")->Num, 1.0);
+  EXPECT_EQ(Doc.get("version")->Num, 2.0);
   EXPECT_EQ(Doc.get("name")->Str, "obs_test");
+  EXPECT_EQ(Doc.get("spans_dropped")->Num, 0.0);
 
-  const JsonValue *Counter = Doc.get("counters")->get("obs_test.marker");
-  ASSERT_NE(Counter, nullptr);
-  EXPECT_EQ(Counter->Num, 7.0);
+  // Each row is one (cat, op, site), and its count and argument totals
+  // match the buffered spans of that key exactly.
+  struct Expected {
+    double Count = 0;
+    std::map<std::string, std::pair<double, double>> Args; // Sum, max.
+  };
+  std::map<std::string, Expected> Buffered;
+  for (const obs::SpanEvent *E : T.spans()) {
+    Expected &X = Buffered[std::string(obs::catName(E->Category)) + "." +
+                           E->Name + "@" + E->SiteLabel];
+    ++X.Count;
+    for (uint8_t A = 0; A != E->NumArgs; ++A) {
+      auto &[Sum, Max] = X.Args[E->Args[A].Key];
+      Sum += static_cast<double>(E->Args[A].Value);
+      Max = std::max(Max, static_cast<double>(E->Args[A].Value));
+    }
+  }
+  const JsonValue *Rows = Doc.get("spans");
+  ASSERT_TRUE(Rows && Rows->isArray());
+  ASSERT_EQ(Rows->Arr.size(), Buffered.size());
+  for (const JsonValue &Row : Rows->Arr) {
+    std::string Key = Row.get("cat")->Str + "." + Row.get("op")->Str + "@" +
+                      Row.get("site")->Str;
+    ASSERT_EQ(Buffered.count(Key), 1u) << Key;
+    const Expected &X = Buffered[Key];
+    EXPECT_EQ(Row.get("count")->Num, X.Count) << Key;
+    EXPECT_GE(Row.get("total_micros")->Num, Row.get("max_micros")->Num);
+    const JsonValue *Args = Row.get("args");
+    ASSERT_EQ(Args->Obj.size(), X.Args.size()) << Key;
+    for (const auto &[Arg, Totals] : Args->Obj) {
+      ASSERT_EQ(X.Args.count(Arg), 1u) << Key << " " << Arg;
+      EXPECT_EQ(Totals.get("sum")->Num, X.Args.at(Arg).first) << Arg;
+      EXPECT_EQ(Totals.get("max")->Num, X.Args.at(Arg).second) << Arg;
+    }
+  }
 
-  const JsonValue *Hist = Doc.get("histograms")->get("obs_test.sizes");
-  ASSERT_NE(Hist, nullptr);
-  EXPECT_EQ(Hist->get("count")->Num, 3.0);
-  EXPECT_EQ(Hist->get("sum")->Num, 901.0);
-  EXPECT_EQ(Hist->get("min")->Num, 0.0);
-  EXPECT_EQ(Hist->get("max")->Num, 900.0);
-  // Log2 buckets: 0 -> bucket 0, 1 -> bucket 1, 900 -> bucket 10.
-  EXPECT_EQ(Hist->get("buckets")->get("0")->Num, 1.0);
-  EXPECT_EQ(Hist->get("buckets")->get("1")->Num, 1.0);
-  EXPECT_EQ(Hist->get("buckets")->get("10")->Num, 1.0);
-
-  // The workload's relational ops aggregate under rel.<kind>, and the
-  // span count matches the buffered spans of that kind exactly.
-  const JsonValue *Spans = Doc.get("spans");
-  ASSERT_NE(Spans, nullptr);
-  const JsonValue *Compose = Spans->get("rel.compose");
+  // The compose at the workload's site has a row of its own, tied to
+  // its source line, with the nodes its executions created.
+  const JsonValue *Compose = findRow(Doc, "rel", "compose", "obs-test:step");
   ASSERT_NE(Compose, nullptr);
   EXPECT_GE(Compose->get("count")->Num, 1.0);
-  EXPECT_GE(Compose->get("total_micros")->Num,
-            Compose->get("max_micros")->Num);
+  EXPECT_NE(Compose->get("site_loc")->Str.find("obs_test.cpp:"),
+            std::string::npos);
+  EXPECT_NE(Compose->get("args")->get("nodes_created"), nullptr);
 }
 
 TEST_F(ObsTest, MetricsStayExactPastTheTraceBufferCap) {
@@ -223,7 +249,7 @@ TEST_F(ObsTest, MetricsStayExactPastTheTraceBufferCap) {
     }
   };
   auto ExpectExactTotals = [&](const JsonValue &Doc) {
-    const JsonValue *Tick = Doc.get("spans")->get("io.tick");
+    const JsonValue *Tick = findRow(Doc, "io", "tick", "");
     ASSERT_NE(Tick, nullptr);
     EXPECT_EQ(Tick->get("count")->Num, static_cast<double>(Spans));
     EXPECT_EQ(Tick->get("total_micros")->Num, static_cast<double>(Micros));
@@ -235,7 +261,7 @@ TEST_F(ObsTest, MetricsStayExactPastTheTraceBufferCap) {
   RecordAll();
   JsonValue Doc = parseOrDie(T.metricsJson());
   ExpectExactTotals(Doc);
-  EXPECT_EQ(Doc.get("counters")->get("obs.spans_dropped"), nullptr);
+  EXPECT_EQ(Doc.get("spans_dropped")->Num, 0.0);
   EXPECT_EQ(T.spanCount(), 0u);
 
   // Buffering: the buffer keeps the first Cap spans and counts the rest
@@ -246,9 +272,12 @@ TEST_F(ObsTest, MetricsStayExactPastTheTraceBufferCap) {
   Doc = parseOrDie(T.metricsJson());
   ExpectExactTotals(Doc);
   EXPECT_EQ(T.spanCount(), Cap);
-  const JsonValue *Dropped = Doc.get("counters")->get("obs.spans_dropped");
-  ASSERT_NE(Dropped, nullptr);
-  EXPECT_EQ(Dropped->Num, static_cast<double>(Spans - Cap));
+  EXPECT_EQ(Doc.get("spans_dropped")->Num,
+            static_cast<double>(Spans - Cap));
+
+  // clear() resets the dropped count with the buffer.
+  T.clear();
+  EXPECT_EQ(parseOrDie(T.metricsJson()).get("spans_dropped")->Num, 0.0);
 }
 
 TEST_F(ObsTest, SubscriberSeesSpansWithoutTracing) {
@@ -280,15 +309,15 @@ TEST_F(ObsTest, SubscriberSeesSpansWithoutTracing) {
 TEST_F(ObsTest, ClearDropsSpansAndAggregates) {
   obs::Tracer &T = obs::Tracer::instance();
   T.setTracing(true);
-  T.counterAdd("obs_test.marker");
   runWorkload();
   T.setTracing(false);
   EXPECT_GT(T.spanCount(), 0u);
+  EXPECT_FALSE(T.totals().empty());
   T.clear();
   EXPECT_EQ(T.spanCount(), 0u);
+  EXPECT_TRUE(T.totals().empty());
   JsonValue Doc = parseOrDie(T.metricsJson());
-  EXPECT_EQ(Doc.get("counters")->get("obs_test.marker"), nullptr);
-  EXPECT_TRUE(Doc.get("spans")->Obj.empty());
+  EXPECT_TRUE(Doc.get("spans")->Arr.empty());
 }
 
 TEST_F(ObsTest, ClearFreesTheTraceBuffer) {

@@ -74,7 +74,7 @@ TEST_F(Profiler, SummarizesByKindAndSite) {
   EXPECT_EQ(Summary[1].Op.SiteLabel, "a");
   EXPECT_EQ(Summary[1].Totals.Count, 2u);
   EXPECT_EQ(Summary[1].Totals.TotalMicros, 40u);
-  EXPECT_EQ(Summary[1].Totals.MaxResultNodes, 9u);
+  EXPECT_EQ(Summary[1].Totals.arg("result_nodes").Max, 9u);
   EXPECT_EQ(Summary[2].Op.SiteLabel, "b");
 }
 

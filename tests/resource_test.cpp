@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bdd/Bdd.h"
+#include "obs/Obs.h"
 #include "sat/Solver.h"
 #include "util/Error.h"
 #include "util/Random.h"
@@ -76,6 +77,9 @@ TEST(ResourceGovernor, NodeCeilingAbortsAndRecovers) {
   ResourceLimits L;
   L.MaxNodes = 128;
   M.setResourceLimits(L);
+  obs::Tracer &T = obs::Tracer::instance();
+  T.clear();
+  T.setLevel(obs::Level::Metrics);
   try {
     Bdd R = F ^ G;
     FAIL() << "expected ResourceExhausted, got a " << M.nodeCount(R)
@@ -93,6 +97,18 @@ TEST(ResourceGovernor, NodeCeilingAbortsAndRecovers) {
   EXPECT_GE(S.ResourceRecoveries, size_t(1));
   EXPECT_GE(S.NodesPeak, S.LimitMaxNodes);
   EXPECT_GT(S.BytesPeak, size_t(0));
+
+  // So is the tracer's: one resource.abort span per abort, whose
+  // arguments peak where the manager's peaks do.
+  T.setLevel(obs::Level::Off);
+  obs::TotalsMap Totals = T.totals();
+  T.clear();
+  auto Abort =
+      Totals.find(obs::SpanKey{obs::Cat::Resource, "abort", "", "", 0});
+  ASSERT_NE(Abort, Totals.end());
+  EXPECT_EQ(Abort->second.Count, S.ResourceAborts);
+  EXPECT_EQ(Abort->second.arg("nodes_peak").Max, S.NodesPeak);
+  EXPECT_EQ(Abort->second.arg("bytes_peak").Max, S.BytesPeak);
 
   // Recovery contract: with the ceiling lifted the same manager
   // completes the same operation, and the result matches a manager that

@@ -6,9 +6,9 @@ Usage: check_bench_json.py --schema tools/bench_schema.json FILE [FILE...]
 Implements the subset of JSON Schema that tools/bench_schema.json uses
 (type, required, properties, additionalProperties, const, minimum), so
 it runs on a bare python3 with no third-party packages. Beyond the
-schema it enforces two semantic invariants of the metrics sink: every
-span aggregate satisfies max_micros <= total_micros, and every
-histogram's bucket counts sum to its count.
+schema it enforces the semantic invariants of the metrics sink: every
+span row satisfies max_micros <= total_micros, every argument's max is
+at most its sum, and no two rows share (cat, op, site, site_loc).
 """
 
 import argparse
@@ -55,23 +55,28 @@ def validate(value, schema, path, errors):
 
 
 def check_semantics(doc, errors):
-    for name, agg in doc.get("spans", {}).items():
-        if not isinstance(agg, dict):
+    seen = set()
+    for index, row in enumerate(doc.get("spans", [])):
+        if not isinstance(row, dict):
             continue
-        total, largest = agg.get("total_micros"), agg.get("max_micros")
+        path = f"$.spans[{index}]"
+        total, largest = row.get("total_micros"), row.get("max_micros")
         if isinstance(total, int) and isinstance(largest, int) and largest > total:
-            errors.append(f"$.spans.{name}: max_micros {largest} exceeds "
+            errors.append(f"{path}: max_micros {largest} exceeds "
                           f"total_micros {total}")
-    for name, hist in doc.get("histograms", {}).items():
-        if not isinstance(hist, dict):
-            continue
-        buckets = hist.get("buckets")
-        count = hist.get("count")
-        if isinstance(buckets, dict) and isinstance(count, int):
-            total = sum(v for v in buckets.values() if isinstance(v, int))
-            if total != count:
-                errors.append(f"$.histograms.{name}: buckets sum to {total}, "
-                              f"count is {count}")
+        args = row.get("args")
+        for key, agg in (args.items() if isinstance(args, dict) else []):
+            if not isinstance(agg, dict):
+                continue
+            arg_sum, arg_max = agg.get("sum"), agg.get("max")
+            if isinstance(arg_sum, int) and isinstance(arg_max, int) and arg_max > arg_sum:
+                errors.append(f"{path}.args.{key}: max {arg_max} exceeds "
+                              f"sum {arg_sum}")
+        key = json.dumps([row.get(member)
+                          for member in ("cat", "op", "site", "site_loc")])
+        if key in seen:
+            errors.append(f"{path}: duplicate row {key}")
+        seen.add(key)
 
 
 def main():
@@ -101,8 +106,7 @@ def main():
             for error in errors:
                 print(f"  {error}")
         else:
-            print(f"{path}: OK ({len(doc.get('spans', {}))} span kinds, "
-                  f"{len(doc.get('counters', {}))} counters)")
+            print(f"{path}: OK ({len(doc.get('spans', []))} span rows)")
     return 1 if failed else 0
 
 

@@ -4,8 +4,9 @@
 # Part of jeddpp. Configures, builds, and runs the tier-1 suite under the
 # two sanitizer configurations the project supports:
 #
-#   * ThreadSanitizer, running the stress test (label "stress") plus the
-#     BDD differential harness. The BDD manager is single-threaded, so
+#   * ThreadSanitizer, running the stress test (label "stress"), the
+#     tracer's own tests (tests/obs_test.cpp) and the BDD differential
+#     harness. The BDD manager is single-threaded, so
 #     the races TSan can still find are in the state threads share: the
 #     process-wide obs::Tracer (span totals and trace buffer behind its
 #     one lock, subscriber list, level toggle, metrics snapshots), raced
@@ -39,13 +40,14 @@ MODE="${1:-all}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 run_thread() {
-  echo "=== ThreadSanitizer: stress + differential tests ==="
+  echo "=== ThreadSanitizer: stress, tracer + differential tests ==="
   cmake -S "$ROOT" -B "$ROOT/build-tsan" -DJEDDPP_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ROOT/build-tsan" -j "$JOBS" \
-        --target obs_stress_test bdd_differential_test io_fuzz_test \
-                 resource_test robustness_test
+        --target obs_stress_test obs_test bdd_differential_test \
+                 io_fuzz_test resource_test robustness_test
   (cd "$ROOT/build-tsan" && ctest --output-on-failure -L stress)
+  TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/obs_test"
   TSAN_OPTIONS="halt_on_error=1" \
       "$ROOT/build-tsan/tests/bdd_differential_test"
   echo "=== ThreadSanitizer: persistence fuzz loop ==="

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyses.h"
+#include "util/BitSet.h"
 #include "util/Fatal.h"
-#include "util/Random.h"
 
 #include <algorithm>
 

@@ -24,7 +24,6 @@
 
 #include "analysis/Analyses.h"
 #include "util/BitSet.h"
-#include "util/Random.h"
 
 #include <algorithm>
 #include <numeric>

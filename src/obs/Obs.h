@@ -42,6 +42,7 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -261,7 +262,10 @@ public:
   bool detail() const { return Live && Tracer::buffering(); }
 
   void arg(const char *Key, uint64_t Value) {
-    if (Live && event().NumArgs < SpanEvent::MaxArgs)
+    if (!Live)
+      return;
+    assert(event().NumArgs < SpanEvent::MaxArgs && "span argument dropped");
+    if (event().NumArgs < SpanEvent::MaxArgs)
       event().Args[event().NumArgs++] = {Key, Value};
   }
   void shape(std::vector<size_t> Shape) {

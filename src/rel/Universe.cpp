@@ -7,6 +7,7 @@
 
 #include "rel/Universe.h"
 #include "rel/Relation.h"
+#include "util/BitSet.h"
 #include "util/Fatal.h"
 #include "util/StringUtils.h"
 

@@ -27,7 +27,6 @@
 #define JEDDPP_REL_UNIVERSE_H
 
 #include "bdd/DomainPack.h"
-#include "util/Random.h"
 
 #include <string>
 #include <vector>

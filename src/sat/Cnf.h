@@ -7,7 +7,7 @@
 ///
 /// \file
 /// CNF building blocks shared by the CDCL solver, the DPLL reference
-/// solver, and the DIMACS reader/writer. The physical domain assignment
+/// solver, and the DIMACS writer. The physical domain assignment
 /// of Section 3.3.2 is encoded directly in CNF ("it is easier to specify
 /// it directly in CNF than to construct an arbitrary formula and convert
 /// it to CNF later"), so this is the interchange format between jeddc and
@@ -87,10 +87,6 @@ struct CnfFormula {
 
 /// Serializes to DIMACS cnf format.
 std::string toDimacs(const CnfFormula &F);
-
-/// Parses DIMACS cnf text. Returns false and fills \p Error on malformed
-/// input.
-bool parseDimacs(const std::string &Text, CnfFormula &F, std::string &Error);
 
 } // namespace sat
 } // namespace jedd

@@ -10,7 +10,6 @@
 #include "util/Fatal.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace jedd;
 using namespace jedd::sat;
@@ -458,8 +457,6 @@ static uint64_t luby(uint64_t X) {
 Result Solver::solve() {
   obs::SpanGuard Span(obs::Cat::Sat, "solve");
   Result R = solveImpl();
-  if (R != Result::Indeterminate)
-    Solved = true;
   if (Span.active()) {
     Span.arg("vars", VarCount);
     Span.arg("clauses", Clauses.size());
@@ -469,13 +466,13 @@ Result Solver::solve() {
     Span.arg("learned_clauses", Stats.LearnedClauses);
     Span.arg("restarts", Stats.Restarts);
     Span.arg("sat", R == Result::Sat ? 1 : 0);
-    Span.arg("indeterminate", R == Result::Indeterminate ? 1 : 0);
   }
   return R;
 }
 
 Result Solver::solveImpl() {
-  assert(!Solved && "solve() already returned a definitive result");
+  assert(!Solved && "solve() already ran");
+  Solved = true;
 
   if (FoundEmptyClause) {
     Core = {EmptyClauseId};
@@ -499,37 +496,7 @@ Result Solver::solveImpl() {
   uint64_t RestartIndex = 0;
   uint64_t ConflictsUntilRestart = luby(RestartIndex) * 64;
 
-  // Budget accounting is per solve() call: deltas against the cumulative
-  // stats, so a resumed search gets a fresh allowance.
-  const bool Budgeted = Limits.any();
-  const uint64_t ConflictsBase = Stats.Conflicts;
-  const uint64_t PropagationsBase = Stats.Propagations;
-  const auto SolveStart = std::chrono::steady_clock::now();
-  uint32_t ClockTick = 0;
-
   while (true) {
-    if (Budgeted) {
-      bool Exhausted =
-          (Limits.MaxConflicts &&
-           Stats.Conflicts - ConflictsBase >= Limits.MaxConflicts) ||
-          (Limits.MaxPropagations &&
-           Stats.Propagations - PropagationsBase >= Limits.MaxPropagations);
-      // The clock is polled sparsely; conflict/propagation caps bound the
-      // work between polls.
-      if (!Exhausted && Limits.MaxMicros && (++ClockTick & 255) == 0) {
-        auto Elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - SolveStart)
-                           .count();
-        Exhausted = static_cast<uint64_t>(Elapsed) >= Limits.MaxMicros;
-      }
-      if (Exhausted) {
-        // No answer, never a wrong one: abandon the partial assignment
-        // but keep every learned clause for a later resumed solve().
-        backtrack(0);
-        return Result::Indeterminate;
-      }
-    }
-
     uint32_t ConflictId = propagate();
     if (ConflictId != NoReason) {
       ++Stats.Conflicts;
@@ -652,7 +619,6 @@ bool DpllSolver::solveRec(std::vector<int8_t> &Assign) {
   if (!FoundVar)
     return true; // Every clause satisfied.
 
-  ++Branches;
   for (int8_t Value : {1, 0}) {
     Assign[BranchVar] = Value;
     if (solveRec(Assign))

@@ -33,22 +33,7 @@
 namespace jedd {
 namespace sat {
 
-/// Indeterminate is only ever returned when a Budget trips: the solver
-/// ran out of its allowance before finding an answer. It never stands in
-/// for a wrong answer, and the solver stays usable — solve() again
-/// (optionally with a bigger budget) resumes the search with all learned
-/// clauses retained.
-enum class Result { Sat, Unsat, Indeterminate };
-
-/// Per-solve() resource budget (docs/robustness.md). Zero means
-/// unlimited. Counters are measured as deltas within one solve() call,
-/// so a resumed search gets a fresh allowance.
-struct Budget {
-  uint64_t MaxConflicts = 0;
-  uint64_t MaxPropagations = 0;
-  uint64_t MaxMicros = 0; ///< Wall-clock limit for one solve() call.
-  bool any() const { return MaxConflicts || MaxPropagations || MaxMicros; }
-};
+enum class Result { Sat, Unsat };
 
 struct SolverStats {
   uint64_t Decisions = 0;
@@ -86,13 +71,7 @@ public:
   /// Convenience: declares missing variables and adds all clauses.
   void addFormula(const CnfFormula &F);
 
-  /// Installs the resource budget enforced by subsequent solve() calls.
-  void setBudget(const Budget &B) { Limits = B; }
-  const Budget &budget() const { return Limits; }
-
-  /// Runs the search. May be called once per solver instance — except
-  /// after Result::Indeterminate (budget exhausted), where calling again
-  /// resumes the search.
+  /// Runs the search. May be called once per solver instance.
   Result solve();
 
   /// After Sat: the value assigned to \p V.
@@ -176,8 +155,7 @@ private:
   std::vector<uint32_t> Core;
 
   SolverStats Stats;
-  Budget Limits;
-  bool Solved = false; ///< Set on definitive results only.
+  bool Solved = false;
 
   uint32_t level() const { return static_cast<uint32_t>(TrailLimits.size()); }
   bool litIsTrue(Lit L) const {
@@ -240,12 +218,10 @@ public:
   Result solve();
   /// After Sat: a satisfying assignment (indexed by variable).
   const std::vector<bool> &model() const { return Model; }
-  uint64_t numBranches() const { return Branches; }
 
 private:
   const CnfFormula &Formula;
   std::vector<bool> Model;
-  uint64_t Branches = 0;
 
   bool solveRec(std::vector<int8_t> &Assign);
 };

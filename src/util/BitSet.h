@@ -10,7 +10,7 @@
 /// reference analyses live on. This is what the paper's "pure Java"
 /// analysis implementations spend their 803 lines building; here it also
 /// keeps the test oracles fast enough to cross-check benchmark-sized
-/// programs.
+/// programs. bitsForSize gives the width of a domain's encoding.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,6 +99,17 @@ private:
   size_t NumBits = 0;
   std::vector<uint64_t> Words;
 };
+
+/// Returns the number of bits needed to represent values in [0, Size-1];
+/// at least 1 even for singleton domains so every attribute occupies at
+/// least one BDD variable (matching BuDDy's fdd behaviour).
+inline unsigned bitsForSize(uint64_t Size) {
+  assert(Size >= 1 && "domain must be able to hold at least one object");
+  unsigned Bits = 1;
+  while ((1ULL << Bits) < Size)
+    ++Bits;
+  return Bits;
+}
 
 } // namespace jedd
 

@@ -53,17 +53,6 @@ private:
   uint64_t State;
 };
 
-/// Returns the number of bits needed to represent values in [0, Size-1];
-/// at least 1 even for singleton domains so every attribute occupies at
-/// least one BDD variable (matching BuDDy's fdd behaviour).
-inline unsigned bitsForSize(uint64_t Size) {
-  assert(Size >= 1 && "domain must be able to hold at least one object");
-  unsigned Bits = 1;
-  while ((1ULL << Bits) < Size)
-    ++Bits;
-  return Bits;
-}
-
 } // namespace jedd
 
 #endif // JEDDPP_UTIL_RANDOM_H

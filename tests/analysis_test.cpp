@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <numeric>
@@ -306,6 +307,28 @@ TEST_P(BaselineEquivalenceTest, HandCodedMatchesRelational) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BaselineEquivalenceTest,
                          ::testing::Values(21, 22, 23, 24));
+
+TEST(BaselineOrder, HandCodedDefaultFollowsTheUniverseDefault) {
+  // Table 2 compares like with like only if the hand-coded version lays
+  // out its five domains as the relational default does.
+  auto Names = [](std::string_view Spec) {
+    std::vector<std::string_view> Out;
+    for (size_t End = Spec.find('_'); End != Spec.npos;
+         End = Spec.find('_')) {
+      Out.push_back(Spec.substr(0, End));
+      Spec.remove_prefix(End + 1);
+    }
+    Out.push_back(Spec);
+    return Out;
+  };
+  std::vector<std::string_view> Hand = Names(HandCodedPointsTo::DefaultOrder);
+  std::vector<std::string_view> Filtered;
+  for (std::string_view Name : Names(AnalysisUniverse::DefaultOrder))
+    if (std::find(Hand.begin(), Hand.end(), Name) != Hand.end())
+      Filtered.push_back(Name);
+  EXPECT_EQ(Hand.size(), 5u);
+  EXPECT_EQ(Filtered, Hand);
+}
 
 //===----------------------------------------------------------------------===//
 // Bit-order ablation sanity: results agree across variable orders

@@ -12,16 +12,15 @@
 /// a crash, never out-of-bounds reads (tools/run_sanitized_tests.sh runs
 /// this suite under ASan and TSan), and never a silently wrong load.
 ///
-/// The two text readers, soot::parseFacts and sat::parseDimacs, get
-/// seeded mutations of valid texts: each must accept or reject, and what
-/// it accepts must write back and read again unchanged.
+/// The facts reader, soot::parseFacts, gets seeded mutations of a valid
+/// text: it must accept or reject, and what it accepts must write back
+/// and read again unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "io/Binary.h"
 #include "io/Io.h"
 #include "rel/Relation.h"
-#include "sat/Cnf.h"
 #include "soot/FactsIO.h"
 #include "soot/Generator.h"
 #include "util/Random.h"
@@ -308,7 +307,7 @@ TEST_F(IoFuzzTest, RandomBytesNeverCrashTheLoader) {
 }
 
 //===----------------------------------------------------------------------===//
-// Text readers
+// Facts reader
 //===----------------------------------------------------------------------===//
 
 /// \p Text with one to three seeded mutations: a flipped bit, a
@@ -362,38 +361,6 @@ TEST(TextFuzz, MutatedFactsAreReadOrRejected) {
     EXPECT_EQ(soot::writeFacts(Q), Written);
   }
   // Both outcomes occur, so the battery reaches past the first error.
-  EXPECT_GT(Accepted, 10u);
-  EXPECT_GT(Rejected, 10u);
-}
-
-TEST(TextFuzz, MutatedDimacsIsReadOrRejected) {
-  SplitMix64 Rng(0xd1ac5);
-  sat::CnfFormula F;
-  F.NumVars = 12;
-  for (int C = 0; C != 40; ++C)
-    F.addClause({sat::mkLit(Rng.nextBelow(12), Rng.nextBelow(2)),
-                 sat::mkLit(Rng.nextBelow(12), Rng.nextBelow(2)),
-                 sat::mkLit(Rng.nextBelow(12), Rng.nextBelow(2))});
-  const std::string Text = "c seeded 3-SAT\n" + sat::toDimacs(F);
-  unsigned Accepted = 0, Rejected = 0;
-  for (int Round = 0; Round != 600; ++Round) {
-    std::string Bad = mutate(Text, Rng);
-    sat::CnfFormula G;
-    std::string Error;
-    if (!sat::parseDimacs(Bad, G, Error)) {
-      EXPECT_FALSE(Error.empty());
-      ++Rejected;
-      continue;
-    }
-    ++Accepted;
-    for (sat::Lit L : G.Lits)
-      ASSERT_LT(sat::varOf(L), G.NumVars) << Bad;
-    sat::CnfFormula H;
-    ASSERT_TRUE(sat::parseDimacs(sat::toDimacs(G), H, Error)) << Error;
-    EXPECT_EQ(H.NumVars, G.NumVars);
-    EXPECT_EQ(H.Lits, G.Lits);
-    EXPECT_EQ(H.Ends, G.Ends);
-  }
   EXPECT_GT(Accepted, 10u);
   EXPECT_GT(Rejected, 10u);
 }

@@ -18,6 +18,7 @@
 #include "io/Io.h"
 #include "obs/Obs.h"
 #include "rel/Relation.h"
+#include "util/BitSet.h"
 #include "util/File.h"
 #include "util/Random.h"
 

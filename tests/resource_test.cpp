@@ -12,14 +12,12 @@
 /// its GC + cache-flush recovery, and afterwards it is *observably in
 /// its pre-operation state* — every pre-existing handle evaluates
 /// exactly as before and the same operation succeeds once the budget is
-/// lifted. The SAT solver's budgets must only ever weaken an answer to
-/// Indeterminate, never falsify it.
+/// lifted.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bdd/Bdd.h"
 #include "obs/Obs.h"
-#include "sat/Solver.h"
 #include "util/Error.h"
 #include "util/Random.h"
 
@@ -338,122 +336,6 @@ TEST(ResourceGovernor, FaultInjectionDifferential) {
   EXPECT_GT(Injected, size_t(0));
   EXPECT_GE(Gov.stats().ResourceAborts, Injected);
   EXPECT_GE(Gov.stats().ResourceRecoveries, Injected);
-}
-
-//===--------------------------------------------------------------------===//
-// SAT solver budgets
-//===--------------------------------------------------------------------===//
-
-/// PHP(Pigeons, Holes): pigeon p sits in hole h <=> variable p*Holes+h.
-/// Unsatisfiable iff Pigeons > Holes, and hard for CDCL — ideal for
-/// forcing a budget to trip before the search finishes.
-void addPigeonhole(sat::Solver &S, unsigned Pigeons, unsigned Holes) {
-  for (unsigned I = 0; I != Pigeons * Holes; ++I)
-    S.newVar();
-  for (unsigned P = 0; P != Pigeons; ++P) {
-    std::vector<sat::Lit> Clause;
-    for (unsigned H = 0; H != Holes; ++H)
-      Clause.push_back(sat::mkLit(P * Holes + H));
-    S.addClause(Clause);
-  }
-  for (unsigned H = 0; H != Holes; ++H)
-    for (unsigned P1 = 0; P1 != Pigeons; ++P1)
-      for (unsigned P2 = P1 + 1; P2 != Pigeons; ++P2)
-        S.addClause({sat::mkLit(P1 * Holes + H, true),
-                     sat::mkLit(P2 * Holes + H, true)});
-}
-
-TEST(SatBudget, ConflictBudgetReturnsIndeterminateThenResumes) {
-  sat::Solver S;
-  addPigeonhole(S, 6, 5);
-
-  sat::Budget B;
-  B.MaxConflicts = 3;
-  S.setBudget(B);
-  ASSERT_EQ(S.solve(), sat::Result::Indeterminate);
-  EXPECT_GE(S.stats().Conflicts, uint64_t(3));
-
-  // Indeterminate never consumes the solver: lifting the budget and
-  // solving again resumes with the learned clauses retained and reaches
-  // the definitive answer, core included.
-  S.setBudget({});
-  ASSERT_EQ(S.solve(), sat::Result::Unsat);
-  EXPECT_FALSE(S.unsatCore().empty());
-}
-
-TEST(SatBudget, RepeatedSmallBudgetsReachUnsat) {
-  sat::Solver S;
-  addPigeonhole(S, 6, 5);
-
-  sat::Budget B;
-  B.MaxConflicts = 10; // Per-solve() allowance: deltas, not totals.
-  S.setBudget(B);
-  int Rounds = 0;
-  sat::Result R;
-  while ((R = S.solve()) == sat::Result::Indeterminate)
-    ASSERT_LT(++Rounds, 10000) << "budgeted search failed to converge";
-  EXPECT_EQ(R, sat::Result::Unsat);
-  EXPECT_GT(Rounds, 0) << "budget never tripped — instance too easy";
-  EXPECT_FALSE(S.unsatCore().empty());
-}
-
-TEST(SatBudget, BudgetNeverMisreportsSatisfiable) {
-  // PHP(5,5) is satisfiable (a perfect matching). However tight the
-  // budget, the answer may only ever be Sat or Indeterminate.
-  sat::Solver S;
-  addPigeonhole(S, 5, 5);
-
-  sat::Budget B;
-  B.MaxConflicts = 1;
-  S.setBudget(B);
-  int Rounds = 0;
-  sat::Result R;
-  while ((R = S.solve()) == sat::Result::Indeterminate)
-    ASSERT_LT(++Rounds, 10000) << "budgeted search failed to converge";
-  ASSERT_EQ(R, sat::Result::Sat);
-
-  // The model must be a real matching: every pigeon housed, no sharing.
-  for (unsigned P = 0; P != 5; ++P) {
-    bool Housed = false;
-    for (unsigned H = 0; H != 5; ++H)
-      Housed = Housed || S.modelValue(P * 5 + H);
-    EXPECT_TRUE(Housed) << "pigeon " << P;
-  }
-  for (unsigned H = 0; H != 5; ++H)
-    for (unsigned P1 = 0; P1 != 5; ++P1)
-      for (unsigned P2 = P1 + 1; P2 != 5; ++P2)
-        EXPECT_FALSE(S.modelValue(P1 * 5 + H) && S.modelValue(P2 * 5 + H));
-}
-
-TEST(SatBudget, PropagationBudgetTrips) {
-  // The budget is polled between propagate/decide rounds, so it needs
-  // an instance whose search spans many rounds — pigeonhole again.
-  sat::Solver S;
-  addPigeonhole(S, 6, 5);
-
-  sat::Budget B;
-  B.MaxPropagations = 50;
-  S.setBudget(B);
-  ASSERT_EQ(S.solve(), sat::Result::Indeterminate);
-  EXPECT_GE(S.stats().Propagations, uint64_t(50));
-
-  S.setBudget({});
-  ASSERT_EQ(S.solve(), sat::Result::Unsat);
-  EXPECT_FALSE(S.unsatCore().empty());
-}
-
-TEST(SatBudget, TimeBudgetTripsOnHardInstance) {
-  sat::Solver S;
-  addPigeonhole(S, 7, 6);
-
-  sat::Budget B;
-  B.MaxMicros = 1; // Expired by the first clock poll.
-  S.setBudget(B);
-  ASSERT_EQ(S.solve(), sat::Result::Indeterminate);
-
-  S.setBudget({});
-  ASSERT_EQ(S.solve(), sat::Result::Unsat);
-  EXPECT_FALSE(S.unsatCore().empty());
 }
 
 } // namespace

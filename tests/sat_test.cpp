@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "jedd/Driver.h"
+#include "obs/Obs.h"
 #include "sat/CoreTools.h"
 #include "sat/Solver.h"
 #include "util/File.h"
@@ -270,21 +271,10 @@ struct PinnedSearch {
 };
 
 /// Solves \p F and checks its verdict, model or core, stats and digest.
-/// A nonzero \p MaxConflicts is a per-solve() budget: the search is
-/// resumed after each Indeterminate, and the number of stops must be
-/// \p Stops.
-void expectPinnedSearch(const CnfFormula &F, const PinnedSearch &P,
-                        uint64_t MaxConflicts = 0, unsigned Stops = 0) {
+void expectPinnedSearch(const CnfFormula &F, const PinnedSearch &P) {
   Solver S;
   S.addFormula(F);
-  Budget B;
-  B.MaxConflicts = MaxConflicts;
-  S.setBudget(B);
-  unsigned Stopped = 0;
-  Result R;
-  while ((R = S.solve()) == Result::Indeterminate)
-    ++Stopped;
-  EXPECT_EQ(Stopped, Stops);
+  Result R = S.solve();
   ASSERT_EQ(R, P.Want);
   if (R == Result::Sat)
     EXPECT_TRUE(checkModel(F, S.model()));
@@ -297,20 +287,25 @@ void expectPinnedSearch(const CnfFormula &F, const PinnedSearch &P,
   EXPECT_EQ(outcomeDigest(S, R), P.Digest);
 }
 
-TEST(SatPinned, TableOneCombinedFormula) {
-  // Table 1's "All 5 combined" physical-domain assignment problem.
+/// Table 1's "All 5 combined" source: the six jeddsrc modules in one.
+std::string tableOneSource() {
   std::string Source;
   for (const char *Name :
        {"prelude.jedd", "hierarchy.jedd", "vcr.jedd", "pointsto.jedd",
         "callgraph.jedd", "sideeffect.jedd"}) {
     std::string Text;
-    ASSERT_TRUE(readFileToString(
+    EXPECT_TRUE(readFileToString(
         std::string(JEDDPP_JEDDSRC_DIR) + "/" + Name, Text))
         << "cannot read " << Name;
     Source += Text;
   }
+  return Source;
+}
+
+TEST(SatPinned, TableOneCombinedFormula) {
+  // Table 1's "All 5 combined" physical-domain assignment problem.
   DiagnosticEngine Diags("combined.jedd");
-  auto Compiled = lang::compileJedd(Source, Diags);
+  auto Compiled = lang::compileJedd(tableOneSource(), Diags);
   ASSERT_TRUE(Compiled != nullptr) << Diags.renderAll();
   const CnfFormula &F = Compiled->assigner().formula();
   EXPECT_EQ(F.NumVars, 7561u);
@@ -374,19 +369,6 @@ TEST(SatPinned, ActivityUnderflow) {
   }
   expectPinnedSearch(F, {Result::Sat, 33184, 26542, 1443347, 126,
                          0xf91a76e2019549ddULL});
-}
-
-TEST(SatPinned, BudgetResume) {
-  // Each budget stop backtracks to level 0 and the next solve() resumes
-  // with every learned clause kept, so the variables freed by the stop
-  // must come back to the branching order.
-  expectPinnedSearch(
-      pigeonhole(6),
-      {Result::Unsat, 1147, 841, 14200, 8, 0x3ecac2415b9f2fafULL}, 100, 8);
-  SplitMix64 Rng(3);
-  expectPinnedSearch(randomThreeSat(Rng, 150, 639),
-                     {Result::Sat, 1151, 860, 35442, 9, 0x95bcce8ab7bbbbd9ULL},
-                     300, 2);
 }
 
 /// Random 3-SAT in which about one clause in six repeats a literal, one
@@ -459,79 +441,42 @@ TEST(SatPinned, MinimizedPigeonholeCore) {
 }
 
 //===----------------------------------------------------------------------===//
-// DIMACS round trip
+// DIMACS writer
 //===----------------------------------------------------------------------===//
 
 TEST(Dimacs, RoundTrip) {
-  CnfFormula F = makeFormula(4, {{1, -2}, {3, 4, -1}, {2}});
-  std::string Text = toDimacs(F);
-  CnfFormula G;
-  std::string Error;
-  ASSERT_TRUE(parseDimacs(Text, G, Error)) << Error;
-  EXPECT_EQ(G.NumVars, F.NumVars);
-  EXPECT_EQ(G.Lits, F.Lits);
-  EXPECT_EQ(G.Ends, F.Ends);
-}
-
-TEST(Dimacs, ParsesCommentsAndBlankLines) {
-  std::string Text = "c a comment\n\np cnf 2 2\n1 -2 0\nc mid\n2 0\n";
-  CnfFormula F;
-  std::string Error;
-  ASSERT_TRUE(parseDimacs(Text, F, Error)) << Error;
-  EXPECT_EQ(F.NumVars, 2u);
-  EXPECT_EQ(F.numClauses(), 2u);
-}
-
-TEST(Dimacs, RejectsMalformedInput) {
-  CnfFormula F;
-  std::string Error;
-  EXPECT_FALSE(parseDimacs("1 2 0\n", F, Error));
-  EXPECT_FALSE(parseDimacs("p cnf 1 1\n2 0\n", F, Error));
-  EXPECT_FALSE(parseDimacs("p cnf 1 2\n1 0\n", F, Error));
-  EXPECT_FALSE(parseDimacs("p cnf 1 1\n1\n", F, Error));
-
-  // The problem line is exactly "p cnf V C", each count in range.
-  for (const char *Header :
-       {"p cnf -1 0\n", "p cnf 4294967296 0\n", "p cnf 2 1 junk\n",
-        "p cnf 2\n", "p dnf 2 1\n", "p cnf +2 0\n", "p cnf 2 -1\n"}) {
-    EXPECT_FALSE(parseDimacs(Header, F, Error)) << Header;
-    EXPECT_EQ(Error.rfind("malformed problem line: ", 0), 0u) << Error;
-  }
-  EXPECT_FALSE(parseDimacs("p cnf 2147483648 0\n", F, Error));
-  EXPECT_EQ(Error, "problem line declares 2147483648 variables; at most "
-                   "2147483647 fit a literal");
-  EXPECT_TRUE(parseDimacs("p cnf 2147483647 0\n", F, Error)) << Error;
-
-  // A literal's magnitude is checked before it is narrowed to a variable,
-  // and errors quote the literal as written.
-  const std::pair<const char *, const char *> Literals[] = {
-      {"4294967297",
-       "literal '4294967297' exceeds declared variable count 3"},
-      {"-4294967297",
-       "literal '-4294967297' exceeds declared variable count 3"},
-      {"-9223372036854775808",
-       "literal '-9223372036854775808' exceeds declared variable count 3"},
-      {"99999999999999999999",
-       "literal '99999999999999999999' exceeds declared variable count 3"},
-      {"4", "literal '4' exceeds declared variable count 3"},
-      {"1x", "malformed literal '1x'"},
-      {"+1", "malformed literal '+1'"},
-      {"-", "malformed literal '-'"},
-      {"--1", "malformed literal '--1'"},
-  };
-  for (const auto &[Literal, Expected] : Literals) {
-    std::string Text = std::string("p cnf 3 1\n1 ") + Literal + " 0\n";
-    EXPECT_FALSE(parseDimacs(Text, F, Error)) << Literal;
-    EXPECT_EQ(Error, Expected);
-  }
-  ASSERT_TRUE(parseDimacs("p cnf 3 2\n3 -3 0\n-0\n", F, Error)) << Error;
-  EXPECT_EQ(F.clause(0).size(), 2u);
-  EXPECT_TRUE(F.clause(1).empty());
+  // The text jeddc --dimacs writes for zchaff: the problem line, then one
+  // zero-terminated line per clause, 1-based variables, '-' for negation.
+  CnfFormula F = makeFormula(3, {{1, -2}, {3}});
+  F.addClause(std::span<const Lit>());
+  EXPECT_EQ(toDimacs(F), "p cnf 3 3\n1 -2 0\n3 0\n0\n");
 }
 
 //===----------------------------------------------------------------------===//
 // Solver statistics sanity
 //===----------------------------------------------------------------------===//
+
+TEST(SatStats, SolveSpanCarriesEveryStatistic) {
+  // The sat.solve span's arguments fill SpanEvent::MaxArgs exactly; one
+  // more would be dropped.
+  obs::Tracer &T = obs::Tracer::instance();
+  T.clear();
+  T.setLevel(obs::Level::Metrics);
+  DiagnosticEngine Diags("combined.jedd");
+  auto Compiled = lang::compileJedd(tableOneSource(), Diags);
+  T.setLevel(obs::Level::Off);
+  ASSERT_TRUE(Compiled != nullptr) << Diags.renderAll();
+  obs::TotalsMap Totals = T.totals();
+  T.clear();
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Row] : Totals)
+    if (Key.Category == obs::Cat::Sat && std::string_view(Key.Name) == "solve")
+      for (uint8_t A = 0; A != Row.NumArgs; ++A)
+        Keys.push_back(Row.Args[A].Key);
+  EXPECT_EQ(Keys, (std::vector<std::string>{
+                      "vars", "clauses", "decisions", "propagations",
+                      "conflicts", "learned_clauses", "restarts", "sat"}));
+}
 
 TEST(SatStats, CountsActivity) {
   SplitMix64 Rng(77);

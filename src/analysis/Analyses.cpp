@@ -197,13 +197,19 @@ bool PointsToAnalysis::solve() {
 
     // The layout rule: compositions quantify V2 (pt:store1 quantifies
     // V1, pt:load2 O2 and F1), and their results land in Pt's (V1, O1)
-    // or FieldPt's (O2, F1, O1) layout. So the only replaces are two of
-    // Pt: pt:copy's alignment and the pt:base view.
+    // or FieldPt's (O2, F1, O1) layout. So the only replaces are of Pt:
+    // one per pt:copy step for its alignment, and one pt:base view per
+    // iteration.
 
-    // Copy edges: pt(dst) >= pt(src). Pt's Src moves to V2 to meet
-    // AssignR's.
-    Pt |= AssignR.compose(Pt, {AU.Src}, {AU.Src}, JEDD_SITE("pt:copy"))
-              .rename(AU.Dst, AU.Src);
+    // Copy edges, to a fixpoint before the field rules (Berndl et al.):
+    // pt(dst) >= pt(src). Pt's Src moves to V2 to meet AssignR's.
+    while (true) {
+      Relation Before = Pt;
+      Pt |= AssignR.compose(Pt, {AU.Src}, {AU.Src}, JEDD_SITE("pt:copy"))
+                .rename(AU.Dst, AU.Src);
+      if (Pt == Before)
+        break;
+    }
 
     // A points-to view keyed for base lookups: <Src V2, BaseObj O2>, so
     // pt:store2 and pt:load1 compare it in place and pt:load2 finds

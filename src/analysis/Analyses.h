@@ -25,6 +25,7 @@
 
 #include "rel/Relation.h"
 #include "soot/ProgramModel.h"
+#include "util/BitSet.h"
 
 #include <map>
 #include <set>
@@ -261,6 +262,9 @@ struct ReferenceResults {
   /// callGraph[callIndex] = set of target methods.
   std::vector<std::set<soot::Id>> CallGraph;
   std::set<soot::Id> ReachableMethods;
+  /// fieldPt[(baseobj site, field)] = sites, as bitsets over the sites
+  /// (a key may map to an empty set).
+  std::map<std::pair<soot::Id, soot::Id>, BitSet> FieldPt;
   /// (method, site, field) write/read effects, transitive.
   std::set<std::tuple<soot::Id, soot::Id, soot::Id>> TotalWrite;
   std::set<std::tuple<soot::Id, soot::Id, soot::Id>> TotalRead;

@@ -64,7 +64,8 @@ void HandCodedPointsTo::loadFacts(
   // Physical domain conventions, maintained by hand. The rule: solve()'s
   // relProds quantify V2 (except the store's first, on V1, and the load's
   // second, on O2 and F1), and their results land in Pt's or FieldPt's
-  // layout, so the only replaces are the two of Pt.
+  // layout, so the only replaces are of Pt: one per copy step and one
+  // base view per iteration.
   //   Alloc, Pt:  (V1 var, O1 obj)
   //   Assign:     (V2 src, V1 dst)
   //   Load:       (V2 base, F1 fld, V1 dst)
@@ -102,11 +103,15 @@ void HandCodedPointsTo::solve() {
     bdd::Bdd OldPt = Pt;
     bdd::Bdd OldFieldPt = FieldPt;
 
-    // Copy edges: exists V2. Assign(V2,V1) & Pt moved to (V2,O1) ->
-    // (V1,O1), Pt's layout.
-    bdd::Bdd Copied = Mgr.relProd(Assign, Pack.replaceDomains(Pt, {{V1, V2}}),
-                                  CubeV2);
-    Pt = Pt | Copied;
+    // Copy edges, to a fixpoint before the field rules: exists V2.
+    // Assign(V2,V1) & Pt moved to (V2,O1) -> (V1,O1), Pt's layout.
+    while (true) {
+      bdd::Bdd Before = Pt;
+      Pt = Pt | Mgr.relProd(Assign, Pack.replaceDomains(Pt, {{V1, V2}}),
+                            CubeV2);
+      if (Pt == Before)
+        break;
+    }
 
     // Points-to of base variables, moved into (V2 base, O2 baseobj).
     bdd::Bdd PtBase = Pack.replaceDomains(Pt, {{V1, V2}, {O1, O2}});
@@ -271,6 +276,7 @@ ReferenceResults jedd::analysis::computeReference(const Program &Prog) {
         [&](size_t Site) { R.PointsTo[V].insert(static_cast<Id>(Site)); });
   R.CallGraph = Core.CallGraph;
   R.ReachableMethods = Core.Reachable;
+  R.FieldPt = std::move(Core.FieldPt);
 
   auto MethodReachable = [&](Id M) {
     return R.ReachableMethods.count(M) != 0;

@@ -48,8 +48,9 @@ struct GeneratorParams {
 Program generateProgram(const GeneratorParams &Params);
 
 /// Preset approximating one of the paper's Table 2 benchmarks:
-/// "javac_s", "compress", "javac", "sablecc", "jedit". Fatal error on an
-/// unknown name.
+/// "javac_s", "compress", "javac", "sablecc", "jedit"; or a scale
+/// preset, "jedit_x4" or "jedit_x8" (four and eight times jedit's
+/// classes and signatures). Fatal error on an unknown name.
 GeneratorParams benchmarkPreset(const std::string &Name);
 
 /// Names of the Table 2 benchmarks, in the paper's row order.

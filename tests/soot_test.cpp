@@ -118,6 +118,38 @@ TEST(SootGenerator, PresetsScaleMonotonically) {
   }
 }
 
+TEST(SootGenerator, ScalePresetsResolveOutsideTable2) {
+  struct Shape {
+    std::string Name;
+    unsigned Classes, Signatures;
+  };
+  auto ExpectShape = [](const Shape &S) {
+    GeneratorParams Params = benchmarkPreset(S.Name);
+    EXPECT_EQ(Params.NumClasses, S.Classes) << S.Name;
+    EXPECT_EQ(Params.NumSignatures, S.Signatures) << S.Name;
+    EXPECT_EQ(Params.NumFields, 24u) << S.Name;
+    EXPECT_EQ(Params.Seed, 0x6a656464u) << S.Name;
+  };
+  // The five Table 2 presets, in the paper's row order, are unchanged.
+  std::vector<Shape> Table2 = {{"javac_s", 16, 14},
+                               {"compress", 20, 16},
+                               {"javac", 24, 18},
+                               {"sablecc", 27, 20},
+                               {"jedit", 30, 22}};
+  const std::vector<std::string> &Names = table2Benchmarks();
+  ASSERT_EQ(Names.size(), Table2.size());
+  for (size_t I = 0; I != Table2.size(); ++I) {
+    EXPECT_EQ(Names[I], Table2[I].Name);
+    ExpectShape(Table2[I]);
+  }
+  // The scale presets resolve but are not Table 2 rows.
+  for (const Shape &S :
+       {Shape{"jedit_x4", 120, 90}, Shape{"jedit_x8", 240, 180}}) {
+    ExpectShape(S);
+    EXPECT_EQ(std::count(Names.begin(), Names.end(), S.Name), 0) << S.Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Fact extraction
 //===----------------------------------------------------------------------===//

@@ -349,32 +349,26 @@ SideEffectAnalysis::SideEffectAnalysis(AnalysisUniverse &AU,
   DirectRead = LoadOwned.compose(PtBase, {AU.Src}, {AU.Src},
                                  JEDD_SITE("se:rpt"));
 
-  // Method-level call edges, then reflexive-transitive closure.
+  // Method-level call edges <Mth, Callee>.
   Relation MethodEdges =
       CGB.CallerOf.join(CGB.Cg, {AU.Call}, {AU.Call}, JEDD_SITE("se:edges"))
           .projectTo({AU.Mth, AU.Callee}, JEDD_SITE("se:edges2"));
-  Relation Closure = AU.U.empty({{AU.Mth, AU.M1}, {AU.Callee, AU.M2}});
-  Tuples.clear();
-  for (size_t M = 0; M != AU.Prog.Methods.size(); ++M)
-    Tuples.insert(Tuples.end(), {M, M});
-  Closure.insertAll(Tuples);
-  Closure |= MethodEdges;
-  while (true) {
-    // closure(m, mid) . edges(mid, callee) — compare Callee with Mth.
-    Relation Step =
-        Closure.compose(MethodEdges, {AU.Callee}, {AU.Mth},
-                        JEDD_SITE("se:close"));
-    Relation Next = Closure | Step;
-    if (Next == Closure)
-      break;
-    Closure = Next;
-  }
 
-  // Total effects: everything a method's transitive callees do.
-  TotalWrite =
-      Closure.compose(DirectWrite, {AU.Callee}, {AU.Mth},
-                      JEDD_SITE("se:totalw"));
-  TotalRead =
-      Closure.compose(DirectRead, {AU.Callee}, {AU.Mth},
-                      JEDD_SITE("se:totalr"));
+  // Total effects: everything a method's transitive callees do, the least
+  // fixpoint of Total = Direct | edges . Total. The composition stays the
+  // left operand of | so that the result's columns are <Mth, Fld, BaseObj>
+  // (| keeps its left operand's schema order).
+  auto addCallees = [&](const Relation &Direct, rel::Site At) {
+    Relation Total = Direct;
+    while (true) {
+      // edges(m, callee) . total(callee, ...) — compare Callee with Mth.
+      Relation Next =
+          MethodEdges.compose(Total, {AU.Callee}, {AU.Mth}, At) | Total;
+      if (Next == Total)
+        return Next; // Not Total: at the first step it has Direct's order.
+      Total = std::move(Next);
+    }
+  };
+  TotalWrite = addCallees(DirectWrite, JEDD_SITE("se:totalw"));
+  TotalRead = addCallees(DirectRead, JEDD_SITE("se:totalr"));
 }

@@ -200,7 +200,9 @@ private:
 };
 
 /// Side-effect analysis: per-method read/write sets over (object, field)
-/// pairs, both direct and transitively through the call graph.
+/// pairs, both direct and transitively through the call graph. Each
+/// total is the least fixpoint of Total = Direct | edges . Total; no
+/// method-to-method closure is built.
 class SideEffectAnalysis {
 public:
   SideEffectAnalysis(AnalysisUniverse &AU, const PointsToAnalysis &PTA,
@@ -213,11 +215,14 @@ public:
         DirectWrite(std::move(DirectWrite)), TotalRead(std::move(TotalRead)),
         TotalWrite(std::move(TotalWrite)) {}
 
+  // Each effect relation has the attributes {Mth, Fld, BaseObj}; the
+  // column order (what tuples(), contains() and iterate() index by)
+  // follows how each was built.
   rel::Relation VarMethod;   ///< <Src, Mth>: declaring method.
-  rel::Relation DirectRead;  ///< <Mth, BaseObj, Fld>.
-  rel::Relation DirectWrite; ///< <Mth, BaseObj, Fld>.
-  rel::Relation TotalRead;   ///< Including callees, transitively.
-  rel::Relation TotalWrite;
+  rel::Relation DirectRead;  ///< <Fld, Mth, BaseObj>.
+  rel::Relation DirectWrite; ///< <Fld, Mth, BaseObj>.
+  rel::Relation TotalRead;   ///< <Mth, Fld, BaseObj>: with callees.
+  rel::Relation TotalWrite;  ///< <Mth, Fld, BaseObj>: with callees.
 };
 
 //===----------------------------------------------------------------------===//

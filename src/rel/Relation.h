@@ -190,7 +190,12 @@ private:
       : U(U), Schema(std::move(Schema)), Body(std::move(Body)) {}
 
   Universe *U = nullptr;
-  std::vector<AttrBinding> Schema; ///< Sorted by attribute id.
+  /// In construction order, not sorted: normalizeSchema only validates
+  /// it. |, & and - keep the left operand's order; join and compose list
+  /// the left operand's remaining columns, then the right's; copy
+  /// appends the new column. tuples(), contains(), iterate() and
+  /// insertAll() index values by it.
+  std::vector<AttrBinding> Schema;
   bdd::Bdd Body;
 
   /// Checks same universe + same attribute set; returns Other aligned to

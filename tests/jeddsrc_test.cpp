@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyses.h"
+#include "io/Io.h"
 #include "jedd/CppEmit.h"
 #include "jedd/Driver.h"
 #include "jedd/Interp.h"
@@ -85,6 +86,33 @@ TEST(JeddModules, AllFiveCombinedCompile) {
     ASSERT_TRUE(Single != nullptr);
     EXPECT_LT(Single->assignStats().NumRelationalExprs, CombinedExprs);
   }
+}
+
+TEST(JeddModules, EmittedCppIsPinned) {
+  // FNV-1a hashes of the C++ emitted for the combined program and for
+  // each module: any change to the lowering, the solved bindings or the
+  // surviving replaces shows here.
+  auto EmittedHash = [](const std::string &Source, const std::string &Name) {
+    DiagnosticEngine Diags(Name);
+    auto Compiled = compileJedd(Source, Diags);
+    EXPECT_TRUE(Compiled != nullptr) << Diags.renderAll();
+    return Compiled ? io::hashBytes(emitCpp(*Compiled, "all_analyses")) : 0;
+  };
+  std::string Combined = readModule("prelude.jedd");
+  for (const std::string &Name : moduleNames())
+    Combined += readModule(Name);
+  EXPECT_EQ(EmittedHash(Combined, "combined.jedd"), 0xaf5de93356ab68a8ULL);
+
+  const std::pair<const char *, uint64_t> Modules[] = {
+      {"hierarchy.jedd", 0xba0285b710bb049bULL},
+      {"vcr.jedd", 0x1843b653a943acc9ULL},
+      {"pointsto.jedd", 0x397c866c49de29c5ULL},
+      {"callgraph.jedd", 0xa8b7ee0073caab4fULL},
+      {"sideeffect.jedd", 0xe7f4ff7179191878ULL}};
+  for (auto &[Name, Hash] : Modules)
+    EXPECT_EQ(EmittedHash(readModule("prelude.jedd") + readModule(Name), Name),
+              Hash)
+        << Name;
 }
 
 TEST(JeddModules, InterpretedPointsToMatchesNativeImplementation) {

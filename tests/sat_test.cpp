@@ -310,6 +310,12 @@ TEST(SatPinned, TableOneCombinedFormula) {
   const CnfFormula &F = Compiled->assigner().formula();
   EXPECT_EQ(F.NumVars, 7561u);
   EXPECT_EQ(F.numClauses(), 58984u);
+  // The rest of the row.
+  const lang::AssignStats &St = Compiled->assignStats();
+  EXPECT_EQ(St.NumRelationalExprs, 112u);
+  EXPECT_EQ(St.NumExprAttributes, 275u);
+  EXPECT_EQ(St.FlowPaths, 1178u);
+  EXPECT_EQ(St.ReplacesNeeded, 18u);
   expectPinnedSearch(F,
                      {Result::Sat, 11805, 61, 129442, 0, 0xafd1cfedd72bd404ULL});
 }

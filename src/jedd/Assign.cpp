@@ -131,15 +131,10 @@ int DomainAssigner::buildExpr(Expr &E) {
 
   case ExprKind::Literal: {
     E.NodeId = newNode(exprDesc(E.Kind), E.Loc, E.Schema);
-    for (const AttrPhys &AP : E.LitAttrs) {
-      if (AP.Phys.empty())
-        continue;
-      int Attr = Prog.Symbols.findAttribute(AP.Attr);
-      int Phys = Prog.Symbols.findPhysDom(AP.Phys);
-      assert(Attr >= 0 && Phys >= 0 && "checked by semantic analysis");
-      Specified.push_back({aNode(E.NodeId, static_cast<uint32_t>(Attr)),
-                           static_cast<uint32_t>(Phys)});
-    }
+    for (const AttrPhys &AP : E.LitAttrs)
+      if (AP.PhysId >= 0)
+        Specified.push_back({aNode(E.NodeId, AP.AttrId),
+                             static_cast<uint32_t>(AP.PhysId)});
     return E.NodeId;
   }
 
@@ -152,27 +147,19 @@ int DomainAssigner::buildExpr(Expr &E) {
     recordWrappers(E.NodeId, W, -1);
     if (W < 0)
       return E.NodeId;
-    uint32_t From =
-        static_cast<uint32_t>(Prog.Symbols.findAttribute(E.From));
     if (E.Kind == ExprKind::Project) {
       for (uint32_t A : E.Schema)
         addEquality(aNode(E.NodeId, A), aNode(W, A));
       // W's projected attribute is tied only to the child; it still gets
       // a physical domain through the child's flow paths.
-    } else if (E.Kind == ExprKind::Rename) {
-      uint32_t To = static_cast<uint32_t>(Prog.Symbols.findAttribute(E.To));
-      for (uint32_t A : E.Sub->Schema)
-        if (A != From)
-          addEquality(aNode(E.NodeId, A), aNode(W, A));
-      addEquality(aNode(E.NodeId, To), aNode(W, From));
-    } else { // Copy: (From => To CopyTo).
-      uint32_t To = static_cast<uint32_t>(Prog.Symbols.findAttribute(E.To));
-      for (uint32_t A : E.Sub->Schema)
-        if (A != From)
-          addEquality(aNode(E.NodeId, A), aNode(W, A));
-      addEquality(aNode(E.NodeId, To), aNode(W, From));
-      // CopyTo is a fresh attribute: constrained only by the conflict
+    } else {
+      // Rename and Copy: (From => To) and (From => To CopyTo). A copy's
+      // CopyTo is a fresh attribute, constrained only by the conflict
       // edges within this node.
+      for (uint32_t A : E.Sub->Schema)
+        if (A != E.FromId)
+          addEquality(aNode(E.NodeId, A), aNode(W, A));
+      addEquality(aNode(E.NodeId, E.ToId), aNode(W, E.FromId));
     }
     return E.NodeId;
   }
@@ -205,14 +192,6 @@ int DomainAssigner::buildExpr(Expr &E) {
     recordWrappers(E.NodeId, WL, WR);
     assert(WL >= 0 && WR >= 0 && "join/compose operands cannot be 0B/1B");
 
-    std::vector<uint32_t> LAttrs, RAttrs;
-    for (const std::string &Name : E.LeftAttrs)
-      LAttrs.push_back(
-          static_cast<uint32_t>(Prog.Symbols.findAttribute(Name)));
-    for (const std::string &Name : E.RightAttrs)
-      RAttrs.push_back(
-          static_cast<uint32_t>(Prog.Symbols.findAttribute(Name)));
-
     auto IsCompared = [](const std::vector<uint32_t> &List, uint32_t A) {
       return std::find(List.begin(), List.end(), A) != List.end();
     };
@@ -222,27 +201,21 @@ int DomainAssigner::buildExpr(Expr &E) {
       for (uint32_t T : E.Left->Schema)
         addEquality(aNode(E.NodeId, T), aNode(WL, T));
       for (uint32_t U : E.Right->Schema)
-        if (!IsCompared(RAttrs, U))
+        if (!IsCompared(E.RightIds, U))
           addEquality(aNode(E.NodeId, U), aNode(WR, U));
-      for (size_t I = 0; I != LAttrs.size(); ++I)
-        addEquality(aNode(E.NodeId, LAttrs[I]), aNode(WR, RAttrs[I]));
+      for (size_t I = 0; I != E.LeftIds.size(); ++I)
+        addEquality(aNode(E.NodeId, E.LeftIds[I]), aNode(WR, E.RightIds[I]));
     } else {
       // Compose: compared attributes meet on the operand wrappers and
       // are projected away by the relational product.
       for (uint32_t T : E.Left->Schema)
-        if (!IsCompared(LAttrs, T))
+        if (!IsCompared(E.LeftIds, T))
           addEquality(aNode(E.NodeId, T), aNode(WL, T));
       for (uint32_t U : E.Right->Schema)
-        if (!IsCompared(RAttrs, U))
+        if (!IsCompared(E.RightIds, U))
           addEquality(aNode(E.NodeId, U), aNode(WR, U));
-      std::vector<size_t> Slots;
-      for (size_t I = 0; I != LAttrs.size(); ++I) {
-        addEquality(aNode(WL, LAttrs[I]), aNode(WR, RAttrs[I]));
-        Slots.push_back(aNode(WL, LAttrs[I]));
-      }
-      if (ComposeSlots.size() <= static_cast<size_t>(E.NodeId))
-        ComposeSlots.resize(E.NodeId + 1);
-      ComposeSlots[E.NodeId] = std::move(Slots);
+      for (size_t I = 0; I != E.LeftIds.size(); ++I)
+        addEquality(aNode(WL, E.LeftIds[I]), aNode(WR, E.RightIds[I]));
     }
     return E.NodeId;
   }
@@ -250,15 +223,15 @@ int DomainAssigner::buildExpr(Expr &E) {
   return -1;
 }
 
-void DomainAssigner::connectAssignment(int VarNode,
-                                       const std::vector<uint32_t> &VarAttrs,
-                                       Expr &Rhs, SourceLoc Loc) {
+void DomainAssigner::connectAssignment(int VarIndex, Expr &Rhs,
+                                       SourceLoc Loc) {
   int RhsNode = buildExpr(Rhs);
   if (RhsNode < 0)
     return; // x = 0B imposes nothing.
   int W = wrapOperand(RhsNode, Rhs.Schema, Loc);
-  for (uint32_t A : VarAttrs)
-    addEquality(aNode(VarNode, A), aNode(W, A));
+  const CheckedVar &V = Prog.Vars[VarIndex];
+  for (uint32_t A : V.Attrs)
+    addEquality(aNode(V.NodeId, A), aNode(W, A));
 }
 
 void DomainAssigner::buildCondition(Stmt &S) {
@@ -279,34 +252,15 @@ void DomainAssigner::buildCondition(Stmt &S) {
 }
 
 void DomainAssigner::buildStmt(Stmt &S) {
-  // Scoped variable lookup: the current function's variables shadow
-  // globals, mirroring the checker's scope rules.
-  auto FindVar = [&](const std::string &Name) -> CheckedVar * {
-    CheckedVar *Global = nullptr;
-    for (CheckedVar &V : Prog.Vars) {
-      if (V.Name != Name)
-        continue;
-      if (V.Function == CurFunction)
-        return &V;
-      if (V.Function == -1)
-        Global = &V;
-    }
-    return Global;
-  };
-
   switch (S.Kind) {
-  case StmtKind::Decl: {
+  case StmtKind::Decl:
     // The variable's node was created up front; hook up the initializer.
     if (S.Init)
-      if (CheckedVar *V = FindVar(S.Name))
-        connectAssignment(V->NodeId, V->Attrs, *S.Init, S.Loc);
+      connectAssignment(S.VarIndex, *S.Init, S.Loc);
     return;
-  }
-  case StmtKind::Assign: {
-    if (CheckedVar *V = FindVar(S.Name))
-      connectAssignment(V->NodeId, V->Attrs, *S.Rhs, S.Loc);
+  case StmtKind::Assign:
+    connectAssignment(S.VarIndex, *S.Rhs, S.Loc);
     return;
-  }
   case StmtKind::DoWhile:
   case StmtKind::While:
     buildCondition(S);
@@ -332,11 +286,8 @@ void DomainAssigner::buildGraph() {
     for (auto &[Attr, Phys] : V.SpecifiedPhys)
       Specified.push_back({aNode(V.NodeId, Attr), Phys});
   }
-  for (size_t I = 0; I != Prog.Ast.Functions.size(); ++I) {
-    CurFunction = static_cast<int>(I);
-    buildBlock(Prog.Ast.Functions[I].Body);
-  }
-  CurFunction = -1;
+  for (FunctionDecl &F : Prog.Ast.Functions)
+    buildBlock(F.Body);
 }
 
 //===----------------------------------------------------------------------===//
@@ -686,22 +637,8 @@ std::vector<std::pair<uint32_t, uint32_t>>
 DomainAssigner::bindingsOfVar(const CheckedVar &V) const {
   // Declaration order, so tuple values read like the source's <a, b, c>.
   std::vector<std::pair<uint32_t, uint32_t>> Result;
-  const std::vector<uint32_t> &Order =
-      V.DeclOrder.empty() ? V.Attrs : V.DeclOrder;
-  for (uint32_t A : Order)
+  for (uint32_t A : V.DeclOrder)
     Result.push_back({A, physOf(V.NodeId, A)});
-  return Result;
-}
-
-std::vector<uint32_t>
-DomainAssigner::composeComparePhys(const Expr &E) const {
-  assert(E.Kind == ExprKind::Compose && "compose expressions only");
-  assert(E.NodeId >= 0 &&
-         static_cast<size_t>(E.NodeId) < ComposeSlots.size() &&
-         "compose slots missing");
-  std::vector<uint32_t> Result;
-  for (size_t Slot : ComposeSlots[E.NodeId])
-    Result.push_back(Assignment[Slot]);
   return Result;
 }
 

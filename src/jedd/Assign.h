@@ -95,10 +95,6 @@ public:
   std::vector<std::pair<uint32_t, uint32_t>>
   bindingsOfVar(const CheckedVar &V) const;
 
-  /// For a Compose expression: the physical domains the compared
-  /// attribute pairs meet in (one per compared pair, in list order).
-  std::vector<uint32_t> composeComparePhys(const Expr &E) const;
-
   /// Solved bindings of the dummy replace wrapped around operand
   /// \p OperandIndex (0 = only/left, 1 = right) of expression E: where
   /// the operand's value must be moved before the operation runs. Empty
@@ -127,8 +123,6 @@ private:
 
   CheckedProgram &Prog;
   DiagnosticEngine &Diags;
-  /// Function whose body is being walked during graph construction.
-  int CurFunction = -1;
 
   std::vector<Node> Nodes;
   std::vector<Edge> EqualityEdges;
@@ -137,9 +131,6 @@ private:
   std::vector<std::pair<size_t, uint32_t>> Specified;
   size_t NumANodes = 0;
 
-  /// For compose expressions: per Expr NodeId, the wrapper ANodes the
-  /// compared pairs live on (left wrapper side).
-  std::vector<std::vector<size_t>> ComposeSlots;
   /// Per Expr NodeId: graph nodes of the operand wrappers (-1 if none).
   std::vector<std::array<int, 2>> OperandWrappers;
 
@@ -173,9 +164,9 @@ private:
                   SourceLoc Loc);
   void buildStmt(Stmt &S);
   void buildBlock(Block &B);
-  /// Ties an expression's result into a variable through a wrapper.
-  void connectAssignment(int VarNode, const std::vector<uint32_t> &VarAttrs,
-                         Expr &Rhs, SourceLoc Loc);
+  /// Ties an expression's result into variable \p VarIndex through a
+  /// wrapper.
+  void connectAssignment(int VarIndex, Expr &Rhs, SourceLoc Loc);
   /// Builds the comparison constraints of a condition.
   void buildCondition(Stmt &S);
 

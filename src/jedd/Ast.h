@@ -37,6 +37,10 @@ struct AttrPhys {
   std::string Attr;
   std::string Phys; ///< Empty when no physical domain was specified.
   SourceLoc Loc;
+  /// In a literal, filled in by semantic analysis: the attribute's id and
+  /// the pinned physical domain's id (-1 when Phys is empty).
+  uint32_t AttrId = 0;
+  int PhysId = -1;
 };
 
 /// A relation type `<a:T1, b, c:T2>`.
@@ -88,6 +92,10 @@ struct Expr {
   std::vector<uint32_t> Schema;
   /// For VarRef: index of the resolved variable (-1 before checking).
   int VarIndex = -1;
+  /// Project/Rename/Copy: ids of From, To and CopyTo.
+  uint32_t FromId = 0, ToId = 0, CopyToId = 0;
+  /// Join/Compose: ids of LeftAttrs and RightAttrs, in list order.
+  std::vector<uint32_t> LeftIds, RightIds;
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
@@ -121,6 +129,10 @@ struct Stmt {
   bool CondIsEq = true;
   Block Body;
   Block ElseBody; ///< If only.
+
+  /// Decl/Assign: index of the declared or assigned variable, filled in
+  /// by semantic analysis (-1 before checking).
+  int VarIndex = -1;
 };
 
 struct DomainDecl {
@@ -152,6 +164,8 @@ struct Param {
   RelTypeAst Type;
   std::string Name;
   SourceLoc Loc;
+  /// Index of the parameter's variable, filled in by semantic analysis.
+  int VarIndex = -1;
 };
 
 struct FunctionDecl {

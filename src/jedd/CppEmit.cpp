@@ -26,7 +26,6 @@ private:
   std::string Out;
   int Indent = 1;
   int NextTemp = 0;
-  int CurFunction = -1;
 
   const CheckedProgram &prog() const { return Compiled.program(); }
   const SymbolTable &symbols() const { return Compiled.program().Symbols; }
@@ -43,10 +42,12 @@ private:
   std::string physRef(uint32_t Phys) {
     return "P_" + symbols().PhysDoms[Phys].Name;
   }
-  std::string varRef(const std::string &Name, int Function) {
-    int Var = Compiled.findVar(Name, Function);
+  std::string varRef(int Var) {
     const CheckedVar &V = prog().Vars[Var];
     return (V.Function == -1 ? "G_" : "L_") + V.Name;
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> varBindings(int Var) {
+    return Compiled.assigner().bindingsOfVar(prog().Vars[Var]);
   }
 
   std::string bindingsText(
@@ -104,7 +105,7 @@ std::string Emitter::emitExpr(
   const DomainAssigner &A = Compiled.assigner();
   switch (E.Kind) {
   case ExprKind::VarRef:
-    return varRef(E.Name, prog().Vars[E.VarIndex].Function);
+    return varRef(E.VarIndex);
 
   case ExprKind::Const0:
     return "U.empty(" + bindingsText(ContextBindings) + ")";
@@ -115,8 +116,7 @@ std::string Emitter::emitExpr(
     std::vector<std::pair<uint32_t, uint32_t>> Schema;
     std::string Values = "{";
     for (size_t I = 0; I != E.LitAttrs.size(); ++I) {
-      uint32_t Attr = static_cast<uint32_t>(
-          symbols().findAttribute(E.LitAttrs[I].Attr));
+      uint32_t Attr = E.LitAttrs[I].AttrId;
       Schema.push_back({Attr, A.physOf(E.NodeId, Attr)});
       if (I)
         Values += ", ";
@@ -129,27 +129,22 @@ std::string Emitter::emitExpr(
 
   case ExprKind::Project: {
     std::string Sub = emitOperand(*E.Sub, A.operandWrapperBindings(E, 0));
-    uint32_t From = static_cast<uint32_t>(symbols().findAttribute(E.From));
-    return Sub + ".project({" + attrRef(From) + "})";
+    return Sub + ".project({" + attrRef(E.FromId) + "})";
   }
   case ExprKind::Rename: {
     std::string Sub = emitOperand(*E.Sub, A.operandWrapperBindings(E, 0));
-    uint32_t From = static_cast<uint32_t>(symbols().findAttribute(E.From));
-    uint32_t To = static_cast<uint32_t>(symbols().findAttribute(E.To));
-    return Sub + ".rename(" + attrRef(From) + ", " + attrRef(To) + ")";
+    return Sub + ".rename(" + attrRef(E.FromId) + ", " + attrRef(E.ToId) +
+           ")";
   }
   case ExprKind::Copy: {
     std::string Sub = emitOperand(*E.Sub, A.operandWrapperBindings(E, 0));
-    uint32_t From = static_cast<uint32_t>(symbols().findAttribute(E.From));
-    uint32_t To = static_cast<uint32_t>(symbols().findAttribute(E.To));
-    uint32_t CopyTo =
-        static_cast<uint32_t>(symbols().findAttribute(E.CopyTo));
-    std::string Renamed =
-        From == To ? Sub
-                   : Sub + ".rename(" + attrRef(From) + ", " + attrRef(To) +
-                         ")";
-    return Renamed + ".copy(" + attrRef(To) + ", " + attrRef(CopyTo) +
-           ", " + physRef(A.physOf(E.NodeId, CopyTo)) + ")";
+    std::string Renamed = E.FromId == E.ToId
+                              ? Sub
+                              : Sub + ".rename(" + attrRef(E.FromId) + ", " +
+                                    attrRef(E.ToId) + ")";
+    return Renamed + ".copy(" + attrRef(E.ToId) + ", " +
+           attrRef(E.CopyToId) + ", " +
+           physRef(A.physOf(E.NodeId, E.CopyToId)) + ")";
   }
 
   case ExprKind::Union:
@@ -173,15 +168,13 @@ std::string Emitter::emitExpr(
     std::string L = emitOperand(*E.Left, A.operandWrapperBindings(E, 0));
     std::string R = emitOperand(*E.Right, A.operandWrapperBindings(E, 1));
     std::string LA = "{", RA = "{";
-    for (size_t I = 0; I != E.LeftAttrs.size(); ++I) {
+    for (size_t I = 0; I != E.LeftIds.size(); ++I) {
       if (I) {
         LA += ", ";
         RA += ", ";
       }
-      LA += attrRef(static_cast<uint32_t>(
-          symbols().findAttribute(E.LeftAttrs[I])));
-      RA += attrRef(static_cast<uint32_t>(
-          symbols().findAttribute(E.RightAttrs[I])));
+      LA += attrRef(E.LeftIds[I]);
+      RA += attrRef(E.RightIds[I]);
     }
     LA += "}";
     RA += "}";
@@ -214,23 +207,20 @@ std::string Emitter::emitCondition(const Stmt &S) {
 void Emitter::emitStmt(const Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Decl: {
-    int Var = Compiled.findVar(S.Name, CurFunction);
-    auto Bindings = Compiled.assigner().bindingsOfVar(prog().Vars[Var]);
+    auto Bindings = varBindings(S.VarIndex);
     std::string Init =
         S.Init ? emitOperand(*S.Init, Bindings)
                : "U.empty(" + bindingsText(Bindings) + ")";
-    line("jedd::rel::Relation L_" + S.Name + " = " + Init + ";");
+    line("jedd::rel::Relation " + varRef(S.VarIndex) + " = " + Init + ";");
     return;
   }
   case StmtKind::Assign: {
-    int Var = Compiled.findVar(S.Name, CurFunction);
-    auto Bindings = Compiled.assigner().bindingsOfVar(prog().Vars[Var]);
-    std::string Rhs = emitOperand(*S.Rhs, Bindings);
+    std::string Rhs = emitOperand(*S.Rhs, varBindings(S.VarIndex));
     const char *Op = S.Op == AssignOpKind::Set         ? " = "
                      : S.Op == AssignOpKind::Union     ? " |= "
                      : S.Op == AssignOpKind::Intersect ? " &= "
                                                        : " -= ";
-    line(varRef(S.Name, CurFunction) + Op + Rhs + ";");
+    line(varRef(S.VarIndex) + Op + Rhs + ";");
     return;
   }
   case StmtKind::DoWhile:
@@ -307,9 +297,7 @@ std::string Emitter::run() {
              bindingsText(Compiled.assigner().bindingsOfVar(V)) + ");\n";
   Out += "}\n";
 
-  for (size_t F = 0; F != prog().Ast.Functions.size(); ++F) {
-    const FunctionDecl &Fn = prog().Ast.Functions[F];
-    CurFunction = static_cast<int>(F);
+  for (const FunctionDecl &Fn : prog().Ast.Functions) {
     Out += "\nvoid " + Fn.Name + "(";
     for (size_t I = 0; I != Fn.Params.size(); ++I) {
       if (I)
@@ -318,17 +306,12 @@ std::string Emitter::run() {
     }
     Out += ") {\n";
     // Re-align parameters to their solved bindings.
-    for (const Param &P : Fn.Params) {
-      int Var = Compiled.findVar(P.Name, CurFunction);
+    for (const Param &P : Fn.Params)
       Out += "  L_" + P.Name + " = L_" + P.Name + ".withBindings(" +
-             bindingsText(
-                 Compiled.assigner().bindingsOfVar(prog().Vars[Var])) +
-             ");\n";
-    }
+             bindingsText(varBindings(P.VarIndex)) + ");\n";
     emitBlock(Fn.Body);
     Out += "}\n";
   }
-  CurFunction = -1;
 
   Out += "\n} // namespace " + UnitName + "\n";
   return Out;

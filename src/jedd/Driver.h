@@ -51,6 +51,9 @@ public:
   void buildUniverse(rel::Universe &U, const std::string &OrderSpec = "",
                      size_t InitialNodes = 1 << 16) const;
 
+  /// Name lookups for hosts that address functions and relations by
+  /// name; the compiler's own passes read the indices the checker
+  /// recorded on the AST instead.
   /// Index of a function by name; -1 when absent.
   int findFunction(const std::string &Name) const;
   /// Index of a variable by name: locals/params of \p Function first,

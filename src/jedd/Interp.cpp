@@ -24,8 +24,7 @@ Interpreter::Interpreter(const CompiledProgram &Compiled, rel::Universe &U)
   // bindings; globals keep state across calls.
   Values.resize(prog().Vars.size());
   for (size_t I = 0; I != prog().Vars.size(); ++I)
-    Values[I] =
-        U.empty(toBindings(assigner().bindingsOfVar(prog().Vars[I])));
+    Values[I] = U.empty(varBindings(static_cast<int>(I)));
 }
 
 std::vector<AttrBinding> Interpreter::toBindings(
@@ -53,8 +52,7 @@ rel::Relation Interpreter::emptyOfVar(const std::string &Name,
                                       int Function) const {
   int Var = Compiled.findVar(Name, Function);
   JEDD_CHECK(Var >= 0, "unknown relation '" + Name + "'");
-  return const_cast<rel::Universe &>(U).empty(
-      toBindings(assigner().bindingsOfVar(prog().Vars[Var])));
+  return const_cast<rel::Universe &>(U).empty(varBindings(Var));
 }
 
 rel::Relation Interpreter::getGlobal(const std::string &Name) const {
@@ -69,8 +67,7 @@ void Interpreter::setGlobal(const std::string &Name,
   int Var = Compiled.findVar(Name, -1);
   JEDD_CHECK(Var >= 0 && prog().Vars[Var].Function == -1,
              "unknown global relation '" + Name + "'");
-  Values[Var] = alignTo(
-      Value, toBindings(assigner().bindingsOfVar(prog().Vars[Var])));
+  Values[Var] = alignTo(Value, varBindings(Var));
 }
 
 Relation Interpreter::evalOperand(const Expr &E,
@@ -82,13 +79,15 @@ Relation Interpreter::evalOperand(const Expr &E,
   return alignTo(evalExpr(E), Bindings);
 }
 
+rel::Site Interpreter::siteOf(const Expr &E) {
+  auto [It, New] = SiteLabels.try_emplace(E.NodeId);
+  if (New)
+    It->second = strFormat("%u,%u", E.Loc.Line, E.Loc.Col);
+  return rel::Site(It->second.c_str(), "<jedd>", E.Loc.Line);
+}
+
 Relation Interpreter::evalExpr(const Expr &E) {
   const DomainAssigner &A = assigner();
-  // Site labels for interpreted programs carry the expression's source
-  // position; the label string must outlive the relational call it tags.
-  std::string SiteLabel = strFormat("%u,%u", E.Loc.Line, E.Loc.Col);
-  rel::Site At(SiteLabel.c_str(), "<jedd>", E.Loc.Line);
-
   switch (E.Kind) {
   case ExprKind::VarRef:
     return Values[E.VarIndex];
@@ -100,38 +99,26 @@ Relation Interpreter::evalExpr(const Expr &E) {
   case ExprKind::Literal: {
     // Build the schema in piece order so values line up.
     std::vector<AttrBinding> Schema;
-    for (const AttrPhys &AP : E.LitAttrs) {
-      uint32_t Attr = static_cast<uint32_t>(
-          prog().Symbols.findAttribute(AP.Attr));
-      Schema.push_back({Attr, A.physOf(E.NodeId, Attr)});
-    }
+    for (const AttrPhys &AP : E.LitAttrs)
+      Schema.push_back({AP.AttrId, A.physOf(E.NodeId, AP.AttrId)});
     return U.tuple(std::move(Schema), E.Values);
   }
 
   case ExprKind::Project: {
     Relation V = evalOperand(*E.Sub, toBindings(A.operandWrapperBindings(E, 0)));
-    uint32_t From =
-        static_cast<uint32_t>(prog().Symbols.findAttribute(E.From));
-    return V.project({From}, At);
+    return V.project({E.FromId}, siteOf(E));
   }
 
   case ExprKind::Rename: {
     Relation V = evalOperand(*E.Sub, toBindings(A.operandWrapperBindings(E, 0)));
-    uint32_t From =
-        static_cast<uint32_t>(prog().Symbols.findAttribute(E.From));
-    uint32_t To = static_cast<uint32_t>(prog().Symbols.findAttribute(E.To));
-    return V.rename(From, To, At);
+    return V.rename(E.FromId, E.ToId, siteOf(E));
   }
 
   case ExprKind::Copy: {
     Relation V = evalOperand(*E.Sub, toBindings(A.operandWrapperBindings(E, 0)));
-    uint32_t From =
-        static_cast<uint32_t>(prog().Symbols.findAttribute(E.From));
-    uint32_t To = static_cast<uint32_t>(prog().Symbols.findAttribute(E.To));
-    uint32_t CopyTo =
-        static_cast<uint32_t>(prog().Symbols.findAttribute(E.CopyTo));
-    Relation Renamed = To == From ? V : V.rename(From, To, At);
-    return Renamed.copy(To, CopyTo, A.physOf(E.NodeId, CopyTo),
+    rel::Site At = siteOf(E);
+    Relation Renamed = E.ToId == E.FromId ? V : V.rename(E.FromId, E.ToId, At);
+    return Renamed.copy(E.ToId, E.CopyToId, A.physOf(E.NodeId, E.CopyToId),
                         At);
   }
 
@@ -154,16 +141,9 @@ Relation Interpreter::evalExpr(const Expr &E) {
         evalOperand(*E.Left, toBindings(A.operandWrapperBindings(E, 0)));
     Relation R =
         evalOperand(*E.Right, toBindings(A.operandWrapperBindings(E, 1)));
-    std::vector<uint32_t> LAttrs, RAttrs;
-    for (const std::string &Name : E.LeftAttrs)
-      LAttrs.push_back(
-          static_cast<uint32_t>(prog().Symbols.findAttribute(Name)));
-    for (const std::string &Name : E.RightAttrs)
-      RAttrs.push_back(
-          static_cast<uint32_t>(prog().Symbols.findAttribute(Name)));
     if (E.Kind == ExprKind::Join)
-      return L.join(R, LAttrs, RAttrs, At);
-    return L.compose(R, LAttrs, RAttrs, At);
+      return L.join(R, E.LeftIds, E.RightIds, siteOf(E));
+    return L.compose(R, E.LeftIds, E.RightIds, siteOf(E));
   }
   }
   fatalError("unhandled expression kind in the interpreter");
@@ -187,60 +167,51 @@ bool Interpreter::evalCondition(const Stmt &S) {
   return S.CondIsEq ? Equal : !Equal;
 }
 
-void Interpreter::execStmt(const Stmt &S, int Function) {
+void Interpreter::execStmt(const Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Decl: {
-    int Var = Compiled.findVar(S.Name, Function);
-    JEDD_CHECK(Var >= 0, "unresolved local '" + S.Name + "'");
-    std::vector<AttrBinding> Bindings =
-        toBindings(assigner().bindingsOfVar(prog().Vars[Var]));
-    Values[Var] = S.Init ? evalOperand(*S.Init, Bindings)
-                         : U.empty(Bindings);
+    std::vector<AttrBinding> Bindings = varBindings(S.VarIndex);
+    Values[S.VarIndex] =
+        S.Init ? evalOperand(*S.Init, Bindings) : U.empty(Bindings);
     return;
   }
   case StmtKind::Assign: {
-    int Var = Compiled.findVar(S.Name, Function);
-    JEDD_CHECK(Var >= 0, "unresolved relation '" + S.Name + "'");
-    std::vector<AttrBinding> Bindings =
-        toBindings(assigner().bindingsOfVar(prog().Vars[Var]));
-    Relation Rhs = evalOperand(*S.Rhs, Bindings);
+    Relation &Var = Values[S.VarIndex];
+    Relation Rhs = evalOperand(*S.Rhs, varBindings(S.VarIndex));
     switch (S.Op) {
     case AssignOpKind::Set:
-      Values[Var] = std::move(Rhs);
+      Var = std::move(Rhs);
       break;
     case AssignOpKind::Union:
-      Values[Var] |= Rhs;
+      Var |= Rhs;
       break;
     case AssignOpKind::Intersect:
-      Values[Var] &= Rhs;
+      Var &= Rhs;
       break;
     case AssignOpKind::Difference:
-      Values[Var] -= Rhs;
+      Var -= Rhs;
       break;
     }
     return;
   }
   case StmtKind::DoWhile:
     do {
-      execBlock(S.Body, Function);
+      execBlock(S.Body);
     } while (evalCondition(S));
     return;
   case StmtKind::While:
     while (evalCondition(S))
-      execBlock(S.Body, Function);
+      execBlock(S.Body);
     return;
   case StmtKind::If:
-    if (evalCondition(S))
-      execBlock(S.Body, Function);
-    else
-      execBlock(S.ElseBody, Function);
+    execBlock(evalCondition(S) ? S.Body : S.ElseBody);
     return;
   }
 }
 
-void Interpreter::execBlock(const Block &B, int Function) {
+void Interpreter::execBlock(const Block &B) {
   for (const StmtPtr &S : B.Stmts)
-    execStmt(*S, Function);
+    execStmt(*S);
 }
 
 void Interpreter::call(const std::string &Name,
@@ -252,10 +223,8 @@ void Interpreter::call(const std::string &Name,
              strFormat("function '%s' expects %zu arguments, got %zu",
                        Name.c_str(), F.Params.size(), Args.size()));
   for (size_t I = 0; I != Args.size(); ++I) {
-    int Var = Compiled.findVar(F.Params[I].Name, Function);
-    JEDD_CHECK(Var >= 0, "unresolved parameter");
-    Values[Var] = alignTo(
-        Args[I], toBindings(assigner().bindingsOfVar(prog().Vars[Var])));
+    int Var = F.Params[I].VarIndex;
+    Values[Var] = alignTo(Args[I], varBindings(Var));
   }
-  execBlock(F.Body, Function);
+  execBlock(F.Body);
 }

@@ -23,8 +23,8 @@
 #include "jedd/Driver.h"
 #include "rel/Relation.h"
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace jedd {
@@ -51,8 +51,9 @@ public:
   /// mismatch.
   void call(const std::string &Name, std::vector<rel::Relation> Args);
 
-  /// Number of replace operations actually executed so far (for the
-  /// replace-elimination ablation).
+  /// Number of replace operations that moved data so far: each run of a
+  /// replace that survived minimization counts once. jeddc_demo prints
+  /// it; the interpreter tests check it.
   size_t replacesExecuted() const { return ReplacesExecuted; }
 
 private:
@@ -62,22 +63,30 @@ private:
   /// Globals persist across calls; locals are (re)written during calls.
   std::vector<rel::Relation> Values;
   size_t ReplacesExecuted = 0;
+  /// Site label ("line,col") per expression NodeId, built on first use.
+  /// Map nodes stay put, so a label outlives the call it tags.
+  std::unordered_map<int, std::string> SiteLabels;
 
   const CheckedProgram &prog() const { return Compiled.program(); }
   const DomainAssigner &assigner() const { return Compiled.assigner(); }
 
   std::vector<rel::AttrBinding>
   toBindings(const std::vector<std::pair<uint32_t, uint32_t>> &Pairs) const;
+  /// The solved bindings of variable \p Var, in declaration order.
+  std::vector<rel::AttrBinding> varBindings(int Var) const {
+    return toBindings(assigner().bindingsOfVar(prog().Vars[Var]));
+  }
   rel::Relation alignTo(const rel::Relation &Value,
                         const std::vector<rel::AttrBinding> &Target);
 
+  rel::Site siteOf(const Expr &E);
   rel::Relation evalExpr(const Expr &E);
   /// Like evalExpr but materializes 0B/1B with the given bindings.
   rel::Relation evalOperand(const Expr &E,
                             const std::vector<rel::AttrBinding> &Bindings);
   bool evalCondition(const Stmt &S);
-  void execStmt(const Stmt &S, int Function);
-  void execBlock(const Block &B, int Function);
+  void execStmt(const Stmt &S);
+  void execBlock(const Block &B);
 };
 
 } // namespace lang

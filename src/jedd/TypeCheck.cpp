@@ -231,7 +231,7 @@ bool Checker::checkExpr(Expr &E) {
   case ExprKind::Literal: {
     bool Ok = true;
     for (size_t I = 0; I != E.LitAttrs.size(); ++I) {
-      const AttrPhys &AP = E.LitAttrs[I];
+      AttrPhys &AP = E.LitAttrs[I];
       int Attr = resolveAttr(AP.Attr, AP.Loc);
       if (Attr < 0) {
         Ok = false;
@@ -245,6 +245,7 @@ bool Checker::checkExpr(Expr &E) {
         continue;
       }
       E.Schema.push_back(static_cast<uint32_t>(Attr));
+      AP.AttrId = static_cast<uint32_t>(Attr);
       uint64_t DomSize = Result.domainSizeOfAttr(Attr);
       if (E.Values[I] >= DomSize) {
         Diags.error(AP.Loc,
@@ -257,9 +258,12 @@ bool Checker::checkExpr(Expr &E) {
                               static_cast<unsigned long long>(DomSize)));
         Ok = false;
       }
-      if (!AP.Phys.empty() && symbols().findPhysDom(AP.Phys) < 0) {
-        Diags.error(AP.Loc, "unknown physical domain '" + AP.Phys + "'");
-        Ok = false;
+      if (!AP.Phys.empty()) {
+        AP.PhysId = symbols().findPhysDom(AP.Phys);
+        if (AP.PhysId < 0) {
+          Diags.error(AP.Loc, "unknown physical domain '" + AP.Phys + "'");
+          Ok = false;
+        }
       }
     }
     std::sort(E.Schema.begin(), E.Schema.end());
@@ -279,6 +283,7 @@ bool Checker::checkExpr(Expr &E) {
     int From = resolveAttr(E.From, E.FromLoc);
     if (From < 0)
       return false;
+    E.FromId = static_cast<uint32_t>(From);
     const std::vector<uint32_t> &T = E.Sub->Schema;
     if (std::find(T.begin(), T.end(), static_cast<uint32_t>(From)) ==
         T.end()) {
@@ -292,10 +297,11 @@ bool Checker::checkExpr(Expr &E) {
       if (A != static_cast<uint32_t>(From))
         E.Schema.push_back(A);
 
-    auto AddTarget = [&](const std::string &Name) -> bool {
+    auto AddTarget = [&](const std::string &Name, uint32_t &Id) -> bool {
       int To = resolveAttr(Name, E.FromLoc);
       if (To < 0)
         return false;
+      Id = static_cast<uint32_t>(To);
       if (std::find(E.Schema.begin(), E.Schema.end(),
                     static_cast<uint32_t>(To)) != E.Schema.end()) {
         Diags.error(E.FromLoc, "attribute '" + Name +
@@ -315,14 +321,14 @@ bool Checker::checkExpr(Expr &E) {
 
     bool Ok = true;
     if (E.Kind == ExprKind::Rename) {
-      Ok = AddTarget(E.To);
+      Ok = AddTarget(E.To, E.ToId);
     } else if (E.Kind == ExprKind::Copy) {
       if (E.To == E.CopyTo) {
         Diags.error(E.FromLoc,
                     "copy targets must be distinct attributes");
         Ok = false;
       } else {
-        Ok = AddTarget(E.To) && AddTarget(E.CopyTo);
+        Ok = AddTarget(E.To, E.ToId) && AddTarget(E.CopyTo, E.CopyToId);
       }
     }
     std::sort(E.Schema.begin(), E.Schema.end());
@@ -377,7 +383,7 @@ bool Checker::checkExpr(Expr &E) {
       return false;
     }
     bool Ok = true;
-    std::vector<uint32_t> L, R;
+    std::vector<uint32_t> &L = E.LeftIds, &R = E.RightIds;
     for (size_t I = 0; I != E.LeftAttrs.size(); ++I) {
       int A = resolveAttr(E.LeftAttrs[I], E.Loc);
       int B = resolveAttr(E.RightAttrs[I], E.Loc);
@@ -447,9 +453,10 @@ bool Checker::checkExpr(Expr &E) {
 void Checker::checkStmt(Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Decl: {
-    int Var = declareVar(S.DeclType, S.Name, S.Loc, /*IsParam=*/false);
+    // The local is in scope from here on, its own initializer included.
+    S.VarIndex = declareVar(S.DeclType, S.Name, S.Loc, /*IsParam=*/false);
     if (S.Init && checkExpr(*S.Init)) {
-      const CheckedVar &V = Result.Vars[Var];
+      const CheckedVar &V = Result.Vars[S.VarIndex];
       if (isConst(*S.Init)) {
         adoptConstSchema(*S.Init, V.Attrs);
       } else if (S.Init->Schema != V.Attrs) {
@@ -463,15 +470,15 @@ void Checker::checkStmt(Stmt &S) {
     return;
   }
   case StmtKind::Assign: {
-    int Var = lookupVar(S.Name);
-    if (Var < 0) {
+    S.VarIndex = lookupVar(S.Name);
+    if (S.VarIndex < 0) {
       Diags.error(S.Loc, "unknown relation '" + S.Name + "'");
       if (S.Rhs)
         checkExpr(*S.Rhs);
       return;
     }
     if (S.Rhs && checkExpr(*S.Rhs)) {
-      const CheckedVar &V = Result.Vars[Var];
+      const CheckedVar &V = Result.Vars[S.VarIndex];
       if (isConst(*S.Rhs)) {
         adoptConstSchema(*S.Rhs, V.Attrs);
       } else if (S.Rhs->Schema != V.Attrs) {
@@ -521,7 +528,7 @@ void Checker::checkFunction(FunctionDecl &F, int FunctionIndex) {
   CurrentFunction = FunctionIndex;
   Scope.clear();
   for (Param &P : F.Params)
-    declareVar(P.Type, P.Name, P.Loc, /*IsParam=*/true);
+    P.VarIndex = declareVar(P.Type, P.Name, P.Loc, /*IsParam=*/true);
   checkBlock(F.Body);
   CurrentFunction = -1;
 }

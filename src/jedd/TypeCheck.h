@@ -14,6 +14,12 @@
 /// copied and compared attributes must agree (the runtime's object-to-
 /// integer mappings are per-domain).
 ///
+/// This is the only pass that resolves names. It records every result on
+/// the AST (variable indices on VarRefs, Decl/Assign statements and
+/// parameters; attribute and physical-domain ids on attribute operations,
+/// join/compose lists and literals), so domain assignment, the
+/// interpreter and the C++ emitter never look a name up again.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JEDDPP_JEDD_TYPECHECK_H

@@ -187,9 +187,10 @@ private:
   friend class Relation;
 };
 
-/// Normalizes a schema: sorted by attribute id, with uniqueness and
-/// physical-domain-distinctness checks (the [conflict] constraint of
-/// Section 3.3.2, enforced dynamically here).
+/// Validates a schema and returns it in the order given: every attribute
+/// and physical domain is declared, each attribute fits its physical
+/// domain, and no attribute or physical domain occurs twice (the
+/// [conflict] constraint of Section 3.3.2, enforced dynamically here).
 std::vector<AttrBinding> normalizeSchema(const Universe &U,
                                          std::vector<AttrBinding> Schema);
 

@@ -287,6 +287,22 @@ TEST(JeddTypeCheck, RejectsUnknownNames) {
             std::string::npos);
 }
 
+TEST(JeddTypeCheck, RejectsRedeclarationInOneScope) {
+  const std::string Globals = std::string(Prelude) + "relation <a> g;\n";
+  // A nested block does not open a scope, and parameters share the
+  // function's scope with its locals.
+  for (const char *Decls :
+       {"function f() { <a> x = g; while (x != 0B) { <a> x = g; } }",
+        "function f(<a> x) { <a> x = g; }", "relation <a> g;"})
+    EXPECT_NE(checkErrors(Globals + Decls).find("redeclaration of relation"),
+              std::string::npos)
+        << Decls;
+  // Locals may shadow a global, in as many functions as declare them.
+  EXPECT_EQ(checkErrors(Globals + "function f() { <a> g = 0B; }\n"
+                                  "function h(<a> g) { g = 0B; }"),
+            "");
+}
+
 TEST(JeddTypeCheck, ConstantsComparableAndAssignableToAnything) {
   std::string Errors = checkErrors(std::string(Prelude) +
                                    "relation <a, b> g;\n"
@@ -541,6 +557,47 @@ function close() {
   // the if must not clear it.
   EXPECT_DOUBLE_EQ(Closure.size(), 6.0);
   EXPECT_TRUE(Closure.contains({0, 3}));
+}
+
+TEST(JeddScope, LocalShadowsAGlobalOnlyFromItsDeclaration) {
+  // The first `g` is the global: the local of the same name is declared
+  // one statement later. `seen` shows what the local received.
+  DiagnosticEngine Diags;
+  const char *Source = R"(domain D 8;
+attribute a : D;
+physdom P1, P2;
+relation <a:P1> g;
+relation <a:P2> seen;
+function main() {
+  g = new {3=>a};
+  <a:P2> g = new {5=>a};
+  seen = g;
+}
+)";
+  auto Compiled = compileJedd(Source, Diags);
+  ASSERT_TRUE(Compiled != nullptr) << Diags.renderAll();
+
+  rel::Universe U;
+  Compiled->buildUniverse(U);
+  Interpreter Interp(*Compiled, U);
+  Interp.call("main", {});
+  rel::Relation G = Interp.getGlobal("g");
+  EXPECT_DOUBLE_EQ(G.size(), 1.0);
+  EXPECT_TRUE(G.contains({3}));
+  rel::Relation Seen = Interp.getGlobal("seen");
+  EXPECT_DOUBLE_EQ(Seen.size(), 1.0);
+  EXPECT_TRUE(Seen.contains({5}));
+
+  // The emitted main() assigns the global first and declares the local
+  // before its first use.
+  std::string Cpp = emitCpp(*Compiled);
+  const std::string Header = "void main() {\n";
+  size_t Body = Cpp.find(Header);
+  ASSERT_NE(Body, std::string::npos) << Cpp;
+  EXPECT_EQ(Cpp.substr(Body + Header.size(), 8), "  G_g = ") << Cpp;
+  size_t DeclAt = Cpp.find("jedd::rel::Relation L_g = ");
+  ASSERT_NE(DeclAt, std::string::npos) << Cpp;
+  EXPECT_EQ(Cpp.find("L_g"), Cpp.find("L_g", DeclAt)) << Cpp;
 }
 
 //===----------------------------------------------------------------------===//

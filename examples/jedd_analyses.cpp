@@ -20,12 +20,17 @@
 ///
 /// Usage: jedd_analyses [benchmark]   (default: javac_s)
 ///
+/// Exit codes: 0 when every result matches the reference; 1 on a
+/// mismatch, a compile failure, or a misuse of the relational runtime
+/// (e.g. a fact beyond the prelude's fixed domain sizes, as on jedit_x4).
+///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyses.h"
 #include "jedd/Driver.h"
 #include "jedd/Interp.h"
 #include "soot/Generator.h"
+#include "util/Error.h"
 #include "util/File.h"
 
 #include <algorithm>
@@ -74,7 +79,7 @@ std::string readModule(const std::string &Name) {
 
 } // namespace
 
-int main(int argc, char **argv) {
+static int analysesMain(int argc, char **argv) {
   std::string Benchmark = argc > 1 ? argv[1] : "javac_s";
   soot::Program P =
       soot::generateProgram(soot::benchmarkPreset(Benchmark));
@@ -222,4 +227,14 @@ int main(int argc, char **argv) {
               RefPt.size(), RefCg.size(), RefWrite.size(), RefRead.size(),
               Match ? "MATCH" : "MISMATCH");
   return Match ? 0 : 1;
+}
+
+int main(int argc, char **argv) {
+  try {
+    return analysesMain(argc, argv);
+  } catch (const UsageError &E) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 1;
+  }
 }

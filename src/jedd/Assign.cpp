@@ -71,14 +71,13 @@ std::string DomainAssigner::aNodeDesc(size_t ANode) const {
          " at " + formatLoc(Diags.fileName(), N.Loc);
 }
 
-int DomainAssigner::wrapOperand(int ChildNode,
-                                const std::vector<uint32_t> &Schema,
-                                SourceLoc Loc) {
-  if (ChildNode < 0)
+int DomainAssigner::wrapOperand(Expr &Operand, SourceLoc Loc, Stmt *Rhs) {
+  if (Operand.NodeId < 0)
     return -1; // 0B/1B operands impose no constraints.
-  int W = newNode("Replace_expression", Loc, Schema);
-  for (uint32_t A : Schema)
-    addAssignment(aNode(W, A), aNode(ChildNode, A));
+  int W = newNode("Replace_expression", Loc, Operand.Schema);
+  for (uint32_t A : Operand.Schema)
+    addAssignment(aNode(W, A), aNode(Operand.NodeId, A));
+  Wrappers.push_back({W, &Operand, Rhs});
   return W;
 }
 
@@ -111,13 +110,8 @@ static const char *exprDesc(ExprKind Kind) {
   return "expression";
 }
 
-void DomainAssigner::recordWrappers(int ExprNode, int W0, int W1) {
-  if (OperandWrappers.size() <= static_cast<size_t>(ExprNode))
-    OperandWrappers.resize(ExprNode + 1, {-1, -1});
-  OperandWrappers[ExprNode] = {W0, W1};
-}
-
 int DomainAssigner::buildExpr(Expr &E) {
+  Exprs.push_back(&E);
   switch (E.Kind) {
   case ExprKind::VarRef:
     // Figure 7: variable operands are the variable's own node.
@@ -141,10 +135,9 @@ int DomainAssigner::buildExpr(Expr &E) {
   case ExprKind::Project:
   case ExprKind::Rename:
   case ExprKind::Copy: {
-    int Child = buildExpr(*E.Sub);
+    buildExpr(*E.Sub);
     E.NodeId = newNode(exprDesc(E.Kind), E.Loc, E.Schema);
-    int W = wrapOperand(Child, E.Sub->Schema, E.Loc);
-    recordWrappers(E.NodeId, W, -1);
+    int W = wrapOperand(*E.Sub, E.Loc);
     if (W < 0)
       return E.NodeId;
     if (E.Kind == ExprKind::Project) {
@@ -167,12 +160,11 @@ int DomainAssigner::buildExpr(Expr &E) {
   case ExprKind::Union:
   case ExprKind::Intersect:
   case ExprKind::Difference: {
-    int L = buildExpr(*E.Left);
-    int R = buildExpr(*E.Right);
+    buildExpr(*E.Left);
+    buildExpr(*E.Right);
     E.NodeId = newNode(exprDesc(E.Kind), E.Loc, E.Schema);
-    int WL = wrapOperand(L, E.Left->Schema, E.Left->Loc);
-    int WR = wrapOperand(R, E.Right->Schema, E.Right->Loc);
-    recordWrappers(E.NodeId, WL, WR);
+    int WL = wrapOperand(*E.Left, E.Left->Loc);
+    int WR = wrapOperand(*E.Right, E.Right->Loc);
     for (uint32_t A : E.Schema) {
       if (WL >= 0)
         addEquality(aNode(E.NodeId, A), aNode(WL, A));
@@ -184,12 +176,11 @@ int DomainAssigner::buildExpr(Expr &E) {
 
   case ExprKind::Join:
   case ExprKind::Compose: {
-    int L = buildExpr(*E.Left);
-    int R = buildExpr(*E.Right);
+    buildExpr(*E.Left);
+    buildExpr(*E.Right);
     E.NodeId = newNode(exprDesc(E.Kind), E.Loc, E.Schema);
-    int WL = wrapOperand(L, E.Left->Schema, E.Left->Loc);
-    int WR = wrapOperand(R, E.Right->Schema, E.Right->Loc);
-    recordWrappers(E.NodeId, WL, WR);
+    int WL = wrapOperand(*E.Left, E.Left->Loc);
+    int WR = wrapOperand(*E.Right, E.Right->Loc);
     assert(WL >= 0 && WR >= 0 && "join/compose operands cannot be 0B/1B");
 
     auto IsCompared = [](const std::vector<uint32_t> &List, uint32_t A) {
@@ -223,13 +214,12 @@ int DomainAssigner::buildExpr(Expr &E) {
   return -1;
 }
 
-void DomainAssigner::connectAssignment(int VarIndex, Expr &Rhs,
-                                       SourceLoc Loc) {
-  int RhsNode = buildExpr(Rhs);
-  if (RhsNode < 0)
+void DomainAssigner::connectAssignment(Stmt &S, Expr &Rhs) {
+  buildExpr(Rhs);
+  int W = wrapOperand(Rhs, S.Loc, &S);
+  if (W < 0)
     return; // x = 0B imposes nothing.
-  int W = wrapOperand(RhsNode, Rhs.Schema, Loc);
-  const CheckedVar &V = Prog.Vars[VarIndex];
+  const CheckedVar &V = Prog.Vars[S.VarIndex];
   for (uint32_t A : V.Attrs)
     addEquality(aNode(V.NodeId, A), aNode(W, A));
 }
@@ -243,8 +233,8 @@ void DomainAssigner::buildCondition(Stmt &S) {
   if (LN < 0 || RN < 0)
     return; // Comparison against 0B/1B constrains nothing.
   int P = newNode("Compare_expression", S.Loc, L->Schema);
-  int WL = wrapOperand(LN, L->Schema, L->Loc);
-  int WR = wrapOperand(RN, R->Schema, R->Loc);
+  int WL = wrapOperand(*L, L->Loc);
+  int WR = wrapOperand(*R, R->Loc);
   for (uint32_t A : L->Schema) {
     addEquality(aNode(P, A), aNode(WL, A));
     addEquality(aNode(P, A), aNode(WR, A));
@@ -256,10 +246,10 @@ void DomainAssigner::buildStmt(Stmt &S) {
   case StmtKind::Decl:
     // The variable's node was created up front; hook up the initializer.
     if (S.Init)
-      connectAssignment(S.VarIndex, *S.Init, S.Loc);
+      connectAssignment(S, *S.Init);
     return;
   case StmtKind::Assign:
-    connectAssignment(S.VarIndex, *S.Rhs, S.Loc);
+    connectAssignment(S, *S.Rhs);
     return;
   case StmtKind::DoWhile:
   case StmtKind::While:
@@ -537,8 +527,7 @@ void DomainAssigner::reportUnsatCore(const std::vector<uint32_t> &Core) {
               "constraint system without a conflict clause in the core)");
 }
 
-bool DomainAssigner::solveAndDecode(bool &SpuriousUnsat, bool Truncated) {
-  SpuriousUnsat = false;
+bool DomainAssigner::solveAndDecode(bool Final) {
   sat::Solver Solver;
   Solver.addFormula(Formula);
 
@@ -548,35 +537,73 @@ bool DomainAssigner::solveAndDecode(bool &SpuriousUnsat, bool Truncated) {
   Stats.SolveSeconds +=
       std::chrono::duration<double>(End - Start).count();
 
-  if (R == sat::Result::Unsat) {
-    if (Truncated) {
-      // The capped flow-path set may have made the formula spuriously
-      // unsatisfiable; the caller retries with more paths.
-      SpuriousUnsat = true;
-      return false;
-    }
-    Stats.Satisfiable = false;
-    reportUnsatCore(Solver.unsatCore());
+  Stats.Satisfiable = R == sat::Result::Sat;
+  if (!Stats.Satisfiable) {
+    if (Final)
+      reportUnsatCore(Solver.unsatCore());
     return false;
   }
 
-  Stats.Satisfiable = true;
   const size_t P = Prog.Symbols.PhysDoms.size();
-  Assignment.assign(NumANodes, 0);
+  std::vector<uint32_t> Assignment(NumANodes, 0);
   for (size_t A = 0; A != NumANodes; ++A)
     for (uint32_t Phys = 0; Phys != P; ++Phys)
       if (Solver.modelValue(static_cast<sat::Var>(A * P + Phys))) {
         Assignment[A] = Phys;
         break;
       }
-
-  // Replace operations that survive: assignment edges whose endpoints
-  // landed in different physical domains.
-  Stats.ReplacesNeeded = 0;
-  for (const Edge &E : AssignmentEdges)
-    if (Assignment[E.A] != Assignment[E.B])
-      ++Stats.ReplacesNeeded;
+  recordSolution(Assignment);
   return true;
+}
+
+void DomainAssigner::recordSolution(
+    const std::vector<uint32_t> &Assignment) {
+  auto Solved = [&](int NodeId, const std::vector<uint32_t> &Attrs) {
+    std::vector<rel::AttrBinding> Bindings;
+    Bindings.reserve(Attrs.size());
+    for (uint32_t A : Attrs)
+      Bindings.push_back({A, Assignment[aNode(NodeId, A)]});
+    return Bindings;
+  };
+
+  // Variables in declaration order, so tuple values read like the
+  // source's <a, b, c>; a literal in piece order, so its values line up.
+  for (CheckedVar &V : Prog.Vars)
+    V.Bindings = Solved(V.NodeId, V.DeclOrder);
+  std::vector<uint32_t> Pieces;
+  for (Expr *E : Exprs) {
+    if (E->NodeId < 0)
+      continue;
+    if (E->Kind != ExprKind::Literal) {
+      E->Bindings = Solved(E->NodeId, E->Schema);
+      continue;
+    }
+    Pieces.clear();
+    for (const AttrPhys &AP : E->LitAttrs)
+      Pieces.push_back(AP.AttrId);
+    E->Bindings = Solved(E->NodeId, Pieces);
+  }
+
+  // Replace operations that survive: a wrapper survives when one of its
+  // assignment edges joins two different physical domains, and each
+  // such edge counts once.
+  Stats.ReplacesNeeded = 0;
+  for (const Wrapper &W : Wrappers) {
+    Expr &Operand = *W.Operand;
+    bool Survives = false;
+    for (uint32_t A : Operand.Schema)
+      if (Assignment[aNode(W.Node, A)] !=
+          Assignment[aNode(Operand.NodeId, A)]) {
+        ++Stats.ReplacesNeeded;
+        Survives = true;
+      }
+    if (W.Rhs) {
+      W.Rhs->ReplaceRhs = Survives;
+    } else {
+      Operand.Target = Solved(W.Node, Operand.Schema);
+      Operand.Replace = Survives;
+    }
+  }
 }
 
 bool DomainAssigner::run() {
@@ -596,63 +623,17 @@ bool DomainAssigner::run() {
     return false;
   }
 
-  for (size_t MaxPaths : {8ul, 32ul, 128ul}) {
+  for (size_t MaxPaths = 8;; MaxPaths *= 4) {
     std::vector<std::vector<std::vector<size_t>>> Paths;
     bool Truncated = false;
     if (!enumerateFlowPaths(MaxPaths, Paths, Truncated))
       return false;
     encode(Paths);
-    bool SpuriousUnsat = false;
-    if (solveAndDecode(SpuriousUnsat, Truncated))
-      return true;
-    if (!SpuriousUnsat)
-      return false;
+    // A capped flow-path set can make the formula spuriously
+    // unsatisfiable; retry with more paths, up to the largest cap (128),
+    // whose answer is final.
+    bool Final = !Truncated || MaxPaths == 128;
+    if (solveAndDecode(Final) || Final)
+      return Stats.Satisfiable;
   }
-  // Even with the largest cap the formula stayed unsatisfiable; solve
-  // once more and report the core (treat it as definitive).
-  sat::Solver Solver;
-  Solver.addFormula(Formula);
-  if (Solver.solve() == sat::Result::Unsat)
-    reportUnsatCore(Solver.unsatCore());
-  Stats.Satisfiable = false;
-  return false;
-}
-
-uint32_t DomainAssigner::physOf(int NodeId, uint32_t Attr) const {
-  assert(!Assignment.empty() && "physOf before a successful run()");
-  return Assignment[aNode(NodeId, Attr)];
-}
-
-std::vector<std::pair<uint32_t, uint32_t>>
-DomainAssigner::bindingsOf(const Expr &E) const {
-  std::vector<std::pair<uint32_t, uint32_t>> Result;
-  if (E.NodeId < 0)
-    return Result;
-  for (uint32_t A : E.Schema)
-    Result.push_back({A, physOf(E.NodeId, A)});
-  return Result;
-}
-
-std::vector<std::pair<uint32_t, uint32_t>>
-DomainAssigner::bindingsOfVar(const CheckedVar &V) const {
-  // Declaration order, so tuple values read like the source's <a, b, c>.
-  std::vector<std::pair<uint32_t, uint32_t>> Result;
-  for (uint32_t A : V.DeclOrder)
-    Result.push_back({A, physOf(V.NodeId, A)});
-  return Result;
-}
-
-std::vector<std::pair<uint32_t, uint32_t>>
-DomainAssigner::operandWrapperBindings(const Expr &E,
-                                       unsigned OperandIndex) const {
-  std::vector<std::pair<uint32_t, uint32_t>> Result;
-  if (E.NodeId < 0 ||
-      static_cast<size_t>(E.NodeId) >= OperandWrappers.size())
-    return Result;
-  int W = OperandWrappers[E.NodeId][OperandIndex];
-  if (W < 0)
-    return Result;
-  for (uint32_t A : Nodes[W].Attrs)
-    Result.push_back({A, Assignment[aNode(W, A)]});
-  return Result;
 }

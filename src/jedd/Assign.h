@@ -22,7 +22,9 @@
 /// encoded as CNF using exactly the seven clause forms of §3.3.2, and our
 /// CDCL solver (standing in for zchaff) solves it. On success, every
 /// attribute of every expression has a physical domain and replace
-/// operations whose input and output assignments agree are dropped. On
+/// operations whose input and output assignments agree are dropped: the
+/// solved bindings and the surviving replaces are recorded on the checked
+/// program, where the interpreter and the C++ emitter read them. On
 /// failure, unsat-core extraction (§3.3.3) pinpoints a conflict clause
 /// and the error message reproduces the paper's format:
 ///
@@ -38,7 +40,6 @@
 #include "jedd/TypeCheck.h"
 #include "sat/Cnf.h"
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -70,11 +71,13 @@ struct AssignStats {
 };
 
 /// Runs the assignment for one checked program. The object owns the
-/// constraint graph and, after run(), the solved assignment.
+/// constraint graph; the solved assignment goes onto the program.
 class DomainAssigner {
 public:
-  /// \p Prog must have passed type checking. NodeIds are written into
-  /// the AST expressions and CheckedVars as a side effect of run().
+  /// \p Prog must have passed type checking. run() writes NodeIds into
+  /// the AST expressions and CheckedVars and, after a successful solve,
+  /// the solved bindings and surviving replaces (Expr::Bindings, Target
+  /// and Replace, Stmt::ReplaceRhs, CheckedVar::Bindings).
   DomainAssigner(CheckedProgram &Prog, DiagnosticEngine &Diags);
 
   /// Builds constraints, encodes, solves. Returns false (with
@@ -83,24 +86,6 @@ public:
   bool run();
 
   const AssignStats &stats() const { return Stats; }
-
-  /// Solved physical domain of attribute \p Attr of graph node \p Node
-  /// (valid after a successful run()).
-  uint32_t physOf(int Node, uint32_t Attr) const;
-
-  /// Solved bindings of an expression: (attr, phys) pairs in schema
-  /// order.
-  std::vector<std::pair<uint32_t, uint32_t>>
-  bindingsOf(const Expr &E) const;
-  std::vector<std::pair<uint32_t, uint32_t>>
-  bindingsOfVar(const CheckedVar &V) const;
-
-  /// Solved bindings of the dummy replace wrapped around operand
-  /// \p OperandIndex (0 = only/left, 1 = right) of expression E: where
-  /// the operand's value must be moved before the operation runs. Empty
-  /// for 0B/1B operands.
-  std::vector<std::pair<uint32_t, uint32_t>>
-  operandWrapperBindings(const Expr &E, unsigned OperandIndex) const;
 
   /// The CNF of the last encoding (exposed for tests and the Table 1
   /// bench).
@@ -131,16 +116,21 @@ private:
   std::vector<std::pair<size_t, uint32_t>> Specified;
   size_t NumANodes = 0;
 
-  /// Per Expr NodeId: graph nodes of the operand wrappers (-1 if none).
-  std::vector<std::array<int, 2>> OperandWrappers;
+  /// Every expression built, and every operand wrapper with the operand
+  /// it wraps (and, for a right-hand side, its Decl/Assign statement):
+  /// recordSolution() writes the solved assignment onto them.
+  std::vector<Expr *> Exprs;
+  struct Wrapper {
+    int Node;
+    Expr *Operand;
+    Stmt *Rhs;
+  };
+  std::vector<Wrapper> Wrappers;
 
   sat::CnfFormula Formula;
   /// The clauses of form 4 (conflict edges), the only ones an error
   /// message names: [Begin, End) in Formula.
   size_t ConflictClausesBegin = 0, ConflictClausesEnd = 0;
-
-  /// Decoded assignment: physical domain per ANode.
-  std::vector<uint32_t> Assignment;
 
   AssignStats Stats;
 
@@ -153,20 +143,19 @@ private:
   }
 
   void buildGraph();
-  void recordWrappers(int ExprNode, int W0, int W1);
   /// Builds nodes/edges for E and returns E's graph node id. VarRef
   /// returns the variable's node (no separate node, as in Figure 7).
   int buildExpr(Expr &E);
-  /// Wraps child expression C (already built) as an operand of a parent:
-  /// creates the dummy replace node over C's schema and the assignment
-  /// edges into it; returns the wrapper node id.
-  int wrapOperand(int ChildNode, const std::vector<uint32_t> &Schema,
-                  SourceLoc Loc);
+  /// Wraps \p Operand (already built) as an operand of a parent, or as
+  /// the right-hand side of \p Rhs: creates the dummy replace node over
+  /// its schema and the assignment edges into it; returns the wrapper
+  /// node id (-1 for 0B/1B).
+  int wrapOperand(Expr &Operand, SourceLoc Loc, Stmt *Rhs = nullptr);
   void buildStmt(Stmt &S);
   void buildBlock(Block &B);
-  /// Ties an expression's result into variable \p VarIndex through a
-  /// wrapper.
-  void connectAssignment(int VarIndex, Expr &Rhs, SourceLoc Loc);
+  /// Ties \p Rhs, the right-hand side of Decl/Assign \p S, into the
+  /// assigned variable through a wrapper.
+  void connectAssignment(Stmt &S, Expr &Rhs);
   /// Builds the comparison constraints of a condition.
   void buildCondition(Stmt &S);
 
@@ -178,7 +167,11 @@ private:
                           std::vector<std::vector<std::vector<size_t>>> &Paths,
                           bool &Truncated);
   void encode(const std::vector<std::vector<std::vector<size_t>>> &Paths);
-  bool solveAndDecode(bool &SpuriousUnsat, bool Truncated);
+  /// Solves the formula; on success decodes the assignment and records
+  /// it. On unsat, reports the core when \p Final.
+  bool solveAndDecode(bool Final);
+  /// Writes \p Assignment (physical domain per ANode) onto the program.
+  void recordSolution(const std::vector<uint32_t> &Assignment);
   void reportUnsatCore(const std::vector<uint32_t> &Core);
 
   std::string aNodeDesc(size_t ANode) const;

@@ -22,6 +22,7 @@
 #ifndef JEDDPP_JEDD_AST_H
 #define JEDDPP_JEDD_AST_H
 
+#include "rel/Universe.h"
 #include "util/SourceLocation.h"
 
 #include <cstdint>
@@ -96,6 +97,25 @@ struct Expr {
   uint32_t FromId = 0, ToId = 0, CopyToId = 0;
   /// Join/Compose: ids of LeftAttrs and RightAttrs, in list order.
   std::vector<uint32_t> LeftIds, RightIds;
+
+  //===--- Filled in by domain assignment ------------------------------===//
+  /// Solved bindings of this expression in schema order (a literal's in
+  /// piece order, so its values line up). Empty for 0B/1B.
+  std::vector<rel::AttrBinding> Bindings;
+  /// As an operand of an operation or comparison: the bindings of its
+  /// dummy replace, where its value must be when the operation runs, and
+  /// whether that replace survived (moves data). 0B/1B operands have
+  /// neither.
+  std::vector<rel::AttrBinding> Target;
+  bool Replace = false;
+
+  /// Solved physical domain of attribute \p Attr of this expression.
+  rel::PhysDomId physOf(uint32_t Attr) const {
+    for (const rel::AttrBinding &B : Bindings)
+      if (B.Attr == Attr)
+        return B.Phys;
+    return rel::NoPhysDom;
+  }
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
@@ -133,6 +153,9 @@ struct Stmt {
   /// Decl/Assign: index of the declared or assigned variable, filled in
   /// by semantic analysis (-1 before checking).
   int VarIndex = -1;
+  /// Decl/Assign: whether the replace moving the right-hand side into the
+  /// variable's bindings survived, filled in by domain assignment.
+  bool ReplaceRhs = false;
 };
 
 struct DomainDecl {

@@ -46,63 +46,50 @@ private:
     const CheckedVar &V = prog().Vars[Var];
     return (V.Function == -1 ? "G_" : "L_") + V.Name;
   }
-  std::vector<std::pair<uint32_t, uint32_t>> varBindings(int Var) {
-    return Compiled.assigner().bindingsOfVar(prog().Vars[Var]);
-  }
-
-  std::string bindingsText(
-      const std::vector<std::pair<uint32_t, uint32_t>> &Bindings) {
+  std::string bindingsText(const std::vector<rel::AttrBinding> &Bindings) {
     std::string Text = "{";
     for (size_t I = 0; I != Bindings.size(); ++I) {
       if (I)
         Text += ", ";
-      Text += "{" + attrRef(Bindings[I].first) + ", " +
-              physRef(Bindings[I].second) + "}";
+      Text += "{" + attrRef(Bindings[I].Attr) + ", " +
+              physRef(Bindings[I].Phys) + "}";
     }
     return Text + "}";
   }
 
   /// Emits statements computing E into a fresh temporary; returns its
   /// name. Constants materialize with \p ContextBindings.
-  std::string emitExpr(
-      const Expr &E,
-      const std::vector<std::pair<uint32_t, uint32_t>> &ContextBindings);
-  /// emitExpr + re-alignment to the operand wrapper's bindings when they
-  /// differ (the replace operations that survived minimization).
-  std::string emitOperand(
-      const Expr &E,
-      const std::vector<std::pair<uint32_t, uint32_t>> &WrapperBindings);
+  std::string emitExpr(const Expr &E,
+                       const std::vector<rel::AttrBinding> &ContextBindings);
+  /// emitExpr + re-alignment to \p Target when \p Replace, the recorded
+  /// survival of the operand's replace, says so.
+  std::string emitOperand(const Expr &E,
+                          const std::vector<rel::AttrBinding> &Target,
+                          bool Replace);
+  std::string emitOperand(const Expr &E) {
+    return emitOperand(E, E.Target, E.Replace);
+  }
   std::string emitCondition(const Stmt &S);
   void emitStmt(const Stmt &S);
   void emitBlock(const Block &B);
 };
 
-std::string Emitter::emitOperand(
-    const Expr &E,
-    const std::vector<std::pair<uint32_t, uint32_t>> &WrapperBindings) {
-  std::string Value = emitExpr(E, WrapperBindings);
-  if (E.Kind == ExprKind::Const0 || E.Kind == ExprKind::Const1)
-    return Value;
-  // Compare the expression's own bindings with where the operand must
-  // end up; differing attributes need a replace.
-  bool NeedsReplace = false;
-  for (auto &[Attr, Phys] : Compiled.assigner().bindingsOf(E))
-    for (auto &[WAttr, WPhys] : WrapperBindings)
-      if (Attr == WAttr && Phys != WPhys)
-        NeedsReplace = true;
-  if (!NeedsReplace)
+std::string Emitter::emitOperand(const Expr &E,
+                                 const std::vector<rel::AttrBinding> &Target,
+                                 bool Replace) {
+  std::string Value = emitExpr(E, Target);
+  if (!Replace)
     return Value;
   std::string Temp = strFormat("t%d", NextTemp++);
   line("// replace (survived assignment-edge minimization)");
   line("jedd::rel::Relation " + Temp + " = " + Value + ".withBindings(" +
-       bindingsText(WrapperBindings) + ");");
+       bindingsText(Target) + ");");
   return Temp;
 }
 
-std::string Emitter::emitExpr(
-    const Expr &E,
-    const std::vector<std::pair<uint32_t, uint32_t>> &ContextBindings) {
-  const DomainAssigner &A = Compiled.assigner();
+std::string
+Emitter::emitExpr(const Expr &E,
+                  const std::vector<rel::AttrBinding> &ContextBindings) {
   switch (E.Kind) {
   case ExprKind::VarRef:
     return varRef(E.VarIndex);
@@ -113,50 +100,40 @@ std::string Emitter::emitExpr(
     return "U.full(" + bindingsText(ContextBindings) + ")";
 
   case ExprKind::Literal: {
-    std::vector<std::pair<uint32_t, uint32_t>> Schema;
     std::string Values = "{";
-    for (size_t I = 0; I != E.LitAttrs.size(); ++I) {
-      uint32_t Attr = E.LitAttrs[I].AttrId;
-      Schema.push_back({Attr, A.physOf(E.NodeId, Attr)});
+    for (size_t I = 0; I != E.Values.size(); ++I) {
       if (I)
         Values += ", ";
       Values += strFormat("%llu",
                           static_cast<unsigned long long>(E.Values[I]));
     }
     Values += "}";
-    return "U.tuple(" + bindingsText(Schema) + ", " + Values + ")";
+    // Bindings are in piece order, so the values line up.
+    return "U.tuple(" + bindingsText(E.Bindings) + ", " + Values + ")";
   }
 
-  case ExprKind::Project: {
-    std::string Sub = emitOperand(*E.Sub, A.operandWrapperBindings(E, 0));
-    return Sub + ".project({" + attrRef(E.FromId) + "})";
-  }
-  case ExprKind::Rename: {
-    std::string Sub = emitOperand(*E.Sub, A.operandWrapperBindings(E, 0));
-    return Sub + ".rename(" + attrRef(E.FromId) + ", " + attrRef(E.ToId) +
-           ")";
-  }
+  case ExprKind::Project:
+    return emitOperand(*E.Sub) + ".project({" + attrRef(E.FromId) + "})";
+  case ExprKind::Rename:
+    return emitOperand(*E.Sub) + ".rename(" + attrRef(E.FromId) + ", " +
+           attrRef(E.ToId) + ")";
   case ExprKind::Copy: {
-    std::string Sub = emitOperand(*E.Sub, A.operandWrapperBindings(E, 0));
+    std::string Sub = emitOperand(*E.Sub);
     std::string Renamed = E.FromId == E.ToId
                               ? Sub
                               : Sub + ".rename(" + attrRef(E.FromId) + ", " +
                                     attrRef(E.ToId) + ")";
     return Renamed + ".copy(" + attrRef(E.ToId) + ", " +
            attrRef(E.CopyToId) + ", " +
-           physRef(A.physOf(E.NodeId, E.CopyToId)) + ")";
+           physRef(E.physOf(E.CopyToId)) + ")";
   }
 
   case ExprKind::Union:
   case ExprKind::Intersect:
   case ExprKind::Difference: {
-    auto Bindings = A.bindingsOf(E);
-    std::string L = emitOperand(*E.Left, Bindings.empty()
-                                             ? ContextBindings
-                                             : Bindings);
-    std::string R = emitOperand(*E.Right, Bindings.empty()
-                                              ? ContextBindings
-                                              : Bindings);
+    // A 0B/1B operand materializes over the operation's bindings.
+    std::string L = emitOperand(*E.Left, E.Bindings, E.Left->Replace);
+    std::string R = emitOperand(*E.Right, E.Bindings, E.Right->Replace);
     const char *Op = E.Kind == ExprKind::Union       ? " | "
                      : E.Kind == ExprKind::Intersect ? " & "
                                                      : " - ";
@@ -165,8 +142,8 @@ std::string Emitter::emitExpr(
 
   case ExprKind::Join:
   case ExprKind::Compose: {
-    std::string L = emitOperand(*E.Left, A.operandWrapperBindings(E, 0));
-    std::string R = emitOperand(*E.Right, A.operandWrapperBindings(E, 1));
+    std::string L = emitOperand(*E.Left);
+    std::string R = emitOperand(*E.Right);
     std::string LA = "{", RA = "{";
     for (size_t I = 0; I != E.LeftIds.size(); ++I) {
       if (I) {
@@ -199,23 +176,25 @@ std::string Emitter::emitCondition(const Stmt &S) {
       Text = "!" + Text;
     return Text;
   }
-  std::string LV = emitExpr(*L, Compiled.assigner().bindingsOf(*L));
-  std::string RV = emitExpr(*R, Compiled.assigner().bindingsOf(*L));
+  std::string LV = emitExpr(*L, L->Bindings);
+  std::string RV = emitExpr(*R, L->Bindings);
   return LV + (S.CondIsEq ? " == " : " != ") + RV;
 }
 
 void Emitter::emitStmt(const Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Decl: {
-    auto Bindings = varBindings(S.VarIndex);
+    const std::vector<rel::AttrBinding> &Bindings =
+        prog().Vars[S.VarIndex].Bindings;
     std::string Init =
-        S.Init ? emitOperand(*S.Init, Bindings)
+        S.Init ? emitOperand(*S.Init, Bindings, S.ReplaceRhs)
                : "U.empty(" + bindingsText(Bindings) + ")";
     line("jedd::rel::Relation " + varRef(S.VarIndex) + " = " + Init + ";");
     return;
   }
   case StmtKind::Assign: {
-    std::string Rhs = emitOperand(*S.Rhs, varBindings(S.VarIndex));
+    std::string Rhs = emitOperand(*S.Rhs, prog().Vars[S.VarIndex].Bindings,
+                                  S.ReplaceRhs);
     const char *Op = S.Op == AssignOpKind::Set         ? " = "
                      : S.Op == AssignOpKind::Union     ? " |= "
                      : S.Op == AssignOpKind::Intersect ? " &= "
@@ -294,7 +273,7 @@ std::string Emitter::run() {
   for (const CheckedVar &V : prog().Vars)
     if (V.Function == -1)
       Out += "  G_" + V.Name + " = U.empty(" +
-             bindingsText(Compiled.assigner().bindingsOfVar(V)) + ");\n";
+             bindingsText(V.Bindings) + ");\n";
   Out += "}\n";
 
   for (const FunctionDecl &Fn : prog().Ast.Functions) {
@@ -308,7 +287,7 @@ std::string Emitter::run() {
     // Re-align parameters to their solved bindings.
     for (const Param &P : Fn.Params)
       Out += "  L_" + P.Name + " = L_" + P.Name + ".withBindings(" +
-             bindingsText(varBindings(P.VarIndex)) + ");\n";
+             bindingsText(prog().Vars[P.VarIndex].Bindings) + ");\n";
     emitBlock(Fn.Body);
     Out += "}\n";
   }

@@ -24,27 +24,22 @@ Interpreter::Interpreter(const CompiledProgram &Compiled, rel::Universe &U)
   // bindings; globals keep state across calls.
   Values.resize(prog().Vars.size());
   for (size_t I = 0; I != prog().Vars.size(); ++I)
-    Values[I] = U.empty(varBindings(static_cast<int>(I)));
+    Values[I] = U.empty(prog().Vars[I].Bindings);
 }
 
-std::vector<AttrBinding> Interpreter::toBindings(
-    const std::vector<std::pair<uint32_t, uint32_t>> &Pairs) const {
-  std::vector<AttrBinding> Result;
-  Result.reserve(Pairs.size());
-  for (auto &[Attr, Phys] : Pairs)
-    Result.push_back({Attr, Phys});
-  return Result;
+Relation Interpreter::replace(const Relation &Value,
+                              const std::vector<AttrBinding> &Target) {
+  // Count the replaces that actually move data — the operations the
+  // assignment algorithm works to eliminate.
+  ++ReplacesExecuted;
+  return Value.withBindings(Target, JEDD_SITE("replace"));
 }
 
 Relation Interpreter::alignTo(const Relation &Value,
                               const std::vector<AttrBinding> &Target) {
-  // Count the replaces that actually move data — the operations the
-  // assignment algorithm works to eliminate.
   for (const AttrBinding &B : Target)
-    if (Value.physOf(B.Attr) != B.Phys) {
-      ++ReplacesExecuted;
-      return Value.withBindings(Target, JEDD_SITE("replace"));
-    }
+    if (Value.physOf(B.Attr) != B.Phys)
+      return replace(Value, Target);
   return Value;
 }
 
@@ -52,7 +47,7 @@ rel::Relation Interpreter::emptyOfVar(const std::string &Name,
                                       int Function) const {
   int Var = Compiled.findVar(Name, Function);
   JEDD_CHECK(Var >= 0, "unknown relation '" + Name + "'");
-  return const_cast<rel::Universe &>(U).empty(varBindings(Var));
+  return const_cast<rel::Universe &>(U).empty(prog().Vars[Var].Bindings);
 }
 
 rel::Relation Interpreter::getGlobal(const std::string &Name) const {
@@ -67,16 +62,18 @@ void Interpreter::setGlobal(const std::string &Name,
   int Var = Compiled.findVar(Name, -1);
   JEDD_CHECK(Var >= 0 && prog().Vars[Var].Function == -1,
              "unknown global relation '" + Name + "'");
-  Values[Var] = alignTo(Value, varBindings(Var));
+  Values[Var] = alignTo(Value, prog().Vars[Var].Bindings);
 }
 
 Relation Interpreter::evalOperand(const Expr &E,
-                                  const std::vector<AttrBinding> &Bindings) {
+                                  const std::vector<AttrBinding> &Target,
+                                  bool Replace) {
   if (E.Kind == ExprKind::Const0)
-    return U.empty(Bindings);
+    return U.empty(Target);
   if (E.Kind == ExprKind::Const1)
-    return U.full(Bindings);
-  return alignTo(evalExpr(E), Bindings);
+    return U.full(Target);
+  Relation Value = evalExpr(E);
+  return Replace ? replace(Value, Target) : Value;
 }
 
 rel::Site Interpreter::siteOf(const Expr &E) {
@@ -87,7 +84,6 @@ rel::Site Interpreter::siteOf(const Expr &E) {
 }
 
 Relation Interpreter::evalExpr(const Expr &E) {
-  const DomainAssigner &A = assigner();
   switch (E.Kind) {
   case ExprKind::VarRef:
     return Values[E.VarIndex];
@@ -96,38 +92,28 @@ Relation Interpreter::evalExpr(const Expr &E) {
   case ExprKind::Const1:
     fatalError("0B/1B outside an inferring context");
 
-  case ExprKind::Literal: {
-    // Build the schema in piece order so values line up.
-    std::vector<AttrBinding> Schema;
-    for (const AttrPhys &AP : E.LitAttrs)
-      Schema.push_back({AP.AttrId, A.physOf(E.NodeId, AP.AttrId)});
-    return U.tuple(std::move(Schema), E.Values);
-  }
+  case ExprKind::Literal:
+    return U.tuple(E.Bindings, E.Values); // Bindings are in piece order.
 
-  case ExprKind::Project: {
-    Relation V = evalOperand(*E.Sub, toBindings(A.operandWrapperBindings(E, 0)));
-    return V.project({E.FromId}, siteOf(E));
-  }
+  case ExprKind::Project:
+    return evalOperand(*E.Sub).project({E.FromId}, siteOf(E));
 
-  case ExprKind::Rename: {
-    Relation V = evalOperand(*E.Sub, toBindings(A.operandWrapperBindings(E, 0)));
-    return V.rename(E.FromId, E.ToId, siteOf(E));
-  }
+  case ExprKind::Rename:
+    return evalOperand(*E.Sub).rename(E.FromId, E.ToId, siteOf(E));
 
   case ExprKind::Copy: {
-    Relation V = evalOperand(*E.Sub, toBindings(A.operandWrapperBindings(E, 0)));
+    Relation V = evalOperand(*E.Sub);
     rel::Site At = siteOf(E);
     Relation Renamed = E.ToId == E.FromId ? V : V.rename(E.FromId, E.ToId, At);
-    return Renamed.copy(E.ToId, E.CopyToId, A.physOf(E.NodeId, E.CopyToId),
-                        At);
+    return Renamed.copy(E.ToId, E.CopyToId, E.physOf(E.CopyToId), At);
   }
 
   case ExprKind::Union:
   case ExprKind::Intersect:
   case ExprKind::Difference: {
-    std::vector<AttrBinding> Bindings = toBindings(A.bindingsOf(E));
-    Relation L = evalOperand(*E.Left, Bindings);
-    Relation R = evalOperand(*E.Right, Bindings);
+    // A 0B/1B operand materializes over the operation's bindings.
+    Relation L = evalOperand(*E.Left, E.Bindings, E.Left->Replace);
+    Relation R = evalOperand(*E.Right, E.Bindings, E.Right->Replace);
     if (E.Kind == ExprKind::Union)
       return L | R;
     if (E.Kind == ExprKind::Intersect)
@@ -137,10 +123,8 @@ Relation Interpreter::evalExpr(const Expr &E) {
 
   case ExprKind::Join:
   case ExprKind::Compose: {
-    Relation L =
-        evalOperand(*E.Left, toBindings(A.operandWrapperBindings(E, 0)));
-    Relation R =
-        evalOperand(*E.Right, toBindings(A.operandWrapperBindings(E, 1)));
+    Relation L = evalOperand(*E.Left);
+    Relation R = evalOperand(*E.Right);
     if (E.Kind == ExprKind::Join)
       return L.join(R, E.LeftIds, E.RightIds, siteOf(E));
     return L.compose(R, E.LeftIds, E.RightIds, siteOf(E));
@@ -170,14 +154,16 @@ bool Interpreter::evalCondition(const Stmt &S) {
 void Interpreter::execStmt(const Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Decl: {
-    std::vector<AttrBinding> Bindings = varBindings(S.VarIndex);
-    Values[S.VarIndex] =
-        S.Init ? evalOperand(*S.Init, Bindings) : U.empty(Bindings);
+    const std::vector<AttrBinding> &Bindings =
+        prog().Vars[S.VarIndex].Bindings;
+    Values[S.VarIndex] = S.Init ? evalOperand(*S.Init, Bindings, S.ReplaceRhs)
+                                : U.empty(Bindings);
     return;
   }
   case StmtKind::Assign: {
     Relation &Var = Values[S.VarIndex];
-    Relation Rhs = evalOperand(*S.Rhs, varBindings(S.VarIndex));
+    Relation Rhs = evalOperand(*S.Rhs, prog().Vars[S.VarIndex].Bindings,
+                               S.ReplaceRhs);
     switch (S.Op) {
     case AssignOpKind::Set:
       Var = std::move(Rhs);
@@ -224,7 +210,7 @@ void Interpreter::call(const std::string &Name,
                        Name.c_str(), F.Params.size(), Args.size()));
   for (size_t I = 0; I != Args.size(); ++I) {
     int Var = F.Params[I].VarIndex;
-    Values[Var] = alignTo(Args[I], varBindings(Var));
+    Values[Var] = alignTo(Args[I], prog().Vars[Var].Bindings);
   }
   execBlock(F.Body);
 }

@@ -11,9 +11,10 @@
 /// every expression value lives in the physical domains the SAT-based
 /// assignment chose for it, operands are moved through the surviving
 /// replace operations (the dummy replaces whose endpoint assignments
-/// differ), and each relational operation lowers to the corresponding
-/// runtime call. The C++ emitter (CppEmit.h) prints the same lowering as
-/// source text — the analogue of jeddc's generated Java.
+/// differ, as the assigner recorded them on the AST), and each
+/// relational operation lowers to the corresponding runtime call. The
+/// C++ emitter (CppEmit.h) prints the same lowering as source text — the
+/// analogue of jeddc's generated Java.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +61,10 @@ private:
   const CompiledProgram &Compiled;
   rel::Universe &U;
   /// Values of all variables, indexed like CheckedProgram::Vars.
-  /// Globals persist across calls; locals are (re)written during calls.
+  /// Globals persist across calls. A local is written when its
+  /// declaration runs, and its initializer cannot read it, so a call
+  /// sees no value an earlier call left in it unless it reads the
+  /// local where its declaration was skipped (an untaken branch).
   std::vector<rel::Relation> Values;
   size_t ReplacesExecuted = 0;
   /// Site label ("line,col") per expression NodeId, built on first use.
@@ -68,22 +72,26 @@ private:
   std::unordered_map<int, std::string> SiteLabels;
 
   const CheckedProgram &prog() const { return Compiled.program(); }
-  const DomainAssigner &assigner() const { return Compiled.assigner(); }
 
-  std::vector<rel::AttrBinding>
-  toBindings(const std::vector<std::pair<uint32_t, uint32_t>> &Pairs) const;
-  /// The solved bindings of variable \p Var, in declaration order.
-  std::vector<rel::AttrBinding> varBindings(int Var) const {
-    return toBindings(assigner().bindingsOfVar(prog().Vars[Var]));
-  }
+  /// Runs one replace operation, counting it.
+  rel::Relation replace(const rel::Relation &Value,
+                        const std::vector<rel::AttrBinding> &Target);
+  /// Moves a value from the host, whose layout the assigner cannot know,
+  /// to \p Target when some attribute is elsewhere.
   rel::Relation alignTo(const rel::Relation &Value,
                         const std::vector<rel::AttrBinding> &Target);
 
   rel::Site siteOf(const Expr &E);
   rel::Relation evalExpr(const Expr &E);
-  /// Like evalExpr but materializes 0B/1B with the given bindings.
+  /// Evaluates operand \p E and moves it to \p Target when \p Replace,
+  /// the recorded survival of its replace, says so. 0B/1B materialize
+  /// over \p Target.
   rel::Relation evalOperand(const Expr &E,
-                            const std::vector<rel::AttrBinding> &Bindings);
+                            const std::vector<rel::AttrBinding> &Target,
+                            bool Replace);
+  rel::Relation evalOperand(const Expr &E) {
+    return evalOperand(E, E.Target, E.Replace);
+  }
   bool evalCondition(const Stmt &S);
   void execStmt(const Stmt &S);
   void execBlock(const Block &B);

@@ -64,6 +64,9 @@ private:
   std::map<std::string, int> Scope;
   std::map<std::string, int> GlobalScope;
   int CurrentFunction = -1;
+  /// The local whose initializer is being checked (-1 if none): Java's
+  /// rule that a local is not read before it is initialized.
+  int Initializing = -1;
 
   SymbolTable &symbols() { return Result.Symbols; }
 
@@ -72,7 +75,7 @@ private:
   bool resolveRelType(const RelTypeAst &Type, std::vector<uint32_t> &Attrs,
                       std::vector<std::pair<uint32_t, uint32_t>> &Specified);
   int declareVar(const RelTypeAst &Type, const std::string &Name,
-                 SourceLoc Loc, bool IsParam);
+                 SourceLoc Loc);
 
   void checkFunction(FunctionDecl &F, int FunctionIndex);
   void checkBlock(Block &B);
@@ -172,12 +175,11 @@ bool Checker::resolveRelType(
 }
 
 int Checker::declareVar(const RelTypeAst &Type, const std::string &Name,
-                        SourceLoc Loc, bool IsParam) {
+                        SourceLoc Loc) {
   CheckedVar Var;
   Var.Name = Name;
   Var.Loc = Loc;
   Var.Function = CurrentFunction;
-  Var.IsParam = IsParam;
   resolveRelType(Type, Var.Attrs, Var.SpecifiedPhys);
   Var.DeclOrder = Var.Attrs; // resolveRelType fills in source order...
   std::sort(Var.Attrs.begin(), Var.Attrs.end());
@@ -214,6 +216,11 @@ bool Checker::checkExpr(Expr &E) {
     int Var = lookupVar(E.Name);
     if (Var < 0) {
       Diags.error(E.Loc, "unknown relation '" + E.Name + "'");
+      return false;
+    }
+    if (Var == Initializing) {
+      Diags.error(E.Loc,
+                  "relation '" + E.Name + "' is read in its own initializer");
       return false;
     }
     E.VarIndex = Var;
@@ -453,9 +460,13 @@ bool Checker::checkExpr(Expr &E) {
 void Checker::checkStmt(Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Decl: {
-    // The local is in scope from here on, its own initializer included.
-    S.VarIndex = declareVar(S.DeclType, S.Name, S.Loc, /*IsParam=*/false);
-    if (S.Init && checkExpr(*S.Init)) {
+    // The local is in scope from here on, but its own initializer may
+    // not read it.
+    S.VarIndex = declareVar(S.DeclType, S.Name, S.Loc);
+    Initializing = S.VarIndex;
+    bool InitOk = S.Init && checkExpr(*S.Init);
+    Initializing = -1;
+    if (InitOk) {
       const CheckedVar &V = Result.Vars[S.VarIndex];
       if (isConst(*S.Init)) {
         adoptConstSchema(*S.Init, V.Attrs);
@@ -528,7 +539,7 @@ void Checker::checkFunction(FunctionDecl &F, int FunctionIndex) {
   CurrentFunction = FunctionIndex;
   Scope.clear();
   for (Param &P : F.Params)
-    P.VarIndex = declareVar(P.Type, P.Name, P.Loc, /*IsParam=*/true);
+    P.VarIndex = declareVar(P.Type, P.Name, P.Loc);
   checkBlock(F.Body);
   CurrentFunction = -1;
 }
@@ -537,7 +548,7 @@ CheckedProgram Checker::run() {
   collectDeclarations();
   for (GlobalDecl &G : Result.Ast.Globals) {
     CurrentFunction = -1;
-    declareVar(G.Type, G.Name, G.Loc, /*IsParam=*/false);
+    declareVar(G.Type, G.Name, G.Loc);
   }
   for (size_t I = 0; I != Result.Ast.Functions.size(); ++I) {
     // Duplicate function names confuse the driver; reject them.

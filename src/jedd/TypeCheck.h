@@ -74,9 +74,11 @@ struct CheckedVar {
   std::vector<std::pair<uint32_t, uint32_t>> SpecifiedPhys;
   /// -1 for globals, else the index of the owning function.
   int Function = -1;
-  bool IsParam = false;
   /// Constraint-graph node (assigned by the domain assignment pass).
   int NodeId = -1;
+  /// Solved bindings in declaration order (assigned by the domain
+  /// assignment pass).
+  std::vector<rel::AttrBinding> Bindings;
 };
 
 /// The result of semantic analysis. Owns the AST.

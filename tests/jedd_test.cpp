@@ -303,6 +303,23 @@ TEST(JeddTypeCheck, RejectsRedeclarationInOneScope) {
             "");
 }
 
+TEST(JeddTypeCheck, RejectsReadingALocalInItsOwnInitializer) {
+  // As in Java, a local is in scope in its own initializer but may not
+  // be read there, even where a global of the same name exists.
+  const std::string Globals =
+      std::string(Prelude) + "relation <a> in; relation <a> out;\n";
+  for (const char *Body : {"function f() { <a> x = x | in; out = x; }",
+                           "function f() { <a> out = out | in; }"})
+    EXPECT_NE(checkErrors(Globals + Body)
+                  .find("is read in its own initializer"),
+              std::string::npos)
+        << Body;
+  // Reads after the declaration are fine.
+  EXPECT_EQ(checkErrors(Globals + "function f() { <a> x = in; x = x | in; "
+                                  "<a> y = x; out = y; }"),
+            "");
+}
+
 TEST(JeddTypeCheck, ConstantsComparableAndAssignableToAnything) {
   std::string Errors = checkErrors(std::string(Prelude) +
                                    "relation <a, b> g;\n"
@@ -345,14 +362,15 @@ TEST(JeddAssign, HonorsSpecifiedDomains) {
   ASSERT_GE(Var, 0);
   const CheckedVar &V = Compiled->program().Vars[Var];
   const SymbolTable &Sym = Compiled->program().Symbols;
-  // type:T2, signature:S1, method:M1 as annotated.
-  EXPECT_EQ(Compiled->assigner().physOf(
-                V.NodeId, static_cast<uint32_t>(Sym.findAttribute("type"))),
-            static_cast<uint32_t>(Sym.findPhysDom("T2")));
-  EXPECT_EQ(Compiled->assigner().physOf(
-                V.NodeId,
-                static_cast<uint32_t>(Sym.findAttribute("signature"))),
-            static_cast<uint32_t>(Sym.findPhysDom("S1")));
+  // type:T2, signature:S1, method:M1 as annotated; the recorded
+  // bindings are in declaration order.
+  ASSERT_EQ(V.Bindings.size(), 3u);
+  EXPECT_EQ(V.Bindings[0].Attr,
+            static_cast<uint32_t>(Sym.findAttribute("type")));
+  EXPECT_EQ(V.Bindings[0].Phys, static_cast<uint32_t>(Sym.findPhysDom("T2")));
+  EXPECT_EQ(V.Bindings[1].Attr,
+            static_cast<uint32_t>(Sym.findAttribute("signature")));
+  EXPECT_EQ(V.Bindings[1].Phys, static_cast<uint32_t>(Sym.findPhysDom("S1")));
 }
 
 TEST(JeddAssign, ReportsThePaperConflictError) {
